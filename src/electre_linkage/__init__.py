@@ -26,7 +26,7 @@ from .core import (
 from .evaluation import EvalReport, evaluate, lambda_sweep, split
 from .fellegi_sunter import FsModel, fit_fs, fs_decide
 from .ingest import LinkageSchema, RecordTable, census_schema, load_table, toy_schema, true_links
-from .linkage import ComparisonVector, build_pairs, classify_pairs, label_pairs
+from .linkage import PairBlock, build_pairs, classify_pairs, label_pairs
 from .metrics import Comparator, jaro, jaro_winkler, levenshtein, levenshtein_normalized
 
 __version__ = "0.1.0"

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    Alternative,
-    Category,
     Criterion,
     ElectreModel,
     ModelError,
@@ -48,32 +46,32 @@ class EpsilonInfeasibleError(CalibrationError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainingSet:
-    alternatives: tuple[tuple[Alternative, Category], ...]
+    """Labeled performances: X of shape (n, m), category indices y in 1..category_count."""
+
+    X: np.ndarray
+    y: np.ndarray
     category_count: int
 
     def __post_init__(self):
-        if not self.alternatives:
+        X = np.asarray(self.X, dtype=float)
+        y = np.asarray(self.y, dtype=int)
+        if X.ndim != 2 or X.shape[0] == 0:
             raise CalibrationError("training set is empty")
-        m = len(self.alternatives[0][0].performances)
-        for alt, cat in self.alternatives:
-            if len(alt.performances) != m:
-                raise CalibrationError("inconsistent performance vector lengths")
-            if not 1 <= cat.index <= self.category_count:
-                raise CalibrationError(
-                    f"category index {cat.index} outside 1..{self.category_count}"
-                )
+        if y.shape != (X.shape[0],):
+            raise CalibrationError(f"{y.shape} labels for {X.shape[0]} performance rows")
+        bad = (y < 1) | (y > self.category_count)
+        if bad.any():
+            raise CalibrationError(
+                f"category index {y[bad][0]} outside 1..{self.category_count}"
+            )
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "y", y)
 
     @property
     def criterion_count(self) -> int:
-        return len(self.alternatives[0][0].performances)
-
-    def matrix(self) -> np.ndarray:
-        return np.array([a.performances for a, _ in self.alternatives], dtype=float)
-
-    def labels(self) -> np.ndarray:
-        return np.array([c.index for _, c in self.alternatives], dtype=int)
+        return self.X.shape[1]
 
 
 @dataclass(frozen=True)
@@ -107,9 +105,9 @@ def _hinge_minimum(uppers, lowers, clamp_lo, clamp_hi):
     lo = float(pts[flat[0]])
     hi = float(pts[flat[-1]])
     # the optimum may extend past the extreme breakpoints when one side is empty
-    if not lowers:
+    if L.size == 0:
         hi = max(hi, clamp_hi)
-    if not uppers:
+    if U.size == 0:
         lo = min(lo, clamp_lo)
     return lo, hi, best
 
@@ -149,8 +147,7 @@ def estimate_profiles(train: TrainingSet, epsilon: float = DEFAULT_EPSILON) -> L
         raise CalibrationError(f"epsilon must be positive, got {epsilon}")
     p = train.category_count
     m = train.criterion_count
-    X = train.matrix()
-    y = train.labels()
+    X, y = train.X, train.y
 
     counts = np.bincount(y, minlength=p + 1)[1:]
     for h, c in enumerate(counts, start=1):
@@ -173,14 +170,8 @@ def estimate_profiles(train: TrainingSet, epsilon: float = DEFAULT_EPSILON) -> L
             )
         # shift to y-space where the chain constraint is plain monotonicity:
         # y_h = x_h - (h-1) * epsilon
-        uppers = [
-            [g[k] - (h - 1) * epsilon for k in range(len(g)) if y[k] == h]
-            for h in range(1, nprof + 1)
-        ]
-        lowers = [
-            [g[k] - (h - 1) * epsilon for k in range(len(g)) if y[k] == h + 1]
-            for h in range(1, nprof + 1)
-        ]
+        uppers = [g[y == h] - (h - 1) * epsilon for h in range(1, nprof + 1)]
+        lowers = [g[y == h + 1] - (h - 1) * epsilon for h in range(1, nprof + 1)]
         clamp_lo = g.min() - (nprof - 1) * epsilon
         clamp_hi = g.max()
 
@@ -203,9 +194,12 @@ def estimate_profiles(train: TrainingSet, epsilon: float = DEFAULT_EPSILON) -> L
             obj = 0.0
             intervals = []
             for lo_h, hi_h in blocks:
-                ups = [u for h in range(lo_h, hi_h) for u in uppers[h]]
-                lows = [l for h in range(lo_h, hi_h) for l in lowers[h]]
-                lo, hi, val = _hinge_minimum(ups, lows, clamp_lo, clamp_hi)
+                lo, hi, val = _hinge_minimum(
+                    np.concatenate(uppers[lo_h:hi_h]),
+                    np.concatenate(lowers[lo_h:hi_h]),
+                    clamp_lo,
+                    clamp_hi,
+                )
                 obj += val
                 intervals.append((lo, hi))
             vals = _monotone_selection(intervals)
@@ -232,15 +226,14 @@ def _slacks(X: np.ndarray, y: np.ndarray, profiles, p: int) -> np.ndarray:
     """theta_j(a_k) = max(0, overshoot of the upper profile, undershoot of the lower)."""
     B = np.asarray(profiles, dtype=float)
     theta = np.zeros_like(X)
-    for k in range(X.shape[0]):
-        h = y[k]
-        for j in range(X.shape[1]):
-            t = 0.0
-            if h != p:
-                t = max(t, X[k, j] - B[h - 1, j])
-            if h != 1:
-                t = max(t, B[h - 2, j] - X[k, j])
-            theta[k, j] = t
+    # np.where(v > t, v, t) keeps Python's max(t, v) choice between equal values
+    below_top = y != p
+    over = X[below_top] - B[y[below_top] - 1]
+    theta[below_top] = np.where(over > 0.0, over, 0.0)
+    above_bottom = y != 1
+    under = B[y[above_bottom] - 2] - X[above_bottom]
+    t = theta[above_bottom]
+    theta[above_bottom] = np.where(under > t, under, t)
     return theta
 
 
@@ -254,7 +247,7 @@ def estimate_thresholds(
         raise CalibrationError(
             f"need 0 <= q_fraction <= p_fraction <= 1, got {q_fraction}, {p_fraction}"
         )
-    X = train.matrix()
+    X = train.X
     ranges = X.max(axis=0) - X.min(axis=0)
     return [(q_fraction * r, p_fraction * r) for r in ranges]
 
@@ -274,8 +267,7 @@ def estimate_lambda(
     """
     if not 0 < grid_step <= 0.5:
         raise CalibrationError(f"grid step must lie in (0, 0.5], got {grid_step}")
-    X = train.matrix()
-    y = train.labels()
+    X, y = train.X, train.y
     grid = []
     lam = 0.5
     while lam < 1.0 - 1e-12:

@@ -98,14 +98,14 @@ def _load_both(cfg, schema):
 
 def _labeled_pairs(cfg, schema, table_a, table_b):
     links = true_links(table_a, table_b)
-    pairs = build_pairs(table_a, table_b, schema)
+    block = build_pairs(table_a, table_b, schema)
     policy = cfg["label_policy"]
+    fs = None
     if policy == "banded":
         # the band needs a fitted baseline, which itself needs two-class labels
-        base = list(label_pairs(build_pairs(table_a, table_b, schema), links, "two_class"))
-        fs = fit_fs(base)
-        return list(label_pairs(pairs, links, "banded", fs_model=fs)), links
-    return list(label_pairs(pairs, links, policy)), links
+        base = label_pairs(block, links, "two_class")
+        fs = fit_fs(base.X, base.truth)
+    return label_pairs(block, links, policy, fs_model=fs)
 
 
 def cmd_ingest(args) -> int:
@@ -124,7 +124,7 @@ def cmd_train(args) -> int:
     schema = get_schema(cfg)
     out = outdir(cfg)
     table_a, table_b, *_ = _load_both(cfg, schema)
-    labeled, _ = _labeled_pairs(cfg, schema, table_a, table_b)
+    labeled = _labeled_pairs(cfg, schema, table_a, table_b)
     cal = cfg["calibration"]
     train, _ = split(labeled, cfg["split"]["train_fraction"], cfg["split"]["seed"])
     model, solution, curve = calibrate(
@@ -137,11 +137,11 @@ def cmd_train(args) -> int:
         procedure=cal["procedure"],
         criterion_names=schema.field_names,
     )
-    fs = fit_fs(train_pairs(train))
+    fs = fit_fs(train.X, train.y)
     (out / "electre_model.json").write_text(model.to_json(), encoding="utf-8")
     (out / "fs_model.json").write_text(fs.to_json(), encoding="utf-8")
     lines = [
-        f"training pairs: {len(train.alternatives)}",
+        f"training pairs: {len(train.y)}",
         f"LP objective: {solution.objective!r}",
         "profiles (one row per boundary, columns follow the schema fields):",
     ]
@@ -157,31 +157,18 @@ def cmd_train(args) -> int:
     return 0
 
 
-def train_pairs(train):
-    """TrainingSet back to labeled ComparisonVectors for the baseline fit."""
-    from .linkage import ComparisonVector
-
-    return [
-        ComparisonVector(alt.id, alt.performances, cat)
-        for alt, cat in train.alternatives
-    ]
-
-
 def cmd_classify(args) -> int:
     cfg = load_config(args)
     schema = get_schema(cfg)
     out = outdir(cfg)
     model = ElectreModel.from_json(Path(args.model).read_text(encoding="utf-8"))
     table_a, table_b, *_ = _load_both(cfg, schema)
-    labeled, _ = _labeled_pairs(cfg, schema, table_a, table_b)
+    labeled = _labeled_pairs(cfg, schema, table_a, table_b)
     procedure = cfg["calibration"]["procedure"]
-    ids, cats, sigma, truth = classify_pairs(labeled, model, procedure)
-    from .linkage import pair_matrix
-
-    _, X, _ = pair_matrix(labeled)
+    cats, sigma = classify_pairs(labeled, model, procedure)
     dest = out / "classified.csv"
-    write_classified(dest, ids, X, cats, sigma, truth, schema.field_names)
-    print(f"{len(ids)} pairs classified -> {dest}")
+    write_classified(dest, labeled, cats, sigma, schema.field_names)
+    print(f"{len(labeled)} pairs classified -> {dest}")
     return 0
 
 
@@ -212,7 +199,7 @@ def cmd_sweep(args) -> int:
     model = ElectreModel.from_json(Path(args.model).read_text(encoding="utf-8"))
     grid = [float(x) for x in args.grid.split(",")]
     table_a, table_b, *_ = _load_both(cfg, schema)
-    labeled, _ = _labeled_pairs(cfg, schema, table_a, table_b)
+    labeled = _labeled_pairs(cfg, schema, table_a, table_b)
     _, test = split(labeled, cfg["split"]["train_fraction"], cfg["split"]["seed"])
     procedure = cfg["calibration"]["procedure"]
     reports = lambda_sweep(test, model, grid, procedure)

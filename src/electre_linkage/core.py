@@ -50,6 +50,14 @@ class Criterion:
     def __post_init__(self):
         if self.direction not in ("gain", "cost"):
             raise ModelError(f"criterion {self.name!r}: direction must be gain or cost")
+        numbers = (self.weight, self.indifference, self.preference)
+        if not all(math.isfinite(x) for x in numbers) or (
+            self.veto is not None and math.isnan(self.veto)
+        ):
+            raise ModelError(
+                f"criterion {self.name!r}: weight and thresholds must be finite, got "
+                f"w={self.weight}, q={self.indifference}, p={self.preference}, v={self.veto}"
+            )
         if self.weight < 0:
             raise ModelError(f"criterion {self.name!r}: weight must be nonnegative")
         if not 0 <= self.indifference <= self.preference:
@@ -125,6 +133,8 @@ class ElectreModel:
         for row in self.profiles.values:
             if len(row) != len(self.criteria):
                 raise ModelError("profile row length != criterion count")
+            if not all(math.isfinite(x) for x in row):
+                raise ModelError(f"profile values must be finite, got {row}")
         self.profiles.check_separation(self.epsilon, self._sign())
 
     @property
@@ -199,8 +209,12 @@ class ElectreModel:
             )
             profiles = ProfileSet(tuple(tuple(float(x) for x in row) for row in d["profiles"]))
             return cls(criteria, profiles, d["lambda"], d.get("epsilon", 0.01))
+        except ModelError:
+            raise
         except KeyError as exc:
             raise ModelError(f"model document missing key {exc}") from exc
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise ModelError(f"malformed model document: {exc}") from exc
 
     @classmethod
     def from_json(cls, text: str) -> "ElectreModel":
@@ -375,6 +389,10 @@ def classify_batch(model: ElectreModel, performances, procedure: str = "pessimis
             f"performance matrix has {X.shape[1] if X.ndim == 2 else '?'} columns, "
             f"model has {model.m} criteria"
         )
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ModelError(f"performance row {row} is not finite: {X[row].tolist()}")
     B, q, p, v, w = model.arrays()
     X = X * model._sign()[None, :]
     sig_ab, sig_ba = _batch_indices(X, B, q, p, v, w)

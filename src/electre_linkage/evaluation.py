@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import TrainingSet
-from .core import Alternative, ElectreModel
+from .core import ElectreModel
 from .linkage import classify_pairs
 
 __all__ = ["EvalReport", "EvaluationError", "split", "evaluate", "lambda_sweep"]
@@ -61,41 +61,40 @@ class EvalReport:
         }
 
 
-def split(pairs, train_fraction: float, seed: int, category_count: int = 3):
-    """Stratified deterministic split of labeled pairs.
+def split(block, train_fraction: float, seed: int, category_count: int = 3):
+    """Stratified deterministic split of a labeled pair block.
 
-    Returns (TrainingSet, test pair list). Stratification is by truth label,
-    so links and nonlinks keep their proportions in the training set.
+    Returns (TrainingSet, test block). Stratification is by truth label,
+    so links and nonlinks keep their proportions in the training set; both
+    sides keep the block's row order within each label.
     """
     if not 0 < train_fraction < 1:
         raise EvaluationError(f"train fraction must lie in (0, 1), got {train_fraction}")
-    pairs = list(pairs)
-    by_label = {}
-    for cv in pairs:
-        if cv.label is None:
-            raise EvaluationError(f"pair {cv.pair} is unlabeled; label before splitting")
-        by_label.setdefault(cv.label.index, []).append(cv)
+    truth = block.truth
+    unlabeled = np.flatnonzero(truth == 0)
+    if unlabeled.size:
+        raise EvaluationError(
+            f"pair {block.pair(unlabeled[0])} is unlabeled; label before splitting"
+        )
     rng = random.Random(seed)
     train, test = [], []
-    for label in sorted(by_label):
-        group = by_label[label]
+    for label in np.unique(truth).tolist():
+        group = np.flatnonzero(truth == label)
         order = list(range(len(group)))
         rng.shuffle(order)
         n_train = round(train_fraction * len(group))
-        chosen = set(order[:n_train])
-        for i, cv in enumerate(group):
-            (train if i in chosen else test).append(cv)
-    if not any(cv.label.index == 3 for cv in train):
+        chosen = np.zeros(len(group), dtype=bool)
+        chosen[order[:n_train]] = True
+        train.append(group[chosen])
+        test.append(group[~chosen])
+    train = np.concatenate(train) if train else np.empty(0, dtype=np.intp)
+    test = np.concatenate(test) if test else np.empty(0, dtype=np.intp)
+    if not (truth[train] == 3).any():
         raise EvaluationError(
             "training split contains no links; increase train_fraction"
         )
-    training = TrainingSet(
-        tuple(
-            (Alternative(cv.pair, cv.performances), cv.label) for cv in train
-        ),
-        category_count=category_count,
-    )
-    return training, test
+    training = TrainingSet(block.X[train], truth[train], category_count=category_count)
+    return training, block.take(test)
 
 
 def evaluate(predicted, truth, cutting_level=None, procedure: str = "") -> EvalReport:
@@ -129,15 +128,14 @@ def evaluate(predicted, truth, cutting_level=None, procedure: str = "") -> EvalR
     )
 
 
-def lambda_sweep(pairs, model: ElectreModel, grid, procedure: str = "pessimistic"):
-    """Re-evaluate a fixed model over a grid of cutting levels."""
+def lambda_sweep(block, model: ElectreModel, grid, procedure: str = "pessimistic"):
+    """Re-evaluate a fixed model over a grid of cutting levels on a labeled block."""
     grid = list(grid)
     if not grid:
         raise EvaluationError("empty lambda grid")
-    pairs = list(pairs)
     reports = []
     for lam in grid:
         m = ElectreModel(model.criteria, model.profiles, lam, model.epsilon)
-        _, cats, _, truth = classify_pairs(pairs, m, procedure)
-        reports.append(evaluate(cats, truth, cutting_level=lam, procedure=procedure))
+        cats, _ = classify_pairs(block, m, procedure)
+        reports.append(evaluate(cats, block.truth, cutting_level=lam, procedure=procedure))
     return reports

@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .core import Category
+import numpy as np
 
 __all__ = ["FsModel", "FsError", "fit_fs", "fs_decide"]
 
@@ -42,19 +42,16 @@ class FsModel:
     def field_count(self) -> int:
         return len(self.m_probs)
 
-    def agreements(self, cv) -> list[bool]:
-        return [
-            s >= t for s, t in zip(cv.performances, self.agreement_thresholds)
-        ]
+    def log_ratio(self, X) -> np.ndarray:
+        """log2 R of every row of X under conditional independence of the field agreements.
 
-    def log_ratio(self, cv) -> float:
-        """log2 R under conditional independence of the field agreements."""
-        total = 0.0
-        for agree, m, u in zip(self.agreements(cv), self.m_probs, self.u_probs):
-            if agree:
-                total += math.log2(m / u)
-            else:
-                total += math.log2((1 - m) / (1 - u))
+        The per-field weights are added column by column in field order, from 0.0.
+        """
+        X = np.asarray(X, dtype=float)
+        agree = X >= np.asarray(self.agreement_thresholds)
+        total = np.zeros(X.shape[:-1])
+        for j, (m, u) in enumerate(zip(self.m_probs, self.u_probs)):
+            total += np.where(agree[..., j], math.log2(m / u), math.log2((1 - m) / (1 - u)))
         return total
 
     def to_json(self) -> str:
@@ -71,104 +68,90 @@ class FsModel:
 
     @classmethod
     def from_json(cls, text: str) -> "FsModel":
-        d = json.loads(text)
-        return cls(
-            tuple(d["m_probs"]),
-            tuple(d["u_probs"]),
-            tuple(d["agreement_thresholds"]),
-            d["lower"],
-            d["upper"],
-        )
+        try:
+            d = json.loads(text)
+            return cls(
+                tuple(d["m_probs"]),
+                tuple(d["u_probs"]),
+                tuple(d["agreement_thresholds"]),
+                d["lower"],
+                d["upper"],
+            )
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise FsError(f"malformed baseline model document: {exc!r}") from exc
 
 
-def fit_fs(labeled_pairs, agreement_threshold=DEFAULT_AGREEMENT_THRESHOLD,
+def fit_fs(X, y, agreement_threshold=DEFAULT_AGREEMENT_THRESHOLD,
            band_rate: float = DEFAULT_BAND_RATE) -> FsModel:
-    """Supervised fit from a stream of labeled ComparisonVectors.
+    """Supervised fit from performances X (n, m) and category indices y.
 
-    Pairs labeled C3 count as links, everything else as nonlinks. Lower and
-    Upper default to the log2-ratio quantiles that keep about band_rate of
-    the training pairs inside the potential-match band.
+    Pairs labeled C3 count as links, everything else as nonlinks; 0 marks an
+    unlabeled pair. Lower and Upper default to the log2-ratio quantiles that
+    keep about band_rate of the training pairs inside the potential-match band.
     """
-    pairs = list(labeled_pairs)
-    if not pairs:
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y)
+    if len(y) == 0:
         raise FsError("no labeled pairs to fit on")
-    nfields = len(pairs[0].performances)
+    if (y == 0).any():
+        raise FsError(f"pair {int(np.argmax(y == 0))} has no label")
+    nfields = X.shape[1]
     if isinstance(agreement_threshold, (int, float)):
         thresholds = (float(agreement_threshold),) * nfields
     else:
         thresholds = tuple(agreement_threshold)
 
-    link_agree = [0] * nfields
-    nonlink_agree = [0] * nfields
-    n_link = n_nonlink = 0
-    for cv in pairs:
-        if cv.label is None:
-            raise FsError(f"pair {cv.pair} has no label")
-        is_link = cv.label.index == 3
-        if is_link:
-            n_link += 1
-        else:
-            n_nonlink += 1
-        for j, (s, t) in enumerate(zip(cv.performances, thresholds)):
-            if s >= t:
-                if is_link:
-                    link_agree[j] += 1
-                else:
-                    nonlink_agree[j] += 1
+    is_link = y == 3
+    n_link = int(is_link.sum())
+    n_nonlink = len(y) - n_link
     if n_link == 0:
         raise FsError("training pairs contain no links (C3)")
     if n_nonlink == 0:
         raise FsError("training pairs contain no nonlinks")
+    agree = X >= np.asarray(thresholds)
+    link_agree = agree[is_link].sum(axis=0).tolist()
+    nonlink_agree = agree[~is_link].sum(axis=0).tolist()
 
     # Laplace smoothing with pseudo-count 1
-    m_probs = tuple((link_agree[j] + 1) / (n_link + 2) for j in range(nfields))
-    u_probs = tuple((nonlink_agree[j] + 1) / (n_nonlink + 2) for j in range(nfields))
+    m_probs = tuple((c + 1) / (n_link + 2) for c in link_agree)
+    u_probs = tuple((c + 1) / (n_nonlink + 2) for c in nonlink_agree)
 
     probe = FsModel(m_probs, u_probs, thresholds, lower=0.0, upper=0.0)
-    scored = sorted(
-        (probe.log_ratio(cv), cv.label.index == 3) for cv in pairs
-    )
-    cut = _best_cut(scored)
-    lower, upper = _band_around(scored, cut, band_rate)
+    score = probe.log_ratio(X)
+    order = np.lexsort((is_link, score))
+    scores, links = score[order], is_link[order]
+    cut = _best_cut(scores, links)
+    lower, upper = _band_around(scores, cut, band_rate)
     return FsModel(m_probs, u_probs, thresholds, lower, upper)
 
 
-def _best_cut(scored) -> float:
-    """Score threshold minimizing training errors for 'link iff score > cut'."""
-    n_link = sum(1 for _, is_link in scored if is_link)
-    # candidate cuts: below everything, then between consecutive scores
-    best_cut = scored[0][0] - 1.0
-    best_err = sum(1 for _, is_link in scored if not is_link)  # all called links
-    links_below = nonlinks_below = 0
-    for i, (score, is_link) in enumerate(scored):
-        if is_link:
-            links_below += 1
-        else:
-            nonlinks_below += 1
-        err = links_below + (len(scored) - n_link - nonlinks_below)
-        if err < best_err:
-            best_err = err
-            nxt = scored[i + 1][0] if i + 1 < len(scored) else score + 1.0
-            best_cut = (score + nxt) / 2.0
-    return best_cut
+def _best_cut(scores, is_link) -> float:
+    """Score threshold minimizing training errors for 'link iff score > cut'.
+
+    scores ascending, ties ordered nonlink first. The first strict minimum
+    over the cuts between consecutive scores wins; the cut below everything
+    (all called links) is the starting point.
+    """
+    n_nonlink = len(is_link) - int(is_link.sum())
+    err = np.cumsum(is_link) + (n_nonlink - np.cumsum(~is_link))
+    i = int(np.argmin(err))
+    if not err[i] < n_nonlink:
+        return float(scores[0]) - 1.0
+    score = float(scores[i])
+    nxt = float(scores[i + 1]) if i + 1 < len(scores) else score + 1.0
+    return (score + nxt) / 2.0
 
 
-def _band_around(scored, cut: float, band_rate: float):
-    """[Lower, Upper] spanning the ~band_rate of scores nearest the cut."""
-    scores = [s for s, _ in scored]
+def _band_around(scores, cut: float, band_rate: float):
+    """[Lower, Upper] spanning the ~band_rate of the ascending scores nearest the cut."""
     k = int(band_rate * len(scores) / 2)
-    below = [s for s in scores if s <= cut]
-    above = [s for s in scores if s > cut]
-    lower = below[-k] if k and len(below) >= k else cut
-    upper = above[k - 1] if k and len(above) >= k else cut
+    n_below = int(np.searchsorted(scores, cut, side="right"))
+    lower = float(scores[n_below - k]) if k and n_below >= k else cut
+    upper = float(scores[n_below + k - 1]) if k and len(scores) - n_below >= k else cut
     return lower, upper
 
 
-def fs_decide(model: FsModel, cv) -> Category:
-    """Three-way decision; scores exactly at a threshold fall in the band."""
-    score = model.log_ratio(cv)
-    if score > model.upper:
-        return Category(3)
-    if score < model.lower:
-        return Category(1)
-    return Category(2)
+def fs_decide(model: FsModel, X) -> np.ndarray:
+    """Category index (1-3) per row; scores exactly at a threshold fall in the band."""
+    score = model.log_ratio(X)
+    return np.where(score > model.upper, 3, np.where(score < model.lower, 1, 2))

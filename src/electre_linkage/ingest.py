@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass, field
 
 from .metrics import Comparator, make_comparator
@@ -158,6 +157,8 @@ def load_table(path, schema: LinkageSchema, source_label: str):
         for lineno, row in enumerate(reader, start=2):
             if any(v is None for v in row.values()):
                 raise IngestError(f"{path}:{lineno}: row has fewer fields than header")
+            if None in row:
+                raise IngestError(f"{path}:{lineno}: row has more fields than header")
             read += 1
             rid = row[schema.id_field].strip()
             if schema.is_missing(rid) or any(
@@ -179,7 +180,4 @@ def load_table(path, schema: LinkageSchema, source_label: str):
 def true_links(a: RecordTable, b: RecordTable) -> set[tuple[str, str]]:
     """Cross pairs sharing an identifier; identifiers are unique per table."""
     ids_b = set(b.ids())
-    links = {(rid, rid) for rid in a.ids() if rid in ids_b}
-    if len(links) > min(len(a), len(b)):
-        warnings.warn("more links than records on one side", stacklevel=2)
-    return links
+    return {(rid, rid) for rid in a.ids() if rid in ids_b}

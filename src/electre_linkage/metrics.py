@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -96,11 +97,13 @@ def exact(x, y) -> float:
 
 
 def absolute_difference_normalized(x, y, cap: float = 10.0) -> float:
-    """1 - |x - y| / cap, floored at 0; values must parse as numbers."""
+    """1 - |x - y| / cap, floored at 0; values must parse as finite numbers."""
     try:
         fx, fy = float(x), float(y)
     except (TypeError, ValueError) as exc:
         raise ComparatorError(f"numeric comparator got non-numeric value: {exc}") from exc
+    if not (math.isfinite(fx) and math.isfinite(fy)):
+        raise ComparatorError(f"numeric comparator got non-finite value: {x!r}, {y!r}")
     return max(0.0, 1.0 - abs(fx - fy) / cap)
 
 

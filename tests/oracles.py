@@ -2,9 +2,13 @@
 
 The Electre evaluator below follows the index definitions verbatim with
 plain Python loops; the LP oracle hands the joint problem to a generic
-simplex. Neither shares code with the package paths they verify.
+simplex; the pair-pipeline references (pair building, the stratified split,
+the Fellegi-Sunter fit) handle one pair at a time, as the package did
+before pairs became columns. None shares code with the package paths they
+verify.
 """
 
+import math
 import random
 
 from scipy.optimize import linprog
@@ -133,3 +137,100 @@ def joint_lp_objective(X, labels, p, epsilon):
     res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
     assert res.status == 0, res.message
     return res.fun
+
+
+# --- the per-pair pipeline the columnar PairBlock replaced, kept as plain loops ---
+
+
+def ref_build_pairs(a, b, schema):
+    """Row-major nested-loop cross product, caching each field's value pairs.
+
+    Returns (pair ids, performance rows, comparator calls made).
+    """
+    caches = [dict() for _ in schema.compared_fields]
+    ids, rows, calls = [], [], 0
+    for id_a, rec_a in a.records:
+        for id_b, rec_b in b.records:
+            perf = []
+            for (fname, comparator), cache in zip(schema.compared_fields, caches):
+                key = (rec_a[fname], rec_b[fname])
+                if key not in cache:
+                    cache[key] = comparator.compare(*key)
+                    calls += 1
+                perf.append(cache[key])
+            ids.append((id_a, id_b))
+            rows.append(tuple(perf))
+    return ids, rows, calls
+
+
+def ref_split(labels, train_fraction, seed):
+    """Stratified split of row positions by label; returns (train rows, test rows)."""
+    by_label = {}
+    for k, label in enumerate(labels):
+        by_label.setdefault(label, []).append(k)
+    rng = random.Random(seed)
+    train, test = [], []
+    for label in sorted(by_label):
+        group = by_label[label]
+        order = list(range(len(group)))
+        rng.shuffle(order)
+        chosen = set(order[: round(train_fraction * len(group))])
+        for i, k in enumerate(group):
+            (train if i in chosen else test).append(k)
+    return train, test
+
+
+def ref_log_ratio(row, thresholds, m_probs, u_probs):
+    total = 0.0
+    for s, t, m, u in zip(row, thresholds, m_probs, u_probs):
+        if s >= t:
+            total += math.log2(m / u)
+        else:
+            total += math.log2((1 - m) / (1 - u))
+    return total
+
+
+def ref_fit_fs(rows, labels, threshold=0.88, band_rate=0.01):
+    """Laplace-smoothed Fellegi-Sunter fit, one pair at a time.
+
+    Returns (m_probs, u_probs, thresholds, lower, upper).
+    """
+    nfields = len(rows[0])
+    thresholds = (float(threshold),) * nfields
+    link_agree, nonlink_agree = [0] * nfields, [0] * nfields
+    n_link = n_nonlink = 0
+    for row, label in zip(rows, labels):
+        is_link = label == 3
+        n_link += is_link
+        n_nonlink += not is_link
+        for j, (s, t) in enumerate(zip(row, thresholds)):
+            if s >= t:
+                if is_link:
+                    link_agree[j] += 1
+                else:
+                    nonlink_agree[j] += 1
+    m_probs = tuple((link_agree[j] + 1) / (n_link + 2) for j in range(nfields))
+    u_probs = tuple((nonlink_agree[j] + 1) / (n_nonlink + 2) for j in range(nfields))
+    scored = sorted(
+        (ref_log_ratio(row, thresholds, m_probs, u_probs), label == 3)
+        for row, label in zip(rows, labels)
+    )
+    # the cut with the fewest errors for "link iff score > cut"; first strict minimum wins
+    cut = scored[0][0] - 1.0
+    best_err = n_nonlink
+    links_below = nonlinks_below = 0
+    for i, (score, is_link) in enumerate(scored):
+        links_below += is_link
+        nonlinks_below += not is_link
+        err = links_below + (n_nonlink - nonlinks_below)
+        if err < best_err:
+            best_err = err
+            nxt = scored[i + 1][0] if i + 1 < len(scored) else score + 1.0
+            cut = (score + nxt) / 2.0
+    # the band holds the k scores on each side nearest the cut
+    k = int(band_rate * len(scored) / 2)
+    below = [s for s, _ in scored if s <= cut]
+    above = [s for s, _ in scored if s > cut]
+    lower = below[-k] if k and len(below) >= k else cut
+    upper = above[k - 1] if k and len(above) >= k else cut
+    return m_probs, u_probs, thresholds, lower, upper

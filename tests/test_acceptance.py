@@ -11,7 +11,6 @@ import pytest
 from electre_linkage.calibration import TrainingSet, calibrate, estimate_profiles
 from electre_linkage.core import (
     Alternative,
-    Category,
     Criterion,
     ElectreModel,
     ProfileSet,
@@ -25,7 +24,7 @@ from electre_linkage.datagen import generate_pair_files
 from electre_linkage.evaluation import evaluate, split
 from electre_linkage.fellegi_sunter import fit_fs
 from electre_linkage.ingest import census_schema, load_table, toy_schema, true_links
-from electre_linkage.linkage import build_pairs, label_pairs, pair_matrix
+from electre_linkage.linkage import build_pairs, label_pairs
 from electre_linkage.metrics import jaro, jaro_winkler, levenshtein
 
 from oracles import joint_lp_objective, random_model_params, ref_assign
@@ -146,14 +145,12 @@ def test_criterion_4a_lp_decomposition_vs_joint():
         for cat in range(1, p + 1):
             points.append((tuple((cat - 0.5) / p for _ in range(m)), cat))
         train = TrainingSet(
-            tuple(
-                (Alternative(i, perf), Category(cat))
-                for i, (perf, cat) in enumerate(points)
-            ),
+            np.array([perf for perf, _ in points]),
+            [cat for _, cat in points],
             p,
         )
         sol = estimate_profiles(train, epsilon=0.01)
-        ref = joint_lp_objective(train.matrix(), train.labels(), p, 0.01)
+        ref = joint_lp_objective(train.X, train.y, p, 0.01)
         gap = abs(sol.objective - ref) / max(1.0, abs(ref))
         worst = max(worst, gap)
     report("criterion 4a (decomposed LP = joint simplex)", worst <= 1e-9,
@@ -173,16 +170,14 @@ def test_criterion_4b_zero_loss_on_separated_data():
                     (tuple(rng.uniform(lo, hi) for _ in range(m)), cat)
                 )
         train = TrainingSet(
-            tuple(
-                (Alternative(i, perf), Category(cat))
-                for i, (perf, cat) in enumerate(points)
-            ),
+            np.array([perf for perf, _ in points]),
+            [cat for _, cat in points],
             3,
         )
         model, sol, _ = calibrate(train, q_fraction=0.0, p_fraction=0.0)
         model05 = ElectreModel(model.criteria, model.profiles, 0.5, model.epsilon)
-        cats, _ = classify_batch(model05, train.matrix(), "pessimistic")
-        ok = ok and sol.objective == 0.0 and (cats == train.labels()).all()
+        cats, _ = classify_batch(model05, train.X, "pessimistic")
+        ok = ok and sol.objective == 0.0 and (cats == train.y).all()
     report("criterion 4b (zero loss + 100% at lambda=0.5, q=p=0)", ok)
 
 
@@ -199,16 +194,14 @@ def test_criterion_4c_lp_matches_grid_enumeration():
         for cat in range(1, p + 1):
             points.append(((rng.randint(0, 100) / 100,), cat))
         train = TrainingSet(
-            tuple(
-                (Alternative(i, perf), Category(cat))
-                for i, (perf, cat) in enumerate(points)
-            ),
+            np.array([perf for perf, _ in points]),
+            [cat for _, cat in points],
             p,
         )
         eps = 0.01
         sol = estimate_profiles(train, epsilon=eps)
-        X = train.matrix()[:, 0]
-        y = train.labels()
+        X = train.X[:, 0]
+        y = train.y
         grid = [i / 100 for i in range(-50, 151)]
 
         def objective(profs):
@@ -246,7 +239,7 @@ def census_run(tmp_path_factory):
     table_a, _ = load_table(a_path, schema, "A")
     table_b, _ = load_table(b_path, schema, "B")
     links = true_links(table_a, table_b)
-    labeled = list(label_pairs(build_pairs(table_a, table_b, schema), links, "two_class"))
+    labeled = label_pairs(build_pairs(table_a, table_b, schema), links, "two_class")
     return schema, labeled
 
 
@@ -254,7 +247,7 @@ def test_criterion_5_end_to_end_accuracy(census_run):
     schema, labeled = census_run
     train, test = split(labeled, 0.5, seed=9)
     model, _, _ = calibrate(train, criterion_names=schema.field_names)
-    _, X_test, truth = pair_matrix(test)
+    X_test, truth = test.X, test.truth
 
     accs = {}
     for lam in (0.5, 0.85):
@@ -277,9 +270,9 @@ def test_criterion_6_fs_toy_ranking():
     a, _ = load_table(data / "toy_a.csv", schema, "A")
     b, _ = load_table(data / "toy_b.csv", schema, "B")
     links = true_links(a, b)
-    labeled = list(label_pairs(build_pairs(a, b, schema), links, "two_class"))
-    fs = fit_fs(labeled)
-    scores = {cv.pair: fs.log_ratio(cv) for cv in labeled}
+    labeled = label_pairs(build_pairs(a, b, schema), links, "two_class")
+    fs = fit_fs(labeled.X, labeled.truth)
+    scores = dict(zip(map(labeled.pair, range(len(labeled))), fs.log_ratio(labeled.X).tolist()))
     matches = {("u1", "u1"), ("u2", "u2")}
     lo_match = min(scores[p] for p in matches)
     hi_other = max(s for p, s in scores.items() if p not in matches)
@@ -292,7 +285,7 @@ def test_criterion_6_fs_toy_ranking():
 
 def test_criterion_7_performance(census_run):
     schema, labeled = census_run
-    _, X, _ = pair_matrix(labeled)
+    X = labeled.X
     # pad to the full cross-product size regardless of missing-value drops
     reps = int(np.ceil(176008 / len(X)))
     X_full = np.tile(X, (reps, 1))[:176008]

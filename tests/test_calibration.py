@@ -13,8 +13,6 @@ from electre_linkage.calibration import (
     estimate_thresholds,
 )
 from electre_linkage.core import (
-    Alternative,
-    Category,
     Criterion,
     ProfileSet,
     classify_batch,
@@ -25,10 +23,8 @@ from oracles import joint_lp_objective
 
 def make_training(points, p):
     """points: list of (performance tuple, category index)."""
-    alts = tuple(
-        (Alternative(i, tuple(perf)), Category(cat)) for i, (perf, cat) in enumerate(points)
-    )
-    return TrainingSet(alts, p)
+    X = np.array([perf for perf, _ in points], dtype=float)
+    return TrainingSet(X, [cat for _, cat in points], p)
 
 
 def random_training(rng, m, p, n):
@@ -85,7 +81,7 @@ class TestEstimateProfiles:
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(CalibrationError):
-            TrainingSet((), 2)
+            TrainingSet(np.empty((0, 1)), [], 2)
 
     def test_empty_category_warns(self):
         train = make_training([((0.1,), 1), ((0.9,), 3)], p=3)
@@ -112,7 +108,7 @@ class TestJointLpEquivalence:
             train = random_training(rng, m, p, rng.randint(10, 60))
             eps = 0.01
             sol = estimate_profiles(train, epsilon=eps)
-            ref = joint_lp_objective(train.matrix(), train.labels(), p, eps)
+            ref = joint_lp_objective(train.X, train.y, p, eps)
             assert sol.objective == pytest.approx(ref, rel=1e-9, abs=1e-9)
 
     def test_matches_grid_enumeration_single_criterion(self):
@@ -130,8 +126,8 @@ class TestJointLpEquivalence:
             sol = estimate_profiles(train, epsilon=eps)
 
             # exhaustive search over profile placements on the value grid
-            X = train.matrix()[:, 0]
-            y = train.labels()
+            X = train.X[:, 0]
+            y = train.y
             grid = [i / 100 for i in range(-100, 201)]
 
             def objective(profs):
@@ -226,9 +222,9 @@ class TestCalibrate:
         assert sol.objective == 0.0
         cats, _ = classify_batch(
             type(model)(model.criteria, model.profiles, 0.5, model.epsilon),
-            train.matrix(),
+            train.X,
         )
-        assert (cats == train.labels()).all()
+        assert (cats == train.y).all()
 
     def test_weight_count_mismatch(self):
         train = make_training([((0.1,), 1), ((0.9,), 2)], p=2)

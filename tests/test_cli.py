@@ -176,6 +176,38 @@ class TestPipeline:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("document", [
+        '{"criteria": [{"name": "g", "weight": 1.0, "q": 0.0, "p": 0.1}], '
+        '"profiles": [[0.5]], "lambda": "0.7"}',
+        "[]",
+    ])
+    def test_malformed_model_is_usage_error(self, small_dataset, tmp_path, capsys, document):
+        a, b = small_dataset
+        bad = tmp_path / "bad.json"
+        bad.write_text(document)
+        code = run(["classify", "--dataset-a", a, "--dataset-b", b,
+                    "--output-dir", tmp_path / "out", "--model", bad])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_banded_policy_builds_pairs_once(self, small_dataset, tmp_path, monkeypatch):
+        from electre_linkage import cli
+
+        calls = []
+        build_pairs = cli.build_pairs
+
+        def counting(*args):
+            calls.append(args)
+            return build_pairs(*args)
+
+        monkeypatch.setattr(cli, "build_pairs", counting)
+        a, b = small_dataset
+        out = tmp_path / "banded"
+        assert run(["train", "--dataset-a", a, "--dataset-b", b, "--output-dir", out,
+                    "--label-policy", "banded", "--seed", "3"]) == 0
+        assert len(calls) == 1
+        assert (out / "electre_model.json").exists()
+
     def test_infeasible_epsilon_surfaced(self, small_dataset, tmp_path, capsys):
         a, b = small_dataset
         cfg = {

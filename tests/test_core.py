@@ -1,3 +1,4 @@
+import json
 import random
 
 import numpy as np
@@ -225,6 +226,18 @@ class TestModelValidation:
         with pytest.raises(ModelError):
             ElectreModel(crits, ProfileSet(((0.5, 0.6),)), 0.75)
 
+    def test_nan_weight_or_threshold_rejected(self):
+        nan = float("nan")
+        for args in ((nan, 0.0, 0.1), (1.0, nan, 0.1), (1.0, 0.0, nan),
+                     (1.0, 0.0, 0.1, nan), (float("inf"), 0.0, 0.1)):
+            with pytest.raises(ModelError, match="finite"):
+                Criterion("g", *args)
+
+    def test_nan_profile_rejected(self):
+        crits = (Criterion("g1", 1.0, 0.0, 0.1),)
+        with pytest.raises(ModelError, match="finite"):
+            ElectreModel(crits, ProfileSet(((float("nan"),),)), 0.75)
+
 
 class TestCostCriteria:
     def test_cost_direction_negates(self):
@@ -253,6 +266,18 @@ class TestSerialization:
             ElectreModel.from_json("not json {")
         with pytest.raises(ModelError):
             ElectreModel.from_json("{}")
+
+    def test_malformed_document_is_model_error(self):
+        good = simple_model().to_dict()
+        for bad in (
+            {**good, "lambda": "0.7"},
+            [good],
+            {**good, "criteria": [{**good["criteria"][0], "weight": None}]},
+            {**good, "profiles": [["high"]]},
+            {**good, "criteria": ["g1"]},
+        ):
+            with pytest.raises(ModelError):
+                ElectreModel.from_json(json.dumps(bad))
 
 
 class TestBatchPath:
@@ -283,6 +308,21 @@ class TestBatchPath:
         m = simple_model()
         with pytest.raises(ModelError):
             classify_batch(m, np.zeros((1, 1)), "middling")
+
+    def test_nan_row_rejected(self):
+        # a NaN row used to be sorted into C1
+        X = np.array([[0.9], [float("nan")], [0.1]])
+        with pytest.raises(ModelError, match="row 1"):
+            classify_batch(simple_model(), X)
+
+    def test_infinite_row_rejected(self):
+        # an all-inf row used to be sorted into the top category
+        model = model_from_params(random_model_params(random.Random(4)))
+        X = np.full((2, model.m), 0.5)
+        X[1] = np.inf
+        for procedure in ("pessimistic", "optimistic"):
+            with pytest.raises(ModelError, match="row 1"):
+                classify_batch(model, X, procedure)
 
 
 class TestInvariantProperties:

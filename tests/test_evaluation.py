@@ -1,26 +1,40 @@
+import numpy as np
 import pytest
 
-from electre_linkage.core import Category, Criterion, ElectreModel, ProfileSet
+from electre_linkage.core import Criterion, ElectreModel, ProfileSet
 from electre_linkage.evaluation import (
     EvaluationError,
     evaluate,
     lambda_sweep,
     split,
 )
-from electre_linkage.linkage import ComparisonVector
+from electre_linkage.linkage import PairBlock
 
 
-def cv(pair, perf, cat):
-    return ComparisonVector(pair, tuple(perf), Category(cat))
+def block(rows):
+    """A pair block from (pair, performances, category) rows; category 0 is unlabeled."""
+    ids_a = tuple(dict.fromkeys(pair[0] for pair, _, _ in rows))
+    ids_b = tuple(dict.fromkeys(pair[1] for pair, _, _ in rows))
+    return PairBlock(
+        ids_a, ids_b,
+        ia=[ids_a.index(pair[0]) for pair, _, _ in rows],
+        ib=[ids_b.index(pair[1]) for pair, _, _ in rows],
+        X=np.array([perf for _, perf, _ in rows], dtype=float),
+        truth=[cat for _, _, cat in rows],
+    )
+
+
+def pair_ids(pairs):
+    return [pairs.pair(r) for r in range(len(pairs))]
 
 
 def synthetic_pairs(n_links=100, n_nonlinks=900):
-    pairs = []
+    rows = []
     for i in range(n_links):
-        pairs.append(cv(("a", f"l{i}"), (0.95,), 3))
+        rows.append((("a", f"l{i}"), (0.95,), 3))
     for i in range(n_nonlinks):
-        pairs.append(cv(("a", f"n{i}"), (0.05,), 1))
-    return pairs
+        rows.append((("a", f"n{i}"), (0.05,), 1))
+    return block(rows)
 
 
 class TestSplit:
@@ -28,20 +42,23 @@ class TestSplit:
         pairs = synthetic_pairs()
         t1, test1 = split(pairs, 0.5, seed=42)
         t2, test2 = split(pairs, 0.5, seed=42)
-        assert [a.id for a, _ in t1.alternatives] == [a.id for a, _ in t2.alternatives]
-        assert [p.pair for p in test1] == [p.pair for p in test2]
+        assert t1.X.tobytes() == t2.X.tobytes() and (t1.y == t2.y).all()
+        assert pair_ids(test1) == pair_ids(test2)
 
     def test_stratification(self):
         train, test = split(synthetic_pairs(100, 900), 0.5, seed=0)
-        labels = [c.index for _, c in train.alternatives]
+        labels = train.y.tolist()
         assert abs(labels.count(3) - 50) <= 1
         assert abs(labels.count(1) - 450) <= 1
 
     def test_partition(self):
         pairs = synthetic_pairs(10, 90)
+        # tag every row with a distinct performance so training rows can be identified
+        pairs = PairBlock(pairs.ids_a, pairs.ids_b, pairs.ia, pairs.ib,
+                          np.arange(len(pairs), dtype=float)[:, None], pairs.truth)
         train, test = split(pairs, 0.3, seed=1)
-        train_ids = {a.id for a, _ in train.alternatives}
-        test_ids = {p.pair for p in test}
+        train_ids = {pairs.pair(int(r)) for r in train.X[:, 0]}
+        test_ids = set(pair_ids(test))
         assert train_ids.isdisjoint(test_ids)
         assert len(train_ids) + len(test_ids) == len(pairs)
 
@@ -55,7 +72,7 @@ class TestSplit:
             split(pairs, 0.001, seed=0)
 
     def test_unlabeled_rejected(self):
-        pairs = [ComparisonVector(("a", "b"), (0.5,))]
+        pairs = block([(("a", "b"), (0.5,), 0)])
         with pytest.raises(EvaluationError):
             split(pairs, 0.5, seed=0)
 
@@ -112,7 +129,7 @@ class TestLambdaSweep:
         # every credibility strictly below 1 -> pessimistic sends all to C1
         crits = (Criterion("g1", 1.0, 0.0, 0.5), Criterion("g2", 1.0, 0.0, 0.5))
         model = ElectreModel(crits, ProfileSet(((0.4, 0.4),)), 0.5)
-        pairs = [cv(("a", "b"), (0.3, 0.5), 1), cv(("a", "c"), (0.39, 0.6), 1)]
+        pairs = block([(("a", "b"), (0.3, 0.5), 1), (("a", "c"), (0.39, 0.6), 1)])
         reports = lambda_sweep(pairs, model, [1.0])
         assert reports[0].contingency == {(1, 1): 2}
 

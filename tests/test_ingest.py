@@ -87,6 +87,14 @@ class TestLoadTable:
         with pytest.raises(IngestError, match=":2"):
             load_table(path, toy_schema(), "A")
 
+    def test_long_row(self, tmp_path):
+        path = write(
+            tmp_path, "t.csv",
+            "IDENTIFIER,NAME,ADDRESS,AGE\nu1,John,16 Main,20\nu2,Jane,17 Oak,30,extra\n",
+        )
+        with pytest.raises(IngestError, match=":3: row has more fields"):
+            load_table(path, toy_schema(), "A")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestError):
             load_table(tmp_path / "nope.csv", toy_schema(), "A")

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from electre_linkage.core import (
-    Category,
     Criterion,
     ElectreModel,
     ModelError,
@@ -13,15 +12,31 @@ from electre_linkage.core import (
 from electre_linkage.fellegi_sunter import FsModel
 from electre_linkage.ingest import load_table, toy_schema, true_links
 from electre_linkage.linkage import (
-    ComparisonVector,
+    PairBlock,
     build_pairs,
     classify_pairs,
     label_pairs,
-    pair_matrix,
     write_classified,
 )
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+def make_block(pairs, rows):
+    """A block of explicit (id_a, id_b) pairs with the given performance rows."""
+    ids_a = tuple(dict.fromkeys(a for a, _ in pairs))
+    ids_b = tuple(dict.fromkeys(b for _, b in pairs))
+    return PairBlock(
+        ids_a, ids_b,
+        ia=[ids_a.index(a) for a, _ in pairs],
+        ib=[ids_b.index(b) for _, b in pairs],
+        X=np.array(rows, dtype=float).reshape(len(pairs), -1),
+        truth=np.zeros(len(pairs)),
+    )
+
+
+def pair_ids(block):
+    return [block.pair(r) for r in range(len(block))]
 
 
 @pytest.fixture()
@@ -32,21 +47,36 @@ def toy_tables():
     return schema, a, b
 
 
+class TestPairBlock:
+    def test_columns_must_agree(self):
+        with pytest.raises(ValueError, match="disagree"):
+            PairBlock(("a",), ("b", "c"), ia=[0, 0], ib=[0, 1], X=np.zeros((3, 2)),
+                      truth=[0, 0])
+
+    def test_take_keeps_rows_together(self, toy_tables):
+        schema, a, b = toy_tables
+        pairs = build_pairs(a, b, schema)
+        sub = pairs.take([4, 0])
+        assert pair_ids(sub) == [pair_ids(pairs)[4], pair_ids(pairs)[0]]
+        assert sub.X.tobytes() == pairs.X[[4, 0]].tobytes()
+
+
 class TestBuildPairs:
     def test_cross_product_count_and_order(self, toy_tables):
         schema, a, b = toy_tables
-        pairs = list(build_pairs(a, b, schema))
+        pairs = build_pairs(a, b, schema)
         assert len(pairs) == 9
-        assert [cv.pair for cv in pairs[:3]] == [
+        assert pair_ids(pairs)[:3] == [
             ("u1", "u1"),
             ("u1", "u2"),
             ("u1", "u4"),
         ]
-        assert len({cv.pair for cv in pairs}) == 9
+        assert len(set(pair_ids(pairs))) == 9
 
     def test_intended_matches_score_high(self, toy_tables):
         schema, a, b = toy_tables
-        scores = {cv.pair: np.mean(cv.performances) for cv in build_pairs(a, b, schema)}
+        pairs = build_pairs(a, b, schema)
+        scores = {p: np.mean(row) for p, row in zip(pair_ids(pairs), pairs.X)}
         matched = {("u1", "u1"), ("u2", "u2")}
         worst_match = min(scores[p] for p in matched)
         best_nonmatch = max(s for p, s in scores.items() if p not in matched)
@@ -55,28 +85,28 @@ class TestBuildPairs:
     def test_empty_side(self, toy_tables):
         schema, a, b = toy_tables
         empty = type(a)("B", a.field_names, ())
-        assert list(build_pairs(a, empty, schema)) == []
+        assert len(build_pairs(a, empty, schema)) == 0
 
     def test_identical_records_all_ones(self, toy_tables):
         schema, a, _ = toy_tables
-        pairs = list(build_pairs(a, a, schema))
-        diag = [cv for cv in pairs if cv.pair[0] == cv.pair[1]]
+        pairs = build_pairs(a, a, schema)
+        diag = [row for (id_a, id_b), row in zip(pair_ids(pairs), pairs.X) if id_a == id_b]
         assert len(diag) == 3
-        for cv in diag:
-            assert cv.performances == tuple([1.0] * 3)
+        for row in diag:
+            assert tuple(row) == tuple([1.0] * 3)
 
     def test_performances_in_unit_interval(self, toy_tables):
         schema, a, b = toy_tables
-        for cv in build_pairs(a, b, schema):
-            assert all(0.0 <= v <= 1.0 for v in cv.performances)
+        for row in build_pairs(a, b, schema).X:
+            assert all(0.0 <= v <= 1.0 for v in row)
 
 
 class TestLabelPairs:
     def test_two_class(self, toy_tables):
         schema, a, b = toy_tables
         links = true_links(a, b)
-        labeled = list(label_pairs(build_pairs(a, b, schema), links, "two_class"))
-        by_pair = {cv.pair: cv.label.index for cv in labeled}
+        labeled = label_pairs(build_pairs(a, b, schema), links, "two_class")
+        by_pair = dict(zip(pair_ids(labeled), labeled.truth.tolist()))
         assert by_pair[("u1", "u1")] == 3
         assert by_pair[("u2", "u2")] == 3
         assert all(v == 1 for p, v in by_pair.items() if p not in links)
@@ -92,26 +122,24 @@ class TestLabelPairs:
             lower=-2.0,
             upper=2.0,
         )
-        labeled = list(
-            label_pairs(build_pairs(a, b, schema), links, "banded", fs_model=fs)
-        )
-        by_pair = {cv.pair: cv.label.index for cv in labeled}
+        labeled = label_pairs(build_pairs(a, b, schema), links, "banded", fs_model=fs)
+        by_pair = dict(zip(pair_ids(labeled), labeled.truth.tolist()))
         assert by_pair[("u1", "u1")] == 3
         assert set(by_pair.values()) >= {1, 3}
-        for cv in labeled:
-            if cv.pair not in links:
-                score = fs.log_ratio(cv)
+        for pair, row, label in zip(pair_ids(labeled), labeled.X, labeled.truth):
+            if pair not in links:
+                score = fs.log_ratio(row[None, :])[0]
                 expected = 2 if fs.lower <= score <= fs.upper else 1
-                assert cv.label.index == expected
+                assert label == expected
 
     def test_banded_needs_model(self, toy_tables):
         schema, a, b = toy_tables
         with pytest.raises(ValueError):
-            list(label_pairs(build_pairs(a, b, schema), set(), "banded"))
+            label_pairs(build_pairs(a, b, schema), set(), "banded")
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
-            list(label_pairs([], set(), "three_class"))
+            label_pairs(make_block([("x", "y")], [(0.5,)]), set(), "three_class")
 
 
 class TestClassifyPairs:
@@ -122,26 +150,26 @@ class TestClassifyPairs:
         )
 
     def test_dominant_vector_is_match(self):
-        pairs = [ComparisonVector(("x", "y"), (1.0, 1.0, 1.0))]
-        _, cats, sigma, _ = classify_pairs(pairs, self.model())
+        pairs = make_block([("x", "y")], [(1.0, 1.0, 1.0)])
+        cats, sigma = classify_pairs(pairs, self.model())
         assert cats[0] == 3
         assert sigma.shape == (1, 2)
 
     def test_zero_vector_is_nonmatch(self):
-        pairs = [ComparisonVector(("x", "y"), (0.0, 0.0, 0.0))]
-        _, cats, _, _ = classify_pairs(pairs, self.model())
+        pairs = make_block([("x", "y")], [(0.0, 0.0, 0.0)])
+        cats, _ = classify_pairs(pairs, self.model())
         assert cats[0] == 1
 
     def test_deterministic(self, toy_tables):
         schema, a, b = toy_tables
-        pairs = list(build_pairs(a, b, schema))
+        pairs = build_pairs(a, b, schema)
         r1 = classify_pairs(pairs, self.model())
         r2 = classify_pairs(pairs, self.model())
+        assert (r1[0] == r2[0]).all()
         assert (r1[1] == r2[1]).all()
-        assert (r1[2] == r2[2]).all()
 
     def test_length_mismatch(self):
-        pairs = [ComparisonVector(("x", "y"), (1.0, 1.0))]
+        pairs = make_block([("x", "y")], [(1.0, 1.0)])
         with pytest.raises(ModelError):
             classify_pairs(pairs, self.model())
 
@@ -153,11 +181,8 @@ class TestClassifyPairs:
         for _ in range(300):
             base = [rng.random() for _ in range(3)]
             bumped = [min(1.0, v + rng.random() * 0.3) for v in base]
-            _, cats, _, _ = classify_pairs(
-                [
-                    ComparisonVector(("a", "b"), tuple(base)),
-                    ComparisonVector(("a", "b2"), tuple(bumped)),
-                ],
+            cats, _ = classify_pairs(
+                make_block([("a", "b"), ("a", "b2")], [base, bumped]),
                 model,
             )
             assert cats[1] >= cats[0]
@@ -167,12 +192,12 @@ class TestClassifiedFile:
     def test_write_round_trip(self, tmp_path, toy_tables):
         schema, a, b = toy_tables
         links = true_links(a, b)
-        labeled = list(label_pairs(build_pairs(a, b, schema), links, "two_class"))
+        labeled = label_pairs(build_pairs(a, b, schema), links, "two_class")
         model = TestClassifyPairs().model()
-        ids, cats, sigma, truth = classify_pairs(labeled, model)
-        _, X, _ = pair_matrix(labeled)
+        cats, sigma = classify_pairs(labeled, model)
+        X = labeled.X
         dest = tmp_path / "classified.csv"
-        write_classified(dest, ids, X, cats, sigma, truth, schema.field_names)
+        write_classified(dest, labeled, cats, sigma, schema.field_names)
         import csv
 
         with open(dest, newline="", encoding="utf-8") as fh:

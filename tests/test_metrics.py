@@ -121,6 +121,14 @@ class TestComparators:
         with pytest.raises(ComparatorError):
             absolute_difference_normalized("abc", "5")
 
+    def test_numeric_comparator_rejects_non_finite(self):
+        # these parse as floats and used to come out as similarity 0.0
+        for x, y in (("nan", "5"), ("5", "inf"), ("-inf", "-inf"), ("NaN", "NaN")):
+            with pytest.raises(ComparatorError, match="non-finite"):
+                absolute_difference_normalized(x, y)
+            with pytest.raises(ComparatorError):
+                Comparator("absolute_difference_normalized").compare(x, y)
+
     def test_unknown_kind(self):
         with pytest.raises(ComparatorError):
             Comparator("soundex")
