@@ -14,9 +14,11 @@ from .core import (
     Criterion,
     ElectreModel,
     ProfileSet,
+    assign,
     assign_optimistic,
     assign_pessimistic,
     classify_batch,
+    credibilities,
     credibility,
     global_concordance,
     outranks,

@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Criterion,
-    ElectreModel,
-    ModelError,
-    ProfileSet,
-    classify_batch,
-)
+from .core import Criterion, ElectreModel, ProfileSet, assign, credibilities
 
 __all__ = [
     "TrainingSet",
@@ -143,8 +137,8 @@ def estimate_profiles(train: TrainingSet, epsilon: float = DEFAULT_EPSILON) -> L
     chain is resolved exactly by enumerating pooled-block configurations
     (the optimum of each pooled block sits on a breakpoint interval).
     """
-    if epsilon <= 0:
-        raise CalibrationError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise CalibrationError(f"epsilon must be positive and finite, got {epsilon}")
     p = train.category_count
     m = train.criterion_count
     X, y = train.X, train.y
@@ -275,11 +269,12 @@ def estimate_lambda(
         lam += grid_step
     grid.append(1.0)
 
+    # the credibilities do not depend on lambda; only the cut does
+    sig_ab, sig_ba = credibilities(ElectreModel(criteria, profiles, 1.0, epsilon), X)
     curve = []
     best_lam, best_acc = grid[0], -1.0
     for lam in grid:
-        model = ElectreModel(criteria, profiles, lam, epsilon)
-        cats, _ = classify_batch(model, X, procedure)
+        cats = assign(sig_ab, sig_ba, lam, procedure)
         acc = float((cats == y).mean())
         curve.append((lam, acc))
         if acc >= best_acc:

@@ -16,22 +16,15 @@ import sys
 from pathlib import Path
 
 from . import datagen
-from .calibration import CalibrationError, calibrate
-from .core import ElectreModel, ModelError
+from .calibration import calibrate
+from .core import ElectreModel
 from .evaluation import EvaluationError, evaluate, lambda_sweep, split
-from .fellegi_sunter import FsError, fit_fs
-from .ingest import IngestError, LinkageSchema, census_schema, load_table, true_links
+from .fellegi_sunter import fit_fs
+from .ingest import LinkageSchema, census_schema, load_table, true_links
 from .linkage import build_pairs, classify_pairs, label_pairs, write_classified
 
-USAGE_ERRORS = (
-    IngestError,
-    CalibrationError,
-    ModelError,
-    FsError,
-    EvaluationError,
-    ValueError,
-    OSError,
-)
+# every module's error type (IngestError, ModelError, ...) is a ValueError
+USAGE_ERRORS = (ValueError, OSError)
 
 DEFAULT_CONFIG = {
     "dataset_a": "",
@@ -51,13 +44,25 @@ DEFAULT_CONFIG = {
 }
 
 
+class ConfigError(ValueError):
+    """A run config that is not an object of the expected sections and types."""
+
+
 def load_config(args) -> dict:
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
+    source = args.config or "defaults"
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            user = json.load(fh)
+            try:
+                user = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{source}: not valid JSON: {exc}") from exc
+        if not isinstance(user, dict):
+            raise ConfigError(f"{source}: a run config must be a JSON object")
         for key, value in user.items():
-            if isinstance(value, dict) and isinstance(cfg.get(key), dict):
+            if isinstance(cfg.get(key), dict):
+                if not isinstance(value, dict):
+                    raise ConfigError(f"{source}: section {key!r} must be a JSON object")
                 cfg[key].update(value)
             else:
                 cfg[key] = value
@@ -69,7 +74,25 @@ def load_config(args) -> dict:
         cfg["split"]["seed"] = args.seed
     if getattr(args, "train_fraction", None) is not None:
         cfg["split"]["train_fraction"] = args.train_fraction
+    _check_types(cfg, DEFAULT_CONFIG, source)
     return cfg
+
+
+def _check_types(section: dict, defaults: dict, source: str) -> None:
+    """Each value has its default's type, any number for a float; the schema
+    may also be an object and the weights a list of numbers."""
+    for key, default in defaults.items():
+        value = section[key]
+        if isinstance(default, dict):
+            _check_types(value, default, source)
+            continue
+        want = {"schema": (str, dict), "weights": (list, type(None))}.get(key) or (
+            (int, float) if isinstance(default, float) else type(default)
+        )
+        if not isinstance(value, want) or key == "weights" and not all(
+            isinstance(w, (int, float)) for w in value or ()
+        ):
+            raise ConfigError(f"{source}: {key} has the wrong type: {value!r}")
 
 
 def get_schema(cfg) -> LinkageSchema:

@@ -28,6 +28,8 @@ __all__ = [
     "outranks",
     "assign_pessimistic",
     "assign_optimistic",
+    "credibilities",
+    "assign",
     "classify_batch",
 ]
 
@@ -128,8 +130,8 @@ class ElectreModel:
             raise ModelError(
                 f"cutting level must lie in [0.5, 1.0], got {self.cutting_level}"
             )
-        if all(c.weight == 0 for c in self.criteria):
-            raise ModelError("at least one criterion must have positive weight")
+        if not 0 < sum(c.weight for c in self.criteria) < math.inf:
+            raise ModelError("criterion weights must have a positive, finite sum")
         for row in self.profiles.values:
             if len(row) != len(self.criteria):
                 raise ModelError("profile row length != criterion count")
@@ -144,11 +146,6 @@ class ElectreModel:
     @property
     def category_count(self) -> int:
         return self.profiles.category_count
-
-    def oriented(self, performances) -> np.ndarray:
-        """Performance vector with cost criteria negated (gain orientation)."""
-        x = np.asarray(performances, dtype=float)
-        return x * self._sign()
 
     def _sign(self) -> np.ndarray:
         if "sign" not in self._arrays:
@@ -225,164 +222,39 @@ class ElectreModel:
         return cls.from_dict(d)
 
 
-def _check_indices(model: ElectreModel, h: int, j: int | None = None) -> None:
-    if not 1 <= h <= model.profiles.count:
-        raise ModelError(f"profile index {h} out of range 1..{model.profiles.count}")
-    if j is not None and not 1 <= j <= model.m:
-        raise ModelError(f"criterion index {j} out of range 1..{model.m}")
+def _indices(diff: np.ndarray, q, p, v, w):
+    """The Electre Tri indices of every row of diff against one profile.
 
-
-def _partial_concordance_value(diff: float, q: float, p: float) -> float:
-    # diff = g_j(y) - g_j(x) when asking whether x outranks y
-    if diff <= q:
-        return 1.0
-    if diff >= p:
-        return 0.0
-    return (p - diff) / (p - q)
-
-
-def _partial_discordance_value(diff: float, p: float, v: float | None) -> float:
-    if v is None:
-        return 0.0
-    if diff <= p:
-        return 0.0
-    if diff >= v:
-        return 1.0
-    return (diff - p) / (v - p)
-
-
-def partial_concordance(
-    model: ElectreModel, a: Alternative, h: int, j: int, reverse: bool = False
-) -> float:
-    """c_j(a, b_h), or c_j(b_h, a) when reverse is set.
-
-    1-based h and j, matching the category/criterion numbering.
+    diff holds g_j(y) - g_j(x) when asking whether x outranks y, one row per
+    alternative. Returns (partial concordances, global concordance, partial
+    discordances or None without vetoes, credibility).
     """
-    _check_indices(model, h, j)
-    crit = model.criteria[j - 1]
-    ga = model.oriented(a.performances)[j - 1]
-    gb = model.arrays()[0][h - 1, j - 1]
-    diff = (ga - gb) if reverse else (gb - ga)
-    return _partial_concordance_value(diff, crit.indifference, crit.preference)
-
-
-def global_concordance(
-    model: ElectreModel, a: Alternative, h: int, reverse: bool = False
-) -> float:
-    """Weighted mean of the partial concordances: C(a, b_h)."""
-    _check_indices(model, h)
-    total = sum(c.weight for c in model.criteria)
-    acc = 0.0
-    for j in range(1, model.m + 1):
-        acc += model.criteria[j - 1].weight * partial_concordance(model, a, h, j, reverse)
-    return acc / total
-
-
-def partial_discordance(
-    model: ElectreModel, a: Alternative, h: int, j: int, reverse: bool = False
-) -> float:
-    """d_j(a, b_h); zero whenever the criterion has no veto threshold."""
-    _check_indices(model, h, j)
-    crit = model.criteria[j - 1]
-    ga = model.oriented(a.performances)[j - 1]
-    gb = model.arrays()[0][h - 1, j - 1]
-    diff = (ga - gb) if reverse else (gb - ga)
-    return _partial_discordance_value(diff, crit.preference, crit.veto)
-
-
-def credibility(
-    model: ElectreModel, a: Alternative, h: int, reverse: bool = False
-) -> float:
-    """sigma(a, b_h): global concordance weakened by discordance above it."""
-    _check_indices(model, h)
-    conc = global_concordance(model, a, h, reverse)
-    sigma = conc
-    for j in range(1, model.m + 1):
-        d = partial_discordance(model, a, h, j, reverse)
-        if d > conc:
-            if d >= 1.0:
-                return 0.0
-            sigma *= (1.0 - d) / (1.0 - conc)
-    return sigma
-
-
-def outranks(model: ElectreModel, a: Alternative, h: int, reverse: bool = False) -> bool:
-    """Lambda-cut test; a tie at exactly lambda counts as outranking."""
-    return credibility(model, a, h, reverse) >= model.cutting_level
-
-
-def assign_pessimistic(model: ElectreModel, a: Alternative) -> Category:
-    for h in range(model.profiles.count, 0, -1):
-        if outranks(model, a, h):
-            return Category(h + 1)
-    return Category(1)
-
-
-def assign_optimistic(model: ElectreModel, a: Alternative) -> Category:
-    for h in range(1, model.profiles.count + 1):
-        if outranks(model, a, h, reverse=True) and not outranks(model, a, h):
-            return Category(h)
-    return Category(model.category_count)
-
-
-# --- vectorized path for large pair streams ---
-
-
-def _batch_indices(X: np.ndarray, B: np.ndarray, q, p, v, w):
-    """Credibility of every row of X against every profile row of B.
-
-    Returns (sigma_ab, sigma_ba), each of shape (n, profiles).
-    """
-    n = X.shape[0]
-    nprof = B.shape[0]
-    wsum = w.sum()
-    sig_ab = np.empty((n, nprof))
-    sig_ba = np.empty((n, nprof))
     has_veto = ~np.isnan(v)
-    for hidx in range(nprof):
-        for diff, out in (
-            (B[hidx][None, :] - X, sig_ab),  # does x outrank b_h
-            (X - B[hidx][None, :], sig_ba),  # does b_h outrank x
-        ):
-            ramp = p - q
-            with np.errstate(divide="ignore", invalid="ignore"):
-                c = np.where(
-                    diff <= q,
-                    1.0,
-                    np.where(diff >= p, 0.0, (p - diff) / np.where(ramp > 0, ramp, 1.0)),
-                )
-            C = c @ w / wsum
-            if has_veto.any():
-                span = v - p
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    d = np.where(
-                        has_veto & (diff > p),
-                        np.where(
-                            diff >= v, 1.0, (diff - p) / np.where(span > 0, span, 1.0)
-                        ),
-                        0.0,
-                    )
-                mask = d > C[:, None]
-                denom = 1.0 - C[:, None]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    factors = np.where(mask, (1.0 - d) / np.where(denom > 0, denom, 1.0), 1.0)
-                sigma = C * factors.prod(axis=1)
-                sigma[np.any(mask & (d >= 1.0), axis=1)] = 0.0
-            else:
-                sigma = C
-            out[:, hidx] = sigma
-    return sig_ab, sig_ba
+    ramp, span = p - q, v - p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = np.where(
+            diff <= q,
+            1.0,
+            np.where(diff >= p, 0.0, (p - diff) / np.where(ramp > 0, ramp, 1.0)),
+        )
+        C = c @ w / w.sum()
+        if not has_veto.any():
+            return c, C, None, C
+        d = np.where(
+            has_veto & (diff > p),
+            np.where(diff >= v, 1.0, (diff - p) / np.where(span > 0, span, 1.0)),
+            0.0,
+        )
+        mask = d > C[:, None]
+        denom = 1.0 - C[:, None]
+        factors = np.where(mask, (1.0 - d) / np.where(denom > 0, denom, 1.0), 1.0)
+    sigma = C * factors.prod(axis=1)
+    sigma[np.any(mask & (d >= 1.0), axis=1)] = 0.0
+    return c, C, d, sigma
 
 
-def classify_batch(model: ElectreModel, performances, procedure: str = "pessimistic"):
-    """Assign many alternatives at once.
-
-    performances: array-like of shape (n, m), raw (unoriented) values.
-    Returns (categories, sigma_ab) with categories an int array in 1..p and
-    sigma_ab the per-profile credibilities kept for audit output.
-    """
-    if procedure not in ("pessimistic", "optimistic"):
-        raise ModelError(f"unknown assignment procedure {procedure!r}")
+def _oriented_rows(model: ElectreModel, performances) -> np.ndarray:
+    """Raw performances as an (n, m) gain-oriented matrix of finite values."""
     X = np.asarray(performances, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.m:
         raise ModelError(
@@ -393,16 +265,111 @@ def classify_batch(model: ElectreModel, performances, procedure: str = "pessimis
     if not finite.all():
         row = int(np.argmin(finite))
         raise ModelError(f"performance row {row} is not finite: {X[row].tolist()}")
+    return X * model._sign()
+
+
+def credibilities(model: ElectreModel, performances):
+    """sigma(a, b_h) and sigma(b_h, a) of every row against every profile.
+
+    performances: array-like of shape (n, m), raw (unoriented) values.
+    Returns (sigma_ab, sigma_ba), each of shape (n, profiles).
+    """
+    X = _oriented_rows(model, performances)
     B, q, p, v, w = model.arrays()
-    X = X * model._sign()[None, :]
-    sig_ab, sig_ba = _batch_indices(X, B, q, p, v, w)
-    lam = model.cutting_level
+    sig_ab = np.empty((X.shape[0], B.shape[0]))
+    sig_ba = np.empty_like(sig_ab)
+    for h, b in enumerate(B):
+        sig_ab[:, h] = _indices(b - X, q, p, v, w)[3]  # does x outrank b_h
+        sig_ba[:, h] = _indices(X - b, q, p, v, w)[3]  # does b_h outrank x
+    return sig_ab, sig_ba
+
+
+def assign(sig_ab, sig_ba, lam: float, procedure: str = "pessimistic") -> np.ndarray:
+    """Categories 1..profiles+1 from the credibilities at cutting level lam.
+
+    A tie at exactly lam counts as outranking. The pessimistic scan takes the
+    highest profile that a outranks; the optimistic one the lowest profile
+    that is preferred to a.
+    """
+    if procedure not in ("pessimistic", "optimistic"):
+        raise ModelError(f"unknown assignment procedure {procedure!r}")
+    if not 0.5 <= lam <= 1.0:
+        raise ModelError(f"cutting level must lie in [0.5, 1.0], got {lam}")
     S = sig_ab >= lam
     if procedure == "pessimistic":
-        hs = np.arange(1, B.shape[0] + 1)
+        hs = np.arange(1, S.shape[1] + 1)
         cats = (S * hs[None, :]).max(axis=1) + 1
     else:
         pref = (sig_ba >= lam) & ~S
-        any_pref = pref.any(axis=1)
-        cats = np.where(any_pref, pref.argmax(axis=1) + 1, model.category_count)
-    return cats.astype(int), sig_ab
+        cats = np.where(pref.any(axis=1), pref.argmax(axis=1) + 1, S.shape[1] + 1)
+    return cats.astype(int)
+
+
+def classify_batch(model: ElectreModel, performances, procedure: str = "pessimistic"):
+    """Assign many alternatives at once.
+
+    performances: array-like of shape (n, m), raw (unoriented) values.
+    Returns (categories, sigma_ab) with categories an int array in 1..p and
+    sigma_ab the per-profile credibilities kept for audit output.
+    """
+    sig_ab, sig_ba = credibilities(model, performances)
+    return assign(sig_ab, sig_ba, model.cutting_level, procedure), sig_ab
+
+
+# --- the scalar API: one-row views of the kernel ---
+
+
+def _one_row(model: ElectreModel, a: Alternative, h: int, reverse: bool, j: int = 1):
+    """Kernel outputs for a against b_h, or b_h against a when reverse is set."""
+    if not 1 <= h <= model.profiles.count:
+        raise ModelError(f"profile index {h} out of range 1..{model.profiles.count}")
+    if not 1 <= j <= model.m:
+        raise ModelError(f"criterion index {j} out of range 1..{model.m}")
+    x = _oriented_rows(model, [a.performances])
+    B, q, p, v, w = model.arrays()
+    return _indices(x - B[h - 1] if reverse else B[h - 1] - x, q, p, v, w)
+
+
+def partial_concordance(
+    model: ElectreModel, a: Alternative, h: int, j: int, reverse: bool = False
+) -> float:
+    """c_j(a, b_h), or c_j(b_h, a) when reverse is set.
+
+    1-based h and j, matching the category/criterion numbering.
+    """
+    return float(_one_row(model, a, h, reverse, j)[0][0, j - 1])
+
+
+def global_concordance(
+    model: ElectreModel, a: Alternative, h: int, reverse: bool = False
+) -> float:
+    """Weighted mean of the partial concordances: C(a, b_h)."""
+    return float(_one_row(model, a, h, reverse)[1][0])
+
+
+def partial_discordance(
+    model: ElectreModel, a: Alternative, h: int, j: int, reverse: bool = False
+) -> float:
+    """d_j(a, b_h); zero whenever the criterion has no veto threshold."""
+    d = _one_row(model, a, h, reverse, j)[2]
+    return 0.0 if d is None else float(d[0, j - 1])
+
+
+def credibility(
+    model: ElectreModel, a: Alternative, h: int, reverse: bool = False
+) -> float:
+    """sigma(a, b_h): global concordance weakened by discordance above it."""
+    return float(_one_row(model, a, h, reverse)[3][0])
+
+
+def outranks(model: ElectreModel, a: Alternative, h: int, reverse: bool = False) -> bool:
+    """Lambda-cut test; a tie at exactly lambda counts as outranking."""
+    return credibility(model, a, h, reverse) >= model.cutting_level
+
+
+def assign_pessimistic(model: ElectreModel, a: Alternative) -> Category:
+    return Category(int(classify_batch(model, [a.performances], "pessimistic")[0][0]))
+
+
+def assign_optimistic(model: ElectreModel, a: Alternative) -> Category:
+    return Category(int(classify_batch(model, [a.performances], "optimistic")[0][0]))

@@ -8,8 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import TrainingSet
-from .core import ElectreModel
-from .linkage import classify_pairs
+from .core import ElectreModel, assign, credibilities
 
 __all__ = ["EvalReport", "EvaluationError", "split", "evaluate", "lambda_sweep"]
 
@@ -133,9 +132,9 @@ def lambda_sweep(block, model: ElectreModel, grid, procedure: str = "pessimistic
     grid = list(grid)
     if not grid:
         raise EvaluationError("empty lambda grid")
-    reports = []
-    for lam in grid:
-        m = ElectreModel(model.criteria, model.profiles, lam, model.epsilon)
-        cats, _ = classify_pairs(block, m, procedure)
-        reports.append(evaluate(cats, block.truth, cutting_level=lam, procedure=procedure))
-    return reports
+    sig_ab, sig_ba = credibilities(model, block.X)
+    return [
+        evaluate(assign(sig_ab, sig_ba, lam, procedure), block.truth,
+                 cutting_level=lam, procedure=procedure)
+        for lam in grid
+    ]

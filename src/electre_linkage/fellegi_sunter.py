@@ -32,6 +32,11 @@ class FsModel:
     upper: float
 
     def __post_init__(self):
+        values = (*self.m_probs, *self.u_probs, *self.agreement_thresholds, self.lower, self.upper)
+        if not all(isinstance(x, (int, float)) and math.isfinite(x) for x in values) or not (
+            len(self.m_probs) == len(self.u_probs) == len(self.agreement_thresholds)
+        ):
+            raise FsError(f"baseline model needs equal-length lists of finite numbers: {self}")
         if self.lower > self.upper:
             raise FsError(f"need Lower <= Upper, got {self.lower} > {self.upper}")
         for prob in (*self.m_probs, *self.u_probs):

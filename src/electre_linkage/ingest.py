@@ -37,6 +37,12 @@ class LinkageSchema:
         if not self.compared_fields:
             raise IngestError("schema needs at least one compared field")
         names = [f for f, _ in self.compared_fields]
+        if not all(isinstance(x, str) for x in (*names, self.id_field, *self.missing_tokens)):
+            raise IngestError("schema field names and missing tokens must be strings")
+        try:
+            csv.reader([], delimiter=self.delimiter)
+        except (TypeError, csv.Error) as exc:
+            raise IngestError(f"bad delimiter {self.delimiter!r}: {exc}") from exc
         if self.id_field in names:
             raise IngestError(f"id field {self.id_field!r} may not be compared")
         if len(set(names)) != len(names):
@@ -68,17 +74,16 @@ class LinkageSchema:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LinkageSchema":
-        fields = tuple(
-            (entry["field"], make_comparator(entry["comparator"]))
-            for entry in d["compared_fields"]
-        )
-        return cls(
-            compared_fields=fields,
-            id_field=d.get("id_field", "IDENTIFIER"),
-            missing_tokens=tuple(d.get("missing_tokens", DEFAULT_MISSING_TOKENS)),
-            uppercase=d.get("uppercase", True),
-            delimiter=d.get("delimiter", ","),
-        )
+        try:
+            fields = tuple(
+                (entry["field"], make_comparator(entry["comparator"]))
+                for entry in d["compared_fields"]
+            )
+            missing = tuple(d.get("missing_tokens", DEFAULT_MISSING_TOKENS))
+            options = {k: d[k] for k in ("id_field", "uppercase", "delimiter") if k in d}
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise IngestError(f"malformed schema document: {exc!r}") from exc
+        return cls(compared_fields=fields, missing_tokens=missing, **options)
 
 
 @dataclass(frozen=True)
@@ -154,7 +159,8 @@ def load_table(path, schema: LinkageSchema, source_label: str):
         read = dropped = 0
         records = []
         seen = {}
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num
             if any(v is None for v in row.values()):
                 raise IngestError(f"{path}:{lineno}: row has fewer fields than header")
             if None in row:

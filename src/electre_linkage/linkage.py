@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ElectreModel, ModelError, classify_batch
+from .core import ElectreModel, classify_batch
 from .ingest import LinkageSchema, RecordTable
 
 __all__ = [
@@ -123,12 +123,6 @@ def label_pairs(block: PairBlock, links, policy: str = "two_class", fs_model=Non
 
 def classify_pairs(block: PairBlock, model: ElectreModel, procedure: str = "pessimistic"):
     """Assign every pair; returns (categories, sigma matrix)."""
-    if len(block) == 0:
-        return np.empty(0, dtype=int), np.empty((0, model.profiles.count))
-    if block.X.shape[1] != model.m:
-        raise ModelError(
-            f"pairs have {block.X.shape[1]} criteria, model has {model.m}"
-        )
     return classify_batch(model, block.X, procedure)
 
 

@@ -126,6 +126,13 @@ class Comparator:
     def __post_init__(self):
         if self.kind not in COMPARATOR_KINDS:
             raise ComparatorError(f"unknown comparator kind {self.kind!r}")
+        scale, cap, prefix_cap = self.prefix_scale, self.cap, self.prefix_cap
+        finite = all(isinstance(x, (int, float)) and math.isfinite(x) for x in (scale, cap))
+        if not (finite and cap > 0 and isinstance(prefix_cap, int) and prefix_cap >= 0):
+            raise ComparatorError(
+                "comparator needs finite prefix_scale, cap > 0 and integer prefix_cap >= 0, "
+                f"got {scale!r}, {cap!r}, {prefix_cap!r}"
+            )
 
     def compare(self, x, y) -> float:
         if self.kind == "levenshtein_normalized":

@@ -98,6 +98,13 @@ class TestEstimateProfiles:
         with pytest.raises(CalibrationError):
             estimate_profiles(train, epsilon=0.0)
 
+    def test_non_finite_epsilon(self):
+        # a NaN epsilon used to pass the sign check and fail deep in the solver
+        train = make_training([((0.1,), 1), ((0.5,), 2), ((0.9,), 3)], p=3)
+        for epsilon in (float("nan"), float("inf")):
+            with pytest.raises(CalibrationError, match="finite"):
+                estimate_profiles(train, epsilon=epsilon)
+
 
 class TestJointLpEquivalence:
     def test_matches_simplex_oracle(self):

@@ -190,6 +190,37 @@ class TestPipeline:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("document", [
+        [1, 2],
+        {"split": 5},
+        {"schema": 7},
+        {"schema": {"compared_fields": [{"field": "NAME"}]}},
+    ])
+    def test_malformed_config_is_usage_error(self, small_dataset, tmp_path, capsys, document):
+        # each of these used to exit 2 with "internal error"
+        a, b = small_dataset
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(document))
+        code = run(["train", "--config", cfg_path, "--dataset-a", a, "--dataset-b", b,
+                    "--output-dir", tmp_path / "out"])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_sweep_lambda_outside_domain(self, small_dataset, tmp_path, capsys):
+        a, b = small_dataset
+        model = {
+            "criteria": [{"name": f"g{j}", "weight": 1.0, "q": 0.0, "p": 0.1, "v": None}
+                         for j in range(5)],
+            "profiles": [[0.5] * 5],
+            "lambda": 0.7,
+        }
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(model))
+        code = run(["sweep", "--dataset-a", a, "--dataset-b", b, "--output-dir",
+                    tmp_path / "out", "--model", model_path, "--grid", "0.4"])
+        assert code == 1
+        assert "cutting level" in capsys.readouterr().err
+
     def test_banded_policy_builds_pairs_once(self, small_dataset, tmp_path, monkeypatch):
         from electre_linkage import cli
 

@@ -216,6 +216,12 @@ class TestModelValidation:
         with pytest.raises(ModelError):
             ElectreModel(crits, ProfileSet(((0.5, 0.5),)), 0.75)
 
+    def test_weight_sum_must_be_finite(self):
+        # two weights of 1e308 sum to inf, which made every credibility NaN
+        crits = (Criterion("g1", 1e308, 0.0, 0.1), Criterion("g2", 1e308, 0.0, 0.1))
+        with pytest.raises(ModelError, match="finite sum"):
+            ElectreModel(crits, ProfileSet(((0.5, 0.5),)), 0.75)
+
     def test_profile_separation_enforced(self):
         crits = (Criterion("g1", 1.0, 0.0, 0.1),)
         with pytest.raises(ModelError):
@@ -281,22 +287,20 @@ class TestSerialization:
 
 
 class TestBatchPath:
-    def test_agrees_with_scalar_ops(self):
+    def test_agrees_with_oracle(self):
         rng = random.Random(7)
         for _ in range(30):
-            model = model_from_params(random_model_params(rng))
+            params = random_model_params(rng)
+            profiles, qs, ps, vs, ws, lam, _ = params
+            model = model_from_params(params)
             X = [[rng.uniform(0, 1.2) for _ in range(model.m)] for _ in range(25)]
-            for proc, scalar in (
-                ("pessimistic", assign_pessimistic),
-                ("optimistic", assign_optimistic),
-            ):
+            for proc in ("pessimistic", "optimistic"):
                 cats, sigma = classify_batch(model, X, proc)
                 for i, row in enumerate(X):
-                    a = Alternative(i, tuple(row))
-                    assert cats[i] == scalar(model, a).index
+                    assert cats[i] == ref_assign(row, profiles, qs, ps, vs, ws, lam, proc)
                     for h in range(1, model.profiles.count + 1):
                         assert sigma[i, h - 1] == pytest.approx(
-                            credibility(model, a, h), abs=1e-12
+                            ref_credibility(row, profiles[h - 1], qs, ps, vs, ws), abs=1e-12
                         )
 
     def test_shape_mismatch(self):
@@ -323,6 +327,34 @@ class TestBatchPath:
         for procedure in ("pessimistic", "optimistic"):
             with pytest.raises(ModelError, match="row 1"):
                 classify_batch(model, X, procedure)
+
+
+class TestScalarInputChecks:
+    """The scalar API goes through the batch path's input checks."""
+
+    def test_non_finite_performance_not_assigned(self):
+        # (nan,) used to be sorted into C1 and (inf,) into C2
+        for value in (float("nan"), float("inf")):
+            a = Alternative("a", (value,))
+            for scan in (assign_pessimistic, assign_optimistic):
+                with pytest.raises(ModelError, match="not finite"):
+                    scan(simple_model(), a)
+
+    def test_non_finite_performance_has_no_credibility(self):
+        # credibility used to return nan
+        with pytest.raises(ModelError, match="not finite"):
+            credibility(simple_model(), Alternative("a", (float("nan"),)), 1)
+
+    def test_wrong_length_rejected(self):
+        # the second value used to be ignored
+        a = Alternative("a", (0.2, 0.9))
+        for call in (
+            lambda: assign_pessimistic(simple_model(), a),
+            lambda: credibility(simple_model(), a, 1),
+            lambda: partial_concordance(simple_model(), a, 1, 1),
+        ):
+            with pytest.raises(ModelError, match="2 columns"):
+                call()
 
 
 class TestInvariantProperties:

@@ -1,23 +1,33 @@
-"""The columnar pair pipeline against the per-pair references in oracles.py.
+"""The columnar pair pipeline against the per-pair references in oracles.py,
+and the lambda grid against one model and one classification per lambda.
 
 Identical means bitwise-equal performance matrices, the same truth labels
 and row order, the same train/test rows for a seed and an equal baseline
 model, on the toy tables and on a seeded census-style pair.
 """
 
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from electre_linkage.calibration import TrainingSet, estimate_lambda
+from electre_linkage.core import Criterion, ElectreModel, ProfileSet, classify_batch
 from electre_linkage.datagen import generate_pair_files
-from electre_linkage.evaluation import split
+from electre_linkage.evaluation import evaluate, lambda_sweep, split
 from electre_linkage.fellegi_sunter import FsModel, fit_fs
 from electre_linkage.ingest import census_schema, load_table, toy_schema, true_links
-from electre_linkage.linkage import build_pairs, label_pairs
+from electre_linkage.linkage import PairBlock, build_pairs, classify_pairs, label_pairs
 from electre_linkage.metrics import Comparator
 
-from oracles import ref_build_pairs, ref_fit_fs, ref_log_ratio, ref_split
+from oracles import (
+    random_model_params,
+    ref_build_pairs,
+    ref_fit_fs,
+    ref_log_ratio,
+    ref_split,
+)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -132,3 +142,68 @@ def test_fit_fs_matches_reference_on_noisy_labels():
             fs = fit_fs(X, y, band_rate=band_rate)
             ref = ref_fit_fs(X.tolist(), y.tolist(), band_rate=band_rate)
             assert fs == FsModel(*ref)
+
+
+# --- the lambda grid: credibilities once, one cut per lambda ---
+
+
+def per_lambda_curve(train, criteria, profiles, grid, procedure, epsilon):
+    """estimate_lambda as it was: a model and a classification per grid point."""
+    curve = []
+    for lam in grid:
+        model = ElectreModel(criteria, profiles, lam, epsilon)
+        cats, _ = classify_batch(model, train.X, procedure)
+        curve.append((lam, float((cats == train.y).mean())))
+    best_lam = max(reversed(curve), key=lambda point: point[1])[0]
+    return best_lam, curve
+
+
+def per_lambda_sweep(block, model, grid, procedure):
+    """lambda_sweep as it was: a model and a classify_pairs call per grid point."""
+    reports = []
+    for lam in grid:
+        m = ElectreModel(model.criteria, model.profiles, lam, model.epsilon)
+        cats, _ = classify_pairs(block, m, procedure)
+        reports.append(evaluate(cats, block.truth, cutting_level=lam, procedure=procedure))
+    return reports
+
+
+def noisy_labeled_model(seed):
+    """A random model and 120 rows labeled by it at its own lambda, 20% relabeled at random."""
+    rng = random.Random(seed)
+    profiles, qs, ps, vs, ws, lam, eps = random_model_params(rng)
+    criteria = tuple(
+        Criterion(f"g{j}", ws[j], qs[j], ps[j], vs[j]) for j in range(len(ws))
+    )
+    model = ElectreModel(criteria, ProfileSet(profiles), lam, eps)
+    X = np.array([[rng.uniform(0, 1.2) for _ in range(model.m)] for _ in range(120)])
+    y, _ = classify_batch(model, X)
+    for i in range(len(y)):
+        if rng.random() < 0.2:
+            y[i] = rng.randint(1, model.category_count)
+    return model, X, y
+
+
+@pytest.mark.parametrize("procedure", ["pessimistic", "optimistic"])
+def test_estimate_lambda_matches_per_lambda_models(procedure):
+    for seed in range(40):
+        model, X, y = noisy_labeled_model(seed)
+        train = TrainingSet(X, y, model.category_count)
+        for grid_step in (0.05, 0.1, 0.3):
+            got = estimate_lambda(train, model.criteria, model.profiles, grid_step,
+                                  procedure, model.epsilon)
+            grid = [lam for lam, _ in got[1]]
+            assert got == per_lambda_curve(train, model.criteria, model.profiles, grid,
+                                           procedure, model.epsilon)
+
+
+@pytest.mark.parametrize("procedure", ["pessimistic", "optimistic"])
+def test_lambda_sweep_matches_per_lambda_models(procedure):
+    grid = [0.5, 0.55, 0.62, 0.7, 0.75, 0.85, 0.9, 0.95, 1.0]
+    for seed in range(40):
+        model, X, y = noisy_labeled_model(seed)
+        block = PairBlock(("a",), tuple(range(len(y))), np.zeros(len(y)), np.arange(len(y)),
+                          X, y)
+        assert lambda_sweep(block, model, grid, procedure) == per_lambda_sweep(
+            block, model, grid, procedure
+        )

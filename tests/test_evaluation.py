@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from electre_linkage.core import Criterion, ElectreModel, ProfileSet
+from electre_linkage.core import Criterion, ElectreModel, ModelError, ProfileSet
 from electre_linkage.evaluation import (
     EvaluationError,
     evaluate,
@@ -138,6 +138,11 @@ class TestLambdaSweep:
         r1 = lambda_sweep(pairs, self.model(), [0.5, 0.9])
         r2 = lambda_sweep(pairs, self.model(), [0.5, 0.9])
         assert [r.accuracy for r in r1] == [r.accuracy for r in r2]
+
+    def test_lambda_outside_domain(self):
+        for lam in (0.4, 1.01, float("nan")):
+            with pytest.raises(ModelError, match="cutting level"):
+                lambda_sweep(synthetic_pairs(2, 2), self.model(), [0.5, lam])
 
     def test_empty_grid(self):
         with pytest.raises(EvaluationError):

@@ -124,7 +124,11 @@ class TestSerialization:
     def test_malformed_document_is_fs_error(self):
         good = json.loads(FsModel((0.9,), (0.1,), (0.88,), -1.0, 1.0).to_json())
         for text in ("{}", "not json", "[]", json.dumps({**good, "m_probs": 0.9}),
-                     json.dumps({**good, "lower": "low"})):
+                     json.dumps({**good, "lower": "low"}),
+                     # these used to load and then fail or mis-score in fs_decide
+                     json.dumps({**good, "agreement_thresholds": []}),
+                     json.dumps({**good, "lower": "a", "upper": "b"}),
+                     json.dumps({**good, "agreement_thresholds": [float("nan")]})):
             with pytest.raises(FsError):
                 FsModel.from_json(text)
 

@@ -33,6 +33,22 @@ class TestSchema:
         back = LinkageSchema.from_dict(schema.to_dict())
         assert back == schema
 
+    def test_malformed_document_is_ingest_error(self):
+        good = toy_schema().to_dict()
+        field = good["compared_fields"][0]
+        for bad in (
+            [good],
+            {**good, "compared_fields": [{"field": "NAME"}]},
+            {**good, "compared_fields": 7},
+            {**good, "compared_fields": [{**field, "comparator": 3}]},
+            {**good, "compared_fields": [{**field, "comparator": {"kind": "jaro", "cap": 0}}]},
+            {**good, "compared_fields": [{**field, "field": ["NAME"]}]},
+            {**good, "missing_tokens": 5},
+            {**good, "delimiter": ";;"},
+        ):
+            with pytest.raises(IngestError):
+                LinkageSchema.from_dict(bad)
+
     def test_normalization(self):
         schema = toy_schema()
         assert schema.normalize("  john   a  smith ") == "JOHN A SMITH"
@@ -85,6 +101,16 @@ class TestLoadTable:
             tmp_path, "t.csv", "IDENTIFIER,NAME,ADDRESS,AGE\nu1,John\n"
         )
         with pytest.raises(IngestError, match=":2"):
+            load_table(path, toy_schema(), "A")
+
+    def test_error_names_physical_line(self, tmp_path):
+        # a blank line and a two-line quoted field used to put this at ":4"
+        path = write(
+            tmp_path, "t.csv",
+            "IDENTIFIER,NAME,ADDRESS,AGE\nu1,John,16 Main,20\n"
+            'u2,Jane,"17 Oak\nApt 2",30\n\nu3,Joe\n',
+        )
+        with pytest.raises(IngestError, match=":6: row has fewer fields"):
             load_table(path, toy_schema(), "A")
 
     def test_long_row(self, tmp_path):

@@ -133,6 +133,14 @@ class TestComparators:
         with pytest.raises(ComparatorError):
             Comparator("soundex")
 
+    def test_bad_parameters_rejected(self):
+        # a zero or missing cap used to fail inside compare, a fractional prefix_cap too
+        for kwargs in ({"cap": 0}, {"cap": None}, {"cap": float("inf")},
+                       {"prefix_scale": float("nan")}, {"prefix_cap": 1.5},
+                       {"prefix_cap": -1}):
+            with pytest.raises(ComparatorError, match="prefix_cap"):
+                Comparator("jaro_winkler", **kwargs)
+
     def test_make_comparator(self):
         assert make_comparator("jaro").kind == "jaro"
         c = make_comparator({"kind": "absolute_difference_normalized", "cap": 5})
