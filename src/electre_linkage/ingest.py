@@ -39,6 +39,8 @@ class LinkageSchema:
         names = [f for f, _ in self.compared_fields]
         if not all(isinstance(x, str) for x in (*names, self.id_field, *self.missing_tokens)):
             raise IngestError("schema field names and missing tokens must be strings")
+        if not isinstance(self.uppercase, bool):
+            raise IngestError(f"schema uppercase must be true or false, got {self.uppercase!r}")
         try:
             csv.reader([], delimiter=self.delimiter)
         except (TypeError, csv.Error) as exc:
@@ -79,11 +81,13 @@ class LinkageSchema:
                 (entry["field"], make_comparator(entry["comparator"]))
                 for entry in d["compared_fields"]
             )
-            missing = tuple(d.get("missing_tokens", DEFAULT_MISSING_TOKENS))
+            missing = d.get("missing_tokens", list(DEFAULT_MISSING_TOKENS))
             options = {k: d[k] for k in ("id_field", "uppercase", "delimiter") if k in d}
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise IngestError(f"malformed schema document: {exc!r}") from exc
-        return cls(compared_fields=fields, missing_tokens=missing, **options)
+        if not isinstance(missing, list):
+            raise IngestError(f"schema missing_tokens must be a list, got {missing!r}")
+        return cls(compared_fields=fields, missing_tokens=tuple(missing), **options)
 
 
 @dataclass(frozen=True)

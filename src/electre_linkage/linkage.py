@@ -126,23 +126,71 @@ def classify_pairs(block: PairBlock, model: ElectreModel, procedure: str = "pess
     return classify_batch(model, block.X, procedure)
 
 
+WRITE_CHUNK_ROWS = 1 << 14
+
+
+class _Echo:
+    """File stand-in whose write returns the text, so csv.writer.writerow does."""
+
+    def write(self, text):
+        return text
+
+
+def _quoted(values) -> np.ndarray:
+    """Each value as csv.writer writes it as one field of a longer row.
+
+    The writer keeps its default CRLF terminator: it also quotes fields that
+    hold a character of the terminator.
+    """
+    writer = csv.writer(_Echo())
+    return np.array([writer.writerow((v, ""))[:-3] for v in values], dtype=object)
+
+
+def _gather_text(keys, texts) -> list:
+    """The text of every key, calling texts once on the distinct keys."""
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    return np.array(texts(distinct), dtype=object)[inverse].tolist()
+
+
+def _float_texts(bits):
+    return [repr(v) for v in bits.view(np.float64).tolist()]
+
+
+def _category_texts(cats):
+    return [f"C{c}" for c in cats.tolist()]
+
+
+def _truth_texts(truth):
+    return [f"C{t}" if t else "" for t in truth.tolist()]
+
+
 def write_classified(path, block: PairBlock, cats, sigma, field_names) -> None:
-    """Classified-pairs file: ids, performances, per-profile sigma, categories."""
+    """Classified-pairs file: ids, performances, per-profile sigma, categories.
+
+    The bytes are those of csv.writer writing one row per pair with
+    repr(float) cells, but the rows are built column by column over chunks
+    of WRITE_CHUNK_ROWS pairs: each float's repr is made once per distinct
+    bit pattern in the chunk's column (so -0.0 stays apart from 0.0), each
+    id is quoted once, and each chunk is written in one call.
+    """
+    cats = np.asarray(cats)
     nprof = sigma.shape[1] if len(cats) else 0
-    X, truth = block.X, block.truth.tolist()
+    qa, qb = _quoted(block.ids_a), _quoted(block.ids_b)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = (
+        csv.writer(fh).writerow(
             ["id_a", "id_b"]
             + [f"sim_{f}" for f in field_names]
             + [f"sigma_b{h}" for h in range(1, nprof + 1)]
             + ["assigned", "truth"]
         )
-        writer.writerow(header)
-        for i, (ra, rb) in enumerate(zip(block.ia.tolist(), block.ib.tolist())):
-            row = [block.ids_a[ra], block.ids_b[rb]]
-            row += [repr(float(v)) for v in X[i]]
-            row += [repr(float(v)) for v in sigma[i]]
-            row.append(f"C{cats[i]}")
-            row.append(f"C{truth[i]}" if truth[i] else "")
-            writer.writerow(row)
+        for lo in range(0, len(cats), WRITE_CHUNK_ROWS):
+            rows = slice(lo, lo + WRITE_CHUNK_ROWS)
+            floats = [*block.X[rows].T, *np.asarray(sigma[rows], dtype=np.float64).T]
+            columns = [
+                qa[block.ia[rows]].tolist(),
+                qb[block.ib[rows]].tolist(),
+                *(_gather_text(col.view(np.int64), _float_texts) for col in floats),
+                _gather_text(cats[rows], _category_texts),
+                _gather_text(block.truth[rows], _truth_texts),
+            ]
+            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")

@@ -128,9 +128,12 @@ class Comparator:
             raise ComparatorError(f"unknown comparator kind {self.kind!r}")
         scale, cap, prefix_cap = self.prefix_scale, self.cap, self.prefix_cap
         finite = all(isinstance(x, (int, float)) and math.isfinite(x) for x in (scale, cap))
-        if not (finite and cap > 0 and isinstance(prefix_cap, int) and prefix_cap >= 0):
+        if not (finite and cap > 0 and isinstance(prefix_cap, int) and prefix_cap >= 0
+                and 0 <= scale and scale * prefix_cap <= 1):
+            # a Jaro-Winkler prefix bonus outside these bounds leaves [0, 1]
             raise ComparatorError(
-                "comparator needs finite prefix_scale, cap > 0 and integer prefix_cap >= 0, "
+                "comparator needs cap > 0, integer prefix_cap >= 0 and prefix_scale >= 0 "
+                "with prefix_scale * prefix_cap <= 1, "
                 f"got {scale!r}, {cap!r}, {prefix_cap!r}"
             )
 

@@ -3,11 +3,12 @@
 The Electre evaluator below follows the index definitions verbatim with
 plain Python loops; the LP oracle hands the joint problem to a generic
 simplex; the pair-pipeline references (pair building, the stratified split,
-the Fellegi-Sunter fit) handle one pair at a time, as the package did
-before pairs became columns. None shares code with the package paths they
-verify.
+the Fellegi-Sunter fit, the classified-pairs writer) handle one pair at a
+time, as the package did before pairs became columns. None shares code with
+the package paths they verify.
 """
 
+import csv
 import math
 import random
 
@@ -234,3 +235,25 @@ def ref_fit_fs(rows, labels, threshold=0.88, band_rate=0.01):
     lower = below[-k] if k and len(below) >= k else cut
     upper = above[k - 1] if k and len(above) >= k else cut
     return m_probs, u_probs, thresholds, lower, upper
+
+
+def ref_write_classified(path, block, cats, sigma, field_names):
+    """Classified-pairs file written row by row through csv.writer."""
+    nprof = sigma.shape[1] if len(cats) else 0
+    X, truth = block.X, block.truth.tolist()
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        header = (
+            ["id_a", "id_b"]
+            + [f"sim_{f}" for f in field_names]
+            + [f"sigma_b{h}" for h in range(1, nprof + 1)]
+            + ["assigned", "truth"]
+        )
+        writer.writerow(header)
+        for i, (ra, rb) in enumerate(zip(block.ia.tolist(), block.ib.tolist())):
+            row = [block.ids_a[ra], block.ids_b[rb]]
+            row += [repr(float(v)) for v in X[i]]
+            row += [repr(float(v)) for v in sigma[i]]
+            row.append(f"C{cats[i]}")
+            row.append(f"C{truth[i]}" if truth[i] else "")
+            writer.writerow(row)

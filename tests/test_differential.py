@@ -2,23 +2,32 @@
 and the lambda grid against one model and one classification per lambda.
 
 Identical means bitwise-equal performance matrices, the same truth labels
-and row order, the same train/test rows for a seed and an equal baseline
-model, on the toy tables and on a seeded census-style pair.
+and row order, the same train/test rows for a seed, an equal baseline
+model and a byte-identical classified-pairs file, on the toy tables and on
+a seeded census-style pair.
 """
 
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from electre_linkage import linkage
 from electre_linkage.calibration import TrainingSet, estimate_lambda
 from electre_linkage.core import Criterion, ElectreModel, ProfileSet, classify_batch
 from electre_linkage.datagen import generate_pair_files
 from electre_linkage.evaluation import evaluate, lambda_sweep, split
 from electre_linkage.fellegi_sunter import FsModel, fit_fs
 from electre_linkage.ingest import census_schema, load_table, toy_schema, true_links
-from electre_linkage.linkage import PairBlock, build_pairs, classify_pairs, label_pairs
+from electre_linkage.linkage import (
+    PairBlock,
+    build_pairs,
+    classify_pairs,
+    label_pairs,
+    write_classified,
+)
 from electre_linkage.metrics import Comparator
 
 from oracles import (
@@ -27,6 +36,7 @@ from oracles import (
     ref_fit_fs,
     ref_log_ratio,
     ref_split,
+    ref_write_classified,
 )
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -207,3 +217,62 @@ def test_lambda_sweep_matches_per_lambda_models(procedure):
         assert lambda_sweep(block, model, grid, procedure) == per_lambda_sweep(
             block, model, grid, procedure
         )
+
+
+# --- the classified-pairs file: column-wise chunks against the row loop ---
+
+
+def assert_same_file(tmp_path, block, cats, sigma, field_names):
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    write_classified(new, block, cats, sigma, field_names)
+    ref_write_classified(ref, block, cats, sigma, field_names)
+    assert new.read_bytes() == ref.read_bytes()
+
+
+def simple_model(m):
+    criteria = tuple(Criterion(f"g{j}", 1.0 + j, 0.05, 0.2) for j in range(m))
+    return ElectreModel(criteria, ProfileSet(((0.4,) * m, (0.8,) * m)), 0.7)
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 1, 7, 256])
+def test_write_classified_matches_row_loop(tables, tmp_path, monkeypatch, chunk_rows):
+    if chunk_rows:
+        monkeypatch.setattr(linkage, "WRITE_CHUNK_ROWS", chunk_rows)
+    schema, a, b = tables
+    block = label_pairs(build_pairs(a, b, schema), true_links(a, b), "two_class")
+    # some rows unlabeled, so truth 0 writes as an empty field between labeled ones
+    block = replace(block, truth=np.where(np.arange(len(block)) % 3 == 0, 0, block.truth))
+    cats, sigma = classify_pairs(block, simple_model(len(schema.field_names)))
+    assert_same_file(tmp_path, block, cats, sigma, schema.field_names)
+    unlabeled = replace(block, truth=np.zeros(len(block)))
+    assert_same_file(tmp_path, unlabeled, cats, sigma, schema.field_names)
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 0.1 + 0.2, 0.3, 1e-300, -1e-300, 5e-324, 1.0, 0.5,
+                  float("inf"), float("-inf"), float("nan"), 1 / 3, 123456789.125]
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 1, 5, 16])
+def test_write_classified_special_values(tmp_path, monkeypatch, chunk_rows):
+    if chunk_rows:
+        monkeypatch.setattr(linkage, "WRITE_CHUNK_ROWS", chunk_rows)
+    rng = np.random.default_rng(5)
+    ids_a = ("a,1", 'say "hi"', " lead", "trail ", "plain", "two\nlines", "", "cr\r", '"')
+    ids_b = ("b1", "x,y,z", "  ", 'q""q', "\u00e9t\u00e9")
+    n = 60
+    ia, ib = rng.integers(0, len(ids_a), n), rng.integers(0, len(ids_b), n)
+    X = rng.choice(SPECIAL_FLOATS, size=(n, 3))
+    X[:2] = [[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]]
+    sigma = rng.choice(SPECIAL_FLOATS, size=(n, 2))
+    truth = rng.integers(0, 4, n)
+    cats = rng.integers(1, 4, n)
+    block = PairBlock(ids_a, ids_b, ia, ib, X, truth)
+    assert_same_file(tmp_path, block, cats, sigma, ["f,1", "f2", 'f"3'])
+
+
+def test_write_classified_empty_block(tmp_path):
+    block = PairBlock(("a",), (), [], [], np.empty((0, 3)), [])
+    cats, sigma = classify_pairs(block, simple_model(3))
+    assert_same_file(tmp_path, block, cats, sigma, ["f1", "f2", "f3"])
+    header = b"id_a,id_b,sim_f1,sim_f2,sim_f3,assigned,truth\r\n"
+    assert (tmp_path / "new.csv").read_bytes() == header

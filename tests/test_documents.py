@@ -21,7 +21,7 @@ from electre_linkage.cli import main
 from electre_linkage.core import ElectreModel, ModelError, classify_batch
 from electre_linkage.fellegi_sunter import FsError, FsModel, fs_decide
 from electre_linkage.ingest import IngestError, LinkageSchema, load_table
-from electre_linkage.metrics import ComparatorError
+from electre_linkage.metrics import COMPARATOR_KINDS, ComparatorError, make_comparator
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -117,9 +117,10 @@ def test_schema_document(doc):
         return
     for _, comparator in schema.compared_fields:
         try:
-            comparator.compare("12", "13")
+            similarity = comparator.compare("12", "13")
         except ComparatorError:
-            pass
+            continue
+        assert 0.0 <= similarity <= 1.0
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -130,6 +131,32 @@ def test_schema_document(doc):
             load_table(path, schema, "A")
         except IngestError:
             pass
+
+
+numbers = st.integers(-10, 10) | st.floats(-2, 2) | st.floats()
+WORD_PAIRS = [("MARTHA", "MARHTA"), ("DWAYNE", "DUANE"), ("ABCD", "ABCE"), ("12", "13"),
+              ("1.5", "2"), ("", "A")]
+
+
+@SETTINGS
+@given(
+    st.fixed_dictionaries(
+        {"kind": st.sampled_from(COMPARATOR_KINDS)},
+        optional={"prefix_scale": numbers, "prefix_cap": numbers, "cap": numbers},
+    )
+)
+def test_comparator_entry(spec):
+    # a schema's comparator entry: any accepted parameters keep similarities in [0, 1]
+    try:
+        comparator = make_comparator(spec)
+    except ComparatorError:
+        return
+    for x, y in WORD_PAIRS:
+        try:
+            similarity = comparator.compare(x, y)
+        except ComparatorError:
+            continue
+        assert 0.0 <= similarity <= 1.0
 
 
 def config(tmp):

@@ -44,6 +44,8 @@ class TestSchema:
             {**good, "compared_fields": [{**field, "comparator": {"kind": "jaro", "cap": 0}}]},
             {**good, "compared_fields": [{**field, "field": ["NAME"]}]},
             {**good, "missing_tokens": 5},
+            {**good, "missing_tokens": "NA"},
+            {**good, "uppercase": "no"},
             {**good, "delimiter": ";;"},
         ):
             with pytest.raises(IngestError):

@@ -134,12 +134,17 @@ class TestComparators:
             Comparator("soundex")
 
     def test_bad_parameters_rejected(self):
-        # a zero or missing cap used to fail inside compare, a fractional prefix_cap too
+        # a zero or missing cap used to fail inside compare, a fractional prefix_cap too;
+        # a negative or too large prefix_scale took Jaro-Winkler outside [0, 1]
         for kwargs in ({"cap": 0}, {"cap": None}, {"cap": float("inf")},
                        {"prefix_scale": float("nan")}, {"prefix_cap": 1.5},
-                       {"prefix_cap": -1}):
+                       {"prefix_cap": -1}, {"prefix_scale": -0.1}, {"prefix_scale": 0.5},
+                       {"prefix_scale": 0.2, "prefix_cap": 6}, {"prefix_scale": 1.01,
+                                                               "prefix_cap": 1}):
             with pytest.raises(ComparatorError, match="prefix_cap"):
                 Comparator("jaro_winkler", **kwargs)
+        # the largest bonus allowed reaches 1 and no further
+        assert Comparator("jaro_winkler", prefix_scale=0.25).compare("MARTHA", "MARHTA") <= 1.0
 
     def test_make_comparator(self):
         assert make_comparator("jaro").kind == "jaro"
