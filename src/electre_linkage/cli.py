@@ -200,11 +200,19 @@ def cmd_evaluate(args) -> int:
     out = outdir(cfg)
     predicted, truth = [], []
     with open(args.classified, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            if not row.get("truth"):
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        for name in ("assigned", "truth"):
+            if name not in header:
+                raise EvaluationError(f"classified file has no {name!r} column")
+        ia, it = header.index("assigned"), header.index("truth")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) <= it or not row[it]:
                 raise EvaluationError("classified file has pairs without truth labels")
-            predicted.append(int(row["assigned"].lstrip("C")))
-            truth.append(int(row["truth"].lstrip("C")))
+            predicted.append(int(row[ia].lstrip("C")))
+            truth.append(int(row[it].lstrip("C")))
     report = evaluate(predicted, truth)
     text = "\n".join(report.lines()) + "\n"
     (out / "eval_report.txt").write_text(text, encoding="utf-8")

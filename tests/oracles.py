@@ -5,14 +5,26 @@ plain Python loops; the LP oracle hands the joint problem to a generic
 simplex; the pair-pipeline references (pair building, the stratified split,
 the Fellegi-Sunter fit, the classified-pairs writer) handle one pair at a
 time, as the package did before pairs became columns. None shares code with
-the package paths they verify.
+the package paths they verify, except the profile-chain reference: it reuses
+the package's per-block hinge minimization, interval selection and slacks,
+and replaces only the pooling pass by trying every pooled-block composition.
 """
 
 import csv
+import itertools
 import math
 import random
 
+import numpy as np
 from scipy.optimize import linprog
+
+from electre_linkage.calibration import (
+    LpSolution,
+    _hinge_minimum,
+    _monotone_selection,
+    _slacks,
+)
+from electre_linkage.core import ProfileSet
 
 
 def ref_partial_concordance(ga, gb, q, p):
@@ -138,6 +150,67 @@ def joint_lp_objective(X, labels, p, epsilon):
     res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
     assert res.status == 0, res.message
     return res.fun
+
+
+def ref_estimate_profiles(train, epsilon):
+    """Profile estimation with each criterion's chain resolved by brute force.
+
+    Tries all 2^(p-2) compositions of the profile chain into consecutive
+    pooled blocks, most-split first, and keeps the first feasible one of
+    least objective, so objective ties keep per-profile intervals apart.
+    """
+    p = train.category_count
+    m = train.criterion_count
+    X, y = train.X, train.y
+    nprof = p - 1
+    profile_cols = []
+    for j in range(m):
+        g = X[:, j]
+        uppers = [g[y == h] - (h - 1) * epsilon for h in range(1, nprof + 1)]
+        lowers = [g[y == h + 1] - (h - 1) * epsilon for h in range(1, nprof + 1)]
+        clamp_lo = g.min() - (nprof - 1) * epsilon
+        clamp_hi = g.max()
+
+        best_obj = math.inf
+        best_vals = None
+        compositions = sorted(
+            itertools.product([0, 1], repeat=max(nprof - 1, 0)),
+            key=lambda cuts: -sum(cuts),
+        )
+        for cuts in compositions:
+            blocks, start = [], 0
+            for i, cut in enumerate(cuts):
+                if cut:
+                    blocks.append((start, i + 1))
+                    start = i + 1
+            blocks.append((start, nprof))
+            obj = 0.0
+            intervals = []
+            for lo_h, hi_h in blocks:
+                lo, hi, val = _hinge_minimum(
+                    np.concatenate(uppers[lo_h:hi_h]),
+                    np.concatenate(lowers[lo_h:hi_h]),
+                    clamp_lo,
+                    clamp_hi,
+                )
+                obj += val
+                intervals.append((lo, hi))
+            vals = _monotone_selection(intervals)
+            improved = best_obj == math.inf or obj < best_obj - 1e-12 * max(1.0, abs(obj))
+            if vals is not None and improved:
+                best_obj = obj
+                expanded = []
+                for (blo, bhi), t in zip(blocks, vals):
+                    expanded.extend([t] * (bhi - blo))
+                best_vals = expanded
+        assert best_vals is not None  # the fully pooled composition is always feasible
+        profile_cols.append([best_vals[h] + h * epsilon for h in range(nprof)])
+
+    prof_matrix = tuple(
+        tuple(profile_cols[j][h] for j in range(m)) for h in range(nprof)
+    )
+    theta = _slacks(X, y, prof_matrix, p)
+    return LpSolution(ProfileSet(prof_matrix), float(theta.sum()), theta)
 
 
 # --- the per-pair pipeline the columnar PairBlock replaced, kept as plain loops ---

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from electre_linkage import calibration
 from electre_linkage.calibration import (
     CalibrationError,
     EpsilonInfeasibleError,
@@ -98,6 +99,45 @@ class TestEstimateProfiles:
         with pytest.raises(CalibrationError):
             estimate_profiles(train, epsilon=0.0)
 
+    @pytest.mark.parametrize("case", ["overlapping", "reversed", "tight"])
+    def test_hinge_minimizations_linear_in_categories(self, monkeypatch, case):
+        # one per profile plus one per merge, at most 2(p - 1) - 1 per criterion;
+        # the composition enumeration made thousands of calls per criterion at p = 12
+        events = []
+        hinge_minimum = calibration._hinge_minimum
+        monotone_selection = calibration._monotone_selection
+
+        def counting_hinge(*args):
+            events.append("h")
+            return hinge_minimum(*args)
+
+        def closing_selection(intervals):  # called once per criterion
+            events.append("|")
+            return monotone_selection(intervals)
+
+        monkeypatch.setattr(calibration, "_hinge_minimum", counting_hinge)
+        monkeypatch.setattr(calibration, "_monotone_selection", closing_selection)
+        p, epsilon = 12, 0.01
+        if case == "tight":
+            # spacing binds everywhere and each profile's optimal interval ends
+            # where the next one's begins: nothing violates, so nothing is pooled
+            epsilon = 0.125
+            levels = [0, 1] + list(range(1, p - 1))
+            train = make_training([((epsilon * v,), h + 1) for h, v in enumerate(levels)], p)
+        else:
+            train = random_training(random.Random(12), 3, p, 300)
+            if case == "reversed":  # every profile violates: all are pooled
+                train = TrainingSet(train.X, p + 1 - train.y, p)
+        sol = estimate_profiles(train, epsilon)
+        per_criterion = [len(run) for run in "".join(events).split("|")[:-1]]
+        assert len(per_criterion) == train.criterion_count
+        assert max(per_criterion) <= 2 * (p - 1) - 1
+        if case == "reversed":
+            assert set(per_criterion) == {2 * (p - 1) - 1}
+        if case == "tight":
+            assert per_criterion == [p - 1]
+            assert sol.objective == 0.0
+
     def test_non_finite_epsilon(self):
         # a NaN epsilon used to pass the sign check and fail deep in the solver
         train = make_training([((0.1,), 1), ((0.5,), 2), ((0.9,), 3)], p=3)
@@ -117,6 +157,15 @@ class TestJointLpEquivalence:
             sol = estimate_profiles(train, epsilon=eps)
             ref = joint_lp_objective(train.X, train.y, p, eps)
             assert sol.objective == pytest.approx(ref, rel=1e-9, abs=1e-9)
+
+    def test_matches_simplex_oracle_many_categories(self):
+        rng = random.Random(103)
+        for p in range(5, 11):
+            for _ in range(3):
+                train = random_training(rng, rng.randint(1, 3), p, rng.randint(10, 30))
+                sol = estimate_profiles(train, epsilon=0.01)
+                ref = joint_lp_objective(train.X, train.y, p, 0.01)
+                assert sol.objective == pytest.approx(ref, rel=1e-9, abs=1e-9)
 
     def test_matches_grid_enumeration_single_criterion(self):
         rng = random.Random(101)

@@ -206,6 +206,19 @@ class TestPipeline:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("missing", ["assigned", "truth"])
+    def test_classified_file_without_column(self, small_dataset, tmp_path, capsys, missing):
+        # a file without `assigned` used to exit 2 with "internal error: 'assigned'"
+        a, b = small_dataset
+        columns = [c for c in ("id_a", "id_b", "sim_NAME", "assigned", "truth") if c != missing]
+        row = {"id_a": "a1", "id_b": "b1", "sim_NAME": "0.9", "assigned": "C2", "truth": "C2"}
+        classified = tmp_path / "classified.csv"
+        classified.write_text(",".join(columns) + "\n" + ",".join(row[c] for c in columns) + "\n")
+        code = run(["evaluate", "--dataset-a", a, "--dataset-b", b, "--output-dir",
+                    tmp_path / "out", "--classified", classified])
+        assert code == 1
+        assert f"no '{missing}' column" in capsys.readouterr().err
+
     def test_sweep_lambda_outside_domain(self, small_dataset, tmp_path, capsys):
         a, b = small_dataset
         model = {

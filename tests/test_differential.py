@@ -1,5 +1,6 @@
 """The columnar pair pipeline against the per-pair references in oracles.py,
-and the lambda grid against one model and one classification per lambda.
+the lambda grid against one model and one classification per lambda, and the
+pooling profile solver against the composition enumeration it replaced.
 
 Identical means bitwise-equal performance matrices, the same truth labels
 and row order, the same train/test rows for a seed, an equal baseline
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from electre_linkage import linkage
-from electre_linkage.calibration import TrainingSet, estimate_lambda
+from electre_linkage.calibration import TrainingSet, estimate_lambda, estimate_profiles
 from electre_linkage.core import Criterion, ElectreModel, ProfileSet, classify_batch
 from electre_linkage.datagen import generate_pair_files
 from electre_linkage.evaluation import evaluate, lambda_sweep, split
@@ -33,6 +34,7 @@ from electre_linkage.metrics import Comparator
 from oracles import (
     random_model_params,
     ref_build_pairs,
+    ref_estimate_profiles,
     ref_fit_fs,
     ref_log_ratio,
     ref_split,
@@ -217,6 +219,68 @@ def test_lambda_sweep_matches_per_lambda_models(procedure):
         assert lambda_sweep(block, model, grid, procedure) == per_lambda_sweep(
             block, model, grid, procedure
         )
+
+
+# --- the profile chain: the pooling pass against the composition enumeration ---
+
+
+def random_profile_training(rng, p, m, grid, empty, epsilon):
+    """Overlapping category clouds; values on a grid make hinge ties frequent."""
+    while True:
+        n = int(rng.integers(2 * p, 60))
+        y = rng.integers(1, p + 1, n)
+        if empty:
+            # move one category's rows to a neighbour, leaving it empty
+            c = int(rng.integers(1, p + 1))
+            y[y == c] = c + 1 if c < p else c - 1
+        X = np.clip((y[:, None] - 1 + rng.random((n, m))) / p
+                    + rng.normal(0, 0.15, (n, m)), 0, 1)
+        if grid:
+            X = np.round(X / grid) * grid
+        if epsilon * (p - 2) <= np.ptp(X, axis=0).min():
+            return TrainingSet(X, y, p)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:category C.* has no training examples")
+@pytest.mark.parametrize("empty", [False, True])
+@pytest.mark.parametrize("grid", [None, 0.1])
+@pytest.mark.parametrize("p", range(2, 9))
+def test_estimate_profiles_matches_enumeration(p, grid, empty):
+    rng = np.random.default_rng([p, bool(grid), empty])
+    for _ in range(15):
+        train = random_profile_training(rng, p, int(rng.integers(1, 4)), grid, empty, 0.01)
+        sol = estimate_profiles(train, 0.01)
+        ref = ref_estimate_profiles(train, 0.01)
+        assert bits(sol.profiles.values) == bits(ref.profiles.values)
+        assert bits(sol.objective) == bits(ref.objective)
+        assert bits(sol.errors) == bits(ref.errors)
+
+
+@pytest.mark.filterwarnings("ignore:category C.* has no training examples")
+@pytest.mark.parametrize("grid, epsilon", [(0.125, 0.125), (0.125, 0.0625), (0.1, 0.1)])
+@pytest.mark.parametrize("p", range(3, 9))
+def test_estimate_profiles_reaches_enumeration_objective_on_ties(p, grid, epsilon):
+    # on a value grid commensurate with epsilon the LP often has several
+    # optimal chains: the enumeration keeps the first most-split one in its
+    # order, the pooling pass the one its left-to-right merges reach, which
+    # may pool to the left what the enumeration splits off to the right. So
+    # only the objective is compared: bitwise where values and shifts are
+    # exact binary fractions, to the solver's tie tolerance where 0.1 steps round
+    rng = np.random.default_rng([p, int(grid * 1000), int(epsilon * 10000)])
+    for _ in range(15):
+        train = random_profile_training(rng, p, int(rng.integers(1, 4)), grid, False, epsilon)
+        sol = estimate_profiles(train, epsilon)
+        ref = ref_estimate_profiles(train, epsilon)
+        if grid == 0.1:
+            assert sol.objective == pytest.approx(ref.objective, rel=1e-12)
+        else:
+            assert bits(sol.objective) == bits(ref.objective)
+        vals = np.array(sol.profiles.values)
+        assert (vals[1:] >= vals[:-1] + epsilon - 1e-12).all()
 
 
 # --- the classified-pairs file: column-wise chunks against the row loop ---
