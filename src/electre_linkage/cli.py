@@ -78,6 +78,11 @@ def load_config(args) -> dict:
     return cfg
 
 
+def _is_number(value) -> bool:
+    """A float, or an int a float can hold: JSON allows integers of any size."""
+    return isinstance(value, float) or isinstance(value, int) and abs(value) <= sys.float_info.max
+
+
 def _check_types(section: dict, defaults: dict, source: str) -> None:
     """Each value has its default's type, any number for a float; the schema
     may also be an object and the weights a list of numbers."""
@@ -86,12 +91,13 @@ def _check_types(section: dict, defaults: dict, source: str) -> None:
         if isinstance(default, dict):
             _check_types(value, default, source)
             continue
-        want = {"schema": (str, dict), "weights": (list, type(None))}.get(key) or (
-            (int, float) if isinstance(default, float) else type(default)
-        )
-        if not isinstance(value, want) or key == "weights" and not all(
-            isinstance(w, (int, float)) for w in value or ()
-        ):
+        if key == "weights":
+            ok = value is None or isinstance(value, list) and all(map(_is_number, value))
+        elif isinstance(default, float):
+            ok = _is_number(value)
+        else:
+            ok = isinstance(value, (str, dict) if key == "schema" else type(default))
+        if not ok:
             raise ConfigError(f"{source}: {key} has the wrong type: {value!r}")
 
 

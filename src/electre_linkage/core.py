@@ -137,6 +137,8 @@ class ElectreModel:
                 raise ModelError("profile row length != criterion count")
             if not all(math.isfinite(x) for x in row):
                 raise ModelError(f"profile values must be finite, got {row}")
+        if not math.isfinite(self.epsilon):
+            raise ModelError(f"epsilon must be finite, got {self.epsilon}")
         self.profiles.check_separation(self.epsilon, self._sign())
 
     @property
@@ -210,7 +212,7 @@ class ElectreModel:
             raise
         except KeyError as exc:
             raise ModelError(f"model document missing key {exc}") from exc
-        except (TypeError, ValueError, AttributeError) as exc:
+        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise ModelError(f"malformed model document: {exc}") from exc
 
     @classmethod

@@ -82,7 +82,7 @@ class FsModel:
                 d["lower"],
                 d["upper"],
             )
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError, OverflowError) as exc:
             raise FsError(f"malformed baseline model document: {exc!r}") from exc
 
 

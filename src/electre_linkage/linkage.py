@@ -76,8 +76,8 @@ def _factorize(values):
 def build_pairs(a: RecordTable, b: RecordTable, schema: LinkageSchema) -> PairBlock:
     """Every cross pair, row-major by table order, unlabeled.
 
-    Each field's comparator runs once per distinct (value in A, value in B)
-    combination; the pairs gather their similarities from that table.
+    Each field's comparator computes one table over the distinct values of
+    A and B (Comparator.grid); the pairs gather their similarities from it.
     """
     ids_a, ids_b = tuple(a.ids()), tuple(b.ids())
     na, nb = len(ids_a), len(ids_b)
@@ -85,9 +85,7 @@ def build_pairs(a: RecordTable, b: RecordTable, schema: LinkageSchema) -> PairBl
     for j, (fname, comparator) in enumerate(schema.compared_fields):
         vals_a, code_a = _factorize([rec[fname] for _, rec in a.records])
         vals_b, code_b = _factorize([rec[fname] for _, rec in b.records])
-        S = np.array([[comparator.compare(x, y) for y in vals_b] for x in vals_a],
-                     dtype=float).reshape(len(vals_a), len(vals_b))
-        X[:, j] = S[np.ix_(code_a, code_b)].ravel()
+        X[:, j] = comparator.grid(vals_a, vals_b)[np.ix_(code_a, code_b)].ravel()
     return PairBlock(
         ids_a, ids_b,
         ia=np.repeat(np.arange(na, dtype=np.intp), nb),

@@ -4,10 +4,12 @@ The Electre evaluator below follows the index definitions verbatim with
 plain Python loops; the LP oracle hands the joint problem to a generic
 simplex; the pair-pipeline references (pair building, the stratified split,
 the Fellegi-Sunter fit, the classified-pairs writer) handle one pair at a
-time, as the package did before pairs became columns. None shares code with
-the package paths they verify, except the profile-chain reference: it reuses
-the package's per-block hinge minimization, interval selection and slacks,
-and replaces only the pooling pass by trying every pooled-block composition.
+time, as the package did before pairs became columns, and compare each value
+pair with the scalar comparators the package used before its whole-table
+grids. None shares code with the package paths they verify, except the
+profile-chain reference: it reuses the package's per-block hinge
+minimization, interval selection and slacks, and replaces only the pooling
+pass by trying every pooled-block composition.
 """
 
 import csv
@@ -25,6 +27,7 @@ from electre_linkage.calibration import (
     _slacks,
 )
 from electre_linkage.core import ProfileSet
+from electre_linkage.metrics import ComparatorError
 
 
 def ref_partial_concordance(ga, gb, q, p):
@@ -213,6 +216,97 @@ def ref_estimate_profiles(train, epsilon):
     return LpSolution(ProfileSet(prof_matrix), float(theta.sum()), theta)
 
 
+# --- the scalar comparators the whole-table grids and the index scan replaced ---
+
+
+def ref_levenshtein(x, y):
+    """Full-matrix DP, kept deliberately naive."""
+    n, m = len(x), len(y)
+    D = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in range(n + 1):
+        D[i][0] = i
+    for j in range(m + 1):
+        D[0][j] = j
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            D[i][j] = min(
+                D[i - 1][j] + 1,
+                D[i][j - 1] + 1,
+                D[i - 1][j - 1] + (x[i - 1] != y[j - 1]),
+            )
+    return D[n][m]
+
+
+def ref_jaro(x, y):
+    """Jaro similarity with match flags on both strings."""
+    if x == y:
+        return 1.0
+    if not x or not y:
+        return 0.0
+    window = max(len(x), len(y)) // 2 - 1
+    x_flags = [False] * len(x)
+    y_flags = [False] * len(y)
+    matches = 0
+    for i, cx in enumerate(x):
+        lo = max(0, i - window)
+        hi = min(len(y), i + window + 1)
+        for j in range(lo, hi):
+            if not y_flags[j] and y[j] == cx:
+                x_flags[i] = y_flags[j] = True
+                matches += 1
+                break
+    if matches == 0:
+        return 0.0
+    transpositions = 0
+    j = 0
+    for i, cx in enumerate(x):
+        if x_flags[i]:
+            while not y_flags[j]:
+                j += 1
+            if cx != y[j]:
+                transpositions += 1
+            j += 1
+    t = transpositions // 2
+    m = matches
+    return (m / len(x) + m / len(y) + (m - t) / m) / 3.0
+
+
+def ref_jaro_winkler(x, y, prefix_scale=0.1, prefix_cap=4):
+    base = ref_jaro(x, y)
+    prefix = 0
+    for cx, cy in zip(x[:prefix_cap], y[:prefix_cap]):
+        if cx != cy:
+            break
+        prefix += 1
+    return base + prefix * prefix_scale * (1.0 - base)
+
+
+def ref_absolute_difference_normalized(x, y, cap=10.0):
+    """1 - |x - y| / cap, floored at 0, from both values parsed per call."""
+    try:
+        fx, fy = float(x), float(y)
+    except (TypeError, ValueError) as exc:
+        raise ComparatorError(f"numeric comparator got non-numeric value: {exc}") from exc
+    if not (math.isfinite(fx) and math.isfinite(fy)):
+        raise ComparatorError(f"numeric comparator got non-finite value: {x!r}, {y!r}")
+    return max(0.0, 1.0 - abs(fx - fy) / cap)
+
+
+def ref_compare(comparator, x, y):
+    """The comparator's similarity of one value pair, from the references above."""
+    kind = comparator.kind
+    if kind == "levenshtein_normalized":
+        n = max(len(x), len(y))
+        return 1.0 - ref_levenshtein(x, y) / n if n else 1.0
+    if kind == "jaro":
+        return ref_jaro(x, y)
+    if kind == "jaro_winkler":
+        return ref_jaro_winkler(x, y, comparator.prefix_scale, comparator.prefix_cap)
+    if kind == "exact":
+        return 1.0 if x == y else 0.0
+    return ref_absolute_difference_normalized(x, y, comparator.cap)
+
+
 # --- the per-pair pipeline the columnar PairBlock replaced, kept as plain loops ---
 
 
@@ -229,7 +323,7 @@ def ref_build_pairs(a, b, schema):
             for (fname, comparator), cache in zip(schema.compared_fields, caches):
                 key = (rec_a[fname], rec_b[fname])
                 if key not in cache:
-                    cache[key] = comparator.compare(*key)
+                    cache[key] = ref_compare(comparator, *key)
                     calls += 1
                 perf.append(cache[key])
             ids.append((id_a, id_b))

@@ -90,7 +90,8 @@ class TestPipeline:
 
         assert run(["sweep", *base, "--model", model_file,
                     "--grid", "0.5,0.7,0.85"]) == 0
-        sweep_rows = list(csv.DictReader(open(out / "sweep.csv", newline="")))
+        with open(out / "sweep.csv", newline="") as fh:
+            sweep_rows = list(csv.DictReader(fh))
         assert [r["lambda"] for r in sweep_rows] == ["0.5", "0.7", "0.85"]
 
     def test_toy_classify_has_nine_rows(self, tmp_path):
@@ -205,6 +206,51 @@ class TestPipeline:
                     "--output-dir", tmp_path / "out"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path", [("criteria", 0, "weight"), ("criteria", 1, "q"),
+                                      ("criteria", 2, "p"), ("profiles", 0, 3), ("epsilon",)],
+                             ids=["weight", "q", "p", "profile", "epsilon"])
+    def test_model_number_beyond_a_float_is_usage_error(self, small_dataset, tmp_path,
+                                                         capsys, path):
+        # JSON integers have no size limit; these used to exit 2 with an OverflowError
+        a, b = small_dataset
+        model = {
+            "criteria": [{"name": f"g{j}", "weight": 1.0, "q": 0.0, "p": 0.1, "v": None}
+                         for j in range(5)],
+            "profiles": [[0.5] * 5],
+            "lambda": 0.7,
+            "epsilon": 0.01,
+        }
+        node = model
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = 10**400
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(model))
+        code = run(["classify", "--dataset-a", a, "--dataset-b", b, "--output-dir",
+                    tmp_path / "out", "--model", model_path])
+        assert code == 1
+        assert "error: malformed model document" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("document", [
+        {"weights": [1, 1, 1, 1, 10**400]},
+        {"calibration": {"epsilon": 10**400}},
+        {"schema": {"compared_fields": [
+            {"field": "NUMCODE", "comparator": {"kind": "exact", "cap": 10**400}}]}},
+        {"schema": {"compared_fields": [
+            {"field": "NAME", "comparator": {"kind": "jaro_winkler", "prefix_scale": -10**400}}]}},
+    ], ids=["weights", "epsilon", "cap", "prefix_scale"])
+    def test_config_number_beyond_a_float_is_usage_error(self, small_dataset, tmp_path,
+                                                          capsys, document):
+        # these used to exit 2 with an OverflowError
+        a, b = small_dataset
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(document))
+        code = run(["train", "--config", cfg_path, "--dataset-a", a, "--dataset-b", b,
+                    "--output-dir", tmp_path / "out"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "OverflowError" not in err
 
     @pytest.mark.parametrize("missing", ["assigned", "truth"])
     def test_classified_file_without_column(self, small_dataset, tmp_path, capsys, missing):

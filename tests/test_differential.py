@@ -42,6 +42,7 @@ from oracles import (
 )
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+NUMPY_KINDS = {"exact", "absolute_difference_normalized"}
 
 
 @pytest.fixture(scope="module", params=["toy", "census"])
@@ -70,24 +71,35 @@ def pair_ids(block):
 def test_build_pairs_matches_nested_loop(tables, reference, monkeypatch):
     schema, a, b = tables
     ids, rows, ref_calls = reference
-    calls = []
-    compare = Comparator.compare
+    grids, compares = [], []
+    grid, compare = Comparator.grid, Comparator.compare
 
-    def counting(self, x, y):
-        calls.append(1)
+    def counting_grid(self, vals_a, vals_b):
+        grids.append(self)
+        return grid(self, vals_a, vals_b)
+
+    def counting_compare(self, x, y):
+        compares.append(self.kind)
         return compare(self, x, y)
 
-    monkeypatch.setattr(Comparator, "compare", counting)
+    monkeypatch.setattr(Comparator, "grid", counting_grid)
+    monkeypatch.setattr(Comparator, "compare", counting_compare)
     block = build_pairs(a, b, schema)
     assert pair_ids(block) == ids
     assert block.X.shape == (len(rows), len(schema.compared_fields))
     assert block.X.tobytes() == np.array(rows, dtype=float).tobytes()
     assert not block.truth.any()
-    distinct = sum(
-        len({rec[f] for _, rec in a.records}) * len({rec[f] for _, rec in b.records})
+    distinct = {
+        f: len({rec[f] for _, rec in a.records}) * len({rec[f] for _, rec in b.records})
         for f in schema.field_names
+    }
+    assert ref_calls == sum(distinct.values())
+    # one table per field; only the string kinds compare value pair by value pair
+    assert grids == [c for _, c in schema.compared_fields]
+    assert len(compares) == sum(
+        distinct[f] for f, c in schema.compared_fields if c.kind not in NUMPY_KINDS
     )
-    assert len(calls) == ref_calls == distinct
+    assert not NUMPY_KINDS & set(compares)
 
 
 def test_two_class_labels_follow_links(tables, reference):

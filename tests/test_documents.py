@@ -29,8 +29,11 @@ SETTINGS = settings(
     max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 
+# JSON integers have no size limit: those beyond 2**1024 overflow a float
+huge_integers = st.integers(2**1024, 2**1100) | st.integers(-(2**1100), -(2**1024))
+
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    st.none() | st.booleans() | st.integers() | huge_integers | st.floats() | st.text(max_size=6),
     lambda children: st.lists(children, max_size=4)
     | st.dictionaries(st.text(max_size=6), children, max_size=4),
     max_leaves=10,
@@ -133,7 +136,7 @@ def test_schema_document(doc):
             pass
 
 
-numbers = st.integers(-10, 10) | st.floats(-2, 2) | st.floats()
+numbers = st.integers(-10, 10) | st.floats(-2, 2) | st.floats() | huge_integers | st.booleans()
 WORD_PAIRS = [("MARTHA", "MARHTA"), ("DWAYNE", "DUANE"), ("ABCD", "ABCE"), ("12", "13"),
               ("1.5", "2"), ("", "A")]
 

@@ -1,7 +1,10 @@
 import random
 import string
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from electre_linkage.metrics import (
     Comparator,
@@ -15,23 +18,12 @@ from electre_linkage.metrics import (
     make_comparator,
 )
 
-
-def ref_levenshtein(x, y):
-    """Full-matrix DP, kept deliberately naive."""
-    n, m = len(x), len(y)
-    D = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        D[i][0] = i
-    for j in range(m + 1):
-        D[0][j] = j
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            D[i][j] = min(
-                D[i - 1][j] + 1,
-                D[i][j - 1] + 1,
-                D[i - 1][j - 1] + (x[i - 1] != y[j - 1]),
-            )
-    return D[n][m]
+from oracles import (
+    ref_absolute_difference_normalized,
+    ref_jaro,
+    ref_jaro_winkler,
+    ref_levenshtein,
+)
 
 
 def random_string(rng, maxlen=12, alphabet=string.ascii_uppercase + " -'"):
@@ -140,7 +132,10 @@ class TestComparators:
                        {"prefix_scale": float("nan")}, {"prefix_cap": 1.5},
                        {"prefix_cap": -1}, {"prefix_scale": -0.1}, {"prefix_scale": 0.5},
                        {"prefix_scale": 0.2, "prefix_cap": 6}, {"prefix_scale": 1.01,
-                                                               "prefix_cap": 1}):
+                                                               "prefix_cap": 1},
+                       # booleans used to pass as 1 and 1.0, ints beyond a float overflowed
+                       {"prefix_cap": True}, {"cap": True}, {"prefix_scale": False},
+                       {"cap": 10**400}, {"prefix_scale": 10**400}, {"prefix_cap": 10**400}):
             with pytest.raises(ComparatorError, match="prefix_cap"):
                 Comparator("jaro_winkler", **kwargs)
         # the largest bonus allowed reaches 1 and no further
@@ -150,3 +145,79 @@ class TestComparators:
         assert make_comparator("jaro").kind == "jaro"
         c = make_comparator({"kind": "absolute_difference_normalized", "cap": 5})
         assert c.cap == 5
+
+
+SETTINGS = settings(max_examples=300, deadline=None)
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 1e308, -1e308, 5e-324, 10.0, 9.999999999999998, 10.000000000000002, -10.0]
+)
+
+
+@st.composite
+def numeric_text(draw):
+    """A finite number as ingest may read it: signed zeros, exponents,
+    digit-group underscores and surrounding white space."""
+    form = draw(st.integers(0, 3))
+    if form == 0:
+        n = draw(st.integers(-25, 25) | st.integers(-10**20, 10**20))
+        text = f"{n:_}" if draw(st.booleans()) else str(n)
+    else:
+        x = draw(finite_floats)
+        text = (repr(x), f"{x:e}", repr(x).upper())[form - 1]
+    return draw(st.sampled_from(["", " ", "\t"])) + text + draw(st.sampled_from(["", " ", "\n"]))
+
+
+caps = (st.sampled_from([10, 10.0, 0.5, 3, 1e-300])
+        | st.floats(min_value=5e-324, max_value=1e308) | st.integers(1, 10**6))
+not_finite = st.sampled_from(["nan", "-NaN", "inf", "-Infinity", "1e400", "-1e999"])
+not_numeric = st.sampled_from(["abc", "", " ", "1__0", "0x10", "1,5", "--1"])
+
+
+@SETTINGS
+@given(st.lists(numeric_text(), max_size=6), st.lists(numeric_text(), max_size=6), caps)
+def test_numeric_grid_matches_scalar_reference(vals_a, vals_b, cap):
+    table = Comparator("absolute_difference_normalized", cap=cap).grid(vals_a, vals_b)
+    expected = np.array(
+        [[ref_absolute_difference_normalized(x, y, cap) for y in vals_b] for x in vals_a],
+        dtype=np.float64,
+    ).reshape(len(vals_a), len(vals_b))
+    assert table.dtype == np.float64 and table.shape == expected.shape
+    assert table.tobytes() == expected.tobytes()
+    for x, y in zip(vals_a, vals_b):
+        assert (absolute_difference_normalized(x, y, cap).hex()
+                == ref_absolute_difference_normalized(x, y, cap).hex())
+
+
+@SETTINGS
+@given(st.lists(numeric_text(), max_size=4), st.lists(numeric_text(), min_size=1, max_size=4),
+       not_finite | not_numeric, st.booleans(), st.data())
+def test_numeric_grid_rejects_what_the_reference_rejects(side, other, bad, on_a, data):
+    # a bad value on either side, among good ones, fails the whole table
+    side.insert(data.draw(st.integers(0, len(side))), bad)
+    vals_a, vals_b = (side, other) if on_a else (other, side)
+    pair = (bad, other[0]) if on_a else (other[0], bad)
+    comparator = Comparator("absolute_difference_normalized")
+    with pytest.raises(ComparatorError):
+        comparator.grid(vals_a, vals_b)
+    with pytest.raises(ComparatorError):
+        ref_absolute_difference_normalized(*pair)
+    with pytest.raises(ComparatorError):
+        comparator.compare(*pair)
+
+
+strings = (
+    st.text(max_size=3)  # the match window is -1 or 0 below 4 characters
+    | st.text(alphabet="AB", max_size=10)
+    | st.text(alphabet="ABCÉü -", max_size=14)
+    | st.text(max_size=20)
+)
+
+
+@SETTINGS
+@given(strings, strings, st.integers(0, 6), st.floats(0, 1))
+def test_jaro_matches_flag_loop(x, y, prefix_cap, scale):
+    prefix_scale = scale / max(prefix_cap, 1)
+    assert jaro(x, y).hex() == ref_jaro(x, y).hex()
+    assert (jaro_winkler(x, y, prefix_scale, prefix_cap).hex()
+            == ref_jaro_winkler(x, y, prefix_scale, prefix_cap).hex())
