@@ -34,10 +34,16 @@ __all__ = [
 ]
 
 CATEGORY_LABELS_3 = {1: "nonmatch", 2: "potential match", 3: "match"}
+CHUNK_ROWS = 1 << 14  # rows per kernel pass and per written chunk, bounding their memory
 
 
 class ModelError(ValueError):
     """Invalid model parameters or inconsistent usage."""
+
+
+def _is_bool(x) -> bool:
+    """JSON true and false load as ints, but no model number may be one."""
+    return isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -53,11 +59,11 @@ class Criterion:
         if self.direction not in ("gain", "cost"):
             raise ModelError(f"criterion {self.name!r}: direction must be gain or cost")
         numbers = (self.weight, self.indifference, self.preference)
-        if not all(math.isfinite(x) for x in numbers) or (
+        if any(map(_is_bool, (*numbers, self.veto))) or not all(map(math.isfinite, numbers)) or (
             self.veto is not None and math.isnan(self.veto)
         ):
             raise ModelError(
-                f"criterion {self.name!r}: weight and thresholds must be finite, got "
+                f"criterion {self.name!r}: weight and thresholds must be finite numbers, got "
                 f"w={self.weight}, q={self.indifference}, p={self.preference}, v={self.veto}"
             )
         if self.weight < 0:
@@ -126,19 +132,19 @@ class ElectreModel:
             raise ModelError("model needs at least one criterion")
         if self.profiles.category_count < 2:
             raise ModelError("model needs at least two categories")
-        if not 0.5 <= self.cutting_level <= 1.0:
+        if _is_bool(self.cutting_level) or not 0.5 <= self.cutting_level <= 1.0:
             raise ModelError(
-                f"cutting level must lie in [0.5, 1.0], got {self.cutting_level}"
+                f"cutting level must be a number in [0.5, 1.0], got {self.cutting_level}"
             )
         if not 0 < sum(c.weight for c in self.criteria) < math.inf:
             raise ModelError("criterion weights must have a positive, finite sum")
         for row in self.profiles.values:
             if len(row) != len(self.criteria):
                 raise ModelError("profile row length != criterion count")
-            if not all(math.isfinite(x) for x in row):
-                raise ModelError(f"profile values must be finite, got {row}")
-        if not math.isfinite(self.epsilon):
-            raise ModelError(f"epsilon must be finite, got {self.epsilon}")
+            if any(map(_is_bool, row)) or not all(map(math.isfinite, row)):
+                raise ModelError(f"profile values must be finite numbers, got {row}")
+        if _is_bool(self.epsilon) or not math.isfinite(self.epsilon):
+            raise ModelError(f"epsilon must be a finite number, got {self.epsilon}")
         self.profiles.check_separation(self.epsilon, self._sign())
 
     @property
@@ -206,7 +212,10 @@ class ElectreModel:
                 )
                 for c in d["criteria"]
             )
-            profiles = ProfileSet(tuple(tuple(float(x) for x in row) for row in d["profiles"]))
+            # a bool stays a bool, for the model to reject
+            profiles = ProfileSet(tuple(
+                tuple(x if _is_bool(x) else float(x) for x in row) for row in d["profiles"]
+            ))
             return cls(criteria, profiles, d["lambda"], d.get("epsilon", 0.01))
         except ModelError:
             raise
@@ -255,8 +264,8 @@ def _indices(diff: np.ndarray, q, p, v, w):
     return c, C, d, sigma
 
 
-def _oriented_rows(model: ElectreModel, performances) -> np.ndarray:
-    """Raw performances as an (n, m) gain-oriented matrix of finite values."""
+def _checked_rows(model: ElectreModel, performances) -> np.ndarray:
+    """Raw performances as an (n, m) matrix of finite values."""
     X = np.asarray(performances, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.m:
         raise ModelError(
@@ -267,22 +276,29 @@ def _oriented_rows(model: ElectreModel, performances) -> np.ndarray:
     if not finite.all():
         row = int(np.argmin(finite))
         raise ModelError(f"performance row {row} is not finite: {X[row].tolist()}")
-    return X * model._sign()
+    return X
 
 
 def credibilities(model: ElectreModel, performances):
     """sigma(a, b_h) and sigma(b_h, a) of every row against every profile.
 
     performances: array-like of shape (n, m), raw (unoriented) values.
-    Returns (sigma_ab, sigma_ba), each of shape (n, profiles).
+    Returns (sigma_ab, sigma_ba), each of shape (n, profiles), equal to one
+    pass of the kernel but computed CHUNK_ROWS rows at a time.
     """
-    X = _oriented_rows(model, performances)
+    X = _checked_rows(model, performances)
     B, q, p, v, w = model.arrays()
-    sig_ab = np.empty((X.shape[0], B.shape[0]))
+    sig_ab = np.empty((len(X), len(B)))
     sig_ba = np.empty_like(sig_ab)
-    for h, b in enumerate(B):
-        sig_ab[:, h] = _indices(b - X, q, p, v, w)[3]  # does x outrank b_h
-        sig_ba[:, h] = _indices(X - b, q, p, v, w)[3]  # does b_h outrank x
+    for lo in range(0, len(X), CHUNK_ROWS):
+        x = X[lo:lo + CHUNK_ROWS] * model._sign()
+        k = len(x)
+        # BLAS sums a lone row (dot) in another order than a matrix's rows
+        # (gemv); doubled, a one-row chunk sums as it does in the whole input
+        x = np.vstack((x, x)) if k == 1 < len(X) else x
+        for h, b in enumerate(B):
+            sig_ab[lo:lo + k, h] = _indices(b - x, q, p, v, w)[3][:k]  # does x outrank b_h
+            sig_ba[lo:lo + k, h] = _indices(x - b, q, p, v, w)[3][:k]  # does b_h outrank x
     return sig_ab, sig_ba
 
 
@@ -327,7 +343,7 @@ def _one_row(model: ElectreModel, a: Alternative, h: int, reverse: bool, j: int 
         raise ModelError(f"profile index {h} out of range 1..{model.profiles.count}")
     if not 1 <= j <= model.m:
         raise ModelError(f"criterion index {j} out of range 1..{model.m}")
-    x = _oriented_rows(model, [a.performances])
+    x = _checked_rows(model, [a.performances]) * model._sign()
     B, q, p, v, w = model.arrays()
     return _indices(x - B[h - 1] if reverse else B[h - 1] - x, q, p, v, w)
 

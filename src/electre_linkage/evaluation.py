@@ -92,7 +92,7 @@ def split(block, train_fraction: float, seed: int, category_count: int = 3):
         raise EvaluationError(
             "training split contains no links; increase train_fraction"
         )
-    training = TrainingSet(block.X[train], truth[train], category_count=category_count)
+    training = TrainingSet(block.take(train).X, truth[train], category_count=category_count)
     return training, block.take(test)
 
 

@@ -33,7 +33,8 @@ class FsModel:
 
     def __post_init__(self):
         values = (*self.m_probs, *self.u_probs, *self.agreement_thresholds, self.lower, self.upper)
-        if not all(isinstance(x, (int, float)) and math.isfinite(x) for x in values) or not (
+        numbers = all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in values)
+        if not (numbers and all(map(math.isfinite, values))) or not (
             len(self.m_probs) == len(self.u_probs) == len(self.agreement_thresholds)
         ):
             raise FsError(f"baseline model needs equal-length lists of finite numbers: {self}")

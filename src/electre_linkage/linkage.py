@@ -1,9 +1,8 @@
-"""Comparison space construction and pair classification.
+"""Comparison space construction, labeling and the classified-pairs file.
 
 Builds the full cross product A x B as one columnar PairBlock: per-field
-similarities in a float matrix, ground-truth categories in an int8 column,
-and the Electre Tri categories mapped onto the match / potential match /
-nonmatch decision.
+similarity tables over the distinct values of each side, the pairs as
+positions in the cross product and ground-truth categories in an int8 column.
 """
 
 from __future__ import annotations
@@ -13,14 +12,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ElectreModel, classify_batch
+from .core import CHUNK_ROWS, classify_batch  # noqa: F401 - cli classifies through here
 from .ingest import LinkageSchema, RecordTable
 
 __all__ = [
     "PairBlock",
     "build_pairs",
     "label_pairs",
-    "classify_pairs",
     "write_classified",
 ]
 
@@ -29,40 +27,39 @@ LABEL_POLICIES = ("two_class", "banded")
 
 @dataclass(frozen=True, eq=False)
 class PairBlock:
-    """Record pairs as columns: row r pairs ids_a[ia[r]] with ids_b[ib[r]].
+    """Record pairs as positions in the row-major cross product A x B.
 
-    X holds the per-field similarities, one row per pair, and truth the
+    Row r pairs ids_a[rows[r] // len(ids_b)] with ids_b[rows[r] % len(ids_b)].
+    fields holds (code_a, code_b, table) per compared field: each side's value
+    codes and the similarity table over the distinct values. truth holds the
     ground-truth category index (0 while unlabeled).
     """
 
     ids_a: tuple
     ids_b: tuple
-    ia: np.ndarray
-    ib: np.ndarray
-    X: np.ndarray
+    fields: tuple
+    rows: np.ndarray
     truth: np.ndarray
 
-    def __post_init__(self):
-        for name, dtype in (("ia", np.intp), ("ib", np.intp), ("X", np.float64),
-                            ("truth", np.int8)):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
-        n = len(self.ia)
-        if self.X.ndim != 2 or not len(self.ib) == len(self.X) == len(self.truth) == n:
-            raise ValueError(
-                f"pair block columns disagree: ia {self.ia.shape}, ib {self.ib.shape}, "
-                f"X {self.X.shape}, truth {self.truth.shape}"
-            )
-
     def __len__(self) -> int:
-        return len(self.ia)
+        return len(self.rows)
+
+    @property
+    def X(self) -> np.ndarray:
+        """The per-field similarities, one row per pair, gathered from the tables."""
+        ia, ib = np.divmod(self.rows, len(self.ids_b))
+        X = np.empty((len(self.rows), len(self.fields)))
+        for j, (code_a, code_b, table) in enumerate(self.fields):
+            X[:, j] = table[code_a[ia], code_b[ib]]
+        return X
 
     def pair(self, row: int) -> tuple:
-        return self.ids_a[self.ia[row]], self.ids_b[self.ib[row]]
+        i, k = divmod(int(self.rows[row]), len(self.ids_b))
+        return self.ids_a[i], self.ids_b[k]
 
     def take(self, rows) -> "PairBlock":
         """The sub-block of the given rows, in the given order."""
-        return replace(self, ia=self.ia[rows], ib=self.ib[rows], X=self.X[rows],
-                       truth=self.truth[rows])
+        return replace(self, rows=self.rows[rows], truth=self.truth[rows])
 
 
 def _factorize(values):
@@ -79,20 +76,14 @@ def build_pairs(a: RecordTable, b: RecordTable, schema: LinkageSchema) -> PairBl
     Each field's comparator computes one table over the distinct values of
     A and B (Comparator.grid); the pairs gather their similarities from it.
     """
-    ids_a, ids_b = tuple(a.ids()), tuple(b.ids())
-    na, nb = len(ids_a), len(ids_b)
-    X = np.empty((na * nb, len(schema.compared_fields)))
-    for j, (fname, comparator) in enumerate(schema.compared_fields):
+    fields = []
+    for fname, comparator in schema.compared_fields:
         vals_a, code_a = _factorize([rec[fname] for _, rec in a.records])
         vals_b, code_b = _factorize([rec[fname] for _, rec in b.records])
-        X[:, j] = comparator.grid(vals_a, vals_b)[np.ix_(code_a, code_b)].ravel()
-    return PairBlock(
-        ids_a, ids_b,
-        ia=np.repeat(np.arange(na, dtype=np.intp), nb),
-        ib=np.tile(np.arange(nb, dtype=np.intp), na),
-        X=X,
-        truth=np.zeros(na * nb, dtype=np.int8),
-    )
+        fields.append((code_a, code_b, comparator.grid(vals_a, vals_b)))
+    n = len(a.records) * len(b.records)
+    return PairBlock(tuple(a.ids()), tuple(b.ids()), tuple(fields),
+                     rows=np.arange(n, dtype=np.intp), truth=np.zeros(n, dtype=np.int8))
 
 
 def label_pairs(block: PairBlock, links, policy: str = "two_class", fs_model=None) -> PairBlock:
@@ -111,20 +102,12 @@ def label_pairs(block: PairBlock, links, policy: str = "two_class", fs_model=Non
     for id_a, id_b in links:
         if id_a in pos_a and id_b in pos_b:
             linked[pos_a[id_a], pos_b[id_b]] = True
-    is_link = linked[block.ia, block.ib]
-    truth = np.where(is_link, 3, 1)
+    is_link = linked.ravel()[block.rows]
+    truth = np.where(is_link, 3, 1).astype(np.int8)
     if policy == "banded":
         score = fs_model.log_ratio(block.X)
         truth[~is_link & (fs_model.lower <= score) & (score <= fs_model.upper)] = 2
     return replace(block, truth=truth)
-
-
-def classify_pairs(block: PairBlock, model: ElectreModel, procedure: str = "pessimistic"):
-    """Assign every pair; returns (categories, sigma matrix)."""
-    return classify_batch(model, block.X, procedure)
-
-
-WRITE_CHUNK_ROWS = 1 << 14
 
 
 class _Echo:
@@ -167,7 +150,7 @@ def write_classified(path, block: PairBlock, cats, sigma, field_names) -> None:
 
     The bytes are those of csv.writer writing one row per pair with
     repr(float) cells, but the rows are built column by column over chunks
-    of WRITE_CHUNK_ROWS pairs: each float's repr is made once per distinct
+    of CHUNK_ROWS pairs: each float's repr is made once per distinct
     bit pattern in the chunk's column (so -0.0 stays apart from 0.0), each
     id is quoted once, and each chunk is written in one call.
     """
@@ -181,14 +164,16 @@ def write_classified(path, block: PairBlock, cats, sigma, field_names) -> None:
             + [f"sigma_b{h}" for h in range(1, nprof + 1)]
             + ["assigned", "truth"]
         )
-        for lo in range(0, len(cats), WRITE_CHUNK_ROWS):
-            rows = slice(lo, lo + WRITE_CHUNK_ROWS)
-            floats = [*block.X[rows].T, *np.asarray(sigma[rows], dtype=np.float64).T]
+        for lo in range(0, len(cats), CHUNK_ROWS):
+            rows = slice(lo, lo + CHUNK_ROWS)
+            chunk = block.take(rows)
+            ia, ib = np.divmod(chunk.rows, len(block.ids_b))
+            floats = [*chunk.X.T, *np.asarray(sigma[rows], dtype=np.float64).T]
             columns = [
-                qa[block.ia[rows]].tolist(),
-                qb[block.ib[rows]].tolist(),
+                qa[ia].tolist(),
+                qb[ib].tolist(),
                 *(_gather_text(col.view(np.int64), _float_texts) for col in floats),
                 _gather_text(cats[rows], _category_texts),
-                _gather_text(block.truth[rows], _truth_texts),
+                _gather_text(chunk.truth, _truth_texts),
             ]
             fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")

@@ -27,6 +27,7 @@ from electre_linkage.calibration import (
     _slacks,
 )
 from electre_linkage.core import ProfileSet
+from electre_linkage.linkage import PairBlock
 from electre_linkage.metrics import ComparatorError
 
 
@@ -310,6 +311,26 @@ def ref_compare(comparator, x, y):
 # --- the per-pair pipeline the columnar PairBlock replaced, kept as plain loops ---
 
 
+def block_from_columns(ids_a, ids_b, ia, ib, X, truth):
+    """A PairBlock whose row r pairs ids_a[ia[r]] with ids_b[ib[r]] and performs X[r].
+
+    Every column of X becomes one (len(ids_a), len(ids_b)) table over the
+    record positions (codes arange), so a pair that repeats must repeat its
+    performances.
+    """
+    ia, ib = np.asarray(ia, dtype=np.intp), np.asarray(ib, dtype=np.intp)
+    na, nb = len(ids_a), len(ids_b)
+    fields = []
+    for col in np.array(X, dtype=float).T:
+        table = np.zeros((na, nb))
+        table[ia, ib] = col
+        if table[ia, ib].tobytes() != col.tobytes():
+            raise ValueError("a repeated pair has different performances")
+        fields.append((np.arange(na), np.arange(nb), table))
+    return PairBlock(tuple(ids_a), tuple(ids_b), tuple(fields), ia * nb + ib,
+                     np.asarray(truth, dtype=np.int8))
+
+
 def ref_build_pairs(a, b, schema):
     """Row-major nested-loop cross product, caching each field's value pairs.
 
@@ -417,7 +438,8 @@ def ref_write_classified(path, block, cats, sigma, field_names):
             + ["assigned", "truth"]
         )
         writer.writerow(header)
-        for i, (ra, rb) in enumerate(zip(block.ia.tolist(), block.ib.tolist())):
+        for i, r in enumerate(block.rows.tolist()):
+            ra, rb = divmod(r, len(block.ids_b))
             row = [block.ids_a[ra], block.ids_b[rb]]
             row += [repr(float(v)) for v in X[i]]
             row += [repr(float(v)) for v in sigma[i]]

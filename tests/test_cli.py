@@ -252,6 +252,46 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "OverflowError" not in err
 
+    @pytest.mark.parametrize("path, value", [
+        (("criteria", 0, "weight"), True), (("criteria", 1, "q"), False),
+        (("lambda",), True), (("epsilon",), True), (("profiles", 0, 3), True),
+    ], ids=["weight", "q", "lambda", "epsilon", "profile"])
+    def test_model_boolean_is_usage_error(self, small_dataset, tmp_path, capsys, path, value):
+        # JSON true and false load as 1 and 0; these used to classify and exit 0
+        a, b = small_dataset
+        model = {
+            "criteria": [{"name": f"g{j}", "weight": 1.0, "q": 0.0, "p": 0.1, "v": None}
+                         for j in range(5)],
+            "profiles": [[0.5] * 5],
+            "lambda": 0.7,
+            "epsilon": 0.01,
+        }
+        node = model
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(model))
+        code = run(["classify", "--dataset-a", a, "--dataset-b", b, "--output-dir",
+                    tmp_path / "out", "--model", model_path])
+        assert code == 1
+        assert "number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("document", [
+        {"weights": [True] * 5},
+        {"calibration": {"epsilon": True}},
+        {"split": {"seed": True}},
+    ], ids=["weights", "epsilon", "seed"])
+    def test_config_boolean_is_usage_error(self, small_dataset, tmp_path, capsys, document):
+        # these used to train and exit 0, `weights` writing "weight": true into the model
+        a, b = small_dataset
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(document))
+        code = run(["train", "--config", cfg_path, "--dataset-a", a, "--dataset-b", b,
+                    "--output-dir", tmp_path / "out"])
+        assert code == 1
+        assert "has the wrong type" in capsys.readouterr().err
+
     @pytest.mark.parametrize("missing", ["assigned", "truth"])
     def test_classified_file_without_column(self, small_dataset, tmp_path, capsys, missing):
         # a file without `assigned` used to exit 2 with "internal error: 'assigned'"

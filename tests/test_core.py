@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from electre_linkage.core import (
     assign_optimistic,
     assign_pessimistic,
     classify_batch,
+    credibilities,
     credibility,
     global_concordance,
     outranks,
@@ -244,6 +246,21 @@ class TestModelValidation:
         with pytest.raises(ModelError, match="finite"):
             ElectreModel(crits, ProfileSet(((float("nan"),),)), 0.75)
 
+    @pytest.mark.parametrize("path, value", [
+        (("criteria", 0, "weight"), True), (("criteria", 0, "q"), False),
+        (("criteria", 0, "p"), True), (("criteria", 0, "v"), True),
+        (("lambda",), True), (("epsilon",), True), (("profiles", 0, 0), True),
+    ], ids=["weight", "q", "p", "v", "lambda", "epsilon", "profile"])
+    def test_boolean_is_not_a_number(self, path, value):
+        # each of these used to load as 1 or 0 (1.0 for a profile value)
+        doc = simple_model().to_dict()
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ModelError, match="number"):
+            ElectreModel.from_json(json.dumps(doc))
+
 
 class TestCostCriteria:
     def test_cost_direction_negates(self):
@@ -318,6 +335,21 @@ class TestBatchPath:
         X = np.array([[0.9], [float("nan")], [0.1]])
         with pytest.raises(ModelError, match="row 1"):
             classify_batch(simple_model(), X)
+
+    def test_memory_bounded_by_the_outputs(self):
+        # the kernel runs over row chunks, so beyond its two sigma outputs it
+        # holds a few chunk-sized temporaries, not copies of the whole input
+        crits = tuple(Criterion(f"g{j}", 1.0, 0.05, 0.2, 0.6 if j == 0 else None)
+                      for j in range(5))
+        model = ElectreModel(crits, ProfileSet(((0.4,) * 5, (0.8,) * 5)), 0.7)
+        X = np.random.default_rng(2).random((200_000, 5))
+        tracemalloc.start()
+        try:
+            sig_ab, sig_ba = credibilities(model, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= sig_ab.nbytes + sig_ba.nbytes + 8 * 2**20
 
     def test_infinite_row_rejected(self):
         # an all-inf row used to be sorted into the top category

@@ -1,6 +1,7 @@
 """The columnar pair pipeline against the per-pair references in oracles.py,
-the lambda grid against one model and one classification per lambda, and the
-pooling profile solver against the composition enumeration it replaced.
+the lambda grid against one model and one classification per lambda, the
+chunked kernel against one chunk, and the pooling profile solver against the
+composition enumeration it replaced.
 
 Identical means bitwise-equal performance matrices, the same truth labels
 and row order, the same train/test rows for a seed, an equal baseline
@@ -15,23 +16,29 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from electre_linkage import linkage
+from electre_linkage import core, linkage
 from electre_linkage.calibration import TrainingSet, estimate_lambda, estimate_profiles
-from electre_linkage.core import Criterion, ElectreModel, ProfileSet, classify_batch
+from electre_linkage.core import (
+    Criterion,
+    ElectreModel,
+    ModelError,
+    ProfileSet,
+    classify_batch,
+    credibilities,
+)
 from electre_linkage.datagen import generate_pair_files
 from electre_linkage.evaluation import evaluate, lambda_sweep, split
 from electre_linkage.fellegi_sunter import FsModel, fit_fs
 from electre_linkage.ingest import census_schema, load_table, toy_schema, true_links
 from electre_linkage.linkage import (
-    PairBlock,
     build_pairs,
-    classify_pairs,
     label_pairs,
     write_classified,
 )
 from electre_linkage.metrics import Comparator
 
 from oracles import (
+    block_from_columns,
     random_model_params,
     ref_build_pairs,
     ref_estimate_profiles,
@@ -100,6 +107,18 @@ def test_build_pairs_matches_nested_loop(tables, reference, monkeypatch):
         distinct[f] for f, c in schema.compared_fields if c.kind not in NUMPY_KINDS
     )
     assert not NUMPY_KINDS & set(compares)
+
+
+def test_take_gathers_the_same_performances(tables):
+    schema, a, b = tables
+    block = build_pairs(a, b, schema)
+    X = block.X
+    rng = np.random.default_rng(3)
+    for rows in (rng.integers(0, len(block), 50), rng.permutation(len(block)),
+                 np.empty(0, dtype=np.intp)):
+        sub = block.take(rows)
+        assert sub.X.shape == (len(rows), X.shape[1])
+        assert sub.X.tobytes() == X[rows].tobytes()
 
 
 def test_two_class_labels_follow_links(tables, reference):
@@ -183,11 +202,11 @@ def per_lambda_curve(train, criteria, profiles, grid, procedure, epsilon):
 
 
 def per_lambda_sweep(block, model, grid, procedure):
-    """lambda_sweep as it was: a model and a classify_pairs call per grid point."""
+    """lambda_sweep as it was: a model and a classification per grid point."""
     reports = []
     for lam in grid:
         m = ElectreModel(model.criteria, model.profiles, lam, model.epsilon)
-        cats, _ = classify_pairs(block, m, procedure)
+        cats, _ = classify_batch(m, block.X, procedure)
         reports.append(evaluate(cats, block.truth, cutting_level=lam, procedure=procedure))
     return reports
 
@@ -226,11 +245,54 @@ def test_lambda_sweep_matches_per_lambda_models(procedure):
     grid = [0.5, 0.55, 0.62, 0.7, 0.75, 0.85, 0.9, 0.95, 1.0]
     for seed in range(40):
         model, X, y = noisy_labeled_model(seed)
-        block = PairBlock(("a",), tuple(range(len(y))), np.zeros(len(y)), np.arange(len(y)),
-                          X, y)
+        block = block_from_columns(("a",), tuple(range(len(y))), np.zeros(len(y)),
+                                   np.arange(len(y)), X, y)
         assert lambda_sweep(block, model, grid, procedure) == per_lambda_sweep(
             block, model, grid, procedure
         )
+
+
+# --- the kernel over row chunks against one chunk ---
+
+
+def cost_mirror(model, X, cost):
+    """The same model and rows with the criteria in cost flipped to cost direction.
+
+    Orienting negates those columns back, so the credibilities are bitwise equal.
+    """
+    sign = np.where(cost, -1.0, 1.0)
+    criteria = tuple(replace(c, direction="cost" if flip else "gain")
+                     for c, flip in zip(model.criteria, cost))
+    profiles = ProfileSet(tuple(tuple((np.array(row) * sign).tolist())
+                                for row in model.profiles.values))
+    return ElectreModel(criteria, profiles, model.cutting_level, model.epsilon), X * sign
+
+
+@pytest.mark.parametrize("procedure", ["pessimistic", "optimistic"])
+def test_credibilities_equal_over_chunk_boundaries(monkeypatch, procedure):
+    for seed in range(20):
+        model, X, _ = noisy_labeled_model(seed)
+        n = len(X)
+        assert n < core.CHUNK_ROWS
+        whole = credibilities(model, X)
+        cats = classify_batch(model, X, procedure)[0]
+        mirrored = cost_mirror(model, X, np.arange(model.m) % 2 == 0)
+        for chunk_rows in (1, 7, n - 1, n, n + 1):
+            monkeypatch.setattr(core, "CHUNK_ROWS", chunk_rows)
+            for m, x in ((model, X), mirrored):
+                sig_ab, sig_ba = credibilities(m, x)
+                assert sig_ab.tobytes() == whole[0].tobytes()
+                assert sig_ba.tobytes() == whole[1].tobytes()
+                assert classify_batch(m, x, procedure)[0].tolist() == cats.tolist()
+        monkeypatch.undo()
+
+
+def test_non_finite_row_named_by_its_global_index(monkeypatch):
+    model, X, _ = noisy_labeled_model(0)
+    X[10, -1] = np.nan
+    monkeypatch.setattr(core, "CHUNK_ROWS", 7)
+    with pytest.raises(ModelError, match="row 10 "):
+        credibilities(model, X)
 
 
 # --- the profile chain: the pooling pass against the composition enumeration ---
@@ -313,12 +375,12 @@ def simple_model(m):
 @pytest.mark.parametrize("chunk_rows", [None, 1, 7, 256])
 def test_write_classified_matches_row_loop(tables, tmp_path, monkeypatch, chunk_rows):
     if chunk_rows:
-        monkeypatch.setattr(linkage, "WRITE_CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(linkage, "CHUNK_ROWS", chunk_rows)
     schema, a, b = tables
     block = label_pairs(build_pairs(a, b, schema), true_links(a, b), "two_class")
     # some rows unlabeled, so truth 0 writes as an empty field between labeled ones
     block = replace(block, truth=np.where(np.arange(len(block)) % 3 == 0, 0, block.truth))
-    cats, sigma = classify_pairs(block, simple_model(len(schema.field_names)))
+    cats, sigma = classify_batch(simple_model(len(schema.field_names)), block.X)
     assert_same_file(tmp_path, block, cats, sigma, schema.field_names)
     unlabeled = replace(block, truth=np.zeros(len(block)))
     assert_same_file(tmp_path, unlabeled, cats, sigma, schema.field_names)
@@ -331,7 +393,7 @@ SPECIAL_FLOATS = [0.0, -0.0, 0.1 + 0.2, 0.3, 1e-300, -1e-300, 5e-324, 1.0, 0.5,
 @pytest.mark.parametrize("chunk_rows", [None, 1, 5, 16])
 def test_write_classified_special_values(tmp_path, monkeypatch, chunk_rows):
     if chunk_rows:
-        monkeypatch.setattr(linkage, "WRITE_CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(linkage, "CHUNK_ROWS", chunk_rows)
     rng = np.random.default_rng(5)
     ids_a = ("a,1", 'say "hi"', " lead", "trail ", "plain", "two\nlines", "", "cr\r", '"')
     ids_b = ("b1", "x,y,z", "  ", 'q""q', "\u00e9t\u00e9")
@@ -342,13 +404,14 @@ def test_write_classified_special_values(tmp_path, monkeypatch, chunk_rows):
     sigma = rng.choice(SPECIAL_FLOATS, size=(n, 2))
     truth = rng.integers(0, 4, n)
     cats = rng.integers(1, 4, n)
-    block = PairBlock(ids_a, ids_b, ia, ib, X, truth)
+    # one A entry per row: a repeated pair would have to repeat its performances
+    block = block_from_columns([ids_a[i] for i in ia], ids_b, np.arange(n), ib, X, truth)
     assert_same_file(tmp_path, block, cats, sigma, ["f,1", "f2", 'f"3'])
 
 
 def test_write_classified_empty_block(tmp_path):
-    block = PairBlock(("a",), (), [], [], np.empty((0, 3)), [])
-    cats, sigma = classify_pairs(block, simple_model(3))
+    block = block_from_columns(("a",), (), [], [], np.empty((0, 3)), [])
+    cats, sigma = classify_batch(simple_model(3), block.X)
     assert_same_file(tmp_path, block, cats, sigma, ["f1", "f2", "f3"])
     header = b"id_a,id_b,sim_f1,sim_f2,sim_f3,assigned,truth\r\n"
     assert (tmp_path / "new.csv").read_bytes() == header

@@ -8,19 +8,20 @@ from electre_linkage.evaluation import (
     lambda_sweep,
     split,
 )
-from electre_linkage.linkage import PairBlock
+
+from oracles import block_from_columns
 
 
 def block(rows):
     """A pair block from (pair, performances, category) rows; category 0 is unlabeled."""
     ids_a = tuple(dict.fromkeys(pair[0] for pair, _, _ in rows))
     ids_b = tuple(dict.fromkeys(pair[1] for pair, _, _ in rows))
-    return PairBlock(
+    return block_from_columns(
         ids_a, ids_b,
-        ia=[ids_a.index(pair[0]) for pair, _, _ in rows],
-        ib=[ids_b.index(pair[1]) for pair, _, _ in rows],
-        X=np.array([perf for _, perf, _ in rows], dtype=float),
-        truth=[cat for _, _, cat in rows],
+        [ids_a.index(pair[0]) for pair, _, _ in rows],
+        [ids_b.index(pair[1]) for pair, _, _ in rows],
+        [perf for _, perf, _ in rows],
+        [cat for _, _, cat in rows],
     )
 
 
@@ -54,8 +55,9 @@ class TestSplit:
     def test_partition(self):
         pairs = synthetic_pairs(10, 90)
         # tag every row with a distinct performance so training rows can be identified
-        pairs = PairBlock(pairs.ids_a, pairs.ids_b, pairs.ia, pairs.ib,
-                          np.arange(len(pairs), dtype=float)[:, None], pairs.truth)
+        ia, ib = np.divmod(pairs.rows, len(pairs.ids_b))
+        pairs = block_from_columns(pairs.ids_a, pairs.ids_b, ia, ib,
+                                   np.arange(len(pairs), dtype=float)[:, None], pairs.truth)
         train, test = split(pairs, 0.3, seed=1)
         train_ids = {pairs.pair(int(r)) for r in train.X[:, 0]}
         test_ids = set(pair_ids(test))

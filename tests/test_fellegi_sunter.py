@@ -132,6 +132,14 @@ class TestSerialization:
             with pytest.raises(FsError):
                 FsModel.from_json(text)
 
+    @pytest.mark.parametrize("key, value", [("agreement_thresholds", [True]),
+                                            ("lower", False), ("upper", True)])
+    def test_boolean_is_not_a_number(self, key, value):
+        # these used to load as thresholds and band limits of 1 or 0
+        good = json.loads(FsModel((0.9,), (0.1,), (0.88,), -1.0, 1.0).to_json())
+        with pytest.raises(FsError, match="finite numbers"):
+            FsModel.from_json(json.dumps({**good, key: value}))
+
 
 class TestToyRanking:
     def test_links_rank_above_nonlinks(self):

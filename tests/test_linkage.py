@@ -8,16 +8,17 @@ from electre_linkage.core import (
     ElectreModel,
     ModelError,
     ProfileSet,
+    classify_batch,
 )
 from electre_linkage.fellegi_sunter import FsModel
 from electre_linkage.ingest import load_table, toy_schema, true_links
 from electre_linkage.linkage import (
-    PairBlock,
     build_pairs,
-    classify_pairs,
     label_pairs,
     write_classified,
 )
+
+from oracles import block_from_columns
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -26,12 +27,12 @@ def make_block(pairs, rows):
     """A block of explicit (id_a, id_b) pairs with the given performance rows."""
     ids_a = tuple(dict.fromkeys(a for a, _ in pairs))
     ids_b = tuple(dict.fromkeys(b for _, b in pairs))
-    return PairBlock(
+    return block_from_columns(
         ids_a, ids_b,
-        ia=[ids_a.index(a) for a, _ in pairs],
-        ib=[ids_b.index(b) for _, b in pairs],
-        X=np.array(rows, dtype=float).reshape(len(pairs), -1),
-        truth=np.zeros(len(pairs)),
+        [ids_a.index(a) for a, _ in pairs],
+        [ids_b.index(b) for _, b in pairs],
+        rows,
+        np.zeros(len(pairs)),
     )
 
 
@@ -48,11 +49,6 @@ def toy_tables():
 
 
 class TestPairBlock:
-    def test_columns_must_agree(self):
-        with pytest.raises(ValueError, match="disagree"):
-            PairBlock(("a",), ("b", "c"), ia=[0, 0], ib=[0, 1], X=np.zeros((3, 2)),
-                      truth=[0, 0])
-
     def test_take_keeps_rows_together(self, toy_tables):
         schema, a, b = toy_tables
         pairs = build_pairs(a, b, schema)
@@ -151,27 +147,27 @@ class TestClassifyPairs:
 
     def test_dominant_vector_is_match(self):
         pairs = make_block([("x", "y")], [(1.0, 1.0, 1.0)])
-        cats, sigma = classify_pairs(pairs, self.model())
+        cats, sigma = classify_batch(self.model(), pairs.X)
         assert cats[0] == 3
         assert sigma.shape == (1, 2)
 
     def test_zero_vector_is_nonmatch(self):
         pairs = make_block([("x", "y")], [(0.0, 0.0, 0.0)])
-        cats, _ = classify_pairs(pairs, self.model())
+        cats, _ = classify_batch(self.model(), pairs.X)
         assert cats[0] == 1
 
     def test_deterministic(self, toy_tables):
         schema, a, b = toy_tables
         pairs = build_pairs(a, b, schema)
-        r1 = classify_pairs(pairs, self.model())
-        r2 = classify_pairs(pairs, self.model())
+        r1 = classify_batch(self.model(), pairs.X)
+        r2 = classify_batch(self.model(), pairs.X)
         assert (r1[0] == r2[0]).all()
         assert (r1[1] == r2[1]).all()
 
     def test_length_mismatch(self):
         pairs = make_block([("x", "y")], [(1.0, 1.0)])
         with pytest.raises(ModelError):
-            classify_pairs(pairs, self.model())
+            classify_batch(self.model(), pairs.X)
 
     def test_raising_performance_never_lowers_category(self):
         import random
@@ -181,10 +177,8 @@ class TestClassifyPairs:
         for _ in range(300):
             base = [rng.random() for _ in range(3)]
             bumped = [min(1.0, v + rng.random() * 0.3) for v in base]
-            cats, _ = classify_pairs(
-                make_block([("a", "b"), ("a", "b2")], [base, bumped]),
-                model,
-            )
+            block = make_block([("a", "b"), ("a", "b2")], [base, bumped])
+            cats, _ = classify_batch(model, block.X)
             assert cats[1] >= cats[0]
 
 
@@ -194,7 +188,7 @@ class TestClassifiedFile:
         links = true_links(a, b)
         labeled = label_pairs(build_pairs(a, b, schema), links, "two_class")
         model = TestClassifyPairs().model()
-        cats, sigma = classify_pairs(labeled, model)
+        cats, sigma = classify_batch(model, labeled.X)
         X = labeled.X
         dest = tmp_path / "classified.csv"
         write_classified(dest, labeled, cats, sigma, schema.field_names)
