@@ -20,6 +20,7 @@ from .core import (
     classify_batch,
     credibilities,
     credibility,
+    criterion_codes,
     global_concordance,
     outranks,
     partial_concordance,

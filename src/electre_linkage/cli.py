@@ -133,12 +133,12 @@ def _labeled_pairs(cfg, schema, table_a, table_b):
     links = true_links(table_a, table_b)
     block = build_pairs(table_a, table_b, schema)
     policy = cfg["label_policy"]
-    fs = None
-    if policy == "banded":
-        # the band needs a fitted baseline, which itself needs two-class labels
-        base = label_pairs(block, links, "two_class")
-        fs = fit_fs(base.X, base.truth)
-    return label_pairs(block, links, policy, fs_model=fs)
+    if policy != "banded":
+        return label_pairs(block, links, policy)
+    # the band needs a fitted baseline, which itself needs two-class labels
+    X = block.X
+    fs = fit_fs(X, label_pairs(block, links, "two_class").truth)
+    return label_pairs(block, links, policy, fs_model=fs, X=X)
 
 
 def cmd_ingest(args) -> int:
@@ -198,10 +198,11 @@ def cmd_classify(args) -> int:
     table_a, table_b, *_ = _load_both(cfg, schema)
     labeled = _labeled_pairs(cfg, schema, table_a, table_b)
     procedure = cfg["calibration"]["procedure"]
+    R, kernel_row = labeled.kernel_rows(model)
     # looked up in linkage, where perfbench's smoke test swaps in a faulty classifier
-    cats, sigma = linkage.classify_batch(model, labeled.X, procedure)
+    cats, sigma = linkage.classify_batch(model, R, procedure)
     dest = out / "classified.csv"
-    write_classified(dest, labeled, cats, sigma, schema.field_names)
+    write_classified(dest, labeled, kernel_row, cats, sigma, schema.field_names)
     print(f"{len(labeled)} pairs classified -> {dest}")
     return 0
 

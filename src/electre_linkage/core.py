@@ -29,6 +29,7 @@ __all__ = [
     "assign_pessimistic",
     "assign_optimistic",
     "credibilities",
+    "criterion_codes",
     "assign",
     "classify_batch",
 ]
@@ -262,6 +263,37 @@ def _indices(diff: np.ndarray, q, p, v, w):
     sigma = C * factors.prod(axis=1)
     sigma[np.any(mask & (d >= 1.0), axis=1)] = 0.0
     return c, C, d, sigma
+
+
+def criterion_codes(model: ElectreModel, j: int, values):
+    """The raw values of criterion j (0-based) that the kernel cannot tell apart.
+
+    Two values share a code exactly when their partial concordances and
+    discordances against every profile, in both directions, are bitwise
+    equal; every credibility computed from a row is then unchanged when a
+    value is swapped for another of its code. Returns (code of each value,
+    one representative value per code).
+
+    Each of these indices is monotone in the value, and so is its rounded
+    evaluation, so the values of one code lie next to each other in value
+    order (a nan, sorted last, may split into several codes).
+    """
+    x = np.asarray(values, dtype=float)
+    order = np.argsort(x)
+    B, q, p, v, _ = model.arrays()
+    col = slice(j, j + 1)
+    xo = x[order, None] * model._sign()[col]
+    parts = []
+    for b in B[:, col]:
+        for diff in (b - xo, xo - b):
+            c, _, d, _ = _indices(diff, q[col], p[col], v[col], np.ones(1))
+            parts += [c] if d is None else [c, d]
+    bits = np.hstack(parts).view(np.int64)
+    first = np.ones(len(x), dtype=bool)
+    first[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    codes = np.empty(len(x), dtype=np.intp)
+    codes[order] = np.cumsum(first) - 1
+    return codes, x[order[first]]
 
 
 def _checked_rows(model: ElectreModel, performances) -> np.ndarray:

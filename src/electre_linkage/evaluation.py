@@ -132,9 +132,10 @@ def lambda_sweep(block, model: ElectreModel, grid, procedure: str = "pessimistic
     grid = list(grid)
     if not grid:
         raise EvaluationError("empty lambda grid")
-    sig_ab, sig_ba = credibilities(model, block.X)
+    R, kernel_row = block.kernel_rows(model)
+    sig_ab, sig_ba = credibilities(model, R)
     return [
-        evaluate(assign(sig_ab, sig_ba, lam, procedure), block.truth,
+        evaluate(assign(sig_ab, sig_ba, lam, procedure)[kernel_row], block.truth,
                  cutting_level=lam, procedure=procedure)
         for lam in grid
     ]

@@ -12,7 +12,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import CHUNK_ROWS, classify_batch  # noqa: F401 - cli classifies through here
+from .core import CHUNK_ROWS, ModelError, criterion_codes
+from .core import classify_batch  # noqa: F401 - cli classifies through here
 from .ingest import LinkageSchema, RecordTable
 
 __all__ = [
@@ -53,6 +54,39 @@ class PairBlock:
             X[:, j] = table[code_a[ia], code_b[ib]]
         return X
 
+    def kernel_rows(self, model) -> tuple:
+        """(R, kernel_row): the distinct kernel inputs and each row's index into R.
+
+        Each field's table cells are coded by the criterion codes of their
+        values (core.criterion_codes), so classify_batch(model, R) gathered by
+        kernel_row equals classify_batch(model, self.X), bitwise.
+        """
+        if len(self.fields) != model.m:
+            raise ModelError(
+                f"the pairs have {len(self.fields)} fields, model has {model.m} criteria"
+            )
+        ia, ib = np.divmod(self.rows, len(self.ids_b))
+        key, radix, states = np.zeros(len(self.rows), dtype=np.int64), 1, []
+        for j, (code_a, code_b, table) in enumerate(self.fields):
+            values, cell = _distinct_cells(table)
+            codes, reps = criterion_codes(model, j, values)
+            if radix * len(reps) > 1 << 63:  # the next digit would overflow: renumber
+                distinct, key = np.unique(key, return_inverse=True)
+                radix = len(distinct)
+            state = codes[cell]
+            key = key * len(reps) + state[code_a[ia], code_b[ib]]
+            radix *= len(reps)
+            states.append((code_a, code_b, state, reps))
+        distinct, kernel_row = np.unique(key, return_inverse=True)
+        row = np.empty(len(distinct), dtype=np.intp)
+        row[kernel_row] = np.arange(len(key))  # any row of each kernel row will do
+        ia, ib = ia[row], ib[row]
+        R = np.column_stack([reps[state[code_a[ia], code_b[ib]]]
+                             for code_a, code_b, state, reps in states])
+        # BLAS sums a lone row (dot) in another order than a matrix's rows
+        # (gemv), and credibilities keeps the whole input of one row as it is
+        return (np.vstack((R, R)) if len(R) == 1 < len(key) else R), kernel_row
+
     def pair(self, row: int) -> tuple:
         i, k = divmod(int(self.rows[row]), len(self.ids_b))
         return self.ids_a[i], self.ids_b[k]
@@ -68,6 +102,15 @@ def _factorize(values):
     code = np.fromiter((codes.setdefault(v, len(codes)) for v in values),
                        dtype=np.intp, count=len(values))
     return list(codes), code
+
+
+def _distinct_cells(table):
+    """(distinct values of a table by bit pattern, each cell's index into them).
+
+    Keyed by bits, -0.0 stays apart from 0.0 and each nan payload from the others.
+    """
+    bits, cell = np.unique(table.view(np.int64), return_inverse=True)
+    return bits.view(np.float64), cell.reshape(table.shape)
 
 
 def build_pairs(a: RecordTable, b: RecordTable, schema: LinkageSchema) -> PairBlock:
@@ -86,11 +129,13 @@ def build_pairs(a: RecordTable, b: RecordTable, schema: LinkageSchema) -> PairBl
                      rows=np.arange(n, dtype=np.intp), truth=np.zeros(n, dtype=np.int8))
 
 
-def label_pairs(block: PairBlock, links, policy: str = "two_class", fs_model=None) -> PairBlock:
+def label_pairs(block: PairBlock, links, policy: str = "two_class", fs_model=None,
+                X=None) -> PairBlock:
     """The block with ground-truth categories attached.
 
     two_class: linked pairs are C3, everything else C1. banded: nonlink
-    pairs whose Fellegi-Sunter log ratio falls inside [Lower, Upper] get C2.
+    pairs whose Fellegi-Sunter log ratio falls inside [Lower, Upper] get C2;
+    the ratio is scored on X, the block's performances, gathered when not given.
     """
     if policy not in LABEL_POLICIES:
         raise ValueError(f"unknown label policy {policy!r}")
@@ -105,7 +150,7 @@ def label_pairs(block: PairBlock, links, policy: str = "two_class", fs_model=Non
     is_link = linked.ravel()[block.rows]
     truth = np.where(is_link, 3, 1).astype(np.int8)
     if policy == "banded":
-        score = fs_model.log_ratio(block.X)
+        score = fs_model.log_ratio(block.X if X is None else X)
         truth[~is_link & (fs_model.lower <= score) & (score <= fs_model.upper)] = 2
     return replace(block, truth=truth)
 
@@ -127,36 +172,29 @@ def _quoted(values) -> np.ndarray:
     return np.array([writer.writerow((v, ""))[:-3] for v in values], dtype=object)
 
 
-def _gather_text(keys, texts) -> list:
-    """The text of every key, calling texts once on the distinct keys."""
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    return np.array(texts(distinct), dtype=object)[inverse].tolist()
-
-
-def _float_texts(bits):
-    return [repr(v) for v in bits.view(np.float64).tolist()]
-
-
-def _category_texts(cats):
-    return [f"C{c}" for c in cats.tolist()]
-
-
-def _truth_texts(truth):
-    return [f"C{t}" if t else "" for t in truth.tolist()]
-
-
-def write_classified(path, block: PairBlock, cats, sigma, field_names) -> None:
+def write_classified(path, block: PairBlock, kernel_row, cats, sigma, field_names) -> None:
     """Classified-pairs file: ids, performances, per-profile sigma, categories.
 
+    kernel_row maps each pair to its row of cats and sigma (PairBlock.kernel_rows).
     The bytes are those of csv.writer writing one row per pair with
     repr(float) cells, but the rows are built column by column over chunks
-    of CHUNK_ROWS pairs: each float's repr is made once per distinct
-    bit pattern in the chunk's column (so -0.0 stays apart from 0.0), each
-    id is quoted once, and each chunk is written in one call.
+    of CHUNK_ROWS pairs from text made once: each similarity per table
+    cell (by bit pattern, so -0.0 stays apart from 0.0), the sigma and
+    category cells per kernel row, each id and each truth label. Each chunk
+    is written in one call.
     """
-    cats = np.asarray(cats)
-    nprof = sigma.shape[1] if len(cats) else 0
+    nprof = sigma.shape[1] if len(kernel_row) else 0
     qa, qb = _quoted(block.ids_a), _quoted(block.ids_b)
+    similarities = []
+    for code_a, code_b, table in block.fields:
+        values, cell = _distinct_cells(table)
+        texts = np.array([repr(v) for v in values.tolist()], dtype=object)
+        similarities.append((code_a, code_b, texts[cell]))
+    sigma = np.asarray(sigma, dtype=np.float64).tolist()
+    outcome = np.array([",".join(map(repr, s)) + f",C{c}"
+                        for s, c in zip(sigma, np.asarray(cats).tolist())], dtype=object)
+    labels = np.unique(block.truth)
+    label_texts = np.array([f"C{t}" if t else "" for t in labels.tolist()], dtype=object)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(
             ["id_a", "id_b"]
@@ -164,16 +202,14 @@ def write_classified(path, block: PairBlock, cats, sigma, field_names) -> None:
             + [f"sigma_b{h}" for h in range(1, nprof + 1)]
             + ["assigned", "truth"]
         )
-        for lo in range(0, len(cats), CHUNK_ROWS):
+        for lo in range(0, len(kernel_row), CHUNK_ROWS):
             rows = slice(lo, lo + CHUNK_ROWS)
-            chunk = block.take(rows)
-            ia, ib = np.divmod(chunk.rows, len(block.ids_b))
-            floats = [*chunk.X.T, *np.asarray(sigma[rows], dtype=np.float64).T]
+            ia, ib = np.divmod(block.rows[rows], len(block.ids_b))
             columns = [
                 qa[ia].tolist(),
                 qb[ib].tolist(),
-                *(_gather_text(col.view(np.int64), _float_texts) for col in floats),
-                _gather_text(cats[rows], _category_texts),
-                _gather_text(chunk.truth, _truth_texts),
+                *(text[code_a[ia], code_b[ib]].tolist() for code_a, code_b, text in similarities),
+                outcome[kernel_row[rows]].tolist(),
+                label_texts[np.searchsorted(labels, block.truth[rows])].tolist(),
             ]
             fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")

@@ -181,6 +181,9 @@ class TestPipeline:
         '{"criteria": [{"name": "g", "weight": 1.0, "q": 0.0, "p": 0.1}], '
         '"profiles": [[0.5]], "lambda": "0.7"}',
         "[]",
+        # well formed, but one criterion for the census schema's five fields
+        '{"criteria": [{"name": "g", "weight": 1.0, "q": 0.0, "p": 0.1}], '
+        '"profiles": [[0.5]], "lambda": 0.7}',
     ])
     def test_malformed_model_is_usage_error(self, small_dataset, tmp_path, capsys, document):
         a, b = small_dataset
@@ -337,6 +340,50 @@ class TestPipeline:
                     "--label-policy", "banded", "--seed", "3"]) == 0
         assert len(calls) == 1
         assert (out / "electre_model.json").exists()
+
+    @pytest.mark.parametrize("policy, gathers", [("two_class", 0), ("banded", 1)])
+    def test_classify_gathers_performances_at_most_once(self, small_dataset, tmp_path,
+                                                         monkeypatch, policy, gathers):
+        """two_class classify runs the kernel on kernel rows alone; banded gathers X once,
+        for the baseline fit and the band score together."""
+        from electre_linkage.linkage import PairBlock
+
+        a, b = small_dataset
+        base = ["--dataset-a", a, "--dataset-b", b, "--output-dir", tmp_path / policy,
+                "--label-policy", policy, "--seed", "3"]
+        assert run(["train", *base]) == 0
+        calls = []
+        gather = PairBlock.X.fget
+
+        def counting(block):
+            calls.append(block)
+            return gather(block)
+
+        monkeypatch.setattr(PairBlock, "X", property(counting))
+        assert run(["classify", *base, "--model", tmp_path / policy / "electre_model.json"]) == 0
+        assert len(calls) == gathers
+
+    def test_optimistic_classify(self, small_dataset, tmp_path):
+        from electre_linkage.core import ElectreModel, classify_batch
+        from electre_linkage.ingest import census_schema, load_table
+        from electre_linkage.linkage import build_pairs
+
+        a, b = small_dataset
+        out = tmp_path / "optimistic"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"calibration": {"procedure": "optimistic"}}))
+        base = ["--config", cfg_path, "--dataset-a", a, "--dataset-b", b,
+                "--output-dir", out, "--seed", "3"]
+        assert run(["train", *base]) == 0
+        model_file = out / "electre_model.json"
+        assert run(["classify", *base, "--model", model_file]) == 0
+        with open(out / "classified.csv", newline="") as fh:
+            assigned = [row["assigned"] for row in csv.DictReader(fh)]
+        schema = census_schema()
+        block = build_pairs(load_table(a, schema, "A")[0], load_table(b, schema, "B")[0], schema)
+        model = ElectreModel.from_json(model_file.read_text())
+        cats, _ = classify_batch(model, block.X, "optimistic")
+        assert assigned == [f"C{c}" for c in cats.tolist()]
 
     def test_infeasible_epsilon_surfaced(self, small_dataset, tmp_path, capsys):
         a, b = small_dataset

@@ -16,6 +16,7 @@ from electre_linkage.core import (
     classify_batch,
     credibilities,
     credibility,
+    criterion_codes,
     global_concordance,
     outranks,
     partial_concordance,
@@ -359,6 +360,37 @@ class TestBatchPath:
         for procedure in ("pessimistic", "optimistic"):
             with pytest.raises(ModelError, match="row 1"):
                 classify_batch(model, X, procedure)
+
+
+class TestCriterionCodes:
+    def test_codes_follow_the_partial_indices(self):
+        """Two values share a code exactly when c_j and d_j against every profile, both ways,
+        are equal as the scalar API computes them on a whole row."""
+        rng = random.Random(11)
+        for _ in range(12):
+            params = random_model_params(rng)
+            model = model_from_params(params)
+            profiles, qs, ps = params[:3]
+            for j in range(model.m):
+                edges = [b[j] + t for b in profiles for t in (0.0, -qs[j], -ps[j], 0.5)]
+                values = [round(rng.uniform(-0.2, 1.2), 1) for _ in range(20)] + edges + [-0.0]
+                codes, reps = criterion_codes(model, j, values)
+                assert len(codes) == len(values) and len(reps) == codes.max() + 1
+
+                def indices(x):
+                    alt = Alternative("a", tuple(x if k == j else 0.5 for k in range(model.m)))
+                    return [f(model, alt, h, j + 1, rev)
+                            for h in range(1, model.profiles.count + 1)
+                            for rev in (False, True)
+                            for f in (partial_concordance, partial_discordance)]
+
+                by_code = [indices(r) for r in reps]
+                seen = {}
+                for x, code in zip(values, codes.tolist()):
+                    got = indices(x)
+                    assert got == by_code[code]
+                    seen.setdefault(tuple(got), set()).add(code)
+                assert all(len(group) == 1 for group in seen.values())
 
 
 class TestScalarInputChecks:

@@ -31,6 +31,7 @@ from electre_linkage.evaluation import evaluate, lambda_sweep, split
 from electre_linkage.fellegi_sunter import FsModel, fit_fs
 from electre_linkage.ingest import census_schema, load_table, toy_schema, true_links
 from electre_linkage.linkage import (
+    PairBlock,
     build_pairs,
     label_pairs,
     write_classified,
@@ -295,6 +296,107 @@ def test_non_finite_row_named_by_its_global_index(monkeypatch):
         credibilities(model, X)
 
 
+# --- kernel rows: the kernel once per distinct kernel input against once per pair ---
+
+
+def random_model(rng, m):
+    """A random model of m criteria: vetoes on some, 1-4 profiles, lambda 1.0 one time in four,
+    and every other criterion turned to cost direction one time in two."""
+    params = next(p for p in iter(lambda: random_model_params(rng, m, 5), None) if len(p[4]) == m)
+    profiles, qs, ps, vs, ws, lam, eps = params
+    criteria = tuple(Criterion(f"g{j}", ws[j], qs[j], ps[j], vs[j]) for j in range(m))
+    model = ElectreModel(criteria, ProfileSet(profiles), 1.0 if rng.random() < 0.25 else lam, eps)
+    cost = np.arange(m) % 2 == 0 if rng.random() < 0.5 else np.zeros(m, dtype=bool)
+    return cost_mirror(model, np.empty((0, m)), cost)[0]
+
+
+def assert_kernel_rows_classify(block, model):
+    """classify_batch on the kernel rows, gathered per pair, against classify_batch on X."""
+    R, kernel_row = block.kernel_rows(model)
+    assert len(kernel_row) == len(block)
+    for procedure in ("pessimistic", "optimistic"):
+        cats, sigma = classify_batch(model, R, procedure)
+        want_cats, want_sigma = classify_batch(model, block.X, procedure)
+        assert sigma[kernel_row].shape == want_sigma.shape
+        assert sigma[kernel_row].tobytes() == want_sigma.tobytes()
+        assert cats[kernel_row].tolist() == want_cats.tolist()
+    return R
+
+
+def test_kernel_rows_classify_random_blocks():
+    """Random models on 12x10 blocks of 30 distinct performance rows, their values on a
+    coarse grid and on the profiles and their thresholds."""
+    rng = random.Random(23)
+    for _ in range(60):
+        m = rng.randint(1, 5)
+        model = random_model(rng, m)
+        B, q, p, v, _ = model.arrays()
+        sign = model._sign()
+        edges = [B * sign, (B - q) * sign, (B + p) * sign, (B - np.nan_to_num(v)) * sign]
+        X = np.array([[rng.choice([round(rng.uniform(-0.2, 1.2), 1),
+                                   float(rng.choice(edges)[rng.randrange(len(B)), j])])
+                       for j in range(m)] for _ in range(30)])
+        X = X[[rng.randrange(30) for _ in range(120)]]
+        ia, ib = np.divmod(np.arange(120), 10)
+        block = block_from_columns(tuple(range(12)), tuple(range(10)), ia, ib, X,
+                                   np.zeros(120))
+        R = assert_kernel_rows_classify(block, model)
+        assert len(R) < len(block)
+        assert_kernel_rows_classify(block.take(np.arange(0, 120, 7)), model)
+
+
+def test_kernel_rows_classify_built_blocks(tables):
+    schema, a, b = tables
+    block = label_pairs(build_pairs(a, b, schema), true_links(a, b), "two_class")
+    rng = random.Random(29)
+    for _ in range(20):
+        model = random_model(rng, len(schema.field_names))
+        assert_kernel_rows_classify(block, model)
+        assert_kernel_rows_classify(block.take(np.arange(len(block) - 1, -1, -3)), model)
+
+
+def test_kernel_rows_of_an_empty_block():
+    model = simple_model(3)
+    block = block_from_columns(("a",), ("b",), [], [], np.empty((0, 3)), [])
+    R, kernel_row = block.kernel_rows(model)
+    assert R.shape == (0, 3) and kernel_row.shape == (0,)
+    assert_kernel_rows_classify(block, model)
+    empty_side = block_from_columns(("a",), (), [], [], np.empty((0, 3)), [])
+    assert_kernel_rows_classify(empty_side, model)
+
+
+def test_kernel_rows_of_pairs_alike():
+    """Every pair on one kernel row: R is doubled, as credibilities doubles a one-row
+    chunk of a longer input, so that BLAS sums it as a row of a matrix (gemv), not
+    alone (dot). A block of one pair keeps its one row, summed alone as before."""
+    rng = random.Random(31)
+    for _ in range(60):
+        m = rng.randint(2, 5)
+        model = random_model(rng, m)
+        row = [rng.uniform(0, 1.2) for _ in range(m)]
+        for n in (1, 6):
+            block = block_from_columns(tuple(range(n)), ("b",), np.arange(n), np.zeros(n),
+                                       [row] * n, np.zeros(n))
+            R = assert_kernel_rows_classify(block, model)
+            assert len(R) == (1 if n == 1 else 2)
+
+
+def test_kernel_rows_key_past_int64():
+    """Nine fields of 256 kernel states each: the mixed-radix key would need 72 bits,
+    and rows that differ in the first field only must keep their own kernel rows."""
+    values = (np.arange(256) + 0.5) / 256
+    first = (np.arange(256), np.zeros(1, dtype=np.intp), values[:, None])
+    rest = (np.zeros(256, dtype=np.intp), np.zeros(1, dtype=np.intp), values[::-1, None])
+    block = PairBlock(tuple(range(256)), ("b",), (first,) + (rest,) * 8,
+                      np.arange(256), np.zeros(256, dtype=np.int8))
+    criteria = tuple(Criterion(f"g{j}", 1.0 + j, 0.0, 1.0) for j in range(9))
+    model = ElectreModel(criteria, ProfileSet(((0.5,) * 9,)), 0.6)
+    for j in range(9):
+        assert len(core.criterion_codes(model, j, values)[1]) == 256
+    R = assert_kernel_rows_classify(block, model)
+    assert len(R) == 256
+
+
 # --- the profile chain: the pooling pass against the composition enumeration ---
 
 
@@ -360,10 +462,11 @@ def test_estimate_profiles_reaches_enumeration_objective_on_ties(p, grid, epsilo
 # --- the classified-pairs file: column-wise chunks against the row loop ---
 
 
-def assert_same_file(tmp_path, block, cats, sigma, field_names):
+def assert_same_file(tmp_path, block, kernel_row, cats, sigma, field_names):
+    """The file written from per-kernel-row outcomes equals the row loop's on per-pair ones."""
     new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
-    write_classified(new, block, cats, sigma, field_names)
-    ref_write_classified(ref, block, cats, sigma, field_names)
+    write_classified(new, block, kernel_row, cats, sigma, field_names)
+    ref_write_classified(ref, block, cats[kernel_row], sigma[kernel_row], field_names)
     assert new.read_bytes() == ref.read_bytes()
 
 
@@ -380,10 +483,12 @@ def test_write_classified_matches_row_loop(tables, tmp_path, monkeypatch, chunk_
     block = label_pairs(build_pairs(a, b, schema), true_links(a, b), "two_class")
     # some rows unlabeled, so truth 0 writes as an empty field between labeled ones
     block = replace(block, truth=np.where(np.arange(len(block)) % 3 == 0, 0, block.truth))
-    cats, sigma = classify_batch(simple_model(len(schema.field_names)), block.X)
-    assert_same_file(tmp_path, block, cats, sigma, schema.field_names)
+    model = simple_model(len(schema.field_names))
+    R, kernel_row = block.kernel_rows(model)
+    cats, sigma = classify_batch(model, R)
+    assert_same_file(tmp_path, block, kernel_row, cats, sigma, schema.field_names)
     unlabeled = replace(block, truth=np.zeros(len(block)))
-    assert_same_file(tmp_path, unlabeled, cats, sigma, schema.field_names)
+    assert_same_file(tmp_path, unlabeled, kernel_row, cats, sigma, schema.field_names)
 
 
 SPECIAL_FLOATS = [0.0, -0.0, 0.1 + 0.2, 0.3, 1e-300, -1e-300, 5e-324, 1.0, 0.5,
@@ -401,17 +506,20 @@ def test_write_classified_special_values(tmp_path, monkeypatch, chunk_rows):
     ia, ib = rng.integers(0, len(ids_a), n), rng.integers(0, len(ids_b), n)
     X = rng.choice(SPECIAL_FLOATS, size=(n, 3))
     X[:2] = [[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]]
-    sigma = rng.choice(SPECIAL_FLOATS, size=(n, 2))
+    # the outcomes of 20 kernel rows, shared by the 60 pairs
+    sigma = rng.choice(SPECIAL_FLOATS, size=(20, 2))
+    cats = rng.integers(1, 4, 20)
+    kernel_row = rng.integers(0, 20, n)
     truth = rng.integers(0, 4, n)
-    cats = rng.integers(1, 4, n)
     # one A entry per row: a repeated pair would have to repeat its performances
     block = block_from_columns([ids_a[i] for i in ia], ids_b, np.arange(n), ib, X, truth)
-    assert_same_file(tmp_path, block, cats, sigma, ["f,1", "f2", 'f"3'])
+    assert_same_file(tmp_path, block, kernel_row, cats, sigma, ["f,1", "f2", 'f"3'])
 
 
 def test_write_classified_empty_block(tmp_path):
     block = block_from_columns(("a",), (), [], [], np.empty((0, 3)), [])
-    cats, sigma = classify_batch(simple_model(3), block.X)
-    assert_same_file(tmp_path, block, cats, sigma, ["f1", "f2", "f3"])
+    R, kernel_row = block.kernel_rows(simple_model(3))
+    cats, sigma = classify_batch(simple_model(3), R)
+    assert_same_file(tmp_path, block, kernel_row, cats, sigma, ["f1", "f2", "f3"])
     header = b"id_a,id_b,sim_f1,sim_f2,sim_f3,assigned,truth\r\n"
     assert (tmp_path / "new.csv").read_bytes() == header

@@ -18,7 +18,7 @@ from electre_linkage.linkage import (
     write_classified,
 )
 
-from oracles import block_from_columns
+from oracles import block_from_columns, ref_write_classified
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -168,6 +168,8 @@ class TestClassifyPairs:
         pairs = make_block([("x", "y")], [(1.0, 1.0)])
         with pytest.raises(ModelError):
             classify_batch(self.model(), pairs.X)
+        with pytest.raises(ModelError, match="2 fields, model has 3 criteria"):
+            pairs.kernel_rows(self.model())
 
     def test_raising_performance_never_lowers_category(self):
         import random
@@ -188,10 +190,15 @@ class TestClassifiedFile:
         links = true_links(a, b)
         labeled = label_pairs(build_pairs(a, b, schema), links, "two_class")
         model = TestClassifyPairs().model()
-        cats, sigma = classify_batch(model, labeled.X)
+        R, kernel_row = labeled.kernel_rows(model)
+        cats, sigma = classify_batch(model, R)
         X = labeled.X
         dest = tmp_path / "classified.csv"
-        write_classified(dest, labeled, cats, sigma, schema.field_names)
+        write_classified(dest, labeled, kernel_row, cats, sigma, schema.field_names)
+        ref = tmp_path / "ref.csv"
+        ref_write_classified(ref, labeled, cats[kernel_row], sigma[kernel_row],
+                             schema.field_names)
+        assert dest.read_bytes() == ref.read_bytes()
         import csv
 
         with open(dest, newline="", encoding="utf-8") as fh:
