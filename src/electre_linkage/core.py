@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -126,7 +127,7 @@ class ElectreModel:
     profiles: ProfileSet
     cutting_level: float
     epsilon: float = 0.01
-    _arrays: dict = field(default_factory=dict, repr=False, compare=False)
+    _arrays: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.criteria) < 1:
@@ -239,7 +240,8 @@ def _indices(diff: np.ndarray, q, p, v, w):
 
     diff holds g_j(y) - g_j(x) when asking whether x outranks y, one row per
     alternative. Returns (partial concordances, global concordance, partial
-    discordances or None without vetoes, credibility).
+    discordances or None without vetoes, credibility). Sums and products run
+    in criterion order, so each row's indices depend on that row alone.
     """
     has_veto = ~np.isnan(v)
     ramp, span = p - q, v - p
@@ -249,7 +251,7 @@ def _indices(diff: np.ndarray, q, p, v, w):
             1.0,
             np.where(diff >= p, 0.0, (p - diff) / np.where(ramp > 0, ramp, 1.0)),
         )
-        C = c @ w / w.sum()
+        C = reduce(np.add, c.T * w[:, None]) / reduce(np.add, w)
         if not has_veto.any():
             return c, C, None, C
         d = np.where(
@@ -260,7 +262,7 @@ def _indices(diff: np.ndarray, q, p, v, w):
         mask = d > C[:, None]
         denom = 1.0 - C[:, None]
         factors = np.where(mask, (1.0 - d) / np.where(denom > 0, denom, 1.0), 1.0)
-    sigma = C * factors.prod(axis=1)
+    sigma = reduce(np.multiply, factors.T, C)
     sigma[np.any(mask & (d >= 1.0), axis=1)] = 0.0
     return c, C, d, sigma
 
@@ -323,14 +325,11 @@ def credibilities(model: ElectreModel, performances):
     sig_ab = np.empty((len(X), len(B)))
     sig_ba = np.empty_like(sig_ab)
     for lo in range(0, len(X), CHUNK_ROWS):
-        x = X[lo:lo + CHUNK_ROWS] * model._sign()
-        k = len(x)
-        # BLAS sums a lone row (dot) in another order than a matrix's rows
-        # (gemv); doubled, a one-row chunk sums as it does in the whole input
-        x = np.vstack((x, x)) if k == 1 < len(X) else x
+        rows = slice(lo, lo + CHUNK_ROWS)
+        x = X[rows] * model._sign()
         for h, b in enumerate(B):
-            sig_ab[lo:lo + k, h] = _indices(b - x, q, p, v, w)[3][:k]  # does x outrank b_h
-            sig_ba[lo:lo + k, h] = _indices(x - b, q, p, v, w)[3][:k]  # does b_h outrank x
+            sig_ab[rows, h] = _indices(b - x, q, p, v, w)[3]  # does x outrank b_h
+            sig_ba[rows, h] = _indices(x - b, q, p, v, w)[3]  # does b_h outrank x
     return sig_ab, sig_ba
 
 

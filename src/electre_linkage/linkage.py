@@ -83,9 +83,7 @@ class PairBlock:
         ia, ib = ia[row], ib[row]
         R = np.column_stack([reps[state[code_a[ia], code_b[ib]]]
                              for code_a, code_b, state, reps in states])
-        # BLAS sums a lone row (dot) in another order than a matrix's rows
-        # (gemv), and credibilities keeps the whole input of one row as it is
-        return (np.vstack((R, R)) if len(R) == 1 < len(key) else R), kernel_row
+        return R, kernel_row
 
     def pair(self, row: int) -> tuple:
         i, k = divmod(int(self.rows[row]), len(self.ids_b))

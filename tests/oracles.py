@@ -52,11 +52,12 @@ def ref_partial_discordance(ga, gb, p, v):
 
 
 def ref_credibility(perf_a, perf_b, qs, ps, vs, ws):
-    total = sum(ws)
-    conc = sum(
-        w * ref_partial_concordance(ga, gb, q, p)
-        for ga, gb, q, p, w in zip(perf_a, perf_b, qs, ps, ws)
-    ) / total
+    # both sums in criterion order (from Python 3.12 on, sum() compensates floats)
+    total = weighted = 0.0
+    for ga, gb, q, p, w in zip(perf_a, perf_b, qs, ps, ws):
+        total += w
+        weighted += w * ref_partial_concordance(ga, gb, q, p)
+    conc = weighted / total
     sigma = conc
     for ga, gb, p, v in zip(perf_a, perf_b, ps, vs):
         d = ref_partial_discordance(ga, gb, p, v)
@@ -83,9 +84,9 @@ def ref_assign(perf, profiles, qs, ps, vs, ws, lam, procedure):
     return nprof + 1
 
 
-def random_model_params(rng: random.Random, max_m=5, max_p=4, veto=True):
+def random_model_params(rng: random.Random, max_m=5, max_p=4, veto=True, min_m=1):
     """Raw parameter tuple (profiles, qs, ps, vs, ws, lam) for a random model."""
-    m = rng.randint(1, max_m)
+    m = rng.randint(min_m, max_m)
     p = rng.randint(2, max_p)
     eps = 0.01
     qs, ps, vs, ws = [], [], [], []

@@ -214,6 +214,13 @@ class TestModelValidation:
         with pytest.raises(ModelError):
             Criterion("g", 1.0, 0.1, 0.2, 0.15)
 
+    def test_cached_arrays_are_not_a_parameter(self):
+        # a fifth argument used to replace the model's cached arrays
+        crits = (Criterion("g1", 1.0, 0.0, 0.1), Criterion("g2", 1.0, 0.0, 0.1))
+        with pytest.raises(TypeError):
+            ElectreModel(crits, ProfileSet(((0.5, 0.5),)), 0.7, 0.01,
+                         {"sign": np.array([-1.0, -1.0])})
+
     def test_all_zero_weights_rejected(self):
         crits = (Criterion("g1", 0.0, 0.0, 0.1), Criterion("g2", 0.0, 0.0, 0.1))
         with pytest.raises(ModelError):
@@ -306,20 +313,28 @@ class TestSerialization:
 
 class TestBatchPath:
     def test_agrees_with_oracle(self):
+        """sigma equals the definition summed in criterion order, bitwise, for each row
+        alone and in its batch; with 8 or more criteria numpy's own reductions would
+        sum in another order."""
         rng = random.Random(7)
-        for _ in range(30):
-            params = random_model_params(rng)
+        for k in range(60):
+            params = random_model_params(rng, **({} if k < 30 else {"min_m": 8, "max_m": 14}))
             profiles, qs, ps, vs, ws, lam, _ = params
             model = model_from_params(params)
             X = [[rng.uniform(0, 1.2) for _ in range(model.m)] for _ in range(25)]
+            sig_ab, sig_ba = credibilities(model, X)
+            for i, row in enumerate(X):
+                alone = credibilities(model, [row])
+                assert (alone[0].tobytes(), alone[1].tobytes()) == (
+                    sig_ab[i].tobytes(), sig_ba[i].tobytes())
+                for h, b in enumerate(profiles):
+                    assert sig_ab[i, h] == ref_credibility(row, b, qs, ps, vs, ws)
+                    assert sig_ba[i, h] == ref_credibility(b, row, qs, ps, vs, ws)
             for proc in ("pessimistic", "optimistic"):
                 cats, sigma = classify_batch(model, X, proc)
+                assert sigma.tobytes() == sig_ab.tobytes()
                 for i, row in enumerate(X):
                     assert cats[i] == ref_assign(row, profiles, qs, ps, vs, ws, lam, proc)
-                    for h in range(1, model.profiles.count + 1):
-                        assert sigma[i, h - 1] == pytest.approx(
-                            ref_credibility(row, profiles[h - 1], qs, ps, vs, ws), abs=1e-12
-                        )
 
     def test_shape_mismatch(self):
         m = simple_model()
@@ -437,12 +452,21 @@ class TestInvariantProperties:
 
     def test_dominance_consistency(self):
         rng = random.Random(13)
-        for _ in range(50):
-            model = model_from_params(random_model_params(rng))
+        for i in range(100):
+            model = model_from_params(random_model_params(rng, max_m=5 if i < 50 else 14))
+            B = np.array(model.profiles.values)
             for h in range(1, model.profiles.count + 1):
                 a = Alternative("a", model.profiles.values[h - 1])
                 assert credibility(model, a, h) == 1.0
                 assert assign_pessimistic(model, a).index >= h + 1
+            # inside a batch: each profile, a row dominating each profile, random rows
+            above = B + np.array([[rng.uniform(0, 0.3) for _ in range(model.m)] for _ in B])
+            rand = np.array([[rng.uniform(0, 1.2) for _ in range(model.m)] for _ in range(20)])
+            sig_ab, sig_ba = credibilities(model, np.vstack((B, above, rand)))
+            k = len(B)
+            assert (np.diag(sig_ab[:k]) == 1.0).all() and (np.diag(sig_ba[:k]) == 1.0).all()
+            assert (np.diag(sig_ab[k:2 * k]) == 1.0).all()
+            assert (sig_ab <= 1.0).all() and (sig_ba <= 1.0).all()
 
     def test_pessimistic_le_optimistic(self):
         rng = random.Random(17)

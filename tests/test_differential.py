@@ -366,9 +366,7 @@ def test_kernel_rows_of_an_empty_block():
 
 
 def test_kernel_rows_of_pairs_alike():
-    """Every pair on one kernel row: R is doubled, as credibilities doubles a one-row
-    chunk of a longer input, so that BLAS sums it as a row of a matrix (gemv), not
-    alone (dot). A block of one pair keeps its one row, summed alone as before."""
+    """Every pair on one kernel row: R is that one row, and each pair gets its sigma."""
     rng = random.Random(31)
     for _ in range(60):
         m = rng.randint(2, 5)
@@ -378,7 +376,7 @@ def test_kernel_rows_of_pairs_alike():
             block = block_from_columns(tuple(range(n)), ("b",), np.arange(n), np.zeros(n),
                                        [row] * n, np.zeros(n))
             R = assert_kernel_rows_classify(block, model)
-            assert len(R) == (1 if n == 1 else 2)
+            assert len(R) == 1
 
 
 def test_kernel_rows_key_past_int64():
