@@ -123,29 +123,19 @@ def outdir(cfg) -> Path:
     return out
 
 
-def _load_both(cfg, schema):
-    table_a, report_a = load_table(cfg["dataset_a"], schema, "A")
-    table_b, report_b = load_table(cfg["dataset_b"], schema, "B")
-    return table_a, table_b, report_a, report_b
-
-
-def _labeled_pairs(cfg, schema, table_a, table_b):
-    links = true_links(table_a, table_b)
+def _labeled_pairs(cfg, schema):
+    table_a, _ = load_table(cfg["dataset_a"], schema, "A")
+    table_b, _ = load_table(cfg["dataset_b"], schema, "B")
     block = build_pairs(table_a, table_b, schema)
-    policy = cfg["label_policy"]
-    if policy != "banded":
-        return label_pairs(block, links, policy)
-    # the band needs a fitted baseline, which itself needs two-class labels
-    X = block.X
-    fs = fit_fs(X, label_pairs(block, links, "two_class").truth)
-    return label_pairs(block, links, policy, fs_model=fs, X=X)
+    return label_pairs(block, true_links(table_a, table_b), cfg["label_policy"])
 
 
 def cmd_ingest(args) -> int:
     cfg = load_config(args)
     schema = get_schema(cfg)
     out = outdir(cfg)
-    _, _, report_a, report_b = _load_both(cfg, schema)
+    _, report_a = load_table(cfg["dataset_a"], schema, "A")
+    _, report_b = load_table(cfg["dataset_b"], schema, "B")
     lines = report_a.lines() + report_b.lines()
     (out / "ingest_report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print("\n".join(lines))
@@ -156,8 +146,7 @@ def cmd_train(args) -> int:
     cfg = load_config(args)
     schema = get_schema(cfg)
     out = outdir(cfg)
-    table_a, table_b, *_ = _load_both(cfg, schema)
-    labeled = _labeled_pairs(cfg, schema, table_a, table_b)
+    labeled = _labeled_pairs(cfg, schema)
     cal = cfg["calibration"]
     train, _ = split(labeled, cfg["split"]["train_fraction"], cfg["split"]["seed"])
     model, solution, curve = calibrate(
@@ -195,8 +184,7 @@ def cmd_classify(args) -> int:
     schema = get_schema(cfg)
     out = outdir(cfg)
     model = ElectreModel.from_json(Path(args.model).read_text(encoding="utf-8"))
-    table_a, table_b, *_ = _load_both(cfg, schema)
-    labeled = _labeled_pairs(cfg, schema, table_a, table_b)
+    labeled = _labeled_pairs(cfg, schema)
     procedure = cfg["calibration"]["procedure"]
     R, kernel_row = labeled.kernel_rows(model)
     # looked up in linkage, where perfbench's smoke test swaps in a faulty classifier
@@ -223,6 +211,9 @@ def cmd_evaluate(args) -> int:
                 continue
             if len(row) <= it or not row[it]:
                 raise EvaluationError("classified file has pairs without truth labels")
+            if len(row) <= ia:
+                raise EvaluationError(
+                    f"classified file line {reader.line_num} has no assigned category")
             predicted.append(int(row[ia].lstrip("C")))
             truth.append(int(row[it].lstrip("C")))
     report = evaluate(predicted, truth)
@@ -241,8 +232,7 @@ def cmd_sweep(args) -> int:
     out = outdir(cfg)
     model = ElectreModel.from_json(Path(args.model).read_text(encoding="utf-8"))
     grid = [float(x) for x in args.grid.split(",")]
-    table_a, table_b, *_ = _load_both(cfg, schema)
-    labeled = _labeled_pairs(cfg, schema, table_a, table_b)
+    labeled = _labeled_pairs(cfg, schema)
     _, test = split(labeled, cfg["split"]["train_fraction"], cfg["split"]["seed"])
     procedure = cfg["calibration"]["procedure"]
     reports = lambda_sweep(test, model, grid, procedure)
@@ -269,7 +259,7 @@ def cmd_generate(args) -> int:
         n_a=args.n_a,
         n_b=args.n_b,
         n_links=args.links,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
         typo_rate=args.typo_rate,
     )
     print(f"wrote {args.out_a} and {args.out_b}")

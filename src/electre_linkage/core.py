@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from functools import reduce
+from dataclasses import dataclass
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -93,12 +93,11 @@ class ProfileSet:
     def category_count(self) -> int:
         return len(self.values) + 1
 
-    def check_separation(self, epsilon: float, signs=None) -> None:
+    def check_separation(self, epsilon: float, signs) -> None:
         """Successive profiles must grow by epsilon in gain orientation."""
         for h in range(1, self.count):
             for j, (lo, hi) in enumerate(zip(self.values[h - 1], self.values[h])):
-                s = 1.0 if signs is None else signs[j]
-                if s * hi < s * lo + epsilon:
+                if signs[j] * hi < signs[j] * lo + epsilon:
                     raise ModelError(
                         f"profiles not separated by epsilon on criterion {j}: "
                         f"{hi} vs {lo} + {epsilon}"
@@ -127,7 +126,6 @@ class ElectreModel:
     profiles: ProfileSet
     cutting_level: float
     epsilon: float = 0.01
-    _arrays: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.criteria) < 1:
@@ -147,7 +145,7 @@ class ElectreModel:
                 raise ModelError(f"profile values must be finite numbers, got {row}")
         if _is_bool(self.epsilon) or not math.isfinite(self.epsilon):
             raise ModelError(f"epsilon must be a finite number, got {self.epsilon}")
-        self.profiles.check_separation(self.epsilon, self._sign())
+        self.profiles.check_separation(self.epsilon, self.sign)
 
     @property
     def m(self) -> int:
@@ -157,25 +155,20 @@ class ElectreModel:
     def category_count(self) -> int:
         return self.profiles.category_count
 
-    def _sign(self) -> np.ndarray:
-        if "sign" not in self._arrays:
-            self._arrays["sign"] = np.array(
-                [1.0 if c.direction == "gain" else -1.0 for c in self.criteria]
-            )
-        return self._arrays["sign"]
+    @cached_property
+    def sign(self) -> np.ndarray:
+        """+1 per gain criterion, -1 per cost criterion."""
+        return np.array([1.0 if c.direction == "gain" else -1.0 for c in self.criteria])
 
-    def arrays(self):
-        """Cached (profiles, q, p, v, w) arrays, gain-oriented; v is nan where absent."""
-        if "packed" not in self._arrays:
-            prof = np.asarray(self.profiles.values, dtype=float) * self._sign()
-            q = np.array([c.indifference for c in self.criteria])
-            p = np.array([c.preference for c in self.criteria])
-            v = np.array(
-                [math.nan if c.veto is None else c.veto for c in self.criteria]
-            )
-            w = np.array([c.weight for c in self.criteria])
-            self._arrays["packed"] = (prof, q, p, v, w)
-        return self._arrays["packed"]
+    @cached_property
+    def arrays(self) -> tuple:
+        """(profiles, q, p, v, w) arrays, gain-oriented; v is nan where absent."""
+        prof = np.asarray(self.profiles.values, dtype=float) * self.sign
+        q = np.array([c.indifference for c in self.criteria])
+        p = np.array([c.preference for c in self.criteria])
+        v = np.array([math.nan if c.veto is None else c.veto for c in self.criteria])
+        w = np.array([c.weight for c in self.criteria])
+        return prof, q, p, v, w
 
     # --- serialization (lossless: json floats round-trip via repr) ---
 
@@ -282,9 +275,9 @@ def criterion_codes(model: ElectreModel, j: int, values):
     """
     x = np.asarray(values, dtype=float)
     order = np.argsort(x)
-    B, q, p, v, _ = model.arrays()
+    B, q, p, v, _ = model.arrays
     col = slice(j, j + 1)
-    xo = x[order, None] * model._sign()[col]
+    xo = x[order, None] * model.sign[col]
     parts = []
     for b in B[:, col]:
         for diff in (b - xo, xo - b):
@@ -321,12 +314,12 @@ def credibilities(model: ElectreModel, performances):
     pass of the kernel but computed CHUNK_ROWS rows at a time.
     """
     X = _checked_rows(model, performances)
-    B, q, p, v, w = model.arrays()
+    B, q, p, v, w = model.arrays
     sig_ab = np.empty((len(X), len(B)))
     sig_ba = np.empty_like(sig_ab)
     for lo in range(0, len(X), CHUNK_ROWS):
         rows = slice(lo, lo + CHUNK_ROWS)
-        x = X[rows] * model._sign()
+        x = X[rows] * model.sign
         for h, b in enumerate(B):
             sig_ab[rows, h] = _indices(b - x, q, p, v, w)[3]  # does x outrank b_h
             sig_ba[rows, h] = _indices(x - b, q, p, v, w)[3]  # does b_h outrank x
@@ -374,8 +367,8 @@ def _one_row(model: ElectreModel, a: Alternative, h: int, reverse: bool, j: int 
         raise ModelError(f"profile index {h} out of range 1..{model.profiles.count}")
     if not 1 <= j <= model.m:
         raise ModelError(f"criterion index {j} out of range 1..{model.m}")
-    x = _checked_rows(model, [a.performances]) * model._sign()
-    B, q, p, v, w = model.arrays()
+    x = _checked_rows(model, [a.performances]) * model.sign
+    B, q, p, v, w = model.arrays
     return _indices(x - B[h - 1] if reverse else B[h - 1] - x, q, p, v, w)
 
 

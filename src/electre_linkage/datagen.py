@@ -42,6 +42,7 @@ STREETS = [
 ]
 
 FIELDNAMES = ["DS", "IDENTIFIER", "SURNAME", "NAME", "LASTCODE", "NUMCODE", "STREET"]
+MISSING_RATE = 0.01  # share of records with one name or street blanked
 
 
 def _typo(word: str, rng: random.Random) -> str:
@@ -65,9 +66,10 @@ def generate_tables(
     n_links: int = 327,
     seed: int = 0,
     typo_rate: float = 0.18,
-    missing_rate: float = 0.01,
 ):
     """Build the row dicts for both files. Linked records share IDENTIFIER."""
+    if min(n_a, n_b, n_links) < 0:
+        raise ValueError(f"sizes must be nonnegative, got {n_a}, {n_b} and {n_links} links")
     if n_links > min(n_a, n_b):
         raise ValueError("cannot have more links than records on either side")
     rng = random.Random(seed)
@@ -107,7 +109,7 @@ def generate_tables(
 
     for rows in (rows_a, rows_b):
         for row in rows:
-            if rng.random() < missing_rate:
+            if rng.random() < MISSING_RATE:
                 row[rng.choice(["SURNAME", "NAME", "STREET"])] = ""
     return rows_a, rows_b
 

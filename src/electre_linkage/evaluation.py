@@ -60,7 +60,7 @@ class EvalReport:
         }
 
 
-def split(block, train_fraction: float, seed: int, category_count: int = 3):
+def split(block, train_fraction: float, seed: int):
     """Stratified deterministic split of a labeled pair block.
 
     Returns (TrainingSet, test block). Stratification is by truth label,
@@ -92,7 +92,7 @@ def split(block, train_fraction: float, seed: int, category_count: int = 3):
         raise EvaluationError(
             "training split contains no links; increase train_fraction"
         )
-    training = TrainingSet(block.take(train).X, truth[train], category_count=category_count)
+    training = TrainingSet(block.take(train).X, truth[train], category_count=3)
     return training, block.take(test)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 __all__ = ["FsModel", "FsError", "fit_fs", "fs_decide"]
 
-DEFAULT_AGREEMENT_THRESHOLD = 0.88
+AGREEMENT_THRESHOLD = 0.88  # a field agrees when its similarity reaches this
 DEFAULT_BAND_RATE = 0.01
 
 
@@ -87,8 +87,7 @@ class FsModel:
             raise FsError(f"malformed baseline model document: {exc!r}") from exc
 
 
-def fit_fs(X, y, agreement_threshold=DEFAULT_AGREEMENT_THRESHOLD,
-           band_rate: float = DEFAULT_BAND_RATE) -> FsModel:
+def fit_fs(X, y, band_rate: float = DEFAULT_BAND_RATE) -> FsModel:
     """Supervised fit from performances X (n, m) and category indices y.
 
     Pairs labeled C3 count as links, everything else as nonlinks; 0 marks an
@@ -101,12 +100,6 @@ def fit_fs(X, y, agreement_threshold=DEFAULT_AGREEMENT_THRESHOLD,
         raise FsError("no labeled pairs to fit on")
     if (y == 0).any():
         raise FsError(f"pair {int(np.argmax(y == 0))} has no label")
-    nfields = X.shape[1]
-    if isinstance(agreement_threshold, (int, float)):
-        thresholds = (float(agreement_threshold),) * nfields
-    else:
-        thresholds = tuple(agreement_threshold)
-
     is_link = y == 3
     n_link = int(is_link.sum())
     n_nonlink = len(y) - n_link
@@ -114,7 +107,7 @@ def fit_fs(X, y, agreement_threshold=DEFAULT_AGREEMENT_THRESHOLD,
         raise FsError("training pairs contain no links (C3)")
     if n_nonlink == 0:
         raise FsError("training pairs contain no nonlinks")
-    agree = X >= np.asarray(thresholds)
+    agree = X >= AGREEMENT_THRESHOLD
     link_agree = agree[is_link].sum(axis=0).tolist()
     nonlink_agree = agree[~is_link].sum(axis=0).tolist()
 
@@ -122,6 +115,7 @@ def fit_fs(X, y, agreement_threshold=DEFAULT_AGREEMENT_THRESHOLD,
     m_probs = tuple((c + 1) / (n_link + 2) for c in link_agree)
     u_probs = tuple((c + 1) / (n_nonlink + 2) for c in nonlink_agree)
 
+    thresholds = (AGREEMENT_THRESHOLD,) * X.shape[1]
     probe = FsModel(m_probs, u_probs, thresholds, lower=0.0, upper=0.0)
     score = probe.log_ratio(X)
     order = np.lexsort((is_link, score))

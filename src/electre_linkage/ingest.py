@@ -122,7 +122,7 @@ class RecordTable:
         return [rid for rid, _ in self.records]
 
 
-def census_schema(**overrides) -> LinkageSchema:
+def census_schema() -> LinkageSchema:
     """Default schema for the synthetic census layout."""
     fields = (
         ("SURNAME", Comparator("jaro_winkler")),
@@ -131,17 +131,17 @@ def census_schema(**overrides) -> LinkageSchema:
         ("NUMCODE", Comparator("absolute_difference_normalized")),
         ("STREET", Comparator("jaro_winkler")),
     )
-    return LinkageSchema(compared_fields=fields, **overrides)
+    return LinkageSchema(compared_fields=fields)
 
 
-def toy_schema(**overrides) -> LinkageSchema:
+def toy_schema() -> LinkageSchema:
     """Schema for the 3x3 name/address/age example tables."""
     fields = (
         ("NAME", Comparator("jaro_winkler")),
         ("ADDRESS", Comparator("jaro_winkler")),
         ("AGE", Comparator("absolute_difference_normalized")),
     )
-    return LinkageSchema(compared_fields=fields, id_field="IDENTIFIER", **overrides)
+    return LinkageSchema(compared_fields=fields)
 
 
 def load_table(path, schema: LinkageSchema, source_label: str):
@@ -160,6 +160,8 @@ def load_table(path, schema: LinkageSchema, source_label: str):
         for col in required:
             if col not in header:
                 raise IngestError(f"{path}: missing required column {col!r}")
+            if header.count(col) > 1:
+                raise IngestError(f"{path}: column {col!r} appears more than once")
         read = dropped = 0
         records = []
         seen = {}

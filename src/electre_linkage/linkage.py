@@ -14,6 +14,7 @@ import numpy as np
 
 from .core import CHUNK_ROWS, ModelError, criterion_codes
 from .core import classify_batch  # noqa: F401 - cli classifies through here
+from .fellegi_sunter import fit_fs
 from .ingest import LinkageSchema, RecordTable
 
 __all__ = [
@@ -127,18 +128,15 @@ def build_pairs(a: RecordTable, b: RecordTable, schema: LinkageSchema) -> PairBl
                      rows=np.arange(n, dtype=np.intp), truth=np.zeros(n, dtype=np.int8))
 
 
-def label_pairs(block: PairBlock, links, policy: str = "two_class", fs_model=None,
-                X=None) -> PairBlock:
+def label_pairs(block: PairBlock, links, policy: str = "two_class", fs_model=None) -> PairBlock:
     """The block with ground-truth categories attached.
 
     two_class: linked pairs are C3, everything else C1. banded: nonlink
     pairs whose Fellegi-Sunter log ratio falls inside [Lower, Upper] get C2;
-    the ratio is scored on X, the block's performances, gathered when not given.
+    the baseline is fs_model, or else fitted on the block's two-class labels.
     """
     if policy not in LABEL_POLICIES:
         raise ValueError(f"unknown label policy {policy!r}")
-    if policy == "banded" and fs_model is None:
-        raise ValueError("banded labeling needs a fitted Fellegi-Sunter model")
     pos_a = {rid: i for i, rid in enumerate(block.ids_a)}
     pos_b = {rid: i for i, rid in enumerate(block.ids_b)}
     linked = np.zeros((len(pos_a), len(pos_b)), dtype=bool)
@@ -148,7 +146,10 @@ def label_pairs(block: PairBlock, links, policy: str = "two_class", fs_model=Non
     is_link = linked.ravel()[block.rows]
     truth = np.where(is_link, 3, 1).astype(np.int8)
     if policy == "banded":
-        score = fs_model.log_ratio(block.X if X is None else X)
+        X = block.X
+        if fs_model is None:
+            fs_model = fit_fs(X, truth)
+        score = fs_model.log_ratio(X)
         truth[~is_link & (fs_model.lower <= score) & (score <= fs_model.upper)] = 2
     return replace(block, truth=truth)
 

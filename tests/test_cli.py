@@ -60,6 +60,16 @@ class TestGenerateAndIngest:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--n-a", "--n-b", "--links"])
+    def test_negative_size_is_usage_error(self, tmp_path, capsys, flag):
+        # --links -1 used to write a B file of 31 rows with duplicate identifiers
+        sizes = {"--n-a": "10", "--n-b": "10", "--links": "5", flag: "-1"}
+        code = run(["generate", "--out-a", tmp_path / "a.csv", "--out-b", tmp_path / "b.csv",
+                    *(x for item in sizes.items() for x in item)])
+        assert code == 1
+        assert "sizes must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "b.csv").exists()
+
 
 class TestPipeline:
     def test_train_classify_evaluate_sweep(self, small_dataset, tmp_path, capsys):
@@ -295,18 +305,22 @@ class TestPipeline:
         assert code == 1
         assert "has the wrong type" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("missing", ["assigned", "truth"])
-    def test_classified_file_without_column(self, small_dataset, tmp_path, capsys, missing):
-        # a file without `assigned` used to exit 2 with "internal error: 'assigned'"
+    @pytest.mark.parametrize("header, row, message", [
+        ("id_a,id_b,sim_NAME,truth", "a1,b1,0.9,C2", "no 'assigned' column"),
+        ("id_a,id_b,sim_NAME,assigned", "a1,b1,0.9,C2", "no 'truth' column"),
+        ("id_a,id_b,truth,assigned", "x,z,C1", "line 2 has no assigned category"),
+    ], ids=["assigned", "truth", "short_row"])
+    def test_classified_file_without_column(self, small_dataset, tmp_path, capsys, header,
+                                            row, message):
+        # each used to exit 2: "internal error: 'assigned'" for the file without the
+        # column, "internal error: list index out of range" for the short row
         a, b = small_dataset
-        columns = [c for c in ("id_a", "id_b", "sim_NAME", "assigned", "truth") if c != missing]
-        row = {"id_a": "a1", "id_b": "b1", "sim_NAME": "0.9", "assigned": "C2", "truth": "C2"}
         classified = tmp_path / "classified.csv"
-        classified.write_text(",".join(columns) + "\n" + ",".join(row[c] for c in columns) + "\n")
+        classified.write_text(header + "\n" + row + "\n")
         code = run(["evaluate", "--dataset-a", a, "--dataset-b", b, "--output-dir",
                     tmp_path / "out", "--classified", classified])
         assert code == 1
-        assert f"no '{missing}' column" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_sweep_lambda_outside_domain(self, small_dataset, tmp_path, capsys):
         a, b = small_dataset

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import tracemalloc
@@ -220,6 +221,20 @@ class TestModelValidation:
         with pytest.raises(TypeError):
             ElectreModel(crits, ProfileSet(((0.5, 0.5),)), 0.7, 0.01,
                          {"sign": np.array([-1.0, -1.0])})
+
+    def test_arrays_are_cached_outside_the_fields(self):
+        model = ElectreModel(
+            (Criterion("g1", 1.0, 0.0, 0.1), Criterion("g2", 1.0, 0.0, 0.1, direction="cost")),
+            ProfileSet(((0.5, 0.5),)), 0.7)
+        assert [f.name for f in dataclasses.fields(ElectreModel)] == [
+            "criteria", "profiles", "cutting_level", "epsilon"]
+        assert model.sign is model.sign
+        assert model.arrays is model.arrays
+        assert model.sign.tolist() == [1.0, -1.0]
+        assert model.arrays[0].tolist() == [[0.5, -0.5]]
+        fresh = ElectreModel(model.criteria, model.profiles, model.cutting_level)
+        assert model == fresh == dataclasses.replace(model)
+        assert hash(model) == hash(fresh)
 
     def test_all_zero_weights_rejected(self):
         crits = (Criterion("g1", 0.0, 0.0, 0.1), Criterion("g2", 0.0, 0.0, 0.1))

@@ -188,6 +188,19 @@ def test_fit_fs_matches_reference_on_noisy_labels():
             assert fs == FsModel(*ref)
 
 
+def test_banded_labels_fit_their_baseline_as_given_one(tables):
+    """Banded labeling without a model equals a baseline fitted on the two-class
+    labels of the whole block and passed in."""
+    schema, a, b = tables
+    block, links = build_pairs(a, b, schema), true_links(a, b)
+    fs = fit_fs(block.X, label_pairs(block, links, "two_class").truth)
+    given = label_pairs(block, links, "banded", fs_model=fs)
+    fitted = label_pairs(block, links, "banded")
+    assert fitted.truth.dtype == given.truth.dtype
+    assert fitted.truth.tolist() == given.truth.tolist()
+    assert pair_ids(fitted) == pair_ids(given)
+
+
 # --- the lambda grid: credibilities once, one cut per lambda ---
 
 
@@ -330,8 +343,8 @@ def test_kernel_rows_classify_random_blocks():
     for _ in range(60):
         m = rng.randint(1, 5)
         model = random_model(rng, m)
-        B, q, p, v, _ = model.arrays()
-        sign = model._sign()
+        B, q, p, v, _ = model.arrays
+        sign = model.sign
         edges = [B * sign, (B - q) * sign, (B + p) * sign, (B - np.nan_to_num(v)) * sign]
         X = np.array([[rng.choice([round(rng.uniform(-0.2, 1.2), 1),
                                    float(rng.choice(edges)[rng.randrange(len(B)), j])])

@@ -89,6 +89,15 @@ class TestLoadTable:
         with pytest.raises(IngestError, match="ADDRESS"):
             load_table(path, toy_schema(), "A")
 
+    def test_duplicate_column(self, tmp_path):
+        # the record used to take its NAME from the second NAME column
+        path = write(
+            tmp_path, "t.csv",
+            "DS,IDENTIFIER,NAME,ADDRESS,AGE,NAME\nA,u1,John,16 Main,20,BOB\n",
+        )
+        with pytest.raises(IngestError, match=r"t\.csv: column 'NAME' appears more than once"):
+            load_table(path, toy_schema(), "A")
+
     def test_duplicate_identifier(self, tmp_path):
         path = write(
             tmp_path,

@@ -10,7 +10,7 @@ from electre_linkage.core import (
     ProfileSet,
     classify_batch,
 )
-from electre_linkage.fellegi_sunter import FsModel
+from electre_linkage.fellegi_sunter import FsError, FsModel
 from electre_linkage.ingest import load_table, toy_schema, true_links
 from electre_linkage.linkage import (
     build_pairs,
@@ -128,9 +128,9 @@ class TestLabelPairs:
                 expected = 2 if fs.lower <= score <= fs.upper else 1
                 assert label == expected
 
-    def test_banded_needs_model(self, toy_tables):
+    def test_banded_without_links_cannot_fit_its_baseline(self, toy_tables):
         schema, a, b = toy_tables
-        with pytest.raises(ValueError):
+        with pytest.raises(FsError, match="no links"):
             label_pairs(build_pairs(a, b, schema), set(), "banded")
 
     def test_unknown_policy(self):
