@@ -26,6 +26,8 @@ from .linkage import build_pairs, label_pairs, write_classified
 # every module's error type (IngestError, ModelError, ...) is a ValueError
 USAGE_ERRORS = (ValueError, OSError)
 
+CATEGORIES = {"C1": 1, "C2": 2, "C3": 3}  # the labels of a classified file
+
 DEFAULT_CONFIG = {
     "dataset_a": "",
     "dataset_b": "",
@@ -214,8 +216,12 @@ def cmd_evaluate(args) -> int:
             if len(row) <= ia:
                 raise EvaluationError(
                     f"classified file line {reader.line_num} has no assigned category")
-            predicted.append(int(row[ia].lstrip("C")))
-            truth.append(int(row[it].lstrip("C")))
+            for column, labels in ((ia, predicted), (it, truth)):
+                if row[column] not in CATEGORIES:
+                    raise EvaluationError(
+                        f"classified file line {reader.line_num} has category "
+                        f"{row[column]!r}, not one of {', '.join(CATEGORIES)}")
+                labels.append(CATEGORIES[row[column]])
     report = evaluate(predicted, truth)
     text = "\n".join(report.lines()) + "\n"
     (out / "eval_report.txt").write_text(text, encoding="utf-8")

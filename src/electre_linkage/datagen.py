@@ -72,6 +72,8 @@ def generate_tables(
         raise ValueError(f"sizes must be nonnegative, got {n_a}, {n_b} and {n_links} links")
     if n_links > min(n_a, n_b):
         raise ValueError("cannot have more links than records on either side")
+    if not 0 <= typo_rate <= 1:  # also false for nan
+        raise ValueError(f"typo rate must lie in [0, 1], got {typo_rate}")
     rng = random.Random(seed)
 
     def person(idx):

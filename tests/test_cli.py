@@ -70,6 +70,15 @@ class TestGenerateAndIngest:
         assert "sizes must be nonnegative" in capsys.readouterr().err
         assert not (tmp_path / "b.csv").exists()
 
+    @pytest.mark.parametrize("rate", ["5", "nan", "-0.1"])
+    def test_typo_rate_outside_unit_interval_is_usage_error(self, tmp_path, capsys, rate):
+        # 5 used to act as "always" and nan as "never", both exiting 0
+        code = run(["generate", "--out-a", tmp_path / "a.csv", "--out-b", tmp_path / "b.csv",
+                    "--n-a", "10", "--n-b", "10", "--links", "5", "--typo-rate", rate])
+        assert code == 1
+        assert "typo rate must lie in [0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "a.csv").exists()
+
 
 class TestPipeline:
     def test_train_classify_evaluate_sweep(self, small_dataset, tmp_path, capsys):
@@ -309,11 +318,17 @@ class TestPipeline:
         ("id_a,id_b,sim_NAME,truth", "a1,b1,0.9,C2", "no 'assigned' column"),
         ("id_a,id_b,sim_NAME,assigned", "a1,b1,0.9,C2", "no 'truth' column"),
         ("id_a,id_b,truth,assigned", "x,z,C1", "line 2 has no assigned category"),
-    ], ids=["assigned", "truth", "short_row"])
+        ("id_a,id_b,truth,assigned", "x,z,C1,C9", "line 2 has category 'C9'"),
+        ("id_a,id_b,truth,assigned", "x,z,-4,C1", "line 2 has category '-4'"),
+        ("id_a,id_b,truth,assigned", "x,z,C2,3", "line 2 has category '3'"),
+        ("id_a,id_b,truth,assigned", "x,z,CC3,C3", "line 2 has category 'CC3'"),
+    ], ids=["assigned", "truth", "short_row", "assigned_C9", "truth_-4", "assigned_3",
+            "truth_CC3"])
     def test_classified_file_without_column(self, small_dataset, tmp_path, capsys, header,
                                             row, message):
         # each used to exit 2: "internal error: 'assigned'" for the file without the
-        # column, "internal error: list index out of range" for the short row
+        # column, "internal error: list index out of range" for the short row; the
+        # categories outside C1..C3 were parsed as integers and evaluated, exit 0
         a, b = small_dataset
         classified = tmp_path / "classified.csv"
         classified.write_text(header + "\n" + row + "\n")

@@ -1,11 +1,13 @@
 import random
 import string
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from electre_linkage.core import CHUNK_ROWS
 from electre_linkage.metrics import (
     Comparator,
     ComparatorError,
@@ -221,3 +223,74 @@ def test_jaro_matches_flag_loop(x, y, prefix_cap, scale):
     assert jaro(x, y).hex() == ref_jaro(x, y).hex()
     assert (jaro_winkler(x, y, prefix_scale, prefix_cap).hex()
             == ref_jaro_winkler(x, y, prefix_scale, prefix_cap).hex())
+
+
+@st.composite
+def jaro_value_lists(draw):
+    """Two lists of values for one table: repeats within a list and values
+    shared by both lists, empty strings, strings of 1-3 characters (match
+    window -1 or 0), embedded and trailing NULs, astral code points, a lone
+    surrogate and strings over 64 characters."""
+    text = (
+        st.text(max_size=3)
+        | st.text(alphabet="AB\0", max_size=10)
+        | st.text(alphabet=st.sampled_from("AÉ\U0001F600\ud800 -"), max_size=14)
+        | st.text(alphabet="ABC", min_size=65, max_size=90)
+    )
+    vals_a = draw(st.lists(text, max_size=6))
+    vals_b = draw(st.lists(text | st.sampled_from(vals_a or [""]), max_size=6))
+    return vals_a, vals_b + draw(st.lists(st.sampled_from(vals_b or [""]), max_size=2))
+
+
+def assert_jaro_tables_match(vals_a, vals_b, prefix_scale=0.1, prefix_cap=4):
+    for comparator, ref in (
+        (Comparator("jaro"), ref_jaro),
+        (Comparator("jaro_winkler", prefix_scale=prefix_scale, prefix_cap=prefix_cap),
+         lambda x, y: ref_jaro_winkler(x, y, prefix_scale, prefix_cap)),
+    ):
+        table = comparator.grid(vals_a, vals_b)
+        expected = np.array([[ref(x, y) for y in vals_b] for x in vals_a],
+                            dtype=np.float64).reshape(len(vals_a), len(vals_b))
+        assert table.dtype == np.float64 and table.shape == expected.shape
+        assert table.tobytes() == expected.tobytes()
+        # compare on two lists is the same table
+        assert comparator.compare(vals_a, vals_b).tobytes() == expected.tobytes()
+
+
+@SETTINGS
+@given(jaro_value_lists(), st.integers(0, 6), st.floats(0, 1))
+def test_jaro_tables_match_the_references(lists, prefix_cap, scale):
+    assert_jaro_tables_match(*lists, scale / max(prefix_cap, 1), prefix_cap)
+
+
+def test_jaro_table_spans_chunks():
+    rng = random.Random(7)
+    vals_a = [random_string(rng, 20, "ABCDE") for _ in range(150)]
+    vals_b = [random_string(rng, 20, "ABCDE") for _ in range(120)]
+    assert len(vals_a) * len(vals_b) > CHUNK_ROWS  # several chunks of A values
+    assert_jaro_tables_match(vals_a, vals_b)
+    # more B values than one chunk holds
+    assert_jaro_tables_match(vals_a[:2], [random_string(rng, 8, "ABC")
+                                          for _ in range(CHUNK_ROWS + 7)])
+
+
+def test_jaro_table_memory_follows_the_table():
+    # the temporaries are bounded by CHUNK_ROWS value pairs times the longest
+    # value, so four more chunks of pairs add about their table cells, not
+    # value pairs x value length
+    rng = random.Random(8)
+    vals_b = ["".join(rng.choice("ABCDEFGH") for _ in range(24)) for _ in range(256)]
+
+    def peak(n_a):
+        vals_a = ["".join(rng.choice("ABCDEFGH") for _ in range(24)) for _ in range(n_a)]
+        tracemalloc.start()
+        try:
+            table = Comparator("jaro_winkler").grid(vals_a, vals_b)
+            return tracemalloc.get_traced_memory()[1], table.nbytes
+        finally:
+            tracemalloc.stop()
+
+    small, small_bytes = peak(128)
+    large, large_bytes = peak(384)
+    assert large_bytes - small_bytes == 4 * CHUNK_ROWS * 8
+    assert large - small < 1.5 * (large_bytes - small_bytes)
