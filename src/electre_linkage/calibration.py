@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Criterion, ElectreModel, ProfileSet, assign, credibilities
+from .core import Criterion, ElectreModel, ProfileSet, credibilities, cut_counts
 
 __all__ = [
     "TrainingSet",
@@ -257,15 +257,9 @@ def estimate_lambda(
 
     # the credibilities do not depend on lambda; only the cut does
     sig_ab, sig_ba = credibilities(ElectreModel(criteria, profiles, 1.0, epsilon), X)
-    curve = []
-    best_lam, best_acc = grid[0], -1.0
-    for lam in grid:
-        cats = assign(sig_ab, sig_ba, lam, procedure)
-        acc = float((cats == y).mean())
-        curve.append((lam, acc))
-        if acc >= best_acc:
-            best_acc, best_lam = acc, lam
-    return best_lam, curve
+    counts = cut_counts(sig_ab, sig_ba, y, None, grid, procedure)
+    curve = [(lam, float(np.trace(c) / len(y))) for lam, c in zip(grid, counts)]
+    return max(reversed(curve), key=lambda point: point[1])[0], curve
 
 
 def calibrate(

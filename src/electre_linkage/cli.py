@@ -18,7 +18,7 @@ from pathlib import Path
 from . import datagen, linkage
 from .calibration import calibrate
 from .core import ElectreModel
-from .evaluation import EvaluationError, evaluate, lambda_sweep, split
+from .evaluation import EvalReport, EvaluationError, lambda_sweep, split
 from .fellegi_sunter import fit_fs
 from .ingest import LinkageSchema, census_schema, load_table, true_links
 from .linkage import build_pairs, label_pairs, write_classified
@@ -200,7 +200,7 @@ def cmd_classify(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = load_config(args)
     out = outdir(cfg)
-    predicted, truth = [], []
+    cells = {}  # (truth, assigned) -> pair count, in the order first seen
     with open(args.classified, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -216,13 +216,14 @@ def cmd_evaluate(args) -> int:
             if len(row) <= ia:
                 raise EvaluationError(
                     f"classified file line {reader.line_num} has no assigned category")
-            for column, labels in ((ia, predicted), (it, truth)):
-                if row[column] not in CATEGORIES:
-                    raise EvaluationError(
-                        f"classified file line {reader.line_num} has category "
-                        f"{row[column]!r}, not one of {', '.join(CATEGORIES)}")
-                labels.append(CATEGORIES[row[column]])
-    report = evaluate(predicted, truth)
+            try:
+                p, t = CATEGORIES[row[ia]], CATEGORIES[row[it]]
+            except KeyError as exc:
+                raise EvaluationError(
+                    f"classified file line {reader.line_num} has category "
+                    f"{exc.args[0]!r}, not one of {', '.join(CATEGORIES)}") from None
+            cells[t, p] = cells.get((t, p), 0) + 1
+    report = EvalReport.from_contingency(cells)
     text = "\n".join(report.lines()) + "\n"
     (out / "eval_report.txt").write_text(text, encoding="utf-8")
     (out / "eval_report.json").write_text(
@@ -239,7 +240,7 @@ def cmd_sweep(args) -> int:
     model = ElectreModel.from_json(Path(args.model).read_text(encoding="utf-8"))
     grid = [float(x) for x in args.grid.split(",")]
     labeled = _labeled_pairs(cfg, schema)
-    _, test = split(labeled, cfg["split"]["train_fraction"], cfg["split"]["seed"])
+    test = split(labeled, cfg["split"]["train_fraction"], cfg["split"]["seed"])[1]
     procedure = cfg["calibration"]["procedure"]
     reports = lambda_sweep(test, model, grid, procedure)
     lines = ["lambda  accuracy  missed_links  false_links"]

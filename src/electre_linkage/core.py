@@ -32,6 +32,7 @@ __all__ = [
     "credibilities",
     "criterion_codes",
     "assign",
+    "cut_counts",
     "classify_batch",
 ]
 
@@ -345,6 +346,17 @@ def assign(sig_ab, sig_ba, lam: float, procedure: str = "pessimistic") -> np.nda
         pref = (sig_ba >= lam) & ~S
         cats = np.where(pref.any(axis=1), pref.argmax(axis=1) + 1, S.shape[1] + 1)
     return cats.astype(int)
+
+
+def cut_counts(sig_ab, sig_ba, truth, weights, grid, procedure: str = "pessimistic"):
+    """Per lambda of the grid, the [truth, category] counts of the rows cut at it: a
+    square int64 matrix indexed by the labels, up to the largest truth label or
+    category. Row i counts weights[i] times, or once when weights is None."""
+    truth = np.asarray(truth, dtype=np.int64)
+    n = max(int(truth.max(initial=0)), sig_ab.shape[1] + 1) + 1
+    return np.array([np.bincount(truth * n + assign(sig_ab, sig_ba, lam, procedure), weights,
+                                 minlength=n * n).astype(np.int64).reshape(n, n)
+                     for lam in grid])
 
 
 def classify_batch(model: ElectreModel, performances, procedure: str = "pessimistic"):

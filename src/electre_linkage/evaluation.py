@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import array
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .calibration import TrainingSet
-from .core import ElectreModel, assign, credibilities
+from .core import ElectreModel, credibilities, cut_counts
 
 __all__ = ["EvalReport", "EvaluationError", "split", "evaluate", "lambda_sweep"]
 
@@ -29,6 +30,21 @@ class EvalReport:
     cutting_level: float | None = None
     procedure: str = ""
 
+    @classmethod
+    def from_contingency(cls, contingency: dict, cutting_level=None, procedure: str = ""):
+        """The report on a {(truth, predicted): count} dict, kept in its order.
+        Under 2-class truth a predicted C2 counts as an error for both classes."""
+        total = sum(contingency.values())
+        if not total:
+            raise EvaluationError("nothing to evaluate")
+        correct = sum(n for (t, p), n in contingency.items() if t == p)
+        pred_c3 = sum(n for (_, p), n in contingency.items() if p == 3)
+        true_c3 = sum(n for (t, _), n in contingency.items() if t == 3)
+        hit = contingency.get((3, 3), 0)
+        return cls(correct / total, contingency, hit / pred_c3 if pred_c3 else 0.0,
+                   hit / true_c3 if true_c3 else 0.0, true_c3 - hit, pred_c3 - hit, total,
+                   cutting_level, procedure)
+
     def lines(self) -> list[str]:
         out = []
         if self.cutting_level is not None:
@@ -47,17 +63,18 @@ class EvalReport:
         return out
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "contingency": {f"{t},{p}": c for (t, p), c in self.contingency.items()},
-            "precision_c3": self.precision_c3,
-            "recall_c3": self.recall_c3,
-            "missed_links": self.missed_links,
-            "false_links": self.false_links,
-            "total": self.total,
-            "lambda": self.cutting_level,
-            "procedure": self.procedure,
-        }
+        out = asdict(self)
+        out["contingency"] = {f"{t},{p}": c for (t, p), c in self.contingency.items()}
+        # cutting_level is written as "lambda", still before procedure
+        out["lambda"], out["procedure"] = out.pop("cutting_level"), out.pop("procedure")
+        return out
+
+
+def _labels(block) -> np.ndarray:
+    unlabeled = np.flatnonzero(block.truth == 0)
+    if unlabeled.size:
+        raise EvaluationError(f"pair {block.pair(unlabeled[0])} is unlabeled; label it first")
+    return block.truth
 
 
 def split(block, train_fraction: float, seed: int):
@@ -69,21 +86,16 @@ def split(block, train_fraction: float, seed: int):
     """
     if not 0 < train_fraction < 1:
         raise EvaluationError(f"train fraction must lie in (0, 1), got {train_fraction}")
-    truth = block.truth
-    unlabeled = np.flatnonzero(truth == 0)
-    if unlabeled.size:
-        raise EvaluationError(
-            f"pair {block.pair(unlabeled[0])} is unlabeled; label before splitting"
-        )
+    truth = _labels(block)
     rng = random.Random(seed)
     train, test = [], []
     for label in np.unique(truth).tolist():
         group = np.flatnonzero(truth == label)
-        order = list(range(len(group)))
+        order = array.array("q", range(len(group)))  # 8 bytes an entry, shuffled in place
         rng.shuffle(order)
         n_train = round(train_fraction * len(group))
         chosen = np.zeros(len(group), dtype=bool)
-        chosen[order[:n_train]] = True
+        chosen[np.frombuffer(order, dtype=np.int64)[:n_train]] = True
         train.append(group[chosen])
         test.append(group[~chosen])
     train = np.concatenate(train) if train else np.empty(0, dtype=np.intp)
@@ -97,45 +109,34 @@ def split(block, train_fraction: float, seed: int):
 
 
 def evaluate(predicted, truth, cutting_level=None, procedure: str = "") -> EvalReport:
-    """Confusion report for predicted vs truth category indices.
-
-    Under 2-class truth a predicted C2 counts as an error for both classes.
-    """
+    """Confusion report for predicted vs truth category indices, cells in first-seen order."""
     predicted = np.asarray(predicted, dtype=int)
     truth = np.asarray(truth, dtype=int)
     if predicted.shape != truth.shape:
         raise EvaluationError("predicted and truth lengths differ")
-    if len(predicted) == 0:
-        raise EvaluationError("nothing to evaluate")
-    contingency = {}
-    for t, p in zip(truth.tolist(), predicted.tolist()):
-        contingency[(t, p)] = contingency.get((t, p), 0) + 1
-    correct = int((predicted == truth).sum())
-    pred_c3 = int((predicted == 3).sum())
-    true_c3 = int((truth == 3).sum())
-    hit_c3 = int(((predicted == 3) & (truth == 3)).sum())
-    return EvalReport(
-        accuracy=correct / len(predicted),
-        contingency=contingency,
-        precision_c3=hit_c3 / pred_c3 if pred_c3 else 0.0,
-        recall_c3=hit_c3 / true_c3 if true_c3 else 0.0,
-        missed_links=true_c3 - hit_c3,
-        false_links=pred_c3 - hit_c3,
-        total=len(predicted),
-        cutting_level=cutting_level,
-        procedure=procedure,
-    )
+    n = max(truth.max(initial=0), predicted.max(initial=0)) + 1
+    code = np.ravel_multi_index((truth, predicted), (n, n))  # a negative label is a ValueError
+    cells, first, counts = np.unique(code, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    t, p = np.divmod(cells[order], n)
+    contingency = dict(zip(zip(t.tolist(), p.tolist()), counts[order].tolist()))
+    return EvalReport.from_contingency(contingency, cutting_level, procedure)
 
 
 def lambda_sweep(block, model: ElectreModel, grid, procedure: str = "pessimistic"):
-    """Re-evaluate a fixed model over a grid of cutting levels on a labeled block."""
+    """Re-evaluate a fixed model over a grid of cutting levels on a labeled block.
+
+    Each lambda cuts the kernel rows, weighted by their pairs of each truth
+    label; a report lists its cells sorted by (truth, category).
+    """
     grid = list(grid)
     if not grid:
         raise EvaluationError("empty lambda grid")
+    truth = _labels(block)
     R, kernel_row = block.kernel_rows(model)
-    sig_ab, sig_ba = credibilities(model, R)
-    return [
-        evaluate(assign(sig_ab, sig_ba, lam, procedure)[kernel_row], block.truth,
-                 cutting_level=lam, procedure=procedure)
-        for lam in grid
-    ]
+    n_labels = int(truth.max(initial=0)) + 1
+    pairs = np.bincount(kernel_row * n_labels + truth, minlength=len(R) * n_labels)
+    rows, label = np.divmod(np.flatnonzero(pairs), n_labels)  # one row per (kernel row, truth)
+    counts = cut_counts(*credibilities(model, R[rows]), label, pairs[pairs > 0], grid, procedure)
+    return [EvalReport.from_contingency({(t, c): int(m[t, c]) for t, c in np.argwhere(m).tolist()},
+                                        lam, procedure) for lam, m in zip(grid, counts)]

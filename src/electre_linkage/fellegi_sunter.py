@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -61,16 +61,7 @@ class FsModel:
         return total
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "m_probs": list(self.m_probs),
-                "u_probs": list(self.u_probs),
-                "agreement_thresholds": list(self.agreement_thresholds),
-                "lower": self.lower,
-                "upper": self.upper,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "FsModel":

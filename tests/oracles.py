@@ -3,8 +3,9 @@
 The Electre evaluator below follows the index definitions verbatim with
 plain Python loops; the LP oracle hands the joint problem to a generic
 simplex; the pair-pipeline references (pair building, the stratified split,
-the Fellegi-Sunter fit, the classified-pairs writer) handle one pair at a
-time, as the package did before pairs became columns, and compare each value
+the Fellegi-Sunter fit, the classified-pairs writer, the confusion report)
+handle one pair at a time, as the package did before pairs became columns,
+and compare each value
 pair with the scalar comparators the package used before its whole-table
 grids. None shares code with the package paths they verify, except the
 profile-chain reference: it reuses the package's per-block hinge
@@ -27,6 +28,7 @@ from electre_linkage.calibration import (
     _slacks,
 )
 from electre_linkage.core import ProfileSet
+from electre_linkage.evaluation import EvalReport, EvaluationError
 from electre_linkage.linkage import PairBlock
 from electre_linkage.metrics import ComparatorError
 
@@ -368,6 +370,34 @@ def ref_split(labels, train_fraction, seed):
         for i, k in enumerate(group):
             (train if i in chosen else test).append(k)
     return train, test
+
+
+def ref_evaluate(predicted, truth, cutting_level=None, procedure=""):
+    """The confusion report by one dict update per pair, cells in first-seen order."""
+    predicted = np.asarray(predicted, dtype=int)
+    truth = np.asarray(truth, dtype=int)
+    if predicted.shape != truth.shape:
+        raise EvaluationError("predicted and truth lengths differ")
+    if len(predicted) == 0:
+        raise EvaluationError("nothing to evaluate")
+    contingency = {}
+    for t, p in zip(truth.tolist(), predicted.tolist()):
+        contingency[(t, p)] = contingency.get((t, p), 0) + 1
+    correct = int((predicted == truth).sum())
+    pred_c3 = int((predicted == 3).sum())
+    true_c3 = int((truth == 3).sum())
+    hit_c3 = int(((predicted == 3) & (truth == 3)).sum())
+    return EvalReport(
+        accuracy=correct / len(predicted),
+        contingency=contingency,
+        precision_c3=hit_c3 / pred_c3 if pred_c3 else 0.0,
+        recall_c3=hit_c3 / true_c3 if true_c3 else 0.0,
+        missed_links=true_c3 - hit_c3,
+        false_links=pred_c3 - hit_c3,
+        total=len(predicted),
+        cutting_level=cutting_level,
+        procedure=procedure,
+    )
 
 
 def ref_log_ratio(row, thresholds, m_probs, u_probs):

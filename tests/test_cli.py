@@ -1,10 +1,14 @@
 import csv
 import json
+import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from electre_linkage.cli import main
+
+from oracles import ref_evaluate
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -427,3 +431,56 @@ class TestPipeline:
         code = run(["train", "--config", cfg_path])
         assert code == 1
         assert "epsilon=5.0" in capsys.readouterr().err
+
+
+def write_labels(path, cells):
+    """A classified file with one row per (truth, assigned) label pair."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id_a", "id_b", "sim_NAME", "sigma_b1", "assigned", "truth"])
+        for k, (truth, assigned) in enumerate(cells):
+            writer.writerow([f"a{k}", f"b{k}", 0.5, 0.25, assigned, truth])
+
+
+class TestEvaluateFile:
+    def test_report_matches_per_pair_count(self, tmp_path):
+        rng = random.Random(3)
+        labels = ["C1", "C2", "C3"]
+        # a missed link, then a false link: first-seen order is not sorted order
+        cells = [("C3", "C1"), ("C1", "C3")]
+        cells += [(rng.choice(labels), rng.choice(labels)) for _ in range(500)]
+        classified, out = tmp_path / "classified.csv", tmp_path / "out"
+        write_labels(classified, cells)
+        assert run(["evaluate", "--output-dir", out, "--classified", classified]) == 0
+        ref = ref_evaluate([int(p[1:]) for _, p in cells], [int(t[1:]) for t, _ in cells])
+        assert list(ref.contingency)[:2] == [(3, 1), (1, 3)]
+        expected = {
+            "accuracy": ref.accuracy,
+            "contingency": {f"{t},{p}": c for (t, p), c in ref.contingency.items()},
+            "precision_c3": ref.precision_c3,
+            "recall_c3": ref.recall_c3,
+            "missed_links": ref.missed_links,
+            "false_links": ref.false_links,
+            "total": ref.total,
+            "lambda": None,
+            "procedure": "",
+        }
+        assert (out / "eval_report.json").read_bytes() == json.dumps(expected, indent=2).encode()
+        assert (out / "eval_report.txt").read_text() == "\n".join(ref.lines()) + "\n"
+
+    def test_peak_memory_flat_in_rows(self, tmp_path, capsys):
+        """The rows stream into (truth, assigned) cells: 4x the rows, about the same peak."""
+        peaks = []
+        for n in (20_000, 80_000):
+            classified = tmp_path / f"classified_{n}.csv"
+            write_labels(classified, [("C3", "C3") if k % 50 == 0 else
+                                      ("C1", "C2" if k % 7 else "C1") for k in range(n)])
+            tracemalloc.start()
+            try:
+                assert run(["evaluate", "--output-dir", tmp_path / "out",
+                            "--classified", classified]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert f"pairs evaluated: {n}" in capsys.readouterr().out
+        assert peaks[1] - peaks[0] < 128 * 1024, peaks

@@ -18,6 +18,7 @@ from electre_linkage.core import (
     credibilities,
     credibility,
     criterion_codes,
+    cut_counts,
     global_concordance,
     outranks,
     partial_concordance,
@@ -390,6 +391,40 @@ class TestBatchPath:
         for procedure in ("pessimistic", "optimistic"):
             with pytest.raises(ModelError, match="row 1"):
                 classify_batch(model, X, procedure)
+
+
+class TestCutCounts:
+    def test_counts_each_row_at_each_lambda(self):
+        rng = random.Random(11)
+        for _ in range(30):
+            params = random_model_params(rng)
+            model = model_from_params(params)
+            X = [[rng.uniform(0, 1.2) for _ in range(model.m)] for _ in range(40)]
+            truth = [rng.randint(1, 5) for _ in X]  # past the category count of most models
+            weights = [rng.randint(0, 4) for _ in X]
+            sig_ab, sig_ba = credibilities(model, X)
+            grid = [0.5, 0.6, 0.75, 1.0]
+            for proc in ("pessimistic", "optimistic"):
+                counts = cut_counts(sig_ab, sig_ba, truth, weights, grid, proc)
+                n = max(5, model.category_count) + 1
+                assert counts.shape == (len(grid), n, n) and counts.dtype == np.int64
+                for lam, matrix in zip(grid, counts):
+                    expected = np.zeros((n, n), dtype=np.int64)
+                    for row, t, w in zip(X, truth, weights):
+                        expected[t, ref_assign(row, *params[:5], lam, proc)] += w
+                    assert matrix.tolist() == expected.tolist()
+                unweighted = cut_counts(sig_ab, sig_ba, truth, None, grid, proc)
+                ones = cut_counts(sig_ab, sig_ba, truth, [1] * len(X), grid, proc)
+                assert unweighted.tolist() == ones.tolist()
+                assert (unweighted.sum(axis=(1, 2)) == len(X)).all()
+
+    def test_covers_the_categories_without_truth_labels(self):
+        # every truth label is C1, and rows above every profile still count in the top category
+        model = model_from_params(random_model_params(random.Random(2)))
+        sig_ab, sig_ba = credibilities(model, np.full((3, model.m), 2.0))
+        counts = cut_counts(sig_ab, sig_ba, [1, 1, 1], None, [0.5], "pessimistic")
+        top = model.category_count
+        assert counts.shape[1:] == (top + 1, top + 1) and counts[0, 1, top] == 3
 
 
 class TestCriterionCodes:

@@ -1,5 +1,6 @@
 """The columnar pair pipeline against the per-pair references in oracles.py,
-the lambda grid against one model and one classification per lambda, the
+the lambda grid against one model, one classification and one per-pair
+count per lambda, the confusion report against the per-pair count, the
 chunked kernel against one chunk, and the pooling profile solver against the
 composition enumeration it replaced.
 
@@ -17,7 +18,12 @@ import numpy as np
 import pytest
 
 from electre_linkage import core, linkage
-from electre_linkage.calibration import TrainingSet, estimate_lambda, estimate_profiles
+from electre_linkage.calibration import (
+    TrainingSet,
+    calibrate,
+    estimate_lambda,
+    estimate_profiles,
+)
 from electre_linkage.core import (
     Criterion,
     ElectreModel,
@@ -27,7 +33,7 @@ from electre_linkage.core import (
     credibilities,
 )
 from electre_linkage.datagen import generate_pair_files
-from electre_linkage.evaluation import evaluate, lambda_sweep, split
+from electre_linkage.evaluation import EvaluationError, evaluate, lambda_sweep, split
 from electre_linkage.fellegi_sunter import FsModel, fit_fs
 from electre_linkage.ingest import census_schema, load_table, toy_schema, true_links
 from electre_linkage.linkage import (
@@ -43,6 +49,7 @@ from oracles import (
     random_model_params,
     ref_build_pairs,
     ref_estimate_profiles,
+    ref_evaluate,
     ref_fit_fs,
     ref_log_ratio,
     ref_split,
@@ -212,12 +219,12 @@ def per_lambda_curve(train, criteria, profiles, grid, procedure, epsilon):
 
 
 def per_lambda_sweep(block, model, grid, procedure):
-    """lambda_sweep as it was: a model and a classification per grid point."""
+    """lambda_sweep as it was: a model, a classification and a per-pair count per grid point."""
     reports = []
     for lam in grid:
         m = ElectreModel(model.criteria, model.profiles, lam, model.epsilon)
         cats, _ = classify_batch(m, block.X, procedure)
-        reports.append(evaluate(cats, block.truth, cutting_level=lam, procedure=procedure))
+        reports.append(ref_evaluate(cats, block.truth, cutting_level=lam, procedure=procedure))
     return reports
 
 
@@ -250,16 +257,90 @@ def test_estimate_lambda_matches_per_lambda_models(procedure):
                                            procedure, model.epsilon)
 
 
+SWEEP_GRID = [0.5, 0.55, 0.62, 0.7, 0.75, 0.85, 0.9, 0.95, 1.0]
+
+
+def assert_sorted_sweep(got, ref):
+    """Reports equal in every field, the contingency listed sorted by (truth, category)."""
+    assert got == ref
+    for report in got:
+        assert list(report.contingency.items()) == sorted(report.contingency.items())
+
+
 @pytest.mark.parametrize("procedure", ["pessimistic", "optimistic"])
 def test_lambda_sweep_matches_per_lambda_models(procedure):
-    grid = [0.5, 0.55, 0.62, 0.7, 0.75, 0.85, 0.9, 0.95, 1.0]
     for seed in range(40):
         model, X, y = noisy_labeled_model(seed)
         block = block_from_columns(("a",), tuple(range(len(y))), np.zeros(len(y)),
                                    np.arange(len(y)), X, y)
-        assert lambda_sweep(block, model, grid, procedure) == per_lambda_sweep(
-            block, model, grid, procedure
-        )
+        assert_sorted_sweep(lambda_sweep(block, model, SWEEP_GRID, procedure),
+                            per_lambda_sweep(block, model, SWEEP_GRID, procedure))
+
+
+@pytest.mark.parametrize("procedure", ["pessimistic", "optimistic"])
+def test_lambda_sweep_counts_shared_kernel_rows_per_pair(procedure):
+    """300 pairs over at most 12 distinct rows, with truth labels 1..5 whatever the
+    model's category count: each kernel row counts once per truth label it carries."""
+    two_categories = False
+    for seed in range(40):
+        model, X, _ = noisy_labeled_model(seed)
+        two_categories |= model.category_count == 2
+        rng = np.random.default_rng(seed)
+        rows, truth = rng.integers(0, 12, size=300), rng.integers(1, 6, size=300)
+        block = block_from_columns(("a",), tuple(range(300)), np.zeros(300), np.arange(300),
+                                   X[rows], truth)
+        assert len(block.kernel_rows(model)[0]) <= 12
+        assert_sorted_sweep(lambda_sweep(block, model, SWEEP_GRID, procedure),
+                            per_lambda_sweep(block, model, SWEEP_GRID, procedure))
+    assert two_categories
+
+
+@pytest.mark.filterwarnings("ignore:category C2 has no training examples")
+@pytest.mark.parametrize("policy", ["two_class", "banded"])
+@pytest.mark.parametrize("procedure", ["pessimistic", "optimistic"])
+def test_lambda_sweep_on_test_split_matches_per_pair(tables, policy, procedure):
+    """The sweep command's path: a model calibrated on the training split, swept on the rest."""
+    schema, a, b = tables
+    block = label_pairs(build_pairs(a, b, schema), true_links(a, b), policy)
+    train, test = split(block, 0.5, 0)
+    model, _, _ = calibrate(train, procedure=procedure)
+    assert_sorted_sweep(lambda_sweep(test, model, SWEEP_GRID, procedure),
+                        per_lambda_sweep(test, model, SWEEP_GRID, procedure))
+
+
+def assert_same_report(got, ref):
+    """Every field equal, and the contingency in the same order."""
+    assert list(got.contingency.items()) == list(ref.contingency.items())
+    assert got == ref
+    assert all(type(x) is int for cell, n in got.contingency.items() for x in (*cell, n))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_evaluate_matches_per_pair_count(seed):
+    """Random labels from random subsets of 1..5, so most cells stay empty."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 400))
+    truth_labels = rng.choice(np.arange(1, 6), size=int(rng.integers(1, 6)), replace=False)
+    predicted_labels = rng.choice(np.arange(1, 6), size=int(rng.integers(1, 6)), replace=False)
+    truth, predicted = rng.choice(truth_labels, n), rng.choice(predicted_labels, n)
+    lam = float(rng.uniform(0.5, 1.0))
+    assert_same_report(evaluate(predicted, truth, lam, "optimistic"),
+                       ref_evaluate(predicted, truth, lam, "optimistic"))
+    assert_same_report(evaluate(predicted.tolist(), truth.tolist()),
+                       ref_evaluate(predicted.tolist(), truth.tolist()))
+
+
+def test_evaluate_single_row_matches_per_pair_count():
+    for t in range(1, 6):
+        for p in range(1, 6):
+            assert_same_report(evaluate([p], [t]), ref_evaluate([p], [t]))
+
+
+def test_evaluate_rejects_what_the_per_pair_count_rejects():
+    for predicted, truth in (([], []), ([1], [1, 3])):
+        for scorer in (evaluate, ref_evaluate):
+            with pytest.raises(EvaluationError):
+                scorer(predicted, truth)
 
 
 # --- the kernel over row chunks against one chunk ---

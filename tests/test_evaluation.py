@@ -75,7 +75,7 @@ class TestSplit:
 
     def test_unlabeled_rejected(self):
         pairs = block([(("a", "b"), (0.5,), 0)])
-        with pytest.raises(EvaluationError):
+        with pytest.raises(EvaluationError, match=r"pair \('a', 'b'\) is unlabeled"):
             split(pairs, 0.5, seed=0)
 
 
@@ -109,6 +109,11 @@ class TestEvaluate:
         text = "\n".join(rep.lines())
         assert "lambda = 0.5" in text
         assert "accuracy" in text
+
+    def test_negative_label_rejected(self):
+        # labels are category indices; a negative one used to get a contingency cell
+        with pytest.raises(ValueError):
+            evaluate([1, -1], [1, 1])
 
     def test_length_mismatch(self):
         with pytest.raises(EvaluationError):
@@ -145,6 +150,17 @@ class TestLambdaSweep:
         for lam in (0.4, 1.01, float("nan")):
             with pytest.raises(ModelError, match="cutting level"):
                 lambda_sweep(synthetic_pairs(2, 2), self.model(), [0.5, lam])
+
+    def test_unlabeled_pairs_rejected(self):
+        # they used to be scored as truth 0, an error at every lambda
+        pairs = block([(("a", "b"), (0.95,), 3), (("a", "c"), (0.05,), 0),
+                       (("a", "d"), (0.5,), 0)])
+        with pytest.raises(EvaluationError, match=r"pair \('a', 'c'\) is unlabeled"):
+            lambda_sweep(pairs, self.model(), [0.5, 0.7])
+
+    def test_empty_block(self):
+        with pytest.raises(EvaluationError, match="nothing to evaluate"):
+            lambda_sweep(synthetic_pairs(2, 2).take([]), self.model(), [0.5])
 
     def test_empty_grid(self):
         with pytest.raises(EvaluationError):
