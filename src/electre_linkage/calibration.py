@@ -3,7 +3,8 @@
 Profiles come from a hinge-loss linear program that decomposes criterion by
 criterion, each criterion's profile chain resolved by one pool-adjacent-
 violators pass; thresholds from range fractions; the cutting level from a
-grid search on training accuracy.
+grid search on training accuracy. Every step reads the training rows through
+per-(value, category) counts or their kernel rows, never as an (n, m) matrix.
 """
 
 from __future__ import annotations
@@ -11,10 +12,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .core import Criterion, ElectreModel, ProfileSet, credibilities, cut_counts
+from .core import (Criterion, ElectreModel, ProfileSet, credibilities, cut_counts, kernel_rows,
+                   label_cells)
 
 __all__ = [
     "TrainingSet",
@@ -40,70 +44,115 @@ class EpsilonInfeasibleError(CalibrationError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
 class TrainingSet:
-    """Labeled performances: X of shape (n, m), category indices y in 1..category_count."""
+    """Labeled performances, held per criterion as the distinct values it takes
+    and each row's int32 index into them; y holds category indices in
+    1..category_count.
 
-    X: np.ndarray
-    y: np.ndarray
-    category_count: int
+    TrainingSet(X, y, category_count) takes an (n, m) matrix; from_columns takes
+    per criterion (values, take) as PairBlock.columns gives them. Calibration
+    reads the rows through per-(value, category) counts and kernel rows; X is
+    gathered only when asked for.
+    """
 
-    def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        y = np.asarray(self.y, dtype=int)
+    def __init__(self, X, y, category_count: int):
+        X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[0] == 0:
             raise CalibrationError("training set is empty")
-        if y.shape != (X.shape[0],):
-            raise CalibrationError(f"{y.shape} labels for {X.shape[0]} performance rows")
-        bad = (y < 1) | (y > self.category_count)
+        columns = []
+        for col in X.T:  # distinct by bit pattern, so X comes back bitwise
+            bits, index = np.unique(col.view(np.int64), return_inverse=True)
+            columns.append((bits.view(np.float64), index.astype(np.int32)))
+        self._init(columns, y, category_count)
+
+    @classmethod
+    def from_columns(cls, columns, y, category_count: int) -> "TrainingSet":
+        train = cls.__new__(cls)
+        train._init([(values, take(np.arange(len(values), dtype=np.int32)))
+                     for values, take in columns], y, category_count)
+        return train
+
+    def _init(self, columns, y, category_count):
+        """columns: per criterion (distinct values, each row's index into them)."""
+        y = np.asarray(y, dtype=int)
+        n = len(columns[0][1]) if columns else 0
+        if n == 0:
+            raise CalibrationError("training set is empty")
+        if y.shape != (n,):
+            raise CalibrationError(f"{y.shape} labels for {n} performance rows")
+        bad = (y < 1) | (y > category_count)
         if bad.any():
+            raise CalibrationError(f"category index {y[bad][0]} outside 1..{category_count}")
+        self.values, self.index = tuple(v for v, _ in columns), tuple(i for _, i in columns)
+        self.y, self.category_count = y, category_count
+        bad = np.zeros(n, dtype=bool)
+        for values, index in columns:
+            if not np.isfinite(values).all():
+                bad |= ~np.isfinite(values)[index]
+        if bad.any():
+            row = int(np.argmax(bad))
             raise CalibrationError(
-                f"category index {y[bad][0]} outside 1..{self.category_count}"
-            )
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "y", y)
+                f"training row {row} is not finite: {[v[i[row]] for v, i in columns]}")
 
     @property
     def criterion_count(self) -> int:
-        return self.X.shape[1]
+        return len(self.values)
+
+    @property
+    def X(self) -> np.ndarray:
+        """The (n, m) performance matrix, gathered from the columns."""
+        return np.column_stack([v[i] for v, i in zip(self.values, self.index)])
+
+    @cached_property
+    def histograms(self) -> list:
+        """Per criterion (values, counts): the values the rows take, ascending, and
+        counts[i, h - 1] the rows of category h at values[i]; one bincount each."""
+        p, out = self.category_count, []
+        for values, index in zip(self.values, self.index):
+            counts = np.bincount(index * p + (self.y - 1), minlength=len(values) * p)
+            counts = counts.reshape(len(values), p)
+            taken = np.flatnonzero(counts.any(axis=1))
+            order = taken[np.argsort(values[taken], kind="stable")]
+            out.append((values[order], counts[order]))
+        return out
+
+    def columns(self) -> list:
+        """Per criterion (values, take), as PairBlock.columns gives them."""
+        return [(v, lambda per_value, rows=slice(None), i=i: per_value[i[rows]])
+                for v, i in zip(self.values, self.index)]
 
 
 @dataclass(frozen=True)
 class LpSolution:
     profiles: ProfileSet
-    objective: float
-    errors: np.ndarray  # theta, shape (n alternatives, m criteria)
+    objective: float  # the summed slacks, exact up to one rounding
 
 
-def _hinge_minimum(uppers, lowers, clamp_lo, clamp_hi):
-    """Minimize f(t) = sum (u - t)+ + sum (t - l)+ over t.
+def _hinge_minimum(points, uppers, lowers, clamp_lo, clamp_hi):
+    """Minimize f(t) = sum of uppers[i] * (points[i] - t)+ + lowers[i] * (t - points[i])+.
 
-    Returns (lo, hi, value): the flat optimal interval and its objective.
-    The interval of an unconstrained side is clamped to the data range so a
-    midpoint is always defined.
+    Returns (lo, hi): the flat optimal interval. t is optimal exactly when
+    #(lowers < t) - #(uppers >= t) <= 0 <= #(lowers <= t) - #(uppers > t), which
+    the integer counts decide at every breakpoint without rounding. The interval
+    of an unconstrained side is clamped to the data range so a midpoint is
+    always defined.
     """
-    U = np.sort(np.asarray(uppers, dtype=float))
-    L = np.sort(np.asarray(lowers, dtype=float))
-    pts = np.unique(np.concatenate([U, L]))
+    taken = (uppers > 0) | (lowers > 0)
+    pts, at = np.unique(points[taken], return_inverse=True)
     if pts.size == 0:
-        return clamp_lo, clamp_hi, 0.0
-
-    cum_u = np.concatenate([[0.0], np.cumsum(U)])
-    cum_l = np.concatenate([[0.0], np.cumsum(L)])
-    iu = np.searchsorted(U, pts, side="right")
-    il = np.searchsorted(L, pts, side="left")
-    # sum of (u - t)+ plus sum of (t - l)+ at every breakpoint
-    vals = (cum_u[-1] - cum_u[iu]) - (U.size - iu) * pts + il * pts - cum_l[il]
-    best = float(vals.min())
-    flat = np.flatnonzero(vals <= best + 1e-12 * max(1.0, abs(best)))
-    lo = float(pts[flat[0]])
-    hi = float(pts[flat[-1]])
+        return clamp_lo, clamp_hi
+    up = np.bincount(at, uppers[taken], minlength=pts.size).astype(np.int64)
+    low = np.bincount(at, lowers[taken], minlength=pts.size).astype(np.int64)
+    lows_to = np.cumsum(low)  # #(lowers <= t)
+    ups_past = up.sum() - np.cumsum(up)  # #(uppers > t)
+    flat = np.flatnonzero((lows_to - low - ups_past - up <= 0) & (lows_to - ups_past >= 0))
+    lo, hi = float(pts[flat[0]]), float(pts[flat[-1]])
     # the optimum may extend past the extreme breakpoints when one side is empty
-    if L.size == 0:
+    if not low.any():
         hi = max(hi, clamp_hi)
-    if U.size == 0:
+    if not up.any():
         lo = min(lo, clamp_lo)
-    return lo, hi, best
+    return lo, hi
 
 
 def _monotone_selection(intervals):
@@ -141,15 +190,13 @@ def estimate_profiles(train: TrainingSet, epsilon: float = DEFAULT_EPSILON) -> L
     pooled in while some earlier block's lower end exceeds the new block's
     upper end, so at most 2p - 3 hinge minimizations per criterion. The
     blocks' values are then the interval midpoints, as far as the chain allows.
+    Each hinge sum is weighted by the per-(value, category) counts.
     """
     if not 0 < epsilon < math.inf:
         raise CalibrationError(f"epsilon must be positive and finite, got {epsilon}")
     p = train.category_count
-    m = train.criterion_count
-    X, y = train.X, train.y
-
-    counts = np.bincount(y, minlength=p + 1)[1:]
-    for h, c in enumerate(counts, start=1):
+    nprof = p - 1
+    for h, c in enumerate(np.bincount(train.y, minlength=p + 1)[1:], start=1):
         if c == 0:
             warnings.warn(
                 f"category C{h} has no training examples; adjacent profiles are "
@@ -157,36 +204,39 @@ def estimate_profiles(train: TrainingSet, epsilon: float = DEFAULT_EPSILON) -> L
                 stacklevel=2,
             )
 
-    nprof = p - 1
     profile_cols = []
-    for j in range(m):
-        g = X[:, j]
-        span = g.max() - g.min()
+    for j, (v, counts) in enumerate(train.histograms):
+        span = v[-1] - v[0]
         if p > 2 and epsilon * (p - 2) > span:
             raise EpsilonInfeasibleError(
                 f"epsilon={epsilon} infeasible on criterion {j}: "
                 f"{p - 2} spacing gaps exceed the performance range {span:.6g}"
             )
         # shift to y-space where the chain constraint is plain monotonicity:
-        # y_h = x_h - (h-1) * epsilon
-        uppers = [g[y == h] - (h - 1) * epsilon for h in range(1, nprof + 1)]
-        lowers = [g[y == h + 1] - (h - 1) * epsilon for h in range(1, nprof + 1)]
-        clamp_lo = g.min() - (nprof - 1) * epsilon
-        clamp_hi = g.max()
+        # y_h = x_h - (h-1) * epsilon; profile h bounds category h from above
+        # and category h + 1 from below
+        shifted = [v - h * epsilon for h in range(nprof)]
+        clamp_lo = v[0] - (nprof - 1) * epsilon
+        clamp_hi = v[-1]
+
+        def hinge(start, end):  # the pooled block of profiles start..end-1
+            blocks = range(start, end)
+            return _hinge_minimum(
+                np.concatenate([shifted[h] for h in blocks]),
+                np.concatenate([counts[:, h] for h in blocks]),
+                np.concatenate([counts[:, h + 1] for h in blocks]),
+                clamp_lo,
+                clamp_hi,
+            )
 
         # merge only while no nondecreasing selection from the intervals exists
         blocks = []  # (first profile, end profile, lo, hi)
         for h in range(nprof):
             start = h
-            lo, hi, _ = _hinge_minimum(uppers[h], lowers[h], clamp_lo, clamp_hi)
+            lo, hi = hinge(h, h + 1)
             while blocks and max(b[2] for b in blocks) > hi:
                 start = blocks.pop()[0]
-                lo, hi, _ = _hinge_minimum(
-                    np.concatenate(uppers[start:h + 1]),
-                    np.concatenate(lowers[start:h + 1]),
-                    clamp_lo,
-                    clamp_hi,
-                )
+                lo, hi = hinge(start, h + 1)
             blocks.append((start, h + 1, lo, hi))
         vals = _monotone_selection([(lo, hi) for _, _, lo, hi in blocks])
         profile_cols.append([
@@ -195,26 +245,23 @@ def estimate_profiles(train: TrainingSet, epsilon: float = DEFAULT_EPSILON) -> L
             for h in range(start, end)
         ])
 
-    prof_matrix = tuple(
-        tuple(profile_cols[j][h] for j in range(m)) for h in range(nprof)
-    )
-    theta = _slacks(X, y, prof_matrix, p)
-    return LpSolution(ProfileSet(prof_matrix), float(theta.sum()), theta)
+    prof_matrix = tuple(zip(*profile_cols))
+    return LpSolution(ProfileSet(prof_matrix), _objective(train, prof_matrix))
 
 
-def _slacks(X: np.ndarray, y: np.ndarray, profiles, p: int) -> np.ndarray:
-    """theta_j(a_k) = max(0, overshoot of the upper profile, undershoot of the lower)."""
+def _objective(train: TrainingSet, profiles) -> float:
+    """The summed slacks, theta_j(a) = max(0, overshoot of a's upper profile,
+    undershoot of its lower one), added exactly per (value, category) cell times
+    its count and rounded once."""
     B = np.asarray(profiles, dtype=float)
-    theta = np.zeros_like(X)
-    # np.where(v > t, v, t) keeps Python's max(t, v) choice between equal values
-    below_top = y != p
-    over = X[below_top] - B[y[below_top] - 1]
-    theta[below_top] = np.where(over > 0.0, over, 0.0)
-    above_bottom = y != 1
-    under = B[y[above_bottom] - 2] - X[above_bottom]
-    t = theta[above_bottom]
-    theta[above_bottom] = np.where(under > t, under, t)
-    return theta
+    total = Fraction(0)
+    for j, (v, counts) in enumerate(train.histograms):
+        theta = np.zeros(counts.shape)
+        theta[:, :-1] = np.maximum(v[:, None] - B[:, j], 0.0)  # categories 1..p-1
+        theta[:, 1:] = np.maximum(theta[:, 1:], B[:, j] - v[:, None])  # categories 2..p
+        cells = (theta > 0) & (counts > 0)
+        total += sum(Fraction(t) * c for t, c in zip(theta[cells].tolist(), counts[cells].tolist()))
+    return float(total)
 
 
 def estimate_thresholds(
@@ -227,8 +274,7 @@ def estimate_thresholds(
         raise CalibrationError(
             f"need 0 <= q_fraction <= p_fraction <= 1, got {q_fraction}, {p_fraction}"
         )
-    X = train.X
-    ranges = X.max(axis=0) - X.min(axis=0)
+    ranges = [v[-1] - v[0] for v, _ in train.histograms]
     return [(q_fraction * r, p_fraction * r) for r in ranges]
 
 
@@ -243,11 +289,11 @@ def estimate_lambda(
     """Grid-search the cutting level on training accuracy.
 
     Ties break toward the largest lambda. Returns (best_lambda, curve) where
-    curve is the [(lambda, accuracy)] list over the grid.
+    curve is the [(lambda, accuracy)] list over the grid. The rows are cut as
+    their kernel rows, each (kernel row, category) cell weighted by its rows.
     """
     if not 0 < grid_step <= 0.5:
         raise CalibrationError(f"grid step must lie in (0, 0.5], got {grid_step}")
-    X, y = train.X, train.y
     grid = []
     lam = 0.5
     while lam < 1.0 - 1e-12:
@@ -256,9 +302,11 @@ def estimate_lambda(
     grid.append(1.0)
 
     # the credibilities do not depend on lambda; only the cut does
-    sig_ab, sig_ba = credibilities(ElectreModel(criteria, profiles, 1.0, epsilon), X)
-    counts = cut_counts(sig_ab, sig_ba, y, None, grid, procedure)
-    curve = [(lam, float(np.trace(c) / len(y))) for lam, c in zip(grid, counts)]
+    model = ElectreModel(criteria, profiles, 1.0, epsilon)
+    R, kernel_row = kernel_rows(model, train.columns(), len(train.y))
+    rows, label, count = label_cells(kernel_row, train.y, len(R))
+    counts = cut_counts(*credibilities(model, R[rows]), label, count, grid, procedure)
+    curve = [(lam, float(np.trace(c) / len(train.y))) for lam, c in zip(grid, counts)]
     return max(reversed(curve), key=lambda point: point[1])[0], curve
 
 

@@ -19,7 +19,7 @@ from . import datagen, linkage
 from .calibration import calibrate
 from .core import ElectreModel
 from .evaluation import EvalReport, EvaluationError, lambda_sweep, split
-from .fellegi_sunter import fit_fs
+from .fellegi_sunter import agreement_patterns, fit_patterns
 from .ingest import LinkageSchema, census_schema, load_table, true_links
 from .linkage import build_pairs, label_pairs, write_classified
 
@@ -161,7 +161,7 @@ def cmd_train(args) -> int:
         procedure=cal["procedure"],
         criterion_names=schema.field_names,
     )
-    fs = fit_fs(train.X, train.y)
+    fs = fit_patterns(*agreement_patterns(train.columns(), len(train.y)), train.y)
     (out / "electre_model.json").write_text(model.to_json(), encoding="utf-8")
     (out / "fs_model.json").write_text(fs.to_json(), encoding="utf-8")
     lines = [

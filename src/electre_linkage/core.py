@@ -31,6 +31,9 @@ __all__ = [
     "assign_optimistic",
     "credibilities",
     "criterion_codes",
+    "distinct_rows",
+    "kernel_rows",
+    "label_cells",
     "assign",
     "cut_counts",
     "classify_batch",
@@ -144,8 +147,9 @@ class ElectreModel:
                 raise ModelError("profile row length != criterion count")
             if any(map(_is_bool, row)) or not all(map(math.isfinite, row)):
                 raise ModelError(f"profile values must be finite numbers, got {row}")
-        if _is_bool(self.epsilon) or not math.isfinite(self.epsilon):
-            raise ModelError(f"epsilon must be a finite number, got {self.epsilon}")
+        # the profiles' separation and both assignment scans assume a positive epsilon
+        if _is_bool(self.epsilon) or not math.isfinite(self.epsilon) or self.epsilon <= 0:
+            raise ModelError(f"epsilon must be a positive finite number, got {self.epsilon}")
         self.profiles.check_separation(self.epsilon, self.sign)
 
     @property
@@ -290,6 +294,60 @@ def criterion_codes(model: ElectreModel, j: int, values):
     codes = np.empty(len(x), dtype=np.intp)
     codes[order] = np.cumsum(first) - 1
     return codes, x[order[first]]
+
+
+def distinct_rows(columns, n: int):
+    """(row, inverse): one row of each distinct combination of column states, and
+    each of the n rows' index into them.
+
+    columns holds one (state, take) per column: state[i] is the integer state of
+    the column's i-th distinct value, and take(per_value, rows) gathers a
+    per-value array at the values of the given rows (all rows by default). The
+    states are combined into one mixed-radix int64 key per row, renumbered
+    whenever the next digit would overflow it; distinct rows are numbered in
+    key order.
+    """
+    key, radix = np.zeros(n, dtype=np.int64), 1
+    for state, take in columns:
+        size = int(state.max(initial=0)) + 1
+        if radix * size > 1 << 63:  # the next digit would overflow: renumber
+            distinct, key = np.unique(key, return_inverse=True)
+            radix = len(distinct)
+        key = key * size + take(state)
+        radix *= size
+    if radix <= 2 * n:  # a count per possible key is cheaper than sorting the keys
+        taken = np.bincount(key, minlength=radix) > 0
+        inverse, count = (np.cumsum(taken) - 1)[key], int(taken.sum())
+    else:
+        distinct, inverse = np.unique(key, return_inverse=True)
+        count = len(distinct)
+    row = np.empty(count, dtype=np.intp)
+    row[inverse] = np.arange(n)  # any row of each distinct row will do
+    return row, inverse
+
+
+def kernel_rows(model: ElectreModel, columns, n: int):
+    """(R, kernel_row): the distinct kernel inputs of n rows and each row's index into R.
+
+    columns holds one (values, take) per criterion, as for distinct_rows but with
+    the raw distinct values. Values are coded by criterion_codes, so
+    classify_batch(model, R) gathered by kernel_row equals classify_batch on the
+    rows themselves, bitwise.
+    """
+    if len(columns) != model.m:
+        raise ModelError(f"the rows have {len(columns)} fields, model has {model.m} criteria")
+    codes = [criterion_codes(model, j, values) for j, (values, _) in enumerate(columns)]
+    row, kernel_row = distinct_rows([(c, take) for (c, _), (_, take) in zip(codes, columns)], n)
+    R = np.column_stack([reps[take(c, row)] for (c, reps), (_, take) in zip(codes, columns)])
+    return R, kernel_row
+
+
+def label_cells(row_of, labels, n_rows: int):
+    """(rows, label, count) of each nonempty (distinct row, label) cell, by row then label."""
+    n_labels = int(labels.max(initial=0)) + 1
+    cells = np.bincount(row_of * n_labels + labels, minlength=n_rows * n_labels)
+    rows, label = np.divmod(np.flatnonzero(cells), n_labels)
+    return rows, label, cells[cells > 0]
 
 
 def _checked_rows(model: ElectreModel, performances) -> np.ndarray:

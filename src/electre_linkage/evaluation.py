@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .calibration import TrainingSet
-from .core import ElectreModel, credibilities, cut_counts
+from .core import ElectreModel, credibilities, cut_counts, label_cells
 
 __all__ = ["EvalReport", "EvaluationError", "split", "evaluate", "lambda_sweep"]
 
@@ -104,7 +104,7 @@ def split(block, train_fraction: float, seed: int):
         raise EvaluationError(
             "training split contains no links; increase train_fraction"
         )
-    training = TrainingSet(block.take(train).X, truth[train], category_count=3)
+    training = TrainingSet.from_columns(block.take(train).columns(), truth[train], 3)
     return training, block.take(test)
 
 
@@ -134,9 +134,7 @@ def lambda_sweep(block, model: ElectreModel, grid, procedure: str = "pessimistic
         raise EvaluationError("empty lambda grid")
     truth = _labels(block)
     R, kernel_row = block.kernel_rows(model)
-    n_labels = int(truth.max(initial=0)) + 1
-    pairs = np.bincount(kernel_row * n_labels + truth, minlength=len(R) * n_labels)
-    rows, label = np.divmod(np.flatnonzero(pairs), n_labels)  # one row per (kernel row, truth)
-    counts = cut_counts(*credibilities(model, R[rows]), label, pairs[pairs > 0], grid, procedure)
+    rows, label, pairs = label_cells(kernel_row, truth, len(R))
+    counts = cut_counts(*credibilities(model, R[rows]), label, pairs, grid, procedure)
     return [EvalReport.from_contingency({(t, c): int(m[t, c]) for t, c in np.argwhere(m).tolist()},
                                         lam, procedure) for lam, m in zip(grid, counts)]

@@ -12,9 +12,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import CHUNK_ROWS, ModelError, criterion_codes
+from .core import CHUNK_ROWS, kernel_rows
 from .core import classify_batch  # noqa: F401 - cli classifies through here
-from .fellegi_sunter import fit_fs
+from .fellegi_sunter import agreement_patterns, fit_patterns
 from .ingest import LinkageSchema, RecordTable
 
 __all__ = [
@@ -55,36 +55,22 @@ class PairBlock:
             X[:, j] = table[code_a[ia], code_b[ib]]
         return X
 
-    def kernel_rows(self, model) -> tuple:
-        """(R, kernel_row): the distinct kernel inputs and each row's index into R.
-
-        Each field's table cells are coded by the criterion codes of their
-        values (core.criterion_codes), so classify_batch(model, R) gathered by
-        kernel_row equals classify_batch(model, self.X), bitwise.
-        """
-        if len(self.fields) != model.m:
-            raise ModelError(
-                f"the pairs have {len(self.fields)} fields, model has {model.m} criteria"
-            )
+    def columns(self) -> list:
+        """Per field (values, take): the table's distinct values (by bit pattern) and
+        take(per_value, rows) gathering a per-value array at the given rows' cells."""
         ia, ib = np.divmod(self.rows, len(self.ids_b))
-        key, radix, states = np.zeros(len(self.rows), dtype=np.int64), 1, []
-        for j, (code_a, code_b, table) in enumerate(self.fields):
+
+        def column(code_a, code_b, table):
             values, cell = _distinct_cells(table)
-            codes, reps = criterion_codes(model, j, values)
-            if radix * len(reps) > 1 << 63:  # the next digit would overflow: renumber
-                distinct, key = np.unique(key, return_inverse=True)
-                radix = len(distinct)
-            state = codes[cell]
-            key = key * len(reps) + state[code_a[ia], code_b[ib]]
-            radix *= len(reps)
-            states.append((code_a, code_b, state, reps))
-        distinct, kernel_row = np.unique(key, return_inverse=True)
-        row = np.empty(len(distinct), dtype=np.intp)
-        row[kernel_row] = np.arange(len(key))  # any row of each kernel row will do
-        ia, ib = ia[row], ib[row]
-        R = np.column_stack([reps[state[code_a[ia], code_b[ib]]]
-                             for code_a, code_b, state, reps in states])
-        return R, kernel_row
+            return values, lambda per_value, rows=slice(None): (
+                per_value[cell][code_a[ia[rows]], code_b[ib[rows]]])
+
+        return [column(*field) for field in self.fields]
+
+    def kernel_rows(self, model) -> tuple:
+        """(R, kernel_row): the distinct kernel inputs and each row's index into R
+        (core.kernel_rows over the table cells' values)."""
+        return kernel_rows(model, self.columns(), len(self.rows))
 
     def pair(self, row: int) -> tuple:
         i, k = divmod(int(self.rows[row]), len(self.ids_b))
@@ -134,6 +120,7 @@ def label_pairs(block: PairBlock, links, policy: str = "two_class", fs_model=Non
     two_class: linked pairs are C3, everything else C1. banded: nonlink
     pairs whose Fellegi-Sunter log ratio falls inside [Lower, Upper] get C2;
     the baseline is fs_model, or else fitted on the block's two-class labels.
+    The ratio is computed once per agreement pattern of the pairs.
     """
     if policy not in LABEL_POLICIES:
         raise ValueError(f"unknown label policy {policy!r}")
@@ -146,11 +133,13 @@ def label_pairs(block: PairBlock, links, policy: str = "two_class", fs_model=Non
     is_link = linked.ravel()[block.rows]
     truth = np.where(is_link, 3, 1).astype(np.int8)
     if policy == "banded":
-        X = block.X
+        thresholds = fs_model.agreement_thresholds if fs_model is not None else None
+        P, pattern = agreement_patterns(block.columns(), len(block), thresholds)
         if fs_model is None:
-            fs_model = fit_fs(X, truth)
-        score = fs_model.log_ratio(X)
-        truth[~is_link & (fs_model.lower <= score) & (score <= fs_model.upper)] = 2
+            fs_model = fit_patterns(P, pattern, truth)
+        score = fs_model.log_ratio(P)
+        band = (fs_model.lower <= score) & (score <= fs_model.upper)
+        truth[~is_link & band[pattern]] = 2
     return replace(block, truth=truth)
 
 

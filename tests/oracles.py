@@ -9,8 +9,9 @@ and compare each value
 pair with the scalar comparators the package used before its whole-table
 grids. None shares code with the package paths they verify, except the
 profile-chain reference: it reuses the package's per-block hinge
-minimization, interval selection and slacks, and replaces only the pooling
-pass by trying every pooled-block composition.
+interval selection and replaces the pooling pass by trying every pooled-block
+composition; its hinge minimization and slacks below are the package's own
+before calibration read the rows through counts.
 """
 
 import csv
@@ -21,12 +22,7 @@ import random
 import numpy as np
 from scipy.optimize import linprog
 
-from electre_linkage.calibration import (
-    LpSolution,
-    _hinge_minimum,
-    _monotone_selection,
-    _slacks,
-)
+from electre_linkage.calibration import LpSolution, _monotone_selection
 from electre_linkage.core import ProfileSet
 from electre_linkage.evaluation import EvalReport, EvaluationError
 from electre_linkage.linkage import PairBlock
@@ -159,12 +155,66 @@ def joint_lp_objective(X, labels, p, epsilon):
     return res.fun
 
 
-def ref_estimate_profiles(train, epsilon):
-    """Profile estimation with each criterion's chain resolved by brute force.
+def _hinge_minimum(uppers, lowers, clamp_lo, clamp_hi):
+    """Minimize f(t) = sum (u - t)+ + sum (t - l)+ over t.
+
+    Returns (lo, hi, value): the flat optimal interval and its objective, the
+    interval being the breakpoints whose value is within a relative 1e-12 of
+    the least. The interval of an unconstrained side is clamped to the data
+    range so a midpoint is always defined.
+    """
+    U = np.sort(np.asarray(uppers, dtype=float))
+    L = np.sort(np.asarray(lowers, dtype=float))
+    pts = np.unique(np.concatenate([U, L]))
+    if pts.size == 0:
+        return clamp_lo, clamp_hi, 0.0
+
+    cum_u = np.concatenate([[0.0], np.cumsum(U)])
+    cum_l = np.concatenate([[0.0], np.cumsum(L)])
+    iu = np.searchsorted(U, pts, side="right")
+    il = np.searchsorted(L, pts, side="left")
+    # sum of (u - t)+ plus sum of (t - l)+ at every breakpoint
+    vals = (cum_u[-1] - cum_u[iu]) - (U.size - iu) * pts + il * pts - cum_l[il]
+    best = float(vals.min())
+    flat = np.flatnonzero(vals <= best + 1e-12 * max(1.0, abs(best)))
+    lo = float(pts[flat[0]])
+    hi = float(pts[flat[-1]])
+    # the optimum may extend past the extreme breakpoints when one side is empty
+    if L.size == 0:
+        hi = max(hi, clamp_hi)
+    if U.size == 0:
+        lo = min(lo, clamp_lo)
+    return lo, hi, best
+
+
+def _slacks(X: np.ndarray, y: np.ndarray, profiles, p: int) -> np.ndarray:
+    """theta_j(a_k) = max(0, overshoot of the upper profile, undershoot of the lower)."""
+    B = np.asarray(profiles, dtype=float)
+    theta = np.zeros_like(X)
+    # np.where(v > t, v, t) keeps Python's max(t, v) choice between equal values
+    below_top = y != p
+    over = X[below_top] - B[y[below_top] - 1]
+    theta[below_top] = np.where(over > 0.0, over, 0.0)
+    above_bottom = y != 1
+    under = B[y[above_bottom] - 2] - X[above_bottom]
+    t = theta[above_bottom]
+    theta[above_bottom] = np.where(under > t, under, t)
+    return theta
+
+
+def ref_slacks(train, profiles):
+    """The (n, m) slacks of the training rows against the profile values."""
+    return _slacks(train.X, train.y, profiles.values, train.category_count)
+
+
+def ref_estimate_profiles(train, epsilon, pool=False):
+    """Profile estimation from the rows of train.X, each chain resolved by brute force.
 
     Tries all 2^(p-2) compositions of the profile chain into consecutive
     pooled blocks, most-split first, and keeps the first feasible one of
     least objective, so objective ties keep per-profile intervals apart.
+    With pool set, runs the package's left-to-right pooling pass instead, as
+    it was before calibration read the rows through counts.
     """
     p = train.category_count
     m = train.criterion_count
@@ -177,6 +227,25 @@ def ref_estimate_profiles(train, epsilon):
         lowers = [g[y == h + 1] - (h - 1) * epsilon for h in range(1, nprof + 1)]
         clamp_lo = g.min() - (nprof - 1) * epsilon
         clamp_hi = g.max()
+
+        def hinge(start, end):
+            return _hinge_minimum(np.concatenate(uppers[start:end]),
+                                  np.concatenate(lowers[start:end]), clamp_lo, clamp_hi)
+
+        if pool:
+            blocks = []  # (first profile, end profile, lo, hi)
+            for h in range(nprof):
+                start = h
+                lo, hi, _ = hinge(h, h + 1)
+                while blocks and max(b[2] for b in blocks) > hi:
+                    start = blocks.pop()[0]
+                    lo, hi, _ = hinge(start, h + 1)
+                blocks.append((start, h + 1, lo, hi))
+            vals = _monotone_selection([(lo, hi) for _, _, lo, hi in blocks])
+            best_vals = [t for (start, end, _, _), t in zip(blocks, vals)
+                         for _ in range(start, end)]
+            profile_cols.append([best_vals[h] + h * epsilon for h in range(nprof)])
+            continue
 
         best_obj = math.inf
         best_vals = None
@@ -194,12 +263,7 @@ def ref_estimate_profiles(train, epsilon):
             obj = 0.0
             intervals = []
             for lo_h, hi_h in blocks:
-                lo, hi, val = _hinge_minimum(
-                    np.concatenate(uppers[lo_h:hi_h]),
-                    np.concatenate(lowers[lo_h:hi_h]),
-                    clamp_lo,
-                    clamp_hi,
-                )
+                lo, hi, val = hinge(lo_h, hi_h)
                 obj += val
                 intervals.append((lo, hi))
             vals = _monotone_selection(intervals)
@@ -217,7 +281,7 @@ def ref_estimate_profiles(train, epsilon):
         tuple(profile_cols[j][h] for j in range(m)) for h in range(nprof)
     )
     theta = _slacks(X, y, prof_matrix, p)
-    return LpSolution(ProfileSet(prof_matrix), float(theta.sum()), theta)
+    return LpSolution(ProfileSet(prof_matrix), float(theta.sum()))
 
 
 # --- the scalar comparators the whole-table grids and the index scan replaced ---

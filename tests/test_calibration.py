@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from electre_linkage.core import (
     classify_batch,
 )
 
-from oracles import joint_lp_objective
+from oracles import joint_lp_objective, ref_slacks
 
 
 def make_training(points, p):
@@ -69,8 +70,9 @@ class TestEstimateProfiles:
         for _ in range(20):
             train = random_training(rng, rng.randint(1, 3), rng.randint(2, 4), 30)
             sol = estimate_profiles(train, epsilon=0.01)
-            assert sol.objective == pytest.approx(sol.errors.sum(), rel=1e-9)
-            assert (sol.errors >= 0).all()
+            theta = ref_slacks(train, sol.profiles)
+            assert sol.objective == float(sum(map(Fraction, theta.ravel().tolist())))
+            assert (theta >= 0).all()
 
     def test_epsilon_spacing_exact(self):
         rng = random.Random(6)
@@ -83,6 +85,21 @@ class TestEstimateProfiles:
     def test_empty_training_set_rejected(self):
         with pytest.raises(CalibrationError):
             TrainingSet(np.empty((0, 1)), [], 2)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rows_rejected(self, bad):
+        # these used to surface as an IndexError from the hinge minimization
+        X = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, bad], [bad, 0.9]])
+        with pytest.raises(CalibrationError, match="training row 2 is not finite"):
+            TrainingSet(X, [1, 2, 2, 1], 2)
+        # from columns, a non-finite value counts only where a row takes it
+        finite = TrainingSet(np.where(np.isfinite(X), X, 0.7), [1, 2, 2, 1], 2)
+        spare = [(np.append(values, bad), take) for values, take in finite.columns()]
+        assert TrainingSet.from_columns(spare, finite.y, 2).X.tobytes() == finite.X.tobytes()
+        taken = [(np.where(values == 0.7, bad, values), take)
+                 for values, take in finite.columns()]
+        with pytest.raises(CalibrationError, match="training row 2 is not finite"):
+            TrainingSet.from_columns(taken, finite.y, 2)
 
     def test_empty_category_warns(self):
         train = make_training([((0.1,), 1), ((0.9,), 3)], p=3)

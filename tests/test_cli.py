@@ -374,11 +374,11 @@ class TestPipeline:
         assert len(calls) == 1
         assert (out / "electre_model.json").exists()
 
-    @pytest.mark.parametrize("policy, gathers", [("two_class", 0), ("banded", 1)])
+    @pytest.mark.parametrize("policy, gathers", [("two_class", 0), ("banded", 0)])
     def test_classify_gathers_performances_at_most_once(self, small_dataset, tmp_path,
                                                          monkeypatch, policy, gathers):
-        """two_class classify runs the kernel on kernel rows alone; banded gathers X once,
-        for the baseline fit and the band score together."""
+        """classify runs the kernel on kernel rows alone; banded labeling fits and scores
+        the baseline once per agreement pattern."""
         from electre_linkage.linkage import PairBlock
 
         a, b = small_dataset
@@ -395,6 +395,38 @@ class TestPipeline:
         monkeypatch.setattr(PairBlock, "X", property(counting))
         assert run(["classify", *base, "--model", tmp_path / policy / "electre_model.json"]) == 0
         assert len(calls) == gathers
+
+    @pytest.mark.parametrize("policy", ["two_class", "banded"])
+    def test_train_gathers_no_performances(self, small_dataset, tmp_path, monkeypatch, policy):
+        """train calibrates and fits the baseline from counts: no (n, m) matrix is gathered."""
+        from electre_linkage.calibration import TrainingSet
+        from electre_linkage.linkage import PairBlock
+
+        a, b = small_dataset
+        calls = []
+        for cls in (PairBlock, TrainingSet):
+            gather = cls.X.fget
+            monkeypatch.setattr(cls, "X", property(
+                lambda self, gather=gather: calls.append(self) or gather(self)))
+        assert run(["train", "--dataset-a", a, "--dataset-b", b, "--output-dir",
+                    tmp_path / policy, "--label-policy", policy, "--seed", "3"]) == 0
+        assert calls == []
+
+    @pytest.mark.parametrize("command", ["classify", "sweep"])
+    def test_non_positive_epsilon_is_usage_error(self, small_dataset, tmp_path, capsys,
+                                                 command):
+        # epsilon -1 used to load, with profiles reversed: the two procedures then
+        # disagreed about which category a pair belongs to
+        a, b = small_dataset
+        model = {"criteria": [{"name": f"g{j}", "weight": 1.0, "q": 0.0, "p": 0.1}
+                              for j in range(5)],
+                 "profiles": [[0.8] * 5, [0.4] * 5], "lambda": 0.75, "epsilon": -1.0}
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(model))
+        code = run([command, "--dataset-a", a, "--dataset-b", b, "--output-dir",
+                    tmp_path / "out", "--model", model_path])
+        assert code == 1
+        assert "epsilon must be a positive finite number" in capsys.readouterr().err
 
     def test_optimistic_classify(self, small_dataset, tmp_path):
         from electre_linkage.core import ElectreModel, classify_batch

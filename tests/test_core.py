@@ -253,6 +253,18 @@ class TestModelValidation:
         with pytest.raises(ModelError):
             ElectreModel(crits, ProfileSet(((0.5,), (0.505,))), 0.75, epsilon=0.01)
 
+    @pytest.mark.parametrize("epsilon", [-1.0, 0.0, -0.0])
+    def test_epsilon_must_be_positive(self, epsilon):
+        # epsilon = -1 let reversed profiles load: the row [0.6] went to C3 under the
+        # pessimistic procedure and to C1 under the optimistic one
+        crits = (Criterion("g1", 1.0, 0.0, 0.1),)
+        with pytest.raises(ModelError, match="positive"):
+            ElectreModel(crits, ProfileSet(((0.8,), (0.4,))), 0.75, epsilon=epsilon)
+        doc = {"criteria": [{"name": "g1", "weight": 1.0, "q": 0.0, "p": 0.1}],
+               "profiles": [[0.4], [0.8]], "lambda": 0.75, "epsilon": epsilon}
+        with pytest.raises(ModelError, match="positive"):
+            ElectreModel.from_json(json.dumps(doc))
+
     def test_profile_length_mismatch(self):
         crits = (Criterion("g1", 1.0, 0.0, 0.1),)
         with pytest.raises(ModelError):

@@ -12,6 +12,7 @@ a seeded census-style pair.
 
 import random
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from electre_linkage.calibration import (
     calibrate,
     estimate_lambda,
     estimate_profiles,
+    estimate_thresholds,
 )
 from electre_linkage.core import (
     Criterion,
@@ -34,7 +36,12 @@ from electre_linkage.core import (
 )
 from electre_linkage.datagen import generate_pair_files
 from electre_linkage.evaluation import EvaluationError, evaluate, lambda_sweep, split
-from electre_linkage.fellegi_sunter import FsModel, fit_fs
+from electre_linkage.fellegi_sunter import (
+    FsModel,
+    agreement_patterns,
+    fit_fs,
+    fit_patterns,
+)
 from electre_linkage.ingest import census_schema, load_table, toy_schema, true_links
 from electre_linkage.linkage import (
     PairBlock,
@@ -52,6 +59,7 @@ from oracles import (
     ref_evaluate,
     ref_fit_fs,
     ref_log_ratio,
+    ref_slacks,
     ref_split,
     ref_write_classified,
 )
@@ -509,6 +517,11 @@ def bits(x):
     return np.asarray(x, dtype=float).tobytes()
 
 
+def exact_sum(x) -> float:
+    """The sum of the floats in x, exact up to one rounding."""
+    return float(sum(map(Fraction, np.ravel(x).tolist()), Fraction(0)))
+
+
 @pytest.mark.filterwarnings("ignore:category C.* has no training examples")
 @pytest.mark.parametrize("empty", [False, True])
 @pytest.mark.parametrize("grid", [None, 0.1])
@@ -520,8 +533,8 @@ def test_estimate_profiles_matches_enumeration(p, grid, empty):
         sol = estimate_profiles(train, 0.01)
         ref = ref_estimate_profiles(train, 0.01)
         assert bits(sol.profiles.values) == bits(ref.profiles.values)
-        assert bits(sol.objective) == bits(ref.objective)
-        assert bits(sol.errors) == bits(ref.errors)
+        assert sol.objective == exact_sum(ref_slacks(train, ref.profiles))
+        assert sol.objective == pytest.approx(ref.objective, rel=1e-12)
 
 
 @pytest.mark.filterwarnings("ignore:category C.* has no training examples")
@@ -611,3 +624,104 @@ def test_write_classified_empty_block(tmp_path):
     assert_same_file(tmp_path, block, kernel_row, cats, sigma, ["f1", "f2", "f3"])
     header = b"id_a,id_b,sim_f1,sim_f2,sim_f3,assigned,truth\r\n"
     assert (tmp_path / "new.csv").read_bytes() == header
+
+
+# --- calibration from counts against the row-based references ---
+
+
+def counted_block(rng, p, m, grid, epsilon):
+    """A PairBlock of repeated pairs over small value tables, labeled 1..p.
+
+    With grid set, values are multiples of it and epsilon a multiple too, so
+    values shifted by whole epsilons land exactly on other values' breakpoints.
+    One category in three blocks is left empty, so some profile has one side
+    only; ties between repeated values are everywhere.
+    """
+    na, nb, n = int(rng.integers(2, 6)), int(rng.integers(2, 6)), int(rng.integers(2 * p, 80))
+    fields = []
+    for _ in range(m):
+        table = rng.random((3, 4))
+        if grid:
+            table = np.round(table / grid) * grid
+        table[rng.random(table.shape) < 0.2] = 0.9  # some agreement above 0.88
+        fields.append((rng.integers(0, 3, na), rng.integers(0, 4, nb), table))
+    y = rng.integers(1, p + 1, n)
+    if rng.random() < 1 / 3:
+        c = int(rng.integers(1, p + 1))
+        y[y == c] = c + 1 if c < p else c - 1
+    return PairBlock(tuple(range(na)), tuple(range(nb)), tuple(fields),
+                     rng.integers(0, na * nb, n), y.astype(np.int8))
+
+
+def assert_calibrated_as_rows(train, epsilon, procedure):
+    """Profiles, objective, thresholds, the lambda curve and the baseline of a training
+    set equal the row-based references on its rows, bitwise."""
+    X, y, p = train.X, train.y, train.category_count
+    rows = TrainingSet(X, y, p)
+    sol = estimate_profiles(train, epsilon)
+    ref = ref_estimate_profiles(rows, epsilon, pool=True)
+    assert bits(sol.profiles.values) == bits(ref.profiles.values)
+    assert sol.objective == exact_sum(ref_slacks(rows, ref.profiles))
+    ranges = X.max(axis=0) - X.min(axis=0)
+    assert estimate_thresholds(train) == [(0.05 * r, 0.15 * r) for r in ranges]
+    try:
+        model, _, curve = calibrate(train, epsilon=epsilon, grid_step=0.05, procedure=procedure)
+    except ModelError:
+        # a block pooled over three or more profiles, t + h * epsilon, can miss the
+        # separation check by an ulp; the reference's profiles are the same bits
+        with pytest.raises(ModelError, match="not separated"):
+            ref.profiles.check_separation(epsilon, np.ones(train.criterion_count))
+        return
+    grid = [lam for lam, _ in curve]
+    assert (model.cutting_level, curve) == per_lambda_curve(
+        rows, model.criteria, model.profiles, grid, procedure, epsilon)
+    if (y == 3).any() and (y != 3).any():
+        fs = fit_patterns(*agreement_patterns(train.columns(), len(y)), y)
+        assert fs == FsModel(*ref_fit_fs(X.tolist(), y.tolist()))
+
+
+@pytest.mark.filterwarnings("ignore:category C.* has no training examples")
+@pytest.mark.parametrize("procedure", ["pessimistic", "optimistic"])
+@pytest.mark.parametrize("grid, epsilon", [(None, 0.01), (0.125, 0.125), (1 / 64, 1 / 32)])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_calibration_from_counts_matches_rows(p, grid, epsilon, procedure):
+    """Both constructors: from an (n, m) matrix and from a block's columns."""
+    rng = np.random.default_rng([p, int(epsilon * 1000), procedure == "optimistic"])
+    checked = 0
+    while checked < 12:
+        block = counted_block(rng, p, int(rng.integers(1, 4)), grid, epsilon)
+        if (epsilon * (p - 2) > np.ptp(block.X, axis=0)).any():
+            continue  # EpsilonInfeasibleError, checked elsewhere
+        from_columns = TrainingSet.from_columns(block.columns(), block.truth, p)
+        from_matrix = TrainingSet(block.X, block.truth, p)
+        assert from_columns.X.tobytes() == block.X.tobytes()
+        for train in (from_columns, from_matrix):
+            assert_calibrated_as_rows(train, epsilon, procedure)
+        checked += 1
+
+
+@pytest.mark.filterwarnings("ignore:category C2 has no training examples")
+def test_split_calibrates_as_its_rows(tables):
+    schema, a, b = tables
+    for policy in ("two_class", "banded"):
+        block = label_pairs(build_pairs(a, b, schema), true_links(a, b), policy)
+        train, _ = split(block, 0.5, 3)
+        assert_calibrated_as_rows(train, 0.01, "pessimistic")
+
+
+def test_weighted_fit_fs_equals_repeated_rows():
+    """Row i counted weights[i] times fits as the rows repeated, zero weights dropped."""
+    rng = np.random.default_rng(41)
+    for _ in range(100):
+        k, m = int(rng.integers(2, 12)), int(rng.integers(1, 4))
+        X = rng.choice([0.0, 0.5, 0.88, 0.9, 1.0], size=(k, m))
+        y = rng.choice([1, 2, 3], size=k)
+        y[:2] = (3, 1)
+        w = rng.integers(0, 6, k)
+        w[:2] += 1
+        for band_rate in (0.01, 0.2, 0.5):
+            repeated = np.repeat(X, w, axis=0), np.repeat(y, w)
+            got = fit_fs(X, y, band_rate, w)
+            assert got == fit_fs(*repeated, band_rate=band_rate)
+            assert got == FsModel(*ref_fit_fs(repeated[0].tolist(), repeated[1].tolist(),
+                                              band_rate=band_rate))
