@@ -27,7 +27,7 @@ from .core import (
     partial_discordance,
 )
 from .evaluation import EvalReport, evaluate, lambda_sweep, split
-from .fellegi_sunter import FsModel, fit_fs, fs_decide
+from .fellegi_sunter import FsModel, agreement_patterns, fit_fs, fit_patterns, fs_decide
 from .ingest import LinkageSchema, RecordTable, census_schema, load_table, toy_schema, true_links
 from .linkage import PairBlock, build_pairs, label_pairs
 from .metrics import Comparator, jaro, jaro_winkler, levenshtein, levenshtein_normalized
