@@ -22,6 +22,7 @@ from .core import (
     credibility,
     criterion_codes,
     global_concordance,
+    kernel_rows,
     outranks,
     partial_concordance,
     partial_discordance,

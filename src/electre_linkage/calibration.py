@@ -45,14 +45,14 @@ class EpsilonInfeasibleError(CalibrationError):
 
 
 class TrainingSet:
-    """Labeled performances, held per criterion as the distinct values it takes
-    and each row's int32 index into them; y holds category indices in
+    """Labeled performances, held as columns: per criterion the distinct values it
+    takes and each row's int32 index into them; y holds category indices in
     1..category_count.
 
     TrainingSet(X, y, category_count) takes an (n, m) matrix; from_columns takes
-    per criterion (values, take) as PairBlock.columns gives them. Calibration
-    reads the rows through per-(value, category) counts and kernel rows; X is
-    gathered only when asked for.
+    the columns as PairBlock.columns gives them. Calibration reads the rows
+    through per-(value, category) counts and kernel rows; X is gathered only
+    when asked for.
     """
 
     def __init__(self, X, y, category_count: int):
@@ -68,8 +68,7 @@ class TrainingSet:
     @classmethod
     def from_columns(cls, columns, y, category_count: int) -> "TrainingSet":
         train = cls.__new__(cls)
-        train._init([(values, take(np.arange(len(values), dtype=np.int32)))
-                     for values, take in columns], y, category_count)
+        train._init(columns, y, category_count)
         return train
 
     def _init(self, columns, y, category_count):
@@ -83,8 +82,7 @@ class TrainingSet:
         bad = (y < 1) | (y > category_count)
         if bad.any():
             raise CalibrationError(f"category index {y[bad][0]} outside 1..{category_count}")
-        self.values, self.index = tuple(v for v, _ in columns), tuple(i for _, i in columns)
-        self.y, self.category_count = y, category_count
+        self.columns, self.y, self.category_count = list(columns), y, category_count
         bad = np.zeros(n, dtype=bool)
         for values, index in columns:
             if not np.isfinite(values).all():
@@ -96,30 +94,25 @@ class TrainingSet:
 
     @property
     def criterion_count(self) -> int:
-        return len(self.values)
+        return len(self.columns)
 
     @property
     def X(self) -> np.ndarray:
         """The (n, m) performance matrix, gathered from the columns."""
-        return np.column_stack([v[i] for v, i in zip(self.values, self.index)])
+        return np.column_stack([values[index] for values, index in self.columns])
 
     @cached_property
     def histograms(self) -> list:
         """Per criterion (values, counts): the values the rows take, ascending, and
         counts[i, h - 1] the rows of category h at values[i]; one bincount each."""
         p, out = self.category_count, []
-        for values, index in zip(self.values, self.index):
+        for values, index in self.columns:
             counts = np.bincount(index * p + (self.y - 1), minlength=len(values) * p)
             counts = counts.reshape(len(values), p)
             taken = np.flatnonzero(counts.any(axis=1))
             order = taken[np.argsort(values[taken], kind="stable")]
             out.append((values[order], counts[order]))
         return out
-
-    def columns(self) -> list:
-        """Per criterion (values, take), as PairBlock.columns gives them."""
-        return [(v, lambda per_value, rows=slice(None), i=i: per_value[i[rows]])
-                for v, i in zip(self.values, self.index)]
 
 
 @dataclass(frozen=True)
@@ -239,11 +232,11 @@ def estimate_profiles(train: TrainingSet, epsilon: float = DEFAULT_EPSILON) -> L
                 lo, hi = hinge(start, h + 1)
             blocks.append((start, h + 1, lo, hi))
         vals = _monotone_selection([(lo, hi) for _, _, lo, hi in blocks])
-        profile_cols.append([
-            t + h * epsilon
-            for (start, end, _, _), t in zip(blocks, vals)
-            for h in range(start, end)
-        ])
+        column = []  # t + h * epsilon, but never an ulp short of the previous + epsilon
+        for (start, end, _, _), t in zip(blocks, vals):
+            for h in range(start, end):
+                column.append(max(t + h * epsilon, column[-1] + epsilon if column else -math.inf))
+        profile_cols.append(column)
 
     prof_matrix = tuple(zip(*profile_cols))
     return LpSolution(ProfileSet(prof_matrix), _objective(train, prof_matrix))
@@ -303,7 +296,7 @@ def estimate_lambda(
 
     # the credibilities do not depend on lambda; only the cut does
     model = ElectreModel(criteria, profiles, 1.0, epsilon)
-    R, kernel_row = kernel_rows(model, train.columns(), len(train.y))
+    R, kernel_row = kernel_rows(model, train.columns)
     rows, label, count = label_cells(kernel_row, train.y, len(R))
     counts = cut_counts(*credibilities(model, R[rows]), label, count, grid, procedure)
     curve = [(lam, float(np.trace(c) / len(train.y))) for lam, c in zip(grid, counts)]

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import datagen, linkage
 from .calibration import calibrate
-from .core import ElectreModel
+from .core import ElectreModel, kernel_rows
 from .evaluation import EvalReport, EvaluationError, lambda_sweep, split
 from .fellegi_sunter import agreement_patterns, fit_patterns
 from .ingest import LinkageSchema, census_schema, load_table, true_links
@@ -161,7 +161,7 @@ def cmd_train(args) -> int:
         procedure=cal["procedure"],
         criterion_names=schema.field_names,
     )
-    fs = fit_patterns(*agreement_patterns(train.columns(), len(train.y)), train.y)
+    fs = fit_patterns(*agreement_patterns(train.columns), train.y)
     (out / "electre_model.json").write_text(model.to_json(), encoding="utf-8")
     (out / "fs_model.json").write_text(fs.to_json(), encoding="utf-8")
     lines = [
@@ -188,7 +188,7 @@ def cmd_classify(args) -> int:
     model = ElectreModel.from_json(Path(args.model).read_text(encoding="utf-8"))
     labeled = _labeled_pairs(cfg, schema)
     procedure = cfg["calibration"]["procedure"]
-    R, kernel_row = labeled.kernel_rows(model)
+    R, kernel_row = kernel_rows(model, labeled.columns())
     # looked up in linkage, where perfbench's smoke test swaps in a faulty classifier
     cats, sigma = linkage.classify_batch(model, R, procedure)
     dest = out / "classified.csv"

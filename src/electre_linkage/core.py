@@ -296,24 +296,23 @@ def criterion_codes(model: ElectreModel, j: int, values):
     return codes, x[order[first]]
 
 
-def distinct_rows(columns, n: int):
+def distinct_rows(columns):
     """(row, inverse): one row of each distinct combination of column states, and
-    each of the n rows' index into them.
+    each row's index into them.
 
-    columns holds one (state, take) per column: state[i] is the integer state of
-    the column's i-th distinct value, and take(per_value, rows) gathers a
-    per-value array at the values of the given rows (all rows by default). The
-    states are combined into one mixed-radix int64 key per row, renumbered
-    whenever the next digit would overflow it; distinct rows are numbered in
-    key order.
+    columns holds one (state, index) per column: state[i] is the integer state of
+    the column's i-th distinct value, and index[r] the value of row r. The states
+    are combined into one mixed-radix int64 key per row, renumbered whenever the
+    next digit would overflow it; distinct rows are numbered in key order.
     """
+    n = len(columns[0][1])
     key, radix = np.zeros(n, dtype=np.int64), 1
-    for state, take in columns:
+    for state, index in columns:
         size = int(state.max(initial=0)) + 1
         if radix * size > 1 << 63:  # the next digit would overflow: renumber
             distinct, key = np.unique(key, return_inverse=True)
             radix = len(distinct)
-        key = key * size + take(state)
+        key = key * size + state[index]
         radix *= size
     if radix <= 2 * n:  # a count per possible key is cheaper than sorting the keys
         taken = np.bincount(key, minlength=radix) > 0
@@ -326,19 +325,19 @@ def distinct_rows(columns, n: int):
     return row, inverse
 
 
-def kernel_rows(model: ElectreModel, columns, n: int):
-    """(R, kernel_row): the distinct kernel inputs of n rows and each row's index into R.
+def kernel_rows(model: ElectreModel, columns):
+    """(R, kernel_row): the distinct kernel inputs of the rows and each row's index into R.
 
-    columns holds one (values, take) per criterion, as for distinct_rows but with
-    the raw distinct values. Values are coded by criterion_codes, so
+    columns holds one (values, index) per criterion: the distinct raw values and
+    each row's index into them. Values are coded by criterion_codes, so
     classify_batch(model, R) gathered by kernel_row equals classify_batch on the
     rows themselves, bitwise.
     """
     if len(columns) != model.m:
         raise ModelError(f"the rows have {len(columns)} fields, model has {model.m} criteria")
     codes = [criterion_codes(model, j, values) for j, (values, _) in enumerate(columns)]
-    row, kernel_row = distinct_rows([(c, take) for (c, _), (_, take) in zip(codes, columns)], n)
-    R = np.column_stack([reps[take(c, row)] for (c, reps), (_, take) in zip(codes, columns)])
+    row, kernel_row = distinct_rows([(c, index) for (c, _), (_, index) in zip(codes, columns)])
+    R = np.column_stack([reps[c[index[row]]] for (c, reps), (_, index) in zip(codes, columns)])
     return R, kernel_row
 
 

@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .calibration import TrainingSet
-from .core import ElectreModel, credibilities, cut_counts, label_cells
+from .core import ElectreModel, credibilities, cut_counts, kernel_rows, label_cells
 
 __all__ = ["EvalReport", "EvaluationError", "split", "evaluate", "lambda_sweep"]
 
@@ -133,7 +133,7 @@ def lambda_sweep(block, model: ElectreModel, grid, procedure: str = "pessimistic
     if not grid:
         raise EvaluationError("empty lambda grid")
     truth = _labels(block)
-    R, kernel_row = block.kernel_rows(model)
+    R, kernel_row = kernel_rows(model, block.columns())
     rows, label, pairs = label_cells(kernel_row, truth, len(R))
     counts = cut_counts(*credibilities(model, R[rows]), label, pairs, grid, procedure)
     return [EvalReport.from_contingency({(t, c): int(m[t, c]) for t, c in np.argwhere(m).tolist()},

@@ -121,18 +121,17 @@ def fit_fs(X, y, band_rate: float = DEFAULT_BAND_RATE, weights=None) -> FsModel:
     return FsModel(m_probs, u_probs, thresholds, lower, upper)
 
 
-def agreement_patterns(columns, n: int, thresholds=None):
-    """(P, pattern): one row of similarities per agreement pattern of n rows, and each
-    row's index into P. columns holds per field (values, take) as for core.kernel_rows;
+def agreement_patterns(columns, thresholds=None):
+    """(P, pattern): one row of similarities per agreement pattern of the rows, and each
+    row's index into P. columns holds per field (values, index) as for core.kernel_rows;
     a field agrees where its value reaches its threshold, AGREEMENT_THRESHOLD by default."""
     if thresholds is None:
         thresholds = (AGREEMENT_THRESHOLD,) * len(columns)
     if len(columns) != len(thresholds):
         raise FsError(f"{len(thresholds)} agreement thresholds for {len(columns)} fields")
-    states = [((values >= t).astype(np.intp), take)
-              for (values, take), t in zip(columns, thresholds)]
-    row, pattern = distinct_rows(states, n)
-    return np.column_stack([take(values, row) for values, take in columns]), pattern
+    row, pattern = distinct_rows([((values >= t).astype(np.intp), index)
+                                  for (values, index), t in zip(columns, thresholds)])
+    return np.column_stack([values[index[row]] for values, index in columns]), pattern
 
 
 def fit_patterns(P, pattern, y, band_rate: float = DEFAULT_BAND_RATE) -> FsModel:

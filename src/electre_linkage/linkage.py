@@ -1,8 +1,9 @@
 """Comparison space construction, labeling and the classified-pairs file.
 
-Builds the full cross product A x B as one columnar PairBlock: per-field
-similarity tables over the distinct values of each side, the pairs as
-positions in the cross product and ground-truth categories in an int8 column.
+Builds the full cross product A x B as one columnar PairBlock: per field the
+distinct similarities and an int32 table indexing them over the distinct values
+of each side, the pairs as positions in the cross product and ground-truth
+categories in an int8 column.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import CHUNK_ROWS, kernel_rows
+from .core import CHUNK_ROWS
 from .core import classify_batch  # noqa: F401 - cli classifies through here
 from .fellegi_sunter import agreement_patterns, fit_patterns
 from .ingest import LinkageSchema, RecordTable
@@ -32,8 +33,9 @@ class PairBlock:
     """Record pairs as positions in the row-major cross product A x B.
 
     Row r pairs ids_a[rows[r] // len(ids_b)] with ids_b[rows[r] % len(ids_b)].
-    fields holds (code_a, code_b, table) per compared field: each side's value
-    codes and the similarity table over the distinct values. truth holds the
+    fields holds (code_a, code_b, values, cell) per compared field: each side's
+    value codes, the distinct similarities of the field (by bit pattern) and the
+    int32 table of each (code_a, code_b) cell's index into them. truth holds the
     ground-truth category index (0 while unlabeled).
     """
 
@@ -48,29 +50,15 @@ class PairBlock:
 
     @property
     def X(self) -> np.ndarray:
-        """The per-field similarities, one row per pair, gathered from the tables."""
-        ia, ib = np.divmod(self.rows, len(self.ids_b))
-        X = np.empty((len(self.rows), len(self.fields)))
-        for j, (code_a, code_b, table) in enumerate(self.fields):
-            X[:, j] = table[code_a[ia], code_b[ib]]
-        return X
+        """The per-field similarities, one row per pair, gathered from the columns."""
+        return np.column_stack([values[index] for values, index in self.columns()])
 
     def columns(self) -> list:
-        """Per field (values, take): the table's distinct values (by bit pattern) and
-        take(per_value, rows) gathering a per-value array at the given rows' cells."""
+        """Per field (values, index): its distinct similarities and each row's int32
+        index into them."""
         ia, ib = np.divmod(self.rows, len(self.ids_b))
-
-        def column(code_a, code_b, table):
-            values, cell = _distinct_cells(table)
-            return values, lambda per_value, rows=slice(None): (
-                per_value[cell][code_a[ia[rows]], code_b[ib[rows]]])
-
-        return [column(*field) for field in self.fields]
-
-    def kernel_rows(self, model) -> tuple:
-        """(R, kernel_row): the distinct kernel inputs and each row's index into R
-        (core.kernel_rows over the table cells' values)."""
-        return kernel_rows(model, self.columns(), len(self.rows))
+        return [(values, cell[code_a[ia], code_b[ib]])
+                for code_a, code_b, values, cell in self.fields]
 
     def pair(self, row: int) -> tuple:
         i, k = divmod(int(self.rows[row]), len(self.ids_b))
@@ -90,25 +78,25 @@ def _factorize(values):
 
 
 def _distinct_cells(table):
-    """(distinct values of a table by bit pattern, each cell's index into them).
+    """(distinct values of a table by bit pattern, each cell's int32 index into them).
 
     Keyed by bits, -0.0 stays apart from 0.0 and each nan payload from the others.
     """
     bits, cell = np.unique(table.view(np.int64), return_inverse=True)
-    return bits.view(np.float64), cell.reshape(table.shape)
+    return bits.view(np.float64), cell.reshape(table.shape).astype(np.int32)
 
 
 def build_pairs(a: RecordTable, b: RecordTable, schema: LinkageSchema) -> PairBlock:
     """Every cross pair, row-major by table order, unlabeled.
 
     Each field's comparator computes one table over the distinct values of
-    A and B (Comparator.grid); the pairs gather their similarities from it.
+    A and B, kept as its distinct similarities and an int32 cell table.
     """
     fields = []
     for fname, comparator in schema.compared_fields:
         vals_a, code_a = _factorize([rec[fname] for _, rec in a.records])
         vals_b, code_b = _factorize([rec[fname] for _, rec in b.records])
-        fields.append((code_a, code_b, comparator.grid(vals_a, vals_b)))
+        fields.append((code_a, code_b, *_distinct_cells(comparator.compare(vals_a, vals_b))))
     n = len(a.records) * len(b.records)
     return PairBlock(tuple(a.ids()), tuple(b.ids()), tuple(fields),
                      rows=np.arange(n, dtype=np.intp), truth=np.zeros(n, dtype=np.int8))
@@ -134,7 +122,7 @@ def label_pairs(block: PairBlock, links, policy: str = "two_class", fs_model=Non
     truth = np.where(is_link, 3, 1).astype(np.int8)
     if policy == "banded":
         thresholds = fs_model.agreement_thresholds if fs_model is not None else None
-        P, pattern = agreement_patterns(block.columns(), len(block), thresholds)
+        P, pattern = agreement_patterns(block.columns(), thresholds)
         if fs_model is None:
             fs_model = fit_patterns(P, pattern, truth)
         score = fs_model.log_ratio(P)
@@ -163,21 +151,20 @@ def _quoted(values) -> np.ndarray:
 def write_classified(path, block: PairBlock, kernel_row, cats, sigma, field_names) -> None:
     """Classified-pairs file: ids, performances, per-profile sigma, categories.
 
-    kernel_row maps each pair to its row of cats and sigma (PairBlock.kernel_rows).
+    kernel_row maps each pair to its row of cats and sigma (core.kernel_rows).
     The bytes are those of csv.writer writing one row per pair with
     repr(float) cells, but the rows are built column by column over chunks
-    of CHUNK_ROWS pairs from text made once: each similarity per table
-    cell (by bit pattern, so -0.0 stays apart from 0.0), the sigma and
+    of CHUNK_ROWS pairs from text made once: each distinct similarity of a
+    field (by bit pattern, so -0.0 stays apart from 0.0), the sigma and
     category cells per kernel row, each id and each truth label. Each chunk
     is written in one call.
     """
     nprof = sigma.shape[1] if len(kernel_row) else 0
     qa, qb = _quoted(block.ids_a), _quoted(block.ids_b)
-    similarities = []
-    for code_a, code_b, table in block.fields:
-        values, cell = _distinct_cells(table)
-        texts = np.array([repr(v) for v in values.tolist()], dtype=object)
-        similarities.append((code_a, code_b, texts[cell]))
+    similarities = [
+        (code_a, code_b, np.array([repr(v) for v in values.tolist()], dtype=object)[cell])
+        for code_a, code_b, values, cell in block.fields
+    ]
     sigma = np.asarray(sigma, dtype=np.float64).tolist()
     outcome = np.array([",".join(map(repr, s)) + f",C{c}"
                         for s, c in zip(sigma, np.asarray(cats).tolist())], dtype=object)

@@ -245,11 +245,6 @@ class Comparator:
         return np.array([[levenshtein_normalized(str(x), str(y)) for y in vals_b]
                          for x in vals_a], dtype=np.float64).reshape(len(vals_a), len(vals_b))
 
-    def grid(self, vals_a, vals_b) -> np.ndarray:
-        """The (len(vals_a), len(vals_b)) float64 table of similarities, from one
-        compare call."""
-        return self.compare(list(vals_a), list(vals_b))
-
 
 def make_comparator(spec) -> Comparator:
     """Comparator from a config entry: either a kind string or a dict."""

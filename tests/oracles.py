@@ -25,7 +25,7 @@ from scipy.optimize import linprog
 from electre_linkage.calibration import LpSolution, _monotone_selection
 from electre_linkage.core import ProfileSet
 from electre_linkage.evaluation import EvalReport, EvaluationError
-from electre_linkage.linkage import PairBlock
+from electre_linkage.linkage import PairBlock, _distinct_cells
 from electre_linkage.metrics import ComparatorError
 
 
@@ -207,6 +207,16 @@ def ref_slacks(train, profiles):
     return _slacks(train.X, train.y, profiles.values, train.category_count)
 
 
+def _chain(vals, epsilon):
+    """Profile h from its y-space value t_h: t_h + h * epsilon, raised to the previous
+    profile plus epsilon where rounding left it an ulp short."""
+    chain = []
+    for h, t in enumerate(vals):
+        x = t + h * epsilon
+        chain.append(max(x, chain[-1] + epsilon) if chain else x)
+    return chain
+
+
 def ref_estimate_profiles(train, epsilon, pool=False):
     """Profile estimation from the rows of train.X, each chain resolved by brute force.
 
@@ -244,7 +254,7 @@ def ref_estimate_profiles(train, epsilon, pool=False):
             vals = _monotone_selection([(lo, hi) for _, _, lo, hi in blocks])
             best_vals = [t for (start, end, _, _), t in zip(blocks, vals)
                          for _ in range(start, end)]
-            profile_cols.append([best_vals[h] + h * epsilon for h in range(nprof)])
+            profile_cols.append(_chain(best_vals, epsilon))
             continue
 
         best_obj = math.inf
@@ -275,7 +285,7 @@ def ref_estimate_profiles(train, epsilon, pool=False):
                     expanded.extend([t] * (bhi - blo))
                 best_vals = expanded
         assert best_vals is not None  # the fully pooled composition is always feasible
-        profile_cols.append([best_vals[h] + h * epsilon for h in range(nprof)])
+        profile_cols.append(_chain(best_vals, epsilon))
 
     prof_matrix = tuple(
         tuple(profile_cols[j][h] for j in range(m)) for h in range(nprof)
@@ -393,7 +403,7 @@ def block_from_columns(ids_a, ids_b, ia, ib, X, truth):
         table[ia, ib] = col
         if table[ia, ib].tobytes() != col.tobytes():
             raise ValueError("a repeated pair has different performances")
-        fields.append((np.arange(na), np.arange(nb), table))
+        fields.append((np.arange(na), np.arange(nb), *_distinct_cells(table)))
     return PairBlock(tuple(ids_a), tuple(ids_b), tuple(fields), ia * nb + ib,
                      np.asarray(truth, dtype=np.int8))
 

@@ -94,10 +94,10 @@ class TestEstimateProfiles:
             TrainingSet(X, [1, 2, 2, 1], 2)
         # from columns, a non-finite value counts only where a row takes it
         finite = TrainingSet(np.where(np.isfinite(X), X, 0.7), [1, 2, 2, 1], 2)
-        spare = [(np.append(values, bad), take) for values, take in finite.columns()]
+        spare = [(np.append(values, bad), index) for values, index in finite.columns]
         assert TrainingSet.from_columns(spare, finite.y, 2).X.tobytes() == finite.X.tobytes()
-        taken = [(np.where(values == 0.7, bad, values), take)
-                 for values, take in finite.columns()]
+        taken = [(np.where(values == 0.7, bad, values), index)
+                 for values, index in finite.columns]
         with pytest.raises(CalibrationError, match="training row 2 is not finite"):
             TrainingSet.from_columns(taken, finite.y, 2)
 
@@ -303,3 +303,14 @@ class TestCalibrate:
         train = make_training([((0.1,), 1), ((0.9,), 2)], p=2)
         with pytest.raises(CalibrationError):
             calibrate(train, weights=[1.0, 2.0])
+
+    @pytest.mark.filterwarnings("ignore:category C2 has no training examples")
+    def test_pooled_profiles_keep_epsilon_apart(self):
+        # three profiles pooled at one value t used to be t + h * epsilon, and
+        # 0.42999999999999994 < 0.42 + 0.01 failed the separation check: calibrate
+        # raised ModelError on data the LP solves
+        values = [0.95, 0.14, 0.95, 0.31, 0.42, 0.83, 0.41, 0.55]
+        train = make_training(list(zip(zip(values), [3, 1, 1, 5, 4, 5, 3, 5])), p=5)
+        model, _, _ = calibrate(train)
+        chain = [row[0] for row in model.profiles.values]
+        assert all(hi >= lo + 0.01 for lo, hi in zip(chain, chain[1:]))

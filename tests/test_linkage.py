@@ -9,6 +9,7 @@ from electre_linkage.core import (
     ModelError,
     ProfileSet,
     classify_batch,
+    kernel_rows,
 )
 from electre_linkage.fellegi_sunter import FsError, FsModel
 from electre_linkage.ingest import load_table, toy_schema, true_links
@@ -169,7 +170,7 @@ class TestClassifyPairs:
         with pytest.raises(ModelError):
             classify_batch(self.model(), pairs.X)
         with pytest.raises(ModelError, match="2 fields, model has 3 criteria"):
-            pairs.kernel_rows(self.model())
+            kernel_rows(self.model(), pairs.columns())
 
     def test_raising_performance_never_lowers_category(self):
         import random
@@ -190,7 +191,7 @@ class TestClassifiedFile:
         links = true_links(a, b)
         labeled = label_pairs(build_pairs(a, b, schema), links, "two_class")
         model = TestClassifyPairs().model()
-        R, kernel_row = labeled.kernel_rows(model)
+        R, kernel_row = kernel_rows(model, labeled.columns())
         cats, sigma = classify_batch(model, R)
         X = labeled.X
         dest = tmp_path / "classified.csv"
