@@ -17,8 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (Criterion, ElectreModel, ProfileSet, credibilities, cut_counts, kernel_rows,
-                   label_cells)
+from .core import Criterion, ElectreModel, ProfileSet, _distinct_cells, cut_counts
 
 __all__ = [
     "TrainingSet",
@@ -34,6 +33,7 @@ __all__ = [
 DEFAULT_EPSILON = 0.01
 DEFAULT_Q_FRACTION = 0.05
 DEFAULT_P_FRACTION = 0.15
+MAX_GRID_POINTS = 10_001  # the most cutting levels estimate_lambda tries
 
 
 class CalibrationError(ValueError):
@@ -59,11 +59,8 @@ class TrainingSet:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[0] == 0:
             raise CalibrationError("training set is empty")
-        columns = []
-        for col in X.T:  # distinct by bit pattern, so X comes back bitwise
-            bits, index = np.unique(col.view(np.int64), return_inverse=True)
-            columns.append((bits.view(np.float64), index.astype(np.int32)))
-        self._init(columns, y, category_count)
+        # distinct by bit pattern, so X comes back bitwise
+        self._init([_distinct_cells(col) for col in X.T], y, category_count)
 
     @classmethod
     def from_columns(cls, columns, y, category_count: int) -> "TrainingSet":
@@ -282,23 +279,24 @@ def estimate_lambda(
     """Grid-search the cutting level on training accuracy.
 
     Ties break toward the largest lambda. Returns (best_lambda, curve) where
-    curve is the [(lambda, accuracy)] list over the grid. The rows are cut as
-    their kernel rows, each (kernel row, category) cell weighted by its rows.
+    curve is the [(lambda, accuracy)] list over the grid, of at most
+    MAX_GRID_POINTS levels. The rows are cut by core.cut_counts.
     """
     if not 0 < grid_step <= 0.5:
         raise CalibrationError(f"grid step must lie in (0, 0.5], got {grid_step}")
     grid = []
     lam = 0.5
     while lam < 1.0 - 1e-12:
+        if len(grid) == MAX_GRID_POINTS - 1:  # 1.0 is still to come
+            raise CalibrationError(
+                f"grid step {grid_step} gives more than {MAX_GRID_POINTS} cutting levels")
         grid.append(round(lam, 12))
         lam += grid_step
     grid.append(1.0)
 
-    # the credibilities do not depend on lambda; only the cut does
+    # the cut ignores the model's own lambda
     model = ElectreModel(criteria, profiles, 1.0, epsilon)
-    R, kernel_row = kernel_rows(model, train.columns)
-    rows, label, count = label_cells(kernel_row, train.y, len(R))
-    counts = cut_counts(*credibilities(model, R[rows]), label, count, grid, procedure)
+    counts = cut_counts(model, train.columns, train.y, grid, procedure)
     curve = [(lam, float(np.trace(c) / len(train.y))) for lam, c in zip(grid, counts)]
     return max(reversed(curve), key=lambda point: point[1])[0], curve
 

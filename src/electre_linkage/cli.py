@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import datagen, linkage
 from .calibration import calibrate
-from .core import ElectreModel, kernel_rows
+from .core import ElectreModel, ModelError, kernel_rows
 from .evaluation import EvalReport, EvaluationError, lambda_sweep, split
 from .fellegi_sunter import agreement_patterns, fit_patterns
 from .ingest import LinkageSchema, census_schema, load_table, true_links
@@ -62,20 +62,23 @@ def load_config(args) -> dict:
         if not isinstance(user, dict):
             raise ConfigError(f"{source}: a run config must be a JSON object")
         for key, value in user.items():
-            if isinstance(cfg.get(key), dict):
+            if key not in cfg:
+                raise ConfigError(f"{source}: unknown key {key!r}")
+            if isinstance(cfg[key], dict):
                 if not isinstance(value, dict):
                     raise ConfigError(f"{source}: section {key!r} must be a JSON object")
+                for name in value:
+                    if name not in cfg[key]:
+                        raise ConfigError(f"{source}: unknown key {name!r} in section {key!r}")
                 cfg[key].update(value)
             else:
                 cfg[key] = value
     for key in ("dataset_a", "dataset_b", "output_dir", "label_policy"):
-        flag = getattr(args, key, None)
-        if flag:
-            cfg[key] = flag
-    if getattr(args, "seed", None) is not None:
-        cfg["split"]["seed"] = args.seed
-    if getattr(args, "train_fraction", None) is not None:
-        cfg["split"]["train_fraction"] = args.train_fraction
+        if getattr(args, key):
+            cfg[key] = getattr(args, key)
+    for key in ("seed", "train_fraction"):
+        if getattr(args, key) is not None:
+            cfg["split"][key] = getattr(args, key)
     _check_types(cfg, DEFAULT_CONFIG, source)
     return cfg
 
@@ -125,42 +128,50 @@ def outdir(cfg) -> Path:
     return out
 
 
+def run_command(args) -> int:
+    """The run config, the schema if the command reads the datasets, the output
+    directory, in that order; then the command's own step."""
+    cfg = load_config(args)
+    schema = get_schema(cfg) if args.reads_data else None
+    return args.step(args, cfg, schema, outdir(cfg))
+
+
+def _tables(cfg, schema) -> list:
+    """(table, load report) of dataset A, then of dataset B."""
+    return [load_table(cfg[f"dataset_{side.lower()}"], schema, side) for side in "AB"]
+
+
 def _labeled_pairs(cfg, schema):
-    table_a, _ = load_table(cfg["dataset_a"], schema, "A")
-    table_b, _ = load_table(cfg["dataset_b"], schema, "B")
+    (table_a, _), (table_b, _) = _tables(cfg, schema)
     block = build_pairs(table_a, table_b, schema)
     return label_pairs(block, true_links(table_a, table_b), cfg["label_policy"])
 
 
-def cmd_ingest(args) -> int:
-    cfg = load_config(args)
-    schema = get_schema(cfg)
-    out = outdir(cfg)
-    _, report_a = load_table(cfg["dataset_a"], schema, "A")
-    _, report_b = load_table(cfg["dataset_b"], schema, "B")
-    lines = report_a.lines() + report_b.lines()
+def _split_pairs(cfg, schema):
+    """(training set, test block) of the labeled pairs, split as the config says."""
+    return split(_labeled_pairs(cfg, schema), **cfg["split"])
+
+
+def _model(args) -> ElectreModel:
+    """The --model document, with at most the categories a classified file holds."""
+    model = ElectreModel.from_json(Path(args.model).read_text(encoding="utf-8"))
+    if model.category_count > len(CATEGORIES):
+        raise ModelError(f"model has {model.category_count} categories; a classified file "
+                         f"holds at most {len(CATEGORIES)}: {', '.join(CATEGORIES)}")
+    return model
+
+
+def cmd_ingest(args, cfg, schema, out) -> int:
+    lines = [line for _, report in _tables(cfg, schema) for line in report.lines()]
     (out / "ingest_report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print("\n".join(lines))
     return 0
 
 
-def cmd_train(args) -> int:
-    cfg = load_config(args)
-    schema = get_schema(cfg)
-    out = outdir(cfg)
-    labeled = _labeled_pairs(cfg, schema)
-    cal = cfg["calibration"]
-    train, _ = split(labeled, cfg["split"]["train_fraction"], cfg["split"]["seed"])
-    model, solution, curve = calibrate(
-        train,
-        weights=cfg.get("weights"),
-        epsilon=cal["epsilon"],
-        q_fraction=cal["q_fraction"],
-        p_fraction=cal["p_fraction"],
-        grid_step=cal["grid_step"],
-        procedure=cal["procedure"],
-        criterion_names=schema.field_names,
-    )
+def cmd_train(args, cfg, schema, out) -> int:
+    train, _ = _split_pairs(cfg, schema)
+    model, solution, curve = calibrate(train, cfg["weights"], criterion_names=schema.field_names,
+                                       **cfg["calibration"])
     fs = fit_patterns(*agreement_patterns(train.columns), train.y)
     (out / "electre_model.json").write_text(model.to_json(), encoding="utf-8")
     (out / "fs_model.json").write_text(fs.to_json(), encoding="utf-8")
@@ -181,25 +192,19 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_classify(args) -> int:
-    cfg = load_config(args)
-    schema = get_schema(cfg)
-    out = outdir(cfg)
-    model = ElectreModel.from_json(Path(args.model).read_text(encoding="utf-8"))
+def cmd_classify(args, cfg, schema, out) -> int:
+    model = _model(args)
     labeled = _labeled_pairs(cfg, schema)
-    procedure = cfg["calibration"]["procedure"]
     R, kernel_row = kernel_rows(model, labeled.columns())
     # looked up in linkage, where perfbench's smoke test swaps in a faulty classifier
-    cats, sigma = linkage.classify_batch(model, R, procedure)
+    cats, sigma = linkage.classify_batch(model, R, cfg["calibration"]["procedure"])
     dest = out / "classified.csv"
     write_classified(dest, labeled, kernel_row, cats, sigma, schema.field_names)
     print(f"{len(labeled)} pairs classified -> {dest}")
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    cfg = load_config(args)
-    out = outdir(cfg)
+def cmd_evaluate(args, cfg, schema, out) -> int:
     cells = {}  # (truth, assigned) -> pair count, in the order first seen
     with open(args.classified, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -233,16 +238,11 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    cfg = load_config(args)
-    schema = get_schema(cfg)
-    out = outdir(cfg)
-    model = ElectreModel.from_json(Path(args.model).read_text(encoding="utf-8"))
+def cmd_sweep(args, cfg, schema, out) -> int:
+    model = _model(args)
     grid = [float(x) for x in args.grid.split(",")]
-    labeled = _labeled_pairs(cfg, schema)
-    test = split(labeled, cfg["split"]["train_fraction"], cfg["split"]["seed"])[1]
-    procedure = cfg["calibration"]["procedure"]
-    reports = lambda_sweep(test, model, grid, procedure)
+    test = _split_pairs(cfg, schema)[1]
+    reports = lambda_sweep(test, model, grid, cfg["calibration"]["procedure"])
     lines = ["lambda  accuracy  missed_links  false_links"]
     for rep in reports:
         lines.append(
@@ -280,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, step, summary, reads_data=True):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="JSON run config")
         p.add_argument("--dataset-a", dest="dataset_a")
         p.add_argument("--dataset-b", dest="dataset_b")
@@ -289,30 +290,18 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["two_class", "banded"])
         p.add_argument("--seed", type=int)
         p.add_argument("--train-fraction", dest="train_fraction", type=float)
+        p.set_defaults(func=run_command, step=step, reads_data=reads_data)
+        return p
 
-    p = sub.add_parser("ingest", help="load and validate both datasets")
-    common(p)
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("train", help="calibrate the sorting model and baseline")
-    common(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("classify", help="classify the full cross product")
-    common(p)
-    p.add_argument("--model", required=True, help="Electre model JSON file")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("evaluate", help="score a classified-pairs file")
-    common(p)
-    p.add_argument("--classified", required=True)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("sweep", help="accuracy over a lambda grid on the test split")
-    common(p)
+    command("ingest", cmd_ingest, "load and validate both datasets")
+    command("train", cmd_train, "calibrate the sorting model and baseline")
+    command("classify", cmd_classify, "classify the full cross product").add_argument(
+        "--model", required=True, help="Electre model JSON file")
+    command("evaluate", cmd_evaluate, "score a classified-pairs file",
+            reads_data=False).add_argument("--classified", required=True)
+    p = command("sweep", cmd_sweep, "accuracy over a lambda grid on the test split")
     p.add_argument("--model", required=True)
     p.add_argument("--grid", default="0.5,0.55,0.6,0.65,0.7,0.75,0.8,0.85,0.9,0.95,1.0")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("generate", help="write a synthetic dataset pair")
     p.add_argument("--out-a", required=True)

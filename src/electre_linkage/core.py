@@ -296,6 +296,15 @@ def criterion_codes(model: ElectreModel, j: int, values):
     return codes, x[order[first]]
 
 
+def _distinct_cells(table):
+    """(distinct values of a table by bit pattern, each cell's int32 index into them).
+
+    Keyed by bits, -0.0 stays apart from 0.0 and each nan payload from the others.
+    """
+    bits, cell = np.unique(table.view(np.int64), return_inverse=True)
+    return bits.view(np.float64), cell.reshape(table.shape).astype(np.int32)
+
+
 def distinct_rows(columns):
     """(row, inverse): one row of each distinct combination of column states, and
     each row's index into them.
@@ -405,13 +414,16 @@ def assign(sig_ab, sig_ba, lam: float, procedure: str = "pessimistic") -> np.nda
     return cats.astype(int)
 
 
-def cut_counts(sig_ab, sig_ba, truth, weights, grid, procedure: str = "pessimistic"):
+def cut_counts(model: ElectreModel, columns, truth, grid, procedure: str = "pessimistic"):
     """Per lambda of the grid, the [truth, category] counts of the rows cut at it: a
     square int64 matrix indexed by the labels, up to the largest truth label or
-    category. Row i counts weights[i] times, or once when weights is None."""
-    truth = np.asarray(truth, dtype=np.int64)
-    n = max(int(truth.max(initial=0)), sig_ab.shape[1] + 1) + 1
-    return np.array([np.bincount(truth * n + assign(sig_ab, sig_ba, lam, procedure), weights,
+    category. columns are the rows as kernel_rows takes them; each (kernel row,
+    truth) cell is cut once and counts its rows."""
+    R, kernel_row = kernel_rows(model, columns)
+    rows, label, count = label_cells(kernel_row, np.asarray(truth), len(R))
+    sig_ab, sig_ba = credibilities(model, R[rows])
+    n = max(int(label.max(initial=0)), model.category_count) + 1
+    return np.array([np.bincount(label * n + assign(sig_ab, sig_ba, lam, procedure), count,
                                  minlength=n * n).astype(np.int64).reshape(n, n)
                      for lam in grid])
 

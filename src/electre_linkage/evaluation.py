@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .calibration import TrainingSet
-from .core import ElectreModel, credibilities, cut_counts, kernel_rows, label_cells
+from .core import ElectreModel, cut_counts
 
 __all__ = ["EvalReport", "EvaluationError", "split", "evaluate", "lambda_sweep"]
 
@@ -126,15 +126,12 @@ def evaluate(predicted, truth, cutting_level=None, procedure: str = "") -> EvalR
 def lambda_sweep(block, model: ElectreModel, grid, procedure: str = "pessimistic"):
     """Re-evaluate a fixed model over a grid of cutting levels on a labeled block.
 
-    Each lambda cuts the kernel rows, weighted by their pairs of each truth
-    label; a report lists its cells sorted by (truth, category).
+    The pairs are cut by core.cut_counts; a report lists its cells sorted by
+    (truth, category).
     """
     grid = list(grid)
     if not grid:
         raise EvaluationError("empty lambda grid")
-    truth = _labels(block)
-    R, kernel_row = kernel_rows(model, block.columns())
-    rows, label, pairs = label_cells(kernel_row, truth, len(R))
-    counts = cut_counts(*credibilities(model, R[rows]), label, pairs, grid, procedure)
+    counts = cut_counts(model, block.columns(), _labels(block), grid, procedure)
     return [EvalReport.from_contingency({(t, c): int(m[t, c]) for t, c in np.argwhere(m).tolist()},
                                         lam, procedure) for lam, m in zip(grid, counts)]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import CHUNK_ROWS
+from .core import CHUNK_ROWS, _distinct_cells
 from .core import classify_batch  # noqa: F401 - cli classifies through here
 from .fellegi_sunter import agreement_patterns, fit_patterns
 from .ingest import LinkageSchema, RecordTable
@@ -75,15 +75,6 @@ def _factorize(values):
     code = np.fromiter((codes.setdefault(v, len(codes)) for v in values),
                        dtype=np.intp, count=len(values))
     return list(codes), code
-
-
-def _distinct_cells(table):
-    """(distinct values of a table by bit pattern, each cell's int32 index into them).
-
-    Keyed by bits, -0.0 stays apart from 0.0 and each nan payload from the others.
-    """
-    bits, cell = np.unique(table.view(np.int64), return_inverse=True)
-    return bits.view(np.float64), cell.reshape(table.shape).astype(np.int32)
 
 
 def build_pairs(a: RecordTable, b: RecordTable, schema: LinkageSchema) -> PairBlock:

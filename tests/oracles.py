@@ -23,9 +23,9 @@ import numpy as np
 from scipy.optimize import linprog
 
 from electre_linkage.calibration import LpSolution, _monotone_selection
-from electre_linkage.core import ProfileSet
+from electre_linkage.core import ProfileSet, _distinct_cells
 from electre_linkage.evaluation import EvalReport, EvaluationError
-from electre_linkage.linkage import PairBlock, _distinct_cells
+from electre_linkage.linkage import PairBlock
 from electre_linkage.metrics import ComparatorError
 
 

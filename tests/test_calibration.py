@@ -279,6 +279,23 @@ class TestEstimateLambda:
         with pytest.raises(CalibrationError):
             estimate_lambda(train, crits, ProfileSet(((0.5,),)), grid_step=0.6)
 
+    def test_grid_step_beyond_the_grid_bound(self):
+        # 0.5 + 1e-300 == 0.5, so this step used to loop forever
+        train = make_training([((0.1,), 1), ((0.9,), 2)], p=2)
+        crits = (Criterion("g", 1.0, 0.0, 0.0),)
+        for step in (1e-300, 1e-9, 0.5 / calibration.MAX_GRID_POINTS):
+            with pytest.raises(CalibrationError, match="cutting levels"):
+                estimate_lambda(train, crits, ProfileSet(((0.5,),)), grid_step=step)
+        # the finest step at the bound: each level is still the accumulated sum
+        step = 0.5 / (calibration.MAX_GRID_POINTS - 1)
+        _, curve = estimate_lambda(train, crits, ProfileSet(((0.5,),)), grid_step=step)
+        expected, lam = [], 0.5
+        while lam < 1.0 - 1e-12:
+            expected.append(round(lam, 12))
+            lam += step
+        assert [lam for lam, _ in curve] == expected + [1.0]
+        assert len(curve) <= calibration.MAX_GRID_POINTS
+
 
 class TestCalibrate:
     def test_zero_loss_recovery(self):

@@ -222,6 +222,9 @@ class TestPipeline:
         {"split": 5},
         {"schema": 7},
         {"schema": {"compared_fields": [{"field": "NAME"}]}},
+        {"unknown_key": 3},
+        {"calibration": {"typo": 3}},
+        {"split": {"train_fraction": 0.5, "seeds": 1}},
     ])
     def test_malformed_config_is_usage_error(self, small_dataset, tmp_path, capsys, document):
         # each of these used to exit 2 with "internal error"
@@ -232,6 +235,66 @@ class TestPipeline:
                     "--output-dir", tmp_path / "out"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("document, message", [
+        ({"unknown_key": 3}, "unknown key 'unknown_key'"),
+        ({"calibration": {"epsilon": 0.01, "typo": 3}},
+         "unknown key 'typo' in section 'calibration'"),
+    ], ids=["top", "section"])
+    def test_unknown_config_key_is_named(self, small_dataset, tmp_path, capsys, document,
+                                         message):
+        # these used to train and exit 0, ignoring the key
+        a, b = small_dataset
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(document))
+        code = run(["train", "--config", cfg_path, "--dataset-a", a, "--dataset-b", b,
+                    "--output-dir", tmp_path / "out"])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
+    def test_grid_step_past_the_grid_bound_is_usage_error(self, small_dataset, tmp_path,
+                                                          capsys):
+        # 0.5 + 1e-300 == 0.5: train used to loop forever building the lambda grid
+        a, b = small_dataset
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"calibration": {"grid_step": 1e-300}}))
+        code = run(["train", "--config", cfg_path, "--dataset-a", a, "--dataset-b", b,
+                    "--output-dir", tmp_path / "out"])
+        assert code == 1
+        assert "cutting levels" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["classify", "sweep"])
+    def test_model_past_three_categories_is_usage_error(self, small_dataset, tmp_path,
+                                                        capsys, command):
+        # classify used to write C4 rows that evaluate then refused
+        a, b = small_dataset
+        model = {"criteria": [{"name": f"g{j}", "weight": 1.0, "q": 0.0, "p": 0.1}
+                              for j in range(5)],
+                 "profiles": [[0.3] * 5, [0.6] * 5, [0.9] * 5], "lambda": 0.75}
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(model))
+        out = tmp_path / "out"
+        code = run([command, "--dataset-a", a, "--dataset-b", b, "--output-dir", out,
+                    "--model", model_path])
+        assert code == 1
+        assert "model has 4 categories" in capsys.readouterr().err
+        assert not (out / "classified.csv").exists()
+
+    def test_two_category_model_round_trip(self, small_dataset, tmp_path):
+        # a model of C1 and C2 classifies, and evaluate reads what classify wrote
+        a, b = small_dataset
+        model = {"criteria": [{"name": f"g{j}", "weight": 1.0, "q": 0.0, "p": 0.1}
+                              for j in range(5)],
+                 "profiles": [[0.6] * 5], "lambda": 0.75}
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(model))
+        base = ["--dataset-a", a, "--dataset-b", b, "--output-dir", tmp_path / "out"]
+        assert run(["classify", *base, "--model", model_path]) == 0
+        with open(tmp_path / "out" / "classified.csv", newline="") as fh:
+            assigned = {row["assigned"] for row in csv.DictReader(fh)}
+        assert assigned <= {"C1", "C2"} and assigned
+        assert run(["evaluate", *base, "--classified", tmp_path / "out" / "classified.csv"]) == 0
+        assert run(["sweep", *base, "--model", model_path]) == 0
 
     @pytest.mark.parametrize("path", [("criteria", 0, "weight"), ("criteria", 1, "q"),
                                       ("criteria", 2, "p"), ("profiles", 0, 3), ("epsilon",)],

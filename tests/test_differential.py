@@ -31,6 +31,7 @@ from electre_linkage.core import (
     ElectreModel,
     ModelError,
     ProfileSet,
+    _distinct_cells,
     classify_batch,
     credibilities,
 )
@@ -45,7 +46,6 @@ from electre_linkage.fellegi_sunter import (
 from electre_linkage.ingest import census_schema, load_table, toy_schema, true_links
 from electre_linkage.linkage import (
     PairBlock,
-    _distinct_cells,
     build_pairs,
     label_pairs,
     write_classified,
