@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import array
 import random
 from dataclasses import asdict, dataclass
 
@@ -77,25 +76,147 @@ def _labels(block) -> np.ndarray:
     return block.truth
 
 
+_SCALAR_BELOW = 1 << 10   # draws below this bound are single getrandbits calls
+_CHUNK_WORDS = 1 << 20    # generator words drawn, or skipped, by one getrandbits call
+_MAX_GROUP = 1 << 31      # the int32 step arrays index a group below this size
+
+
+def _words(rng: random.Random, count: int) -> np.ndarray:
+    """The generator's next `count` 32-bit outputs, in order (read-only uint32)."""
+    return np.frombuffer(rng.getrandbits(32 * count).to_bytes(4 * count, "little"), "<u4")
+
+
+def _targets(rng: random.Random, n: int) -> np.ndarray:
+    """The draws of `rng.shuffle` on n items: t[i] = randbelow(i + 1), drawn for
+    i = n-1 down to 1 (t[0] = 0), leaving `rng` in the state shuffle leaves.
+
+    randbelow(m) takes k = m.bit_length() top bits of one word, rejecting
+    words until they fall below m. Within one k band the bound drops by one
+    per accepted word, so in a block of words starting at bound m, word s is
+    rejected iff (word >> (32-k)) + s - m >= the rejections before it in the
+    block. That is settled for every word in one pass, except those whose
+    excess lies in [0, s); a short loop settles those in order.
+    """
+    t = np.zeros(n, dtype=np.int32)
+    m = n  # the bound of the next draw
+    if m > _SCALAR_BELOW:
+        words = np.empty(0, dtype="<u4")
+        used = 0
+        while m > _SCALAR_BELOW:
+            k = m.bit_length()
+            low = 1 << (k - 1)  # the band's last bound
+            while m >= low:
+                if used == len(words):  # a draw takes 1 to 2 words, about 1.4 on average
+                    del words
+                    state = rng.getstate()
+                    words = _words(rng, min(_CHUNK_WORDS, 3 * (m - _SCALAR_BELOW + 1) // 2))
+                    used = 0
+                # a block of 2^(k-4) words leaves about 1 word in 32 unsettled
+                top = (words[used:used + (1 << (k - 4))] >> (32 - k)).astype(np.int64)
+                s = np.arange(len(top))
+                excess = top + s - m
+                rejected = excess >= s
+                unsettled = np.flatnonzero((excess >= 0) & ~rejected)
+                if unsettled.size:
+                    extra = 0
+                    for i, e, r in zip(unsettled.tolist(), excess[unsettled].tolist(),
+                                       np.cumsum(rejected)[unsettled - 1].tolist()):
+                        if e >= r + extra:
+                            rejected[i] = True
+                            extra += 1
+                accepted = np.flatnonzero(~rejected)[:m - low + 1]
+                t[m - len(accepted):m] = top[accepted[::-1]]
+                used += int(accepted[-1]) + 1 if len(accepted) == m - low + 1 else len(top)
+                m -= len(accepted)
+        del words
+        rng.setstate(state)  # the state before the last chunk, then the words it used
+        rng.getrandbits(32 * used)
+    getrandbits = rng.getrandbits
+    for m in range(m, 1, -1):
+        k = m.bit_length()
+        r = getrandbits(k)
+        while r >= m:
+            r = getrandbits(k)
+        t[m - 1] = r
+    return t
+
+
+def _permutation(rng: random.Random, n: int) -> np.ndarray:
+    """The permutation of range(n) that `rng.shuffle(list(range(n)))` makes
+    (int32), leaving `rng` in the state shuffle leaves it in.
+
+    Step i of the shuffle swaps positions i and t[i] <= i, and no later step
+    touches position i. With the steps sorted by (target, step):
+    - nxt(i) is the next step with i's target, the last to write there before i;
+    - prev(i) is the first step after i that targets i, the last to write i;
+    - v(i), the value at i just before step i, is v(prev(i)), or i.
+    So x[i] is v(nxt(i)), or t[i]; a step 0 with target 0 makes x[0] fit too.
+    All arrays but the int64 sort key are int32: about 17 bytes an element
+    at the peak.
+    """
+    if n >= _MAX_GROUP:
+        raise EvaluationError(f"a label group of {n} pairs is too large to split "
+                              f"(at most {_MAX_GROUP - 1})")
+    if n < 2:
+        return np.arange(n, dtype=np.int32)
+    t = _targets(rng, n)
+    key = t.astype(np.int64)
+    key *= n
+    key += np.arange(n, dtype=np.int32)
+    key.sort()
+    key %= n
+    step = key.astype(np.int32)  # the steps in (target, step) order
+    del key
+    target = t[step]
+    head = np.empty(n, dtype=bool)  # a step first in its target's group
+    head[0] = True
+    np.not_equal(target[1:], target[:-1], out=head[1:])
+    del target
+    nxt = np.empty(n, dtype=np.int32)
+    nxt[step[:-1]] = step[1:]
+    nxt[step[:-1][head[1:]]] = -1
+    nxt[step[-1]] = -1
+    first = step[head]
+    del step, head
+    group = t[first]
+    prev = nxt[first]  # prev(g) where step g is the first of its own group
+    np.copyto(prev, first, where=first != group)
+    del first
+    np.copyto(prev, group, where=prev < 0)  # nothing writes g before step g
+    v = np.arange(n, dtype=np.int32)  # v(i), once prev(i) has been followed to its end
+    v[group] = prev
+    del group, prev
+    while True:
+        jumped = v[v]
+        if np.array_equal(jumped, v):
+            break
+        v = jumped
+    del jumped
+    x = v[nxt]  # where nxt is -1 this reads v[-1], replaced by t[i]
+    np.copyto(x, t, where=nxt < 0)
+    return x
+
+
 def split(block, train_fraction: float, seed: int):
     """Stratified deterministic split of a labeled pair block.
 
     Returns (TrainingSet, test block). Stratification is by truth label,
     so links and nonlinks keep their proportions in the training set; both
-    sides keep the block's row order within each label.
+    sides keep the block's row order within each label. Each label's
+    training rows are the first round(train_fraction * size) of the
+    permutation `random.Random(seed).shuffle` makes of the group's positions,
+    one generator across the labels in ascending order, computed in numpy.
     """
     if not 0 < train_fraction < 1:
         raise EvaluationError(f"train fraction must lie in (0, 1), got {train_fraction}")
     truth = _labels(block)
     rng = random.Random(seed)
     train, test = [], []
-    for label in np.unique(truth).tolist():
-        group = np.flatnonzero(truth == label)
-        order = array.array("q", range(len(group)))  # 8 bytes an entry, shuffled in place
-        rng.shuffle(order)
-        n_train = round(train_fraction * len(group))
-        chosen = np.zeros(len(group), dtype=bool)
-        chosen[np.frombuffer(order, dtype=np.int64)[:n_train]] = True
+    labels, sizes = np.unique(truth, return_counts=True)
+    for label, size in zip(labels.tolist(), sizes.tolist()):
+        chosen = np.zeros(size, dtype=bool)
+        chosen[_permutation(rng, size)[:round(train_fraction * size)]] = True
+        group = np.flatnonzero(truth == label)  # made after the permutation's peak
         train.append(group[chosen])
         test.append(group[~chosen])
     train = np.concatenate(train) if train else np.empty(0, dtype=np.intp)

@@ -169,6 +169,37 @@ def test_split_matches_reference(tables):
             assert test.truth.tolist() == block.truth[ref_test].tolist()
 
 
+@pytest.mark.parametrize("policy", ["two_class", "banded"])
+def test_split_matches_reference_at_census_scale(tmp_path, policy):
+    """A nonlink group past 2**15 pairs, so the shuffle's vectorised draws run,
+    not only its scalar loop; banded keeps two C2 pairs, whose 0.2 share rounds to 0."""
+    generate_pair_files(tmp_path / "a.csv", tmp_path / "b.csv", n_a=200, n_b=180,
+                        n_links=120, seed=8)
+    schema = census_schema()
+    a, _ = load_table(tmp_path / "a.csv", schema, "A")
+    b, _ = load_table(tmp_path / "b.csv", schema, "B")
+    block = label_pairs(build_pairs(a, b, schema), true_links(a, b), policy)
+    if policy == "banded":
+        two_c2 = np.flatnonzero(block.truth == 2)[:2]
+        block = block.take(np.sort(np.r_[np.flatnonzero(block.truth != 2), two_c2]))
+        assert np.unique(block.truth).tolist() == [1, 2, 3]
+    assert (block.truth == 1).sum() > 2**15
+    X, labels = block.X, block.truth.tolist()
+    for seed in (0, 5, 12):
+        for fraction in (0.2, 0.5, 0.9):
+            train, test = split(block, fraction, seed)
+            ref_train, ref_test = ref_split(labels, fraction, seed)
+            assert train.X.tobytes() == X[ref_train].tobytes()
+            assert train.y.tolist() == block.truth[ref_train].tolist()
+            assert test.rows.tolist() == block.rows[ref_test].tolist()
+            assert test.truth.tolist() == block.truth[ref_test].tolist()
+    # 0.002 of the ~120 links rounds to none: the reference trains on no link
+    ref_train, _ = ref_split(labels, 0.002, 0)
+    assert 3 not in block.truth[ref_train]
+    with pytest.raises(EvaluationError, match="no links"):
+        split(block, 0.002, 0)
+
+
 @pytest.mark.parametrize("band_rate", [0.01, 0.3])
 def test_fit_fs_matches_reference(tables, band_rate):
     schema, a, b = tables

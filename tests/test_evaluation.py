@@ -1,9 +1,14 @@
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from electre_linkage.core import Criterion, ElectreModel, ModelError, ProfileSet
 from electre_linkage.evaluation import (
+    _SCALAR_BELOW,
     EvaluationError,
+    _permutation,
     evaluate,
     lambda_sweep,
     split,
@@ -77,6 +82,54 @@ class TestSplit:
         pairs = block([(("a", "b"), (0.5,), 0)])
         with pytest.raises(EvaluationError, match=r"pair \('a', 'b'\) is unlabeled"):
             split(pairs, 0.5, seed=0)
+
+
+class TestPermutation:
+    """_permutation against random.Random.shuffle: the same permutation and the
+    same generator state after it."""
+
+    SIZES = sorted({*range(71), *(2**k + d for k in range(1, 18) for d in (-1, 0, 1)),
+                    _SCALAR_BELOW - 1, _SCALAR_BELOW, _SCALAR_BELOW + 1, 200_003})
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    def test_matches_shuffle(self, seed):
+        for n in self.SIZES:
+            rng, ref = random.Random(seed), random.Random(seed)
+            order = list(range(n))
+            ref.shuffle(order)
+            x = _permutation(rng, n)
+            assert x.dtype == np.int32 and x.tolist() == order, n
+            assert rng.getstate() == ref.getstate(), n
+
+    def test_one_generator_across_groups(self):
+        # split draws every label group from one generator, in turn
+        rng, ref = random.Random(12), random.Random(12)
+        for n in (5000, 17, 3000, 1, 0):
+            order = list(range(n))
+            ref.shuffle(order)
+            assert _permutation(rng, n).tolist() == order, n
+        assert rng.getstate() == ref.getstate()
+
+    def test_oversized_group_rejected(self):
+        # refused before anything is allocated: the int32 steps cannot index it
+        tracemalloc.start()
+        try:
+            with pytest.raises(EvaluationError, match="label group of 2147483648 pairs"):
+                _permutation(random.Random(0), 2**31)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
+
+    def test_peak_memory_per_element(self):
+        n = 2**18
+        tracemalloc.start()
+        try:
+            _permutation(random.Random(3), n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * n, peak / n
 
 
 class TestEvaluate:
