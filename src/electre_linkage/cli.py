@@ -20,7 +20,7 @@ from .calibration import calibrate
 from .core import ElectreModel, ModelError, kernel_rows
 from .evaluation import EvalReport, EvaluationError, lambda_sweep, split
 from .fellegi_sunter import agreement_patterns, fit_patterns
-from .ingest import LinkageSchema, census_schema, load_table, true_links
+from .ingest import IngestError, LinkageSchema, census_schema, load_table, true_links
 from .linkage import build_pairs, label_pairs, write_classified
 
 # every module's error type (IngestError, ModelError, ...) is a ValueError
@@ -116,7 +116,10 @@ def get_schema(cfg) -> LinkageSchema:
         return census_schema()
     if isinstance(spec, str):
         with open(spec, encoding="utf-8") as fh:
-            spec = json.load(fh)
+            try:
+                spec = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise IngestError(f"{spec}: schema file is not valid JSON: {exc}") from exc
     return LinkageSchema.from_dict(spec)
 
 
@@ -210,8 +213,9 @@ def cmd_evaluate(args, cfg, schema, out) -> int:
         reader = csv.reader(fh)
         header = next(reader, [])
         for name in ("assigned", "truth"):
-            if name not in header:
-                raise EvaluationError(f"classified file has no {name!r} column")
+            if header.count(name) != 1:
+                raise EvaluationError(f"classified file has "
+                                      f"{'a repeated' if name in header else 'no'} {name!r} column")
         ia, it = header.index("assigned"), header.index("truth")
         for row in reader:
             if not row:

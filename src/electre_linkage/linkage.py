@@ -15,8 +15,9 @@ import numpy as np
 
 from .core import CHUNK_ROWS, _distinct_cells
 from .core import classify_batch  # noqa: F401 - cli classifies through here
-from .fellegi_sunter import agreement_patterns, fit_patterns
+from .fellegi_sunter import agreement_patterns, fit_patterns, fs_decide
 from .ingest import LinkageSchema, RecordTable
+from .metrics import _factorize
 
 __all__ = [
     "PairBlock",
@@ -69,14 +70,6 @@ class PairBlock:
         return replace(self, rows=self.rows[rows], truth=self.truth[rows])
 
 
-def _factorize(values):
-    """(distinct values in first-seen order, code of each value)."""
-    codes = {}
-    code = np.fromiter((codes.setdefault(v, len(codes)) for v in values),
-                       dtype=np.intp, count=len(values))
-    return list(codes), code
-
-
 def build_pairs(a: RecordTable, b: RecordTable, schema: LinkageSchema) -> PairBlock:
     """Every cross pair, row-major by table order, unlabeled.
 
@@ -116,8 +109,7 @@ def label_pairs(block: PairBlock, links, policy: str = "two_class", fs_model=Non
         P, pattern = agreement_patterns(block.columns(), thresholds)
         if fs_model is None:
             fs_model = fit_patterns(P, pattern, truth)
-        score = fs_model.log_ratio(P)
-        band = (fs_model.lower <= score) & (score <= fs_model.upper)
+        band = fs_decide(fs_model, P) == 2
         truth[~is_link & band[pattern]] = 2
     return replace(block, truth=truth)
 
@@ -145,22 +137,19 @@ def write_classified(path, block: PairBlock, kernel_row, cats, sigma, field_name
     kernel_row maps each pair to its row of cats and sigma (core.kernel_rows).
     The bytes are those of csv.writer writing one row per pair with
     repr(float) cells, but the rows are built column by column over chunks
-    of CHUNK_ROWS pairs from text made once: each distinct similarity of a
-    field (by bit pattern, so -0.0 stays apart from 0.0), the sigma and
-    category cells per kernel row, each id and each truth label. Each chunk
-    is written in one call.
+    of CHUNK_ROWS pairs, each read through PairBlock.columns(), from text
+    made once: each distinct similarity of a field (by bit pattern, so -0.0
+    stays apart from 0.0), the sigma and category cells per kernel row, each
+    id and each truth label. Each chunk is written in one call.
     """
     nprof = sigma.shape[1] if len(kernel_row) else 0
     qa, qb = _quoted(block.ids_a), _quoted(block.ids_b)
-    similarities = [
-        (code_a, code_b, np.array([repr(v) for v in values.tolist()], dtype=object)[cell])
-        for code_a, code_b, values, cell in block.fields
-    ]
     sigma = np.asarray(sigma, dtype=np.float64).tolist()
     outcome = np.array([",".join(map(repr, s)) + f",C{c}"
                         for s, c in zip(sigma, np.asarray(cats).tolist())], dtype=object)
     labels = np.unique(block.truth)
     label_texts = np.array([f"C{t}" if t else "" for t in labels.tolist()], dtype=object)
+    similarities = []
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(
             ["id_a", "id_b"]
@@ -169,13 +158,17 @@ def write_classified(path, block: PairBlock, kernel_row, cats, sigma, field_name
             + ["assigned", "truth"]
         )
         for lo in range(0, len(kernel_row), CHUNK_ROWS):
-            rows = slice(lo, lo + CHUNK_ROWS)
-            ia, ib = np.divmod(block.rows[rows], len(block.ids_b))
+            chunk = block.take(slice(lo, lo + CHUNK_ROWS))
+            fields = chunk.columns()
+            # every chunk shares the fields' distinct similarities: their text is made once
+            similarities = similarities or [
+                np.array([repr(v) for v in values.tolist()], dtype=object) for values, _ in fields]
+            ia, ib = np.divmod(chunk.rows, len(block.ids_b))
             columns = [
                 qa[ia].tolist(),
                 qb[ib].tolist(),
-                *(text[code_a[ia], code_b[ib]].tolist() for code_a, code_b, text in similarities),
-                outcome[kernel_row[rows]].tolist(),
-                label_texts[np.searchsorted(labels, block.truth[rows])].tolist(),
+                *(text[index].tolist() for text, (_, index) in zip(similarities, fields)),
+                outcome[kernel_row[lo:lo + CHUNK_ROWS]].tolist(),
+                label_texts[np.searchsorted(labels, chunk.truth)].tolist(),
             ]
             fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")

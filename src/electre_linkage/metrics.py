@@ -61,18 +61,18 @@ def jaro_winkler(x: str, y: str, prefix_scale: float = 0.1, prefix_cap: int = 4)
     return float(_jaro_table([x], [y], prefix_scale, prefix_cap)[0, 0])
 
 
-def _value_codes(vals_a, vals_b) -> tuple:
-    """Codes of one dict over both sides: equal values share a code."""
+def _factorize(values):
+    """(distinct values in first-seen order, code of each value)."""
     codes = {}
-    ca = np.array([codes.setdefault(v, len(codes)) for v in vals_a], dtype=np.intp)
-    cb = np.array([codes.setdefault(v, len(codes)) for v in vals_b], dtype=np.intp)
-    return ca, cb
+    code = np.fromiter((codes.setdefault(v, len(codes)) for v in values),
+                       dtype=np.intp, count=len(values))
+    return list(codes), code
 
 
 def _equality_grid(vals_a, vals_b) -> np.ndarray:
-    """1.0 where the values are equal."""
-    ca, cb = _value_codes(vals_a, vals_b)
-    return (ca[:, None] == cb[None, :]).astype(np.float64)
+    """1.0 where the values are equal: where they share a code of one numbering."""
+    code = _factorize(vals_a + vals_b)[1]
+    return (code[:len(vals_a), None] == code[None, len(vals_a):]).astype(np.float64)
 
 
 def exact(x, y) -> float:
@@ -137,7 +137,8 @@ def _jaro_table(vals_a, vals_b, prefix_scale: float = 0.0, prefix_cap: int = 0) 
     vals_a, vals_b = [str(v) for v in vals_a], [str(v) for v in vals_b]
     x, lx = _code_points(vals_a, -1)
     y, ly = _code_points(vals_b, -2)
-    ca, cb = _value_codes(vals_a, vals_b)
+    code = _factorize(vals_a + vals_b)[1]
+    ca, cb = code[:len(vals_a)], code[len(vals_a):]
     table = np.empty((len(vals_a), len(vals_b)))
     for b0 in range(0, len(vals_b), CHUNK_ROWS):
         cols = slice(b0, b0 + CHUNK_ROWS)

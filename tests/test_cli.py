@@ -236,6 +236,19 @@ class TestPipeline:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_schema_file_not_json_is_usage_error(self, small_dataset, tmp_path, capsys):
+        # used to print only json's "Expecting property name ...", naming no file
+        a, b = small_dataset
+        schema_path = tmp_path / "schema.json"
+        schema_path.write_text("{not json")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"schema": str(schema_path)}))
+        code = run(["train", "--config", cfg_path, "--dataset-a", a, "--dataset-b", b,
+                    "--output-dir", tmp_path / "out"])
+        assert code == 1
+        assert f"error: {schema_path}: schema file is not valid JSON: Expecting property" \
+            in capsys.readouterr().err
+
     @pytest.mark.parametrize("document, message", [
         ({"unknown_key": 3}, "unknown key 'unknown_key'"),
         ({"calibration": {"epsilon": 0.01, "typo": 3}},
@@ -389,13 +402,16 @@ class TestPipeline:
         ("id_a,id_b,truth,assigned", "x,z,-4,C1", "line 2 has category '-4'"),
         ("id_a,id_b,truth,assigned", "x,z,C2,3", "line 2 has category '3'"),
         ("id_a,id_b,truth,assigned", "x,z,CC3,C3", "line 2 has category 'CC3'"),
+        ("id_a,id_b,assigned,truth,truth", "x,y,C1,C3,C1", "a repeated 'truth' column"),
+        ("id_a,assigned,id_b,assigned,truth", "x,C1,y,C2,C3", "a repeated 'assigned' column"),
     ], ids=["assigned", "truth", "short_row", "assigned_C9", "truth_-4", "assigned_3",
-            "truth_CC3"])
+            "truth_CC3", "truth_twice", "assigned_twice"])
     def test_classified_file_without_column(self, small_dataset, tmp_path, capsys, header,
                                             row, message):
         # each used to exit 2: "internal error: 'assigned'" for the file without the
         # column, "internal error: list index out of range" for the short row; the
-        # categories outside C1..C3 were parsed as integers and evaluated, exit 0
+        # categories outside C1..C3 were parsed as integers and evaluated, exit 0, and
+        # a repeated column was read at its first place, exit 0
         a, b = small_dataset
         classified = tmp_path / "classified.csv"
         classified.write_text(header + "\n" + row + "\n")

@@ -154,6 +154,26 @@ def test_banded_labels_match_scalar_scores(tables, reference):
     ]
 
 
+def test_banded_band_includes_its_ends(tables, reference):
+    """Lower and Upper set exactly to nonlink pattern scores: the pairs scoring them get C2.
+    On the census tables a score one ulp below Lower and one one ulp above Upper stay C1."""
+    schema, a, b = tables
+    ids, rows, _ = reference
+    links = true_links(a, b)
+    m = len(rows[0])
+    probs = ((0.9, 0.8, 0.7, 0.95, 0.6)[:m], (0.1, 0.3, 0.2, 0.05, 0.4)[:m], (0.88,) * m)
+    scores = [ref_log_ratio(row, probs[2], *probs[:2]) for row in rows]
+    nonlink = sorted({score for pair, score in zip(ids, scores) if pair not in links})
+    lower, upper = nonlink[len(nonlink) // 4], nonlink[3 * len(nonlink) // 4]
+    block = label_pairs(build_pairs(a, b, schema), links, "banded",
+                        fs_model=FsModel(*probs, lower=lower, upper=upper))
+    assert block.truth.tolist() == [3 if pair in links else 2 if lower <= score <= upper else 1
+                                    for pair, score in zip(ids, scores)]
+    ends = [label for pair, score, label in zip(ids, scores, block.truth.tolist())
+            if pair not in links and score in (lower, upper)]
+    assert ends and set(ends) == {2}
+
+
 def test_split_matches_reference(tables):
     schema, a, b = tables
     block = label_pairs(build_pairs(a, b, schema), true_links(a, b), "two_class")
@@ -617,6 +637,30 @@ def test_write_classified_matches_row_loop(tables, tmp_path, monkeypatch, chunk_
     assert_same_file(tmp_path, block, kernel_row, cats, sigma, schema.field_names)
     unlabeled = replace(block, truth=np.zeros(len(block)))
     assert_same_file(tmp_path, unlabeled, kernel_row, cats, sigma, schema.field_names)
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 1, 7])
+def test_write_classified_reads_each_chunk_through_columns(tables, tmp_path, monkeypatch,
+                                                           chunk_rows):
+    """The writer reads the pair layout through PairBlock.columns() alone, once per chunk."""
+    if chunk_rows:
+        monkeypatch.setattr(linkage, "CHUNK_ROWS", chunk_rows)
+    schema, a, b = tables
+    block = label_pairs(build_pairs(a, b, schema), true_links(a, b), "two_class")
+    model = simple_model(len(schema.field_names))
+    R, kernel_row = core.kernel_rows(model, block.columns())
+    cats, sigma = classify_batch(model, R)
+    calls = []
+    columns = PairBlock.columns
+
+    def counting(chunk):
+        calls.append(len(chunk))
+        return columns(chunk)
+
+    monkeypatch.setattr(PairBlock, "columns", counting)
+    write_classified(tmp_path / "c.csv", block, kernel_row, cats, sigma, schema.field_names)
+    size = linkage.CHUNK_ROWS
+    assert calls == [min(size, len(block) - lo) for lo in range(0, len(block), size)]
 
 
 SPECIAL_FLOATS = [0.0, -0.0, 0.1 + 0.2, 0.3, 1e-300, -1e-300, 5e-324, 1.0, 0.5,
