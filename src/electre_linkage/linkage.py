@@ -56,9 +56,28 @@ class PairBlock:
 
     def columns(self) -> list:
         """Per field (values, index): its distinct similarities and each row's int32
-        index into them."""
-        ia, ib = np.divmod(self.rows, len(self.ids_b))
-        return [(values, cell[code_a[ia], code_b[ib]])
+        index into them. A run of consecutive positions is read by table rows, not divmod."""
+        rows, nb = self.rows, len(self.ids_b)
+        if len(rows) and rows[-1] - rows[0] == len(rows) - 1 and (np.diff(rows) == 1).all():
+            (a0, b0), (a1, b1) = divmod(int(rows[0]), nb), divmod(int(rows[-1]), nb)
+
+            def read(code_a, code_b, cell):
+                if a0 == a1:
+                    return cell[code_a[a0], code_b[b0:b1 + 1]]
+                index = np.empty(len(rows), dtype=np.int32)
+                k0, k1 = nb - b0, len(rows) - b1 - 1
+                index[:k0] = cell[code_a[a0], code_b[b0:]]
+                # the middle rows go straight into index: mode="raise" would buffer them
+                np.take(cell[code_a[a0 + 1:a1]], code_b, axis=1,
+                        out=index[k0:k1].reshape(-1, nb), mode="clip")
+                index[k1:] = cell[code_a[a1], code_b[:b1 + 1]]
+                return index
+        else:
+            ia, ib = np.divmod(rows, nb)
+
+            def read(code_a, code_b, cell):
+                return cell[code_a[ia], code_b[ib]]
+        return [(values, read(code_a, code_b, cell))
                 for code_a, code_b, values, cell in self.fields]
 
     def pair(self, row: int) -> tuple:
@@ -122,13 +141,13 @@ class _Echo:
 
 
 def _quoted(values) -> np.ndarray:
-    """Each value as csv.writer writes it as one field of a longer row.
+    """Each value as csv.writer writes it as one field of a longer row, with its comma.
 
     The writer keeps its default CRLF terminator: it also quotes fields that
     hold a character of the terminator.
     """
     writer = csv.writer(_Echo())
-    return np.array([writer.writerow((v, ""))[:-3] for v in values], dtype=object)
+    return np.array([writer.writerow((v, ""))[:-2] for v in values], dtype=object)
 
 
 def write_classified(path, block: PairBlock, kernel_row, cats, sigma, field_names) -> None:
@@ -136,19 +155,22 @@ def write_classified(path, block: PairBlock, kernel_row, cats, sigma, field_name
 
     kernel_row maps each pair to its row of cats and sigma (core.kernel_rows).
     The bytes are those of csv.writer writing one row per pair with
-    repr(float) cells, but the rows are built column by column over chunks
-    of CHUNK_ROWS pairs, each read through PairBlock.columns(), from text
-    made once: each distinct similarity of a field (by bit pattern, so -0.0
-    stays apart from 0.0), the sigma and category cells per kernel row, each
-    id and each truth label. Each chunk is written in one call.
+    repr(float) cells. Each chunk of CHUNK_ROWS pairs, read through
+    PairBlock.columns(), is stacked column by column from text made once and
+    ending in its own separator (CRLF after the truth label, else a comma):
+    each id, each distinct similarity of a field (by bit pattern, so -0.0
+    stays apart from 0.0), the sigma and category cells per kernel row and
+    each truth label. Each chunk is joined and written in one call.
     """
-    nprof = sigma.shape[1] if len(kernel_row) else 0
+    if len(kernel_row) != len(block):
+        raise ValueError(f"kernel_row has {len(kernel_row)} entries for {len(block)} pairs")
+    nprof = sigma.shape[1] if len(block) else 0
     qa, qb = _quoted(block.ids_a), _quoted(block.ids_b)
-    sigma = np.asarray(sigma, dtype=np.float64).tolist()
-    outcome = np.array([",".join(map(repr, s)) + f",C{c}"
-                        for s, c in zip(sigma, np.asarray(cats).tolist())], dtype=object)
+    sigma_texts = [map(repr, s) for s in np.asarray(sigma, dtype=np.float64).T.tolist()]
+    category_texts = [f"C{c}," for c in np.asarray(cats).tolist()]
+    outcome = np.array(list(map(",".join, zip(*sigma_texts, category_texts))), dtype=object)
     labels = np.unique(block.truth)
-    label_texts = np.array([f"C{t}" if t else "" for t in labels.tolist()], dtype=object)
+    label_texts = np.array([f"C{t}\r\n" if t else "\r\n" for t in labels.tolist()], dtype=object)
     similarities = []
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(
@@ -157,18 +179,19 @@ def write_classified(path, block: PairBlock, kernel_row, cats, sigma, field_name
             + [f"sigma_b{h}" for h in range(1, nprof + 1)]
             + ["assigned", "truth"]
         )
-        for lo in range(0, len(kernel_row), CHUNK_ROWS):
+        for lo in range(0, len(block), CHUNK_ROWS):
             chunk = block.take(slice(lo, lo + CHUNK_ROWS))
             fields = chunk.columns()
             # every chunk shares the fields' distinct similarities: their text is made once
             similarities = similarities or [
-                np.array([repr(v) for v in values.tolist()], dtype=object) for values, _ in fields]
+                np.array([repr(v) + "," for v in values.tolist()], dtype=object)
+                for values, _ in fields]
             ia, ib = np.divmod(chunk.rows, len(block.ids_b))
-            columns = [
-                qa[ia].tolist(),
-                qb[ib].tolist(),
-                *(text[index].tolist() for text, (_, index) in zip(similarities, fields)),
-                outcome[kernel_row[lo:lo + CHUNK_ROWS]].tolist(),
-                label_texts[np.searchsorted(labels, chunk.truth)].tolist(),
-            ]
-            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
+            cells = np.column_stack([
+                qa[ia],
+                qb[ib],
+                *(text[index] for text, (_, index) in zip(similarities, fields)),
+                outcome[kernel_row[lo:lo + CHUNK_ROWS]],
+                label_texts[np.searchsorted(labels, chunk.truth)],
+            ])
+            fh.write("".join(cells.ravel().tolist()))

@@ -11,6 +11,7 @@ a seeded census-style pair.
 """
 
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -623,6 +624,18 @@ def simple_model(m):
     return ElectreModel(criteria, ProfileSet(((0.4,) * m, (0.8,) * m)), 0.7)
 
 
+def table_block(rng, na, nb, m=3):
+    """The whole cross product of na x nb records over m random small value tables."""
+    fields = []
+    for _ in range(m):
+        da, db = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        table = np.round(rng.random((da, db)), 1)
+        fields.append((rng.integers(0, da, na), rng.integers(0, db, nb), *_distinct_cells(table)))
+    ids_a = tuple(f"a{i}" if i % 3 else f"a,{i}" for i in range(na))
+    return PairBlock(ids_a, tuple(f"b{k}" for k in range(nb)), tuple(fields),
+                     np.arange(na * nb, dtype=np.intp), rng.integers(0, 4, na * nb).astype(np.int8))
+
+
 @pytest.mark.parametrize("chunk_rows", [None, 1, 7, 256])
 def test_write_classified_matches_row_loop(tables, tmp_path, monkeypatch, chunk_rows):
     if chunk_rows:
@@ -695,6 +708,76 @@ def test_write_classified_empty_block(tmp_path):
     assert_same_file(tmp_path, block, kernel_row, cats, sigma, ["f1", "f2", "f3"])
     header = b"id_a,id_b,sim_f1,sim_f2,sim_f3,assigned,truth\r\n"
     assert (tmp_path / "new.csv").read_bytes() == header
+
+
+def test_write_classified_refuses_kernel_rows_of_another_length(tmp_path):
+    block = table_block(np.random.default_rng(3), 9, 8)
+    R, kernel_row = core.kernel_rows(simple_model(3), block.columns())
+    cats, sigma = classify_batch(simple_model(3), R)
+    dest = tmp_path / "c.csv"
+    with pytest.raises(ValueError, match="kernel_row has 10 entries for 72 pairs"):
+        write_classified(dest, block, kernel_row[:10], cats, sigma, ["f1", "f2", "f3"])
+    assert not dest.exists()
+
+
+@pytest.mark.parametrize("chunk_rows", [6, 8])
+@pytest.mark.parametrize("lo, hi", [(3, 40), (10, 33), (2, 5)])
+def test_write_classified_of_a_run_starting_mid_row(tmp_path, monkeypatch, chunk_rows, lo, hi):
+    """Chunks one pair short of and one past an A-row (nb = 7) read runs that cross rows."""
+    monkeypatch.setattr(linkage, "CHUNK_ROWS", chunk_rows)
+    block = table_block(np.random.default_rng(lo), 6, 7).take(slice(lo, hi))
+    model = simple_model(3)
+    R, kernel_row = core.kernel_rows(model, block.columns())
+    cats, sigma = classify_batch(model, R)
+    assert_same_file(tmp_path, block, kernel_row, cats, sigma, ["f1", "f2", "f3"])
+
+
+# --- runs of the cross product read by whole table rows, against per-pair gathers ---
+
+
+def assert_columns_per_pair(block):
+    nb = len(block.ids_b)
+    for (values, index), (code_a, code_b, field_values, cell) in zip(block.columns(), block.fields):
+        assert values is field_values
+        assert index.dtype == np.int32
+        want = [cell[code_a[r // nb], code_b[r % nb]] for r in block.rows.tolist()]
+        assert index.tolist() == want
+
+
+@pytest.mark.parametrize("rows", [
+    slice(3, 17),  # starts and ends mid-A-row, across two boundaries
+    slice(4, 9),  # across one boundary
+    slice(2, 5),  # inside one A-row, nb larger than the run
+    slice(6, 12),  # one whole A-row
+    slice(8, 48),  # across several boundaries, ending on the last pair
+    slice(None),  # the whole block
+    slice(13, 14),  # one pair
+    slice(7, 7),  # empty
+    slice(None, None, -1),  # reversed
+    [0, 1, 3],  # gapped
+    [5, 5, 6],  # repeated
+    [9, 8, 7],  # descending
+    [2, 4, 3, 5],  # last - first is len - 1, yet no run
+])
+def test_columns_of_rows_match_per_pair_gathers(rows):
+    block = table_block(np.random.default_rng(11), 8, 6)
+    assert_columns_per_pair(block.take(rows))
+
+
+def test_columns_of_a_whole_block_gather_no_per_pair_codes():
+    """Each field's index is read by table rows: no divmod pair, no int64 code gathers."""
+    m = 3
+    block = table_block(np.random.default_rng(13), 400, 300, m)
+    n = len(block)
+    tracemalloc.start()
+    try:
+        columns = block.columns()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(columns) == m
+    # the int32 indices and two more of them; divmod alone is 16 bytes a pair
+    assert peak <= 4 * n * (m + 2)
 
 
 # --- calibration from counts against the row-based references ---
