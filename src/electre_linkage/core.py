@@ -301,8 +301,13 @@ def _distinct_cells(table):
 
     Keyed by bits, -0.0 stays apart from 0.0 and each nan payload from the others.
     """
-    bits, cell = np.unique(table.view(np.int64), return_inverse=True)
-    return bits.view(np.float64), cell.reshape(table.shape).astype(np.int32)
+    bits = table.view(np.int64)
+    ordered = np.sort(bits, axis=None)
+    distinct = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
+    del ordered
+    cell = np.empty(table.shape, dtype=np.int32)  # before the intp lookup: less peak RSS
+    cell[...] = np.searchsorted(distinct, bits)
+    return distinct.view(np.float64), cell
 
 
 def distinct_rows(columns):

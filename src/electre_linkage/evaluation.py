@@ -99,38 +99,33 @@ def _targets(rng: random.Random, n: int) -> np.ndarray:
     """
     t = np.zeros(n, dtype=np.int32)
     m = n  # the bound of the next draw
-    if m > _SCALAR_BELOW:
-        words = np.empty(0, dtype="<u4")
-        used = 0
-        while m > _SCALAR_BELOW:
-            k = m.bit_length()
-            low = 1 << (k - 1)  # the band's last bound
-            while m >= low:
-                if used == len(words):  # a draw takes 1 to 2 words, about 1.4 on average
-                    del words
-                    state = rng.getstate()
-                    words = _words(rng, min(_CHUNK_WORDS, 3 * (m - _SCALAR_BELOW + 1) // 2))
-                    used = 0
-                # a block of 2^(k-4) words leaves about 1 word in 32 unsettled
-                top = (words[used:used + (1 << (k - 4))] >> (32 - k)).astype(np.int64)
-                s = np.arange(len(top))
-                excess = top + s - m
-                rejected = excess >= s
-                unsettled = np.flatnonzero((excess >= 0) & ~rejected)
-                if unsettled.size:
-                    extra = 0
-                    for i, e, r in zip(unsettled.tolist(), excess[unsettled].tolist(),
-                                       np.cumsum(rejected)[unsettled - 1].tolist()):
-                        if e >= r + extra:
-                            rejected[i] = True
-                            extra += 1
-                accepted = np.flatnonzero(~rejected)[:m - low + 1]
-                t[m - len(accepted):m] = top[accepted[::-1]]
-                used += int(accepted[-1]) + 1 if len(accepted) == m - low + 1 else len(top)
-                m -= len(accepted)
-        del words
-        rng.setstate(state)  # the state before the last chunk, then the words it used
-        rng.getrandbits(32 * used)
+    words = np.empty(0, dtype="<u4")
+    used = 0
+    while m > _SCALAR_BELOW:
+        k = m.bit_length()
+        low = 1 << (k - 1)  # the band's last bound
+        while m >= low:
+            if used == len(words):  # each draw left takes a word or more: all are used
+                del words
+                words = _words(rng, min(_CHUNK_WORDS, m - _SCALAR_BELOW + 1))
+                used = 0
+            # a block of 2^(k-4) words leaves about 1 word in 32 unsettled
+            top = (words[used:used + (1 << (k - 4))] >> (32 - k)).astype(np.int64)
+            s = np.arange(len(top))
+            excess = top + s - m
+            rejected = excess >= s
+            unsettled = np.flatnonzero((excess >= 0) & ~rejected)
+            if unsettled.size:
+                extra = 0
+                for i, e, r in zip(unsettled.tolist(), excess[unsettled].tolist(),
+                                   np.cumsum(rejected)[unsettled - 1].tolist()):
+                    if e >= r + extra:
+                        rejected[i] = True
+                        extra += 1
+            accepted = np.flatnonzero(~rejected)[:m - low + 1]
+            t[m - len(accepted):m] = top[accepted[::-1]]
+            used += int(accepted[-1]) + 1 if len(accepted) == m - low + 1 else len(top)
+            m -= len(accepted)
     getrandbits = rng.getrandbits
     for m in range(m, 1, -1):
         k = m.bit_length()
@@ -141,9 +136,10 @@ def _targets(rng: random.Random, n: int) -> np.ndarray:
     return t
 
 
-def _permutation(rng: random.Random, n: int) -> np.ndarray:
-    """The permutation of range(n) that `rng.shuffle(list(range(n)))` makes
-    (int32), leaving `rng` in the state shuffle leaves it in.
+def _permutation(rng: random.Random, n: int, start: int = 0) -> np.ndarray:
+    """Positions start..n-1 of the permutation of range(n) that
+    `rng.shuffle(list(range(n)))` makes (int32), leaving `rng` in the state
+    shuffle leaves it in.
 
     Step i of the shuffle swaps positions i and t[i] <= i, and no later step
     touches position i. With the steps sorted by (target, step):
@@ -151,15 +147,19 @@ def _permutation(rng: random.Random, n: int) -> np.ndarray:
     - prev(i) is the first step after i that targets i, the last to write i;
     - v(i), the value at i just before step i, is v(prev(i)), or i.
     So x[i] is v(nxt(i)), or t[i]; a step 0 with target 0 makes x[0] fit too.
+    nxt(i) and prev(i) both lie after i, so positions from start on read only
+    the steps from start on: those are sorted and resolved, numbered from 0,
+    and the v of a target below start is never read.
     All arrays but the int64 sort key are int32: about 17 bytes an element
-    at the peak.
+    at the peak for start 0.
     """
     if n >= _MAX_GROUP:
         raise EvaluationError(f"a label group of {n} pairs is too large to split "
                               f"(at most {_MAX_GROUP - 1})")
-    if n < 2:
-        return np.arange(n, dtype=np.int32)
-    t = _targets(rng, n)
+    t = _targets(rng, n)[start:]  # the target of each step from start on
+    n -= start
+    if n < 2:  # no later step writes the last position: x = t
+        return t
     key = t.astype(np.int64)
     key *= n
     key += np.arange(n, dtype=np.int32)
@@ -178,7 +178,9 @@ def _permutation(rng: random.Random, n: int) -> np.ndarray:
     nxt[step[-1]] = -1
     first = step[head]
     del step, head
-    group = t[first]
+    group = t[first] - start
+    below = int(np.searchsorted(group, 0))  # the groups are in target order
+    first, group = first[below:], group[below:]
     prev = nxt[first]  # prev(g) where step g is the first of its own group
     np.copyto(prev, first, where=first != group)
     del first
@@ -192,6 +194,7 @@ def _permutation(rng: random.Random, n: int) -> np.ndarray:
             break
         v = jumped
     del jumped
+    v += start
     x = v[nxt]  # where nxt is -1 this reads v[-1], replaced by t[i]
     np.copyto(x, t, where=nxt < 0)
     return x
@@ -205,20 +208,22 @@ def split(block, train_fraction: float, seed: int):
     sides keep the block's row order within each label. Each label's
     training rows are the first round(train_fraction * size) of the
     permutation `random.Random(seed).shuffle` makes of the group's positions,
-    one generator across the labels in ascending order, computed in numpy.
+    one generator across the labels in ascending order, computed in numpy:
+    only the rest of the permutation, the test rows, is resolved.
     """
     if not 0 < train_fraction < 1:
         raise EvaluationError(f"train fraction must lie in (0, 1), got {train_fraction}")
     truth = _labels(block)
     rng = random.Random(seed)
     train, test = [], []
-    labels, sizes = np.unique(truth, return_counts=True)
-    for label, size in zip(labels.tolist(), sizes.tolist()):
-        chosen = np.zeros(size, dtype=bool)
-        chosen[_permutation(rng, size)[:round(train_fraction * size)]] = True
-        group = np.flatnonzero(truth == label)  # made after the permutation's peak
-        train.append(group[chosen])
-        test.append(group[~chosen])
+    lo = int(truth.min(initial=0))
+    for label, size in enumerate(np.bincount(truth.astype(np.intp) - lo).tolist(), lo):
+        if size:
+            tested = np.zeros(size, dtype=bool)
+            tested[_permutation(rng, size, round(train_fraction * size))] = True
+            group = np.flatnonzero(truth == label)  # made after the permutation's peak
+            train.append(group[~tested])
+            test.append(group[tested])
     train = np.concatenate(train) if train else np.empty(0, dtype=np.intp)
     test = np.concatenate(test) if test else np.empty(0, dtype=np.intp)
     if not (truth[train] == 3).any():

@@ -169,8 +169,8 @@ def write_classified(path, block: PairBlock, kernel_row, cats, sigma, field_name
     sigma_texts = [map(repr, s) for s in np.asarray(sigma, dtype=np.float64).T.tolist()]
     category_texts = [f"C{c}," for c in np.asarray(cats).tolist()]
     outcome = np.array(list(map(",".join, zip(*sigma_texts, category_texts))), dtype=object)
-    labels = np.unique(block.truth)
-    label_texts = np.array([f"C{t}\r\n" if t else "\r\n" for t in labels.tolist()], dtype=object)
+    t0, t1 = int(block.truth.min(initial=0)), int(block.truth.max(initial=0))
+    label_texts = np.array([f"C{t}\r\n" if t else "\r\n" for t in range(t0, t1 + 1)], dtype=object)
     similarities = []
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(
@@ -192,6 +192,6 @@ def write_classified(path, block: PairBlock, kernel_row, cats, sigma, field_name
                 qb[ib],
                 *(text[index] for text, (_, index) in zip(similarities, fields)),
                 outcome[kernel_row[lo:lo + CHUNK_ROWS]],
-                label_texts[np.searchsorted(labels, chunk.truth)],
+                label_texts[chunk.truth.astype(np.intp) - t0],
             ])
             fh.write("".join(cells.ravel().tolist()))

@@ -388,6 +388,13 @@ def ref_compare(comparator, x, y):
 # --- the per-pair pipeline the columnar PairBlock replaced, kept as plain loops ---
 
 
+def ref_distinct_cells(table):
+    """The numbering _distinct_cells once made with np.unique: the distinct bit
+    patterns of a float64 table, ascending as int64, and each cell's int32 index."""
+    bits, cell = np.unique(table.view(np.int64), return_inverse=True)
+    return bits.view(np.float64), cell.reshape(table.shape).astype(np.int32)
+
+
 def block_from_columns(ids_a, ids_b, ia, ib, X, truth):
     """A PairBlock whose row r pairs ids_a[ia[r]] with ids_b[ib[r]] and performs X[r].
 

@@ -26,7 +26,7 @@ from electre_linkage.core import (
     partial_discordance,
 )
 
-from oracles import random_model_params, ref_assign, ref_credibility
+from oracles import random_model_params, ref_assign, ref_credibility, ref_distinct_cells
 
 
 def simple_model(q=0.05, p=0.2, v=None, lam=0.75, profiles=((0.7,),)):
@@ -404,6 +404,51 @@ class TestBatchPath:
         for procedure in ("pessimistic", "optimistic"):
             with pytest.raises(ModelError, match="row 1"):
                 classify_batch(model, X, procedure)
+
+
+class TestDistinctCells:
+    """_distinct_cells numbers a table as np.unique on its bit patterns did."""
+
+    @staticmethod
+    def assert_numbered_as_reference(table):
+        values, cell = _distinct_cells(table)
+        ref_values, ref_cell = ref_distinct_cells(table)
+        assert values.dtype == np.float64 and values.tobytes() == ref_values.tobytes()
+        assert cell.dtype == np.int32 and cell.shape == table.shape
+        assert np.array_equal(cell, ref_cell)
+        # the values at the indices give the table back bitwise
+        assert values[cell].tobytes() == np.ascontiguousarray(table).tobytes()
+
+    def test_special_values(self):
+        nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001,
+                         0xFFF8000000000000 - (1 << 64), 0xFFF0000000000002 - (1 << 64)],
+                        dtype=np.int64).view(np.float64)
+        specials = np.concatenate([[0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324,
+                                    2.225073858507201e-308, -1e-310, 1.0, -1.0], nans])
+        table = np.random.default_rng(0).choice(specials, size=(9, 17))
+        table[0, :len(specials)] = specials  # every special value at least once
+        self.assert_numbered_as_reference(table)
+        values, _ = _distinct_cells(table)
+        assert len(values) == len(specials)  # -0.0 apart from 0.0, each nan payload apart
+
+    @pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 0), (1, 1)])
+    def test_degenerate_shapes(self, shape):
+        self.assert_numbered_as_reference(np.full(shape, 0.25))
+
+    def test_many_cells_few_values(self):
+        # the shape of a NUMCODE table: many cells, a handful of similarities
+        table = np.random.default_rng(1).integers(0, 11, size=(360, 330)) / 10.0
+        self.assert_numbered_as_reference(table)
+
+    def test_strided_and_fortran_tables(self):
+        X = np.random.default_rng(2).integers(0, 7, size=(50, 5)) / 6.0
+        X[3, 1] = -0.0
+        for col in X.T:  # TrainingSet(X) numbers the strided columns of X.T
+            assert not col.flags.c_contiguous
+            self.assert_numbered_as_reference(col)
+        table = np.asfortranarray(X.reshape(25, 10))
+        assert not table.flags.c_contiguous
+        self.assert_numbered_as_reference(table)
 
 
 def columns_of(X):

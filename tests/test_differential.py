@@ -701,6 +701,18 @@ def test_write_classified_special_values(tmp_path, monkeypatch, chunk_rows):
     assert_same_file(tmp_path, block, kernel_row, cats, sigma, ["f,1", "f2", 'f"3'])
 
 
+@pytest.mark.parametrize("labels", [(-128, -3, 0, 2, 127), (5, 9), (0,)])
+def test_write_classified_labels_far_apart(tmp_path, labels):
+    # one label text per value from the least label to the greatest, int8 extremes included
+    rng = np.random.default_rng(6)
+    n = 40
+    X = rng.choice(SPECIAL_FLOATS, size=(n, 2))
+    sigma, cats = rng.random((8, 1)), rng.integers(1, 3, 8)
+    block = block_from_columns(tuple(f"a{i}" for i in range(n)), ("b",), np.arange(n),
+                               np.zeros(n, dtype=int), X, rng.choice(labels, n))
+    assert_same_file(tmp_path, block, rng.integers(0, 8, n), cats, sigma, ["f1", "f2"])
+
+
 def test_write_classified_empty_block(tmp_path):
     block = block_from_columns(("a",), (), [], [], np.empty((0, 3)), [])
     R, kernel_row = core.kernel_rows(simple_model(3), block.columns())

@@ -110,6 +110,41 @@ class TestPermutation:
             assert _permutation(rng, n).tolist() == order, n
         assert rng.getstate() == ref.getstate()
 
+    def test_tail_matches_shuffle(self):
+        # split resolves only the positions from the train cut on
+        for n in self.SIZES:
+            for start in sorted({0, 1, n // 2, n - 1, n} & set(range(n + 1))):
+                rng, ref = random.Random(n + start), random.Random(n + start)
+                order = list(range(n))
+                ref.shuffle(order)
+                x = _permutation(rng, n, start)
+                assert x.dtype == np.int32 and x.tolist() == order[start:], (n, start)
+                assert rng.getstate() == ref.getstate(), (n, start)
+
+    def test_one_generator_across_tails(self):
+        rng, ref = random.Random(5), random.Random(5)
+        for n, start in ((5000, 2500), (17, 0), (3000, 2999), (1, 1), (0, 0), (4096, 3)):
+            order = list(range(n))
+            ref.shuffle(order)
+            assert _permutation(rng, n, start).tolist() == order[start:], (n, start)
+        assert rng.getstate() == ref.getstate()
+
+    def test_draws_exactly_the_words_shuffle_draws(self):
+        class Counting(random.Random):
+            """Counts the 32-bit words getrandbits takes from the generator."""
+            words = 0
+
+            def getrandbits(self, k):
+                self.words += (k + 31) // 32
+                return super().getrandbits(k)
+
+        for n, start in ((200_003, 0), (2**17 + 1, 2**16), (_SCALAR_BELOW + 1, 0), (3000, 1)):
+            rng, ref = Counting(n), Counting(n)
+            ref.shuffle(list(range(n)))
+            _permutation(rng, n, start)
+            assert rng.words == ref.words, (n, start)
+            assert rng.getstate() == ref.getstate(), (n, start)
+
     def test_oversized_group_rejected(self):
         # refused before anything is allocated: the int32 steps cannot index it
         tracemalloc.start()
@@ -130,6 +165,16 @@ class TestPermutation:
         finally:
             tracemalloc.stop()
         assert peak <= 32 * n, peak / n
+
+    def test_tail_peak_memory_per_element(self):
+        n = 2**18
+        tracemalloc.start()
+        try:
+            _permutation(random.Random(3), n, n // 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * n, peak / n
 
 
 class TestEvaluate:
