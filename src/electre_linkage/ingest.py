@@ -147,44 +147,46 @@ def toy_schema() -> LinkageSchema:
 def load_table(path, schema: LinkageSchema, source_label: str):
     """Read a delimited file into a RecordTable, dropping incomplete records.
 
-    Returns (RecordTable, LoadReport).
+    Columns are read by their position in the header; blank lines are
+    skipped, and a leading UTF-8 byte order mark is not part of the header.
+    Errors name the physical line a record ends on. Returns (RecordTable,
+    LoadReport).
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise IngestError(f"cannot open {path}: {exc}") from exc
     with fh:
-        reader = csv.DictReader(fh, delimiter=schema.delimiter)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh, delimiter=schema.delimiter)
+        header = next(reader, [])
         required = [schema.id_field, *schema.field_names]
         for col in required:
             if col not in header:
                 raise IngestError(f"{path}: missing required column {col!r}")
             if header.count(col) > 1:
                 raise IngestError(f"{path}: column {col!r} appears more than once")
+        id_at = header.index(schema.id_field)
+        fields = [(f, header.index(f)) for f in schema.field_names]
+        width = len(header)
         read = dropped = 0
         records = []
         seen = {}
         for row in reader:
-            lineno = reader.line_num
-            if any(v is None for v in row.values()):
-                raise IngestError(f"{path}:{lineno}: row has fewer fields than header")
-            if None in row:
-                raise IngestError(f"{path}:{lineno}: row has more fields than header")
+            if not row:
+                continue
+            if len(row) != width:
+                side = "fewer" if len(row) < width else "more"
+                raise IngestError(f"{path}:{reader.line_num}: row has {side} fields than header")
             read += 1
-            rid = row[schema.id_field].strip()
-            if schema.is_missing(rid) or any(
-                schema.is_missing(row[f]) for f in schema.field_names
-            ):
+            rid = row[id_at].strip()
+            if schema.is_missing(rid) or any(schema.is_missing(row[at]) for _, at in fields):
                 dropped += 1
                 continue
             if rid in seen:
-                raise IngestError(
-                    f"{path}: duplicate identifier {rid!r} on lines {seen[rid]} and {lineno}"
-                )
-            seen[rid] = lineno
-            values = {f: schema.normalize(row[f]) for f in schema.field_names}
-            records.append((rid, values))
+                raise IngestError(f"{path}: duplicate identifier {rid!r} on lines "
+                                  f"{seen[rid]} and {reader.line_num}")
+            seen[rid] = reader.line_num
+            records.append((rid, {f: schema.normalize(row[at]) for f, at in fields}))
     table = RecordTable(source_label, tuple(schema.field_names), tuple(records))
     return table, LoadReport(str(path), source_label, read, dropped)
 

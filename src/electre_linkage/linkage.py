@@ -150,28 +150,47 @@ def _quoted(values) -> np.ndarray:
     return np.array([writer.writerow((v, ""))[:-2] for v in values], dtype=object)
 
 
+def _merged(tables) -> list:
+    """Adjacent text tables joined into one while the product of their sizes is
+    at most CHUNK_ROWS: per group, (its texts, the sizes of its tables). In a
+    group of tables of sizes s1, s2, s3, text (i1 * s2 + i2) * s3 + i3 is text
+    i1 of the first table followed by text i2 of the second and i3 of the third."""
+    groups = []
+    for texts in tables:
+        if groups and len(groups[-1][0]) * len(texts) <= CHUNK_ROWS:
+            merged, sizes = groups[-1]
+            groups[-1] = ((merged[:, None] + texts).ravel(), sizes + [len(texts)])
+        else:
+            groups.append((texts, [len(texts)]))
+    return groups
+
+
 def write_classified(path, block: PairBlock, kernel_row, cats, sigma, field_names) -> None:
     """Classified-pairs file: ids, performances, per-profile sigma, categories.
 
     kernel_row maps each pair to its row of cats and sigma (core.kernel_rows).
     The bytes are those of csv.writer writing one row per pair with
-    repr(float) cells. Each chunk of CHUNK_ROWS pairs, read through
-    PairBlock.columns(), is stacked column by column from text made once and
-    ending in its own separator (CRLF after the truth label, else a comma):
-    each id, each distinct similarity of a field (by bit pattern, so -0.0
-    stays apart from 0.0), the sigma and category cells per kernel row and
-    each truth label. Each chunk is joined and written in one call.
+    repr(float) cells. Each row is made of text made once and ending in its
+    own separator (CRLF after the truth label, else a comma): each id, each
+    distinct similarity of a field (by bit pattern, so -0.0 stays apart from
+    0.0), the sigma and category cells per kernel row and each truth label.
+    Adjacent columns share one text table while the product of their sizes is
+    at most CHUNK_ROWS (_merged). Each chunk of CHUNK_ROWS pairs, read through
+    PairBlock.columns(), is stacked from the tables, joined and written in one
+    call.
     """
     if len(kernel_row) != len(block):
         raise ValueError(f"kernel_row has {len(kernel_row)} entries for {len(block)} pairs")
     nprof = sigma.shape[1] if len(block) else 0
-    qa, qb = _quoted(block.ids_a), _quoted(block.ids_b)
     sigma_texts = [map(repr, s) for s in np.asarray(sigma, dtype=np.float64).T.tolist()]
     category_texts = [f"C{c}," for c in np.asarray(cats).tolist()]
     outcome = np.array(list(map(",".join, zip(*sigma_texts, category_texts))), dtype=object)
     t0, t1 = int(block.truth.min(initial=0)), int(block.truth.max(initial=0))
     label_texts = np.array([f"C{t}\r\n" if t else "\r\n" for t in range(t0, t1 + 1)], dtype=object)
-    similarities = []
+    similarities = [np.array([repr(v) + "," for v in values.tolist()], dtype=object)
+                    for _, _, values, _ in block.fields]
+    groups = _merged([_quoted(block.ids_a), _quoted(block.ids_b), *similarities,
+                      outcome, label_texts])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(
             ["id_a", "id_b"]
@@ -181,17 +200,16 @@ def write_classified(path, block: PairBlock, kernel_row, cats, sigma, field_name
         )
         for lo in range(0, len(block), CHUNK_ROWS):
             chunk = block.take(slice(lo, lo + CHUNK_ROWS))
-            fields = chunk.columns()
-            # every chunk shares the fields' distinct similarities: their text is made once
-            similarities = similarities or [
-                np.array([repr(v) + "," for v in values.tolist()], dtype=object)
-                for values, _ in fields]
-            ia, ib = np.divmod(chunk.rows, len(block.ids_b))
-            cells = np.column_stack([
-                qa[ia],
-                qb[ib],
-                *(text[index] for text, (_, index) in zip(similarities, fields)),
-                outcome[kernel_row[lo:lo + CHUNK_ROWS]],
-                label_texts[chunk.truth.astype(np.intp) - t0],
+            indexes = iter([
+                *np.divmod(chunk.rows, len(block.ids_b)),
+                *(index for _, index in chunk.columns()),
+                kernel_row[lo:lo + CHUNK_ROWS],
+                chunk.truth.astype(np.intp) - t0,
             ])
-            fh.write("".join(cells.ravel().tolist()))
+            cells = []
+            for texts, sizes in groups:
+                index = next(indexes)
+                for size in sizes[1:]:
+                    index = index * size + next(indexes)
+                cells.append(texts[index])
+            fh.write("".join(np.column_stack(cells).ravel().tolist()))

@@ -90,8 +90,20 @@ def _code_points(strings, pad: int) -> tuple:
     return codes, lengths
 
 
-def _jaro_block(x, lx, y, ly) -> np.ndarray:
-    """Jaro of every row of x against every row of y, zero where nothing matches.
+def _tally(x, y, flags_x, flags_y) -> tuple:
+    """(matches, transpositions) of each pair of rows of x and y from its match
+    flags on either side, in string order: each pair has as many flags on
+    either side, so the k-th ones line up."""
+    m = flags_x.sum(axis=2)
+    mx = np.broadcast_to(x[:, None, :], flags_x.shape)[flags_x]
+    my = np.broadcast_to(y[None, :, :], flags_y.shape)[flags_y]
+    pair = np.repeat(np.arange(m.size), m.ravel())
+    return m, np.bincount(pair[mx != my], minlength=m.size).reshape(m.shape) // 2
+
+
+def _jaro_block(x, lx, y, ly) -> tuple:
+    """(matches, transpositions) of every row of x against every row of y, for
+    values longer than _MASK_BITS code points.
 
     Each position of x takes the first unused equal character of y within the
     match window, for all pairs at once. x and y pad with values that never
@@ -111,19 +123,55 @@ def _jaro_block(x, lx, y, ly) -> np.ndarray:
         ia, ib = np.nonzero(found.any(axis=2))
         free[ia, ib, lo + found[ia, ib].argmax(axis=1)] = False
         matched[ia, ib, i] = True
-    m = matched.sum(axis=2)
-    # both sides' matched characters, pair by pair in string order: each pair
-    # has m of them on either side, so the k-th ones line up
-    mx = np.broadcast_to(x[:, None, :], matched.shape)[matched]
-    my = np.broadcast_to(y[None, :, :], free.shape)[~free]
-    pair = np.repeat(np.arange(m.size), m.ravel())
-    t = np.bincount(pair[mx != my], minlength=m.size).reshape(m.shape) // 2
-    lx, ly = np.broadcast_arrays(lx[:, None], ly[None, :])
-    out = np.zeros(m.shape)
-    some = m > 0
-    m, t, lx, ly = m[some], t[some], lx[some], ly[some]
-    out[some] = (m / lx + m / ly + (m - t) / m) / 3.0
-    return out
+    return _tally(x, y, matched, ~free)
+
+
+_MASK_BITS = 64  # the longest value _jaro_masks takes, in code points
+_BIT = np.array([1 << k for k in range(_MASK_BITS)], dtype=np.uint64)
+_LOW = np.array([(1 << k) - 1 for k in range(_MASK_BITS + 1)], dtype=np.uint64)
+
+
+def _jaro_masks(x, lx, y, ly) -> tuple:
+    """(matches, transpositions) of every row of x against every row of y, on
+    bit masks: the bit-parallel Jaro of RapidFuzz, after Myers (J. ACM 1999).
+
+    No value is longer than _MASK_BITS. Bit k of a word stands for position k
+    of a y value. Per y value and character of x, a mask marks where the
+    character occurs; x's padding occurs nowhere. Each position p of x takes
+    the lowest free bit of its character's mask inside the match window, for
+    all pairs at once.
+    """
+    # x's characters, each once: np.unique's first call in a process holds
+    # 1.2 MB more on numpy 2.4
+    chars = np.sort(x, axis=None)
+    alphabet = np.concatenate((chars[:1], chars[1:][chars[1:] != chars[:-1]]))
+    masks = np.zeros((len(alphabet) + 1, len(y)), dtype=np.uint64)
+    if len(alphabet):
+        # a character of y that x lacks goes to the last row, which x never reads
+        code = np.searchsorted(alphabet, y)
+        code[alphabet.take(code, mode="clip") != y] = len(alphabet)
+        np.bitwise_or.at(masks, (code, np.arange(len(y))[:, None]), _BIT[:y.shape[1]])
+    code = np.searchsorted(alphabet, x)
+    window = np.maximum(lx[:, None], ly[None, :]) // 2 - 1
+    reach = int(window.max(initial=-1))
+    bound = _LOW[window + 1]  # position 0's window: bits 0 to window
+    free = np.full(window.shape, _LOW[-1])
+    matched = np.zeros((x.shape[1], *window.shape), dtype=bool)
+    for p in range(x.shape[1]):
+        found = masks[code[:, p]]
+        found &= bound
+        found &= free
+        found &= -found  # the lowest candidate
+        free ^= found
+        np.not_equal(found, 0, out=matched[p])
+        # the window moves one bit up, and keeps bit 0 while p is below the window
+        bound <<= 1
+        if p < reach:
+            bound |= window > p
+    # bit k of each pair's word as its k-th flag, whatever the machine's byte order
+    taken = np.unpackbits((~free).astype("<u8").view(np.uint8).reshape(*free.shape, 8),
+                          axis=2, count=y.shape[1], bitorder="little")
+    return _tally(x, y, matched.transpose(1, 2, 0), taken.view(bool))
 
 
 def _jaro_table(vals_a, vals_b, prefix_scale: float = 0.0, prefix_cap: int = 0) -> np.ndarray:
@@ -132,7 +180,9 @@ def _jaro_table(vals_a, vals_b, prefix_scale: float = 0.0, prefix_cap: int = 0) 
 
     Equal values score 1.0 and an empty value against another 0.0. The table
     is computed over chunks of at most CHUNK_ROWS value pairs, so the
-    temporaries are bounded by CHUNK_ROWS times the longest value.
+    temporaries are bounded by CHUNK_ROWS times the longest value. A chunk
+    goes through _jaro_masks, or through _jaro_block if it holds a value
+    longer than _MASK_BITS code points.
     """
     vals_a, vals_b = [str(v) for v in vals_a], [str(v) for v in vals_b]
     x, lx = _code_points(vals_a, -1)
@@ -147,14 +197,18 @@ def _jaro_table(vals_a, vals_b, prefix_scale: float = 0.0, prefix_cap: int = 0) 
         for a0 in range(0, len(vals_a), step):
             rows = slice(a0, a0 + step)
             xa, lxa = x[rows, :lx[rows].max()], lx[rows]
-            base = _jaro_block(xa, lxa, yb, lyb)
+            kernel = _jaro_masks if max(xa.shape[1], yb.shape[1]) <= _MASK_BITS else _jaro_block
+            m, t = kernel(xa, lxa, yb, lyb)
+            # where nothing matches, m is 0 and so is every term
+            base = (m / np.maximum(lxa, 1)[:, None] + m / np.maximum(lyb, 1)
+                    + (m - t) / np.maximum(m, 1)) / 3.0
             base[ca[rows, None] == cb[None, cols]] = 1.0
-            prefix = np.zeros(base.shape, dtype=np.intp)
-            run = np.ones(base.shape, dtype=bool)
-            for k in range(min(prefix_cap, xa.shape[1], yb.shape[1])):
-                run &= xa[:, None, k] == yb[None, :, k]
-                prefix += run
-            table[rows, cols] = base + prefix * prefix_scale * (1.0 - base)
+            lead = min(prefix_cap, xa.shape[1], yb.shape[1])
+            if lead:
+                agree = xa[:, None, :lead] == yb[None, :, :lead]
+                prefix = np.logical_and.accumulate(agree, axis=2).sum(axis=2)
+                base = base + prefix * prefix_scale * (1.0 - base)
+            table[rows, cols] = base
     return table
 
 

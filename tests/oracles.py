@@ -2,16 +2,17 @@
 
 The Electre evaluator below follows the index definitions verbatim with
 plain Python loops; the LP oracle hands the joint problem to a generic
-simplex; the pair-pipeline references (pair building, the stratified split,
-the Fellegi-Sunter fit, the classified-pairs writer, the confusion report)
-handle one pair at a time, as the package did before pairs became columns,
-and compare each value
-pair with the scalar comparators the package used before its whole-table
-grids. None shares code with the package paths they verify, except the
-profile-chain reference: it reuses the package's per-block hinge
-interval selection and replaces the pooling pass by trying every pooled-block
-composition; its hinge minimization and slacks below are the package's own
-before calibration read the rows through counts.
+simplex; the table loader reads each row as a dict by column name, as the
+package did before it read columns by position; the pair-pipeline references
+(pair building, the stratified split, the Fellegi-Sunter fit, the
+classified-pairs writer, the confusion report) handle one pair at a time, as
+the package did before pairs became columns, and compare each value pair with
+the scalar comparators the package used before its whole-table grids. None
+shares code with the package paths they verify, except the profile-chain
+reference: it reuses the package's per-block hinge interval selection and
+replaces the pooling pass by trying every pooled-block composition; its hinge
+minimization and slacks below are the package's own before calibration read
+the rows through counts.
 """
 
 import csv
@@ -25,6 +26,7 @@ from scipy.optimize import linprog
 from electre_linkage.calibration import LpSolution, _monotone_selection
 from electre_linkage.core import ProfileSet, _distinct_cells
 from electre_linkage.evaluation import EvalReport, EvaluationError
+from electre_linkage.ingest import IngestError, LoadReport, RecordTable
 from electre_linkage.linkage import PairBlock
 from electre_linkage.metrics import ComparatorError
 
@@ -383,6 +385,48 @@ def ref_compare(comparator, x, y):
     if kind == "exact":
         return 1.0 if x == y else 0.0
     return ref_absolute_difference_normalized(x, y, comparator.cap)
+
+
+def ref_load_table(path, schema, source_label):
+    """load_table through csv.DictReader: one dict per row, its checks on the dict."""
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise IngestError(f"cannot open {path}: {exc}") from exc
+    with fh:
+        reader = csv.DictReader(fh, delimiter=schema.delimiter)
+        header = reader.fieldnames or []
+        required = [schema.id_field, *schema.field_names]
+        for col in required:
+            if col not in header:
+                raise IngestError(f"{path}: missing required column {col!r}")
+            if header.count(col) > 1:
+                raise IngestError(f"{path}: column {col!r} appears more than once")
+        read = dropped = 0
+        records = []
+        seen = {}
+        for row in reader:
+            lineno = reader.line_num
+            if any(v is None for v in row.values()):
+                raise IngestError(f"{path}:{lineno}: row has fewer fields than header")
+            if None in row:
+                raise IngestError(f"{path}:{lineno}: row has more fields than header")
+            read += 1
+            rid = row[schema.id_field].strip()
+            if schema.is_missing(rid) or any(
+                schema.is_missing(row[f]) for f in schema.field_names
+            ):
+                dropped += 1
+                continue
+            if rid in seen:
+                raise IngestError(
+                    f"{path}: duplicate identifier {rid!r} on lines {seen[rid]} and {lineno}"
+                )
+            seen[rid] = lineno
+            values = {f: schema.normalize(row[f]) for f in schema.field_names}
+            records.append((rid, values))
+    table = RecordTable(source_label, tuple(schema.field_names), tuple(records))
+    return table, LoadReport(str(path), source_label, read, dropped)
 
 
 # --- the per-pair pipeline the columnar PairBlock replaced, kept as plain loops ---

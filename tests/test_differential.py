@@ -676,6 +676,24 @@ def test_write_classified_reads_each_chunk_through_columns(tables, tmp_path, mon
     assert calls == [min(size, len(block) - lo) for lo in range(0, len(block), size)]
 
 
+@pytest.mark.parametrize("na, nb", [(128, 128), (113, 145)])
+def test_write_classified_merges_tables_up_to_chunk_rows(tmp_path, monkeypatch, na, nb):
+    """The id columns share one text table when na * nb is CHUNK_ROWS, and keep
+    their own when it is CHUNK_ROWS + 1; either file equals the row loop's."""
+    assert na * nb - linkage.CHUNK_ROWS in (0, 1)
+    groups = []
+    merged = linkage._merged
+    monkeypatch.setattr(linkage, "_merged", lambda tables: groups.extend(merged(tables)) or groups)
+    block = table_block(np.random.default_rng(na), na, nb)
+    model = simple_model(3)
+    R, kernel_row = core.kernel_rows(model, block.columns())
+    cats, sigma = classify_batch(model, R)
+    assert_same_file(tmp_path, block, kernel_row, cats, sigma, ["f1", "f2", "f3"])
+    sizes = [size for _, size in groups]
+    assert sizes[0] == ([na, nb] if na * nb == linkage.CHUNK_ROWS else [na])
+    assert all(len(texts) <= linkage.CHUNK_ROWS for texts, size in groups if len(size) > 1)
+
+
 SPECIAL_FLOATS = [0.0, -0.0, 0.1 + 0.2, 0.3, 1e-300, -1e-300, 5e-324, 1.0, 0.5,
                   float("inf"), float("-inf"), float("nan"), 1 / 3, 123456789.125]
 

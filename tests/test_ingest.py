@@ -12,6 +12,8 @@ from electre_linkage.ingest import (
 )
 from electre_linkage.metrics import Comparator
 
+from oracles import ref_load_table
+
 DATA = Path(__file__).resolve().parent.parent / "data"
 
 
@@ -141,6 +143,97 @@ class TestLoadTable:
         t1, _ = load_table(DATA / "toy_a.csv", schema, "A")
         t2, _ = load_table(DATA / "toy_a.csv", schema, "A")
         assert t1 == t2
+
+
+HEADER = "IDENTIFIER,NAME,ADDRESS,AGE\n"
+
+# (file text, schema): each is loaded by load_table and by the dict-per-row reference
+REFERENCE_FILES = {
+    "blank lines": (HEADER + "\nu1,John,16 Main,20\n\n\nu2,Jane,17 Oak,30\n\n", toy_schema()),
+    "blank first line": ("\n" + HEADER + "u1,John,16 Main,20\n", toy_schema()),
+    "empty file": ("", toy_schema()),
+    "header only, CRLF": (HEADER.replace("\n", "\r\n"), toy_schema()),
+    "CRLF rows": ((HEADER + "u1,John,16 Main,20\nu2,Jane,NA,30\n").replace("\n", "\r\n"),
+                  toy_schema()),
+    "short row": (HEADER + "u1,John,16 Main,20\nu2,Jane\n", toy_schema()),
+    "short row after blank lines": (HEADER + "u1,John,16 Main,20\n\n\nu2,Jane,1\n",
+                                    toy_schema()),
+    "long row": (HEADER + "u1,John,16 Main,20\nu2,Jane,17 Oak,30,extra,\n", toy_schema()),
+    "empty row of one field": (HEADER + 'u1,John,16 Main,20\n""\n', toy_schema()),
+    "quoted delimiters": (HEADER + 'u1,"Smith, John","16 Main, Apt 2",20\n'
+                                   '"u,2",Jane,"17 Oak",30\n', toy_schema()),
+    "quoted newlines then a short row": (
+        HEADER + 'u1,"John\nA","16 Main\n\nApt 2",20\n\nu2,"Jane\r\nB"\n', toy_schema()),
+    "quoted newlines then a duplicate id": (
+        HEADER + 'u1,John,"16 Main\nApt 2",20\nu2,Jane,17 Oak,30\n\n'
+                 'u1,"Joe\nJr",18 Elm,40\n', toy_schema()),
+    "duplicate ids": (HEADER + "u1,John,16 Main,20\nu2,Jane,17 Oak,30\n u1 ,Jim,18 Elm,40\n",
+                      toy_schema()),
+    "duplicate id on a dropped row": (HEADER + "u1,John,16 Main,20\nu1,Jane,NA,30\n",
+                                      toy_schema()),
+    "missing tokens with spaces": (
+        HEADER + "u1,John,16 Main,20\nu2, NA ,17 Oak,30\nu3,Jim,  ,40\n NA ,Joe,18 Elm,50\n"
+                 "u5,  joe   q  public ,  19   elm ,60\n", toy_schema()),
+    "other delimiter, no uppercase": (
+        "AGE;IDENTIFIER;NAME;ADDRESS\n20;u1;John  A;16 Main, Apt 2\n30;u2;jane;-\n"
+        '40;u3;"Jim;Bo";NA\n',
+        LinkageSchema(compared_fields=toy_schema().compared_fields, delimiter=";",
+                      uppercase=False, missing_tokens=("-", "NA"))),
+    "tab delimiter, short row": ("IDENTIFIER\tNAME\tADDRESS\tAGE\nu1\tJohn\t16 Main\n",
+                                 LinkageSchema(compared_fields=toy_schema().compared_fields,
+                                               delimiter="\t")),
+    "repeated column not compared": (
+        "NOTE,IDENTIFIER,NAME,NOTE,ADDRESS,AGE\nx,u1,John,y,16 Main,20\nx,u2,Jane,,NA,30\n",
+        toy_schema()),
+    "repeated column not compared, short row": (
+        "NOTE,IDENTIFIER,NAME,NOTE,ADDRESS,AGE\nx,u1,John,y,16 Main\n", toy_schema()),
+    "repeated compared column": (
+        "IDENTIFIER,NAME,ADDRESS,AGE,NAME\nu1,John,16 Main,20,Bob\n", toy_schema()),
+    "missing column": ("IDENTIFIER,NAME,AGE\nu1,John,20\n", toy_schema()),
+}
+
+
+def load_outcome(loader, path, schema):
+    """(table, report) on success, or the IngestError message."""
+    try:
+        return loader(path, schema, "A")
+    except IngestError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", REFERENCE_FILES)
+def test_load_table_matches_dict_reader(tmp_path, name):
+    text, schema = REFERENCE_FILES[name]
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    got = load_outcome(load_table, path, schema)
+    assert got == load_outcome(ref_load_table, path, schema)
+
+
+def test_reference_files_load_and_fail_in_every_way(tmp_path):
+    outcomes = []
+    for text, schema in REFERENCE_FILES.values():
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        outcomes.append(load_outcome(ref_load_table, path, schema))
+    errors = " ".join(o for o in outcomes if isinstance(o, str))
+    for what in ("fewer fields", "more fields", "duplicate identifier",
+                 "missing required column", "appears more than once"):
+        assert what in errors
+    assert sum(not isinstance(o, str) for o in outcomes) == 8
+
+
+def test_byte_order_mark_is_not_part_of_the_header(tmp_path):
+    # the mark used to be read into the first column name: missing column 'IDENTIFIER'
+    text = HEADER + "u1,John,16 Main,20\nu2,Jane,NA,30\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(text.encode("utf-8-sig"))
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    table, report = load_table(marked, toy_schema(), "A")
+    want_table, want_report = load_table(plain, toy_schema(), "A")
+    assert table == want_table and table.ids() == ["u1"]
+    assert (report.read, report.dropped) == (want_report.read, want_report.dropped)
 
 
 class TestTrueLinks:

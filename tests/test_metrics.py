@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from electre_linkage import metrics
 from electre_linkage.core import CHUNK_ROWS
 from electre_linkage.metrics import (
     Comparator,
@@ -230,11 +231,14 @@ def jaro_value_lists(draw):
     """Two lists of values for one table: repeats within a list and values
     shared by both lists, empty strings, strings of 1-3 characters (match
     window -1 or 0), embedded and trailing NULs, astral code points, a lone
-    surrogate and strings over 64 characters."""
+    surrogate, strings of 63, 64 and 65 code points (the last one a bit mask
+    holds, and one more) and strings over 64 characters, so that a table
+    mixes values under and over 64."""
     text = (
         st.text(max_size=3)
         | st.text(alphabet="AB\0", max_size=10)
         | st.text(alphabet=st.sampled_from("AÉ\U0001F600\ud800 -"), max_size=14)
+        | st.text(alphabet=st.sampled_from("AB\U0001F600"), min_size=63, max_size=65)
         | st.text(alphabet="ABC", min_size=65, max_size=90)
     )
     vals_a = draw(st.lists(text, max_size=6))
@@ -270,6 +274,28 @@ def test_jaro_table_spans_chunks():
     # more B values than one chunk holds
     assert_jaro_tables_match(vals_a[:2], [random_string(rng, 8, "ABC")
                                           for _ in range(CHUNK_ROWS + 7)])
+
+
+def test_jaro_table_goes_through_both_kernels(monkeypatch):
+    # chunks of 4 value pairs: those holding a value over 64 code points go
+    # through _jaro_block, the others through the bit masks
+    monkeypatch.setattr(metrics, "CHUNK_ROWS", 4)
+    calls = {"_jaro_masks": 0, "_jaro_block": 0}
+    for name in calls:
+        kernel = getattr(metrics, name)
+
+        def counted(*args, name=name, kernel=kernel):
+            calls[name] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(metrics, name, counted)
+    rng = random.Random(9)
+    vals_a = ["".join(rng.choice("ABAB-") for _ in range(n)) for n in (63, 64, 65, 3, 64, 0)]
+    vals_b = ["".join(rng.choice("ABBA ") for _ in range(n)) for n in (64, 65, 5, 63, 64, 66, 1, 64)]
+    vals_b[4] = vals_a[1]  # an equal pair of 64 code points
+    assert_jaro_tables_match(vals_a, vals_b)
+    assert_jaro_tables_match(vals_a[:2] + vals_a[3:], vals_b[:1] + vals_b[2:5])
+    assert calls["_jaro_masks"] > 0 and calls["_jaro_block"] > 0
 
 
 def test_jaro_table_memory_follows_the_table():
