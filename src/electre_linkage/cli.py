@@ -290,8 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dataset-a", dest="dataset_a")
         p.add_argument("--dataset-b", dest="dataset_b")
         p.add_argument("--output-dir", dest="output_dir")
-        p.add_argument("--label-policy", dest="label_policy",
-                       choices=["two_class", "banded"])
+        p.add_argument("--label-policy", dest="label_policy", choices=linkage.LABEL_POLICIES)
         p.add_argument("--seed", type=int)
         p.add_argument("--train-fraction", dest="train_fraction", type=float)
         p.set_defaults(func=run_command, step=step, reads_data=reads_data)

@@ -40,7 +40,10 @@ __all__ = [
 ]
 
 CATEGORY_LABELS_3 = {1: "nonmatch", 2: "potential match", 3: "match"}
-CHUNK_ROWS = 1 << 14  # rows per kernel pass and per written chunk, bounding their memory
+# rows per kernel pass and per written chunk, and value pairs per Jaro mask pass
+# (CHUNK_ROWS // W**2 where the longest value takes W 64-bit words), bounding
+# their memory
+CHUNK_ROWS = 1 << 14
 
 
 class ModelError(ValueError):

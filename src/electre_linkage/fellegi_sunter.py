@@ -18,7 +18,7 @@ from .core import distinct_rows, label_cells
 __all__ = ["FsModel", "FsError", "fit_fs", "agreement_patterns", "fit_patterns", "fs_decide"]
 
 AGREEMENT_THRESHOLD = 0.88  # a field agrees when its similarity reaches this
-DEFAULT_BAND_RATE = 0.01
+BAND_RATE = 0.01  # the share of training pairs inside the potential-match band
 
 
 class FsError(ValueError):
@@ -80,13 +80,13 @@ class FsModel:
             raise FsError(f"malformed baseline model document: {exc!r}") from exc
 
 
-def fit_fs(X, y, band_rate: float = DEFAULT_BAND_RATE, weights=None) -> FsModel:
+def fit_fs(X, y, weights=None) -> FsModel:
     """Supervised fit from performances X (n, m) and category indices y.
 
     Pairs labeled C3 count as links, everything else as nonlinks; 0 marks an
     unlabeled pair. Row i stands for weights[i] pairs, or for one when weights
-    is None. Lower and Upper default to the log2-ratio quantiles that keep
-    about band_rate of the training pairs inside the potential-match band.
+    is None. Lower and Upper are the log2-ratio quantiles that keep about
+    BAND_RATE of the training pairs inside the potential-match band.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
@@ -117,7 +117,7 @@ def fit_fs(X, y, band_rate: float = DEFAULT_BAND_RATE, weights=None) -> FsModel:
     order = np.lexsort((is_link, score))
     scores, links, counts = score[order], is_link[order], w[order]
     cut = _best_cut(scores, links, counts)
-    lower, upper = _band_around(scores, counts, cut, band_rate)
+    lower, upper = _band_around(scores, counts, cut, BAND_RATE)
     return FsModel(m_probs, u_probs, thresholds, lower, upper)
 
 
@@ -134,10 +134,10 @@ def agreement_patterns(columns, thresholds=None):
     return np.column_stack([values[index[row]] for values, index in columns]), pattern
 
 
-def fit_patterns(P, pattern, y, band_rate: float = DEFAULT_BAND_RATE) -> FsModel:
+def fit_patterns(P, pattern, y) -> FsModel:
     """fit_fs on the rows of agreement_patterns: one row per (pattern, label), counted."""
     rows, label, count = label_cells(pattern, y, len(P))
-    return fit_fs(P[rows], label, band_rate, count)
+    return fit_fs(P[rows], label, count)
 
 
 def _best_cut(scores, is_link, counts) -> float:

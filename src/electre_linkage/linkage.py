@@ -122,7 +122,7 @@ def label_pairs(block: PairBlock, links, policy: str = "two_class", fs_model=Non
         if id_a in pos_a and id_b in pos_b:
             linked[pos_a[id_a], pos_b[id_b]] = True
     is_link = linked.ravel()[block.rows]
-    truth = np.where(is_link, 3, 1).astype(np.int8)
+    truth = np.where(is_link, np.int8(3), np.int8(1))
     if policy == "banded":
         thresholds = fs_model.agreement_thresholds if fs_model is not None else None
         P, pattern = agreement_patterns(block.columns(), thresholds)

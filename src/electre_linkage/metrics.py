@@ -101,77 +101,65 @@ def _tally(x, y, flags_x, flags_y) -> tuple:
     return m, np.bincount(pair[mx != my], minlength=m.size).reshape(m.shape) // 2
 
 
-def _jaro_block(x, lx, y, ly) -> tuple:
-    """(matches, transpositions) of every row of x against every row of y, for
-    values longer than _MASK_BITS code points.
-
-    Each position of x takes the first unused equal character of y within the
-    match window, for all pairs at once. x and y pad with values that never
-    compare equal to each other or to a code point.
-    """
-    window = np.maximum(lx[:, None], ly[None, :]) // 2 - 1
-    reach = int(window.max(initial=-1))
-    distance = np.abs(np.arange(x.shape[1])[:, None] - np.arange(y.shape[1]))
-    free = np.ones((len(x), len(y), y.shape[1]), dtype=bool)
-    matched = np.zeros((len(x), len(y), x.shape[1]), dtype=bool)
-    for i in range(x.shape[1]):
-        lo, hi = max(0, i - reach), min(y.shape[1], i + reach + 1)
-        if lo >= hi:
-            continue
-        near = distance[i, lo:hi] <= window[:, :, None]
-        found = (x[:, None, i, None] == y[None, :, lo:hi]) & free[:, :, lo:hi] & near
-        ia, ib = np.nonzero(found.any(axis=2))
-        free[ia, ib, lo + found[ia, ib].argmax(axis=1)] = False
-        matched[ia, ib, i] = True
-    return _tally(x, y, matched, ~free)
-
-
-_MASK_BITS = 64  # the longest value _jaro_masks takes, in code points
-_BIT = np.array([1 << k for k in range(_MASK_BITS)], dtype=np.uint64)
-_LOW = np.array([(1 << k) - 1 for k in range(_MASK_BITS + 1)], dtype=np.uint64)
+_BIT = np.array([1 << k for k in range(64)], dtype=np.uint64)
+_LOW = np.array([(1 << k) - 1 for k in range(65)], dtype=np.uint64)
 
 
 def _jaro_masks(x, lx, y, ly) -> tuple:
     """(matches, transpositions) of every row of x against every row of y, on
     bit masks: the bit-parallel Jaro of RapidFuzz, after Myers (J. ACM 1999).
 
-    No value is longer than _MASK_BITS. Bit k of a word stands for position k
-    of a y value. Per y value and character of x, a mask marks where the
-    character occurs; x's padding occurs nowhere. Each position p of x takes
-    the lowest free bit of its character's mask inside the match window, for
-    all pairs at once.
+    Bit k of word w stands for position 64 w + k of a y value, over as many
+    words as the longest y value needs. Per y value and character of x, a
+    mask marks where the character occurs; x's padding occurs nowhere. Each
+    position p of x takes the lowest free bit of its character's mask inside
+    the match window, in the first word that holds one, for all pairs at once.
     """
+    words = max(1, -(-y.shape[1] // 64))
     # x's characters, each once: np.unique's first call in a process holds
     # 1.2 MB more on numpy 2.4
     chars = np.sort(x, axis=None)
     alphabet = np.concatenate((chars[:1], chars[1:][chars[1:] != chars[:-1]]))
-    masks = np.zeros((len(alphabet) + 1, len(y)), dtype=np.uint64)
+    masks = np.zeros((len(alphabet) + 1, len(y), words), dtype=np.uint64)
     if len(alphabet):
         # a character of y that x lacks goes to the last row, which x never reads
         code = np.searchsorted(alphabet, y)
         code[alphabet.take(code, mode="clip") != y] = len(alphabet)
-        np.bitwise_or.at(masks, (code, np.arange(len(y))[:, None]), _BIT[:y.shape[1]])
+        word, bit = np.divmod(np.arange(y.shape[1]), 64)
+        np.bitwise_or.at(masks, (code, np.arange(len(y))[:, None], word), _BIT[bit])
     code = np.searchsorted(alphabet, x)
     window = np.maximum(lx[:, None], ly[None, :]) // 2 - 1
     reach = int(window.max(initial=-1))
-    bound = _LOW[window + 1]  # position 0's window: bits 0 to window
-    free = np.full(window.shape, _LOW[-1])
-    matched = np.zeros((x.shape[1], *window.shape), dtype=bool)
+    # position 0's window: bits 0 to window, over the words
+    bound = _LOW.take(window[..., None] + 1 - np.arange(0, 64 * words, 64), mode="clip")
+    first = bound[..., 0]
+    free = np.full(bound.shape, _LOW[-1])
+    matched = np.zeros((x.shape[1], *window.shape, 1), dtype=bool)
     for p in range(x.shape[1]):
         found = masks[code[:, p]]
         found &= bound
         found &= free
-        found &= -found  # the lowest candidate
+        found &= -found  # the lowest candidate of each word
+        if words > 1:  # kept in the first word that holds one
+            held = np.logical_or.accumulate(found != 0, axis=2)
+            found[..., 1:] *= ~held[..., :-1]
+            matched[p] = held[..., -1:]
+            carry = bound[..., :-1] >> 63
+        else:
+            np.not_equal(found, 0, out=matched[p])
         free ^= found
-        np.not_equal(found, 0, out=matched[p])
-        # the window moves one bit up, and keeps bit 0 while p is below the window
+        # the window moves one bit up, bit 63 of a word into bit 0 of the next,
+        # and keeps bit 0 while p is below the window
         bound <<= 1
+        if words > 1:
+            bound[..., 1:] |= carry
         if p < reach:
-            bound |= window > p
-    # bit k of each pair's word as its k-th flag, whatever the machine's byte order
-    taken = np.unpackbits((~free).astype("<u8").view(np.uint8).reshape(*free.shape, 8),
-                          axis=2, count=y.shape[1], bitorder="little")
-    return _tally(x, y, matched.transpose(1, 2, 0), taken.view(bool))
+            first |= window > p
+    # bit k of word w of each pair as its (64 w + k)-th flag, whatever the
+    # machine's byte order
+    taken = np.unpackbits((~free).astype("<u8").view(np.uint8), axis=2,
+                          count=y.shape[1], bitorder="little")
+    return _tally(x, y, matched[..., 0].transpose(1, 2, 0), taken.view(bool))
 
 
 def _jaro_table(vals_a, vals_b, prefix_scale: float = 0.0, prefix_cap: int = 0) -> np.ndarray:
@@ -179,10 +167,9 @@ def _jaro_table(vals_a, vals_b, prefix_scale: float = 0.0, prefix_cap: int = 0) 
     of Jaro similarities with the default prefix_scale and prefix_cap.
 
     Equal values score 1.0 and an empty value against another 0.0. The table
-    is computed over chunks of at most CHUNK_ROWS value pairs, so the
-    temporaries are bounded by CHUNK_ROWS times the longest value. A chunk
-    goes through _jaro_masks, or through _jaro_block if it holds a value
-    longer than _MASK_BITS code points.
+    is computed by _jaro_masks over chunks of at most CHUNK_ROWS // W**2
+    value pairs, where W is the number of 64-bit words the longest value
+    needs, so the temporaries stay within about CHUNK_ROWS * 512 bytes.
     """
     vals_a, vals_b = [str(v) for v in vals_a], [str(v) for v in vals_b]
     x, lx = _code_points(vals_a, -1)
@@ -190,15 +177,16 @@ def _jaro_table(vals_a, vals_b, prefix_scale: float = 0.0, prefix_cap: int = 0) 
     code = _factorize(vals_a + vals_b)[1]
     ca, cb = code[:len(vals_a)], code[len(vals_a):]
     table = np.empty((len(vals_a), len(vals_b)))
-    for b0 in range(0, len(vals_b), CHUNK_ROWS):
-        cols = slice(b0, b0 + CHUNK_ROWS)
+    words = max(1, -(-max(x.shape[1], y.shape[1]) // 64))
+    chunk = max(1, CHUNK_ROWS // words ** 2)
+    for b0 in range(0, len(vals_b), chunk):
+        cols = slice(b0, b0 + chunk)
         yb, lyb = y[cols, :ly[cols].max()], ly[cols]
-        step = max(1, CHUNK_ROWS // len(lyb))
+        step = max(1, chunk // len(lyb))
         for a0 in range(0, len(vals_a), step):
             rows = slice(a0, a0 + step)
             xa, lxa = x[rows, :lx[rows].max()], lx[rows]
-            kernel = _jaro_masks if max(xa.shape[1], yb.shape[1]) <= _MASK_BITS else _jaro_block
-            m, t = kernel(xa, lxa, yb, lyb)
+            m, t = _jaro_masks(xa, lxa, yb, lyb)
             # where nothing matches, m is 0 and so is every term
             base = (m / np.maximum(lxa, 1)[:, None] + m / np.maximum(lyb, 1)
                     + (m - t) / np.maximum(m, 1)) / 3.0

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from electre_linkage import core, linkage
+from electre_linkage import core, fellegi_sunter, linkage
 from electre_linkage.calibration import (
     TrainingSet,
     calibrate,
@@ -222,16 +222,17 @@ def test_split_matches_reference_at_census_scale(tmp_path, policy):
 
 
 @pytest.mark.parametrize("band_rate", [0.01, 0.3])
-def test_fit_fs_matches_reference(tables, band_rate):
+def test_fit_fs_matches_reference(tables, band_rate, monkeypatch):
+    monkeypatch.setattr(fellegi_sunter, "BAND_RATE", band_rate)
     schema, a, b = tables
     block = label_pairs(build_pairs(a, b, schema), true_links(a, b), "two_class")
     train, _ = split(block, 0.5, seed=2)
     for X, y in ((block.X, block.truth), (train.X, train.y)):
-        fs = fit_fs(X, y, band_rate=band_rate)
+        fs = fit_fs(X, y)
         assert fs == FsModel(*ref_fit_fs(X.tolist(), y.tolist(), band_rate=band_rate))
 
 
-def test_fit_fs_matches_reference_on_noisy_labels():
+def test_fit_fs_matches_reference_on_noisy_labels(monkeypatch):
     # few pairs with 0/1 similarities and random labels often tie the error
     # count at several cuts, which pins down the first-strict-minimum rule
     rng = np.random.default_rng(31)
@@ -241,7 +242,8 @@ def test_fit_fs_matches_reference_on_noisy_labels():
         y = np.where(rng.random(n) < 0.4, 3, 1)
         y[:2] = (3, 1)
         for band_rate in (0.01, 0.2):
-            fs = fit_fs(X, y, band_rate=band_rate)
+            monkeypatch.setattr(fellegi_sunter, "BAND_RATE", band_rate)
+            fs = fit_fs(X, y)
             ref = ref_fit_fs(X.tolist(), y.tolist(), band_rate=band_rate)
             assert fs == FsModel(*ref)
 
@@ -886,7 +888,7 @@ def test_split_calibrates_as_its_rows(tables):
         assert_calibrated_as_rows(train, 0.01, "pessimistic")
 
 
-def test_weighted_fit_fs_equals_repeated_rows():
+def test_weighted_fit_fs_equals_repeated_rows(monkeypatch):
     """Row i counted weights[i] times fits as the rows repeated, zero weights dropped."""
     rng = np.random.default_rng(41)
     for _ in range(100):
@@ -897,8 +899,9 @@ def test_weighted_fit_fs_equals_repeated_rows():
         w = rng.integers(0, 6, k)
         w[:2] += 1
         for band_rate in (0.01, 0.2, 0.5):
+            monkeypatch.setattr(fellegi_sunter, "BAND_RATE", band_rate)
             repeated = np.repeat(X, w, axis=0), np.repeat(y, w)
-            got = fit_fs(X, y, band_rate, w)
-            assert got == fit_fs(*repeated, band_rate=band_rate)
+            got = fit_fs(X, y, w)
+            assert got == fit_fs(*repeated)
             assert got == FsModel(*ref_fit_fs(repeated[0].tolist(), repeated[1].tolist(),
                                               band_rate=band_rate))

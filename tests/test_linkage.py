@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,8 @@ from electre_linkage.core import (
     kernel_rows,
 )
 from electre_linkage.fellegi_sunter import FsError, FsModel
-from electre_linkage.ingest import load_table, toy_schema, true_links
+from electre_linkage.datagen import generate_pair_files
+from electre_linkage.ingest import census_schema, load_table, toy_schema, true_links
 from electre_linkage.linkage import (
     build_pairs,
     label_pairs,
@@ -137,6 +139,24 @@ class TestLabelPairs:
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
             label_pairs(make_block([("x", "y")], [(0.5,)]), set(), "three_class")
+
+    def test_two_class_memory_per_pair(self, tmp_path):
+        # the labels are made as int8, with no wider array over every pair
+        schema = census_schema()
+        generate_pair_files(tmp_path / "a.csv", tmp_path / "b.csv",
+                            n_a=400, n_b=300, n_links=250, seed=31)
+        a, _ = load_table(tmp_path / "a.csv", schema, "A")
+        b, _ = load_table(tmp_path / "b.csv", schema, "B")
+        block, links = build_pairs(a, b, schema), true_links(a, b)
+        assert len(block) >= 100_000
+        tracemalloc.start()
+        try:
+            labeled = label_pairs(block, links, "two_class")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert labeled.truth.dtype == np.int8
+        assert peak <= 4 * len(block)
 
 
 class TestClassifyPairs:

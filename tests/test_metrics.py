@@ -231,15 +231,19 @@ def jaro_value_lists(draw):
     """Two lists of values for one table: repeats within a list and values
     shared by both lists, empty strings, strings of 1-3 characters (match
     window -1 or 0), embedded and trailing NULs, astral code points, a lone
-    surrogate, strings of 63, 64 and 65 code points (the last one a bit mask
-    holds, and one more) and strings over 64 characters, so that a table
-    mixes values under and over 64."""
+    surrogate, strings of 63-65, 127-129 and 191-193 code points (the last
+    ones one, two and three 64-bit words hold, and one more), and long
+    strings over a small and over a large alphabet, so that a table mixes
+    values of one word and of several."""
     text = (
         st.text(max_size=3)
         | st.text(alphabet="AB\0", max_size=10)
         | st.text(alphabet=st.sampled_from("AÉ\U0001F600\ud800 -"), max_size=14)
         | st.text(alphabet=st.sampled_from("AB\U0001F600"), min_size=63, max_size=65)
         | st.text(alphabet="ABC", min_size=65, max_size=90)
+        | st.text(alphabet="AB-", min_size=127, max_size=129)
+        | st.text(alphabet=st.sampled_from("AB\U0001F600"), min_size=191, max_size=193)
+        | st.text(alphabet=st.characters(max_codepoint=0x2FFF), min_size=60, max_size=200)
     )
     vals_a = draw(st.lists(text, max_size=6))
     vals_b = draw(st.lists(text | st.sampled_from(vals_a or [""]), max_size=6))
@@ -276,26 +280,19 @@ def test_jaro_table_spans_chunks():
                                           for _ in range(CHUNK_ROWS + 7)])
 
 
-def test_jaro_table_goes_through_both_kernels(monkeypatch):
-    # chunks of 4 value pairs: those holding a value over 64 code points go
-    # through _jaro_block, the others through the bit masks
+def test_jaro_table_mixes_value_words(monkeypatch):
+    # chunks of 4 value pairs whose values take 1, 2 or 3 words of bit masks
+    # on either side of the table, and equal pairs of 64 and of 150 code points
     monkeypatch.setattr(metrics, "CHUNK_ROWS", 4)
-    calls = {"_jaro_masks": 0, "_jaro_block": 0}
-    for name in calls:
-        kernel = getattr(metrics, name)
-
-        def counted(*args, name=name, kernel=kernel):
-            calls[name] += 1
-            return kernel(*args)
-
-        monkeypatch.setattr(metrics, name, counted)
     rng = random.Random(9)
-    vals_a = ["".join(rng.choice("ABAB-") for _ in range(n)) for n in (63, 64, 65, 3, 64, 0)]
-    vals_b = ["".join(rng.choice("ABBA ") for _ in range(n)) for n in (64, 65, 5, 63, 64, 66, 1, 64)]
-    vals_b[4] = vals_a[1]  # an equal pair of 64 code points
+    vals_a = ["".join(rng.choice("ABAB-") for _ in range(n))
+              for n in (63, 64, 65, 3, 128, 0, 129, 150, 192, 193)]
+    vals_b = ["".join(rng.choice("ABBA ") for _ in range(n))
+              for n in (64, 193, 5, 127, 64, 66, 1, 150, 191, 130)]
+    vals_b[4], vals_b[7] = vals_a[1], vals_a[7]
     assert_jaro_tables_match(vals_a, vals_b)
-    assert_jaro_tables_match(vals_a[:2] + vals_a[3:], vals_b[:1] + vals_b[2:5])
-    assert calls["_jaro_masks"] > 0 and calls["_jaro_block"] > 0
+    assert_jaro_tables_match(vals_a[:4], vals_b[5:])
+    assert_jaro_tables_match(vals_a[6:], vals_b[:3])
 
 
 def test_jaro_table_memory_follows_the_table():
@@ -318,3 +315,20 @@ def test_jaro_table_memory_follows_the_table():
     large, large_bytes = peak(384)
     assert large_bytes - small_bytes == 4 * CHUNK_ROWS * 8
     assert large - small < 1.5 * (large_bytes - small_bytes)
+
+
+def test_jaro_table_memory_on_long_values():
+    # values of 200 code points take four words of bit masks; the chunks
+    # shrink with the square of the words, so the masks of a chunk's
+    # characters stay within about CHUNK_ROWS * 512 bytes
+    rng = random.Random(11)
+    cjk = [chr(0x4E00 + k) for k in range(20000)]
+    vals_a = ["".join(rng.choice(cjk) for _ in range(200)) for _ in range(60)]
+    vals_b = ["".join(rng.choice(cjk) for _ in range(200)) for _ in range(300)]
+    tracemalloc.start()
+    try:
+        Comparator("jaro_winkler").compare(vals_a, vals_b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12_000_000
