@@ -148,13 +148,13 @@ def _hinge_minimum(points, uppers, lowers, clamp_lo, clamp_hi):
 def _monotone_selection(intervals):
     """Pick a nondecreasing value from each interval, preferring midpoints.
 
-    Returns None when no nondecreasing selection exists.
+    A selection exists because no interval's lower end exceeds the upper end of
+    an interval after it: estimate_profiles appends a block only once no
+    earlier block's lower end exceeds the new block's upper end.
     """
     mins, prev = [], -math.inf
     for lo, hi in intervals:
         prev = max(lo, prev)
-        if prev > hi:
-            return None
         mins.append(prev)
     maxs, nxt = [0.0] * len(intervals), math.inf
     for i in range(len(intervals) - 1, -1, -1):

@@ -56,29 +56,20 @@ class PairBlock:
 
     def columns(self) -> list:
         """Per field (values, index): its distinct similarities and each row's int32
-        index into them. A run of consecutive positions is read by table rows, not divmod."""
-        rows, nb = self.rows, len(self.ids_b)
-        if len(rows) and rows[-1] - rows[0] == len(rows) - 1 and (np.diff(rows) == 1).all():
-            (a0, b0), (a1, b1) = divmod(int(rows[0]), nb), divmod(int(rows[-1]), nb)
-
-            def read(code_a, code_b, cell):
-                if a0 == a1:
-                    return cell[code_a[a0], code_b[b0:b1 + 1]]
-                index = np.empty(len(rows), dtype=np.int32)
-                k0, k1 = nb - b0, len(rows) - b1 - 1
-                index[:k0] = cell[code_a[a0], code_b[b0:]]
-                # the middle rows go straight into index: mode="raise" would buffer them
-                np.take(cell[code_a[a0 + 1:a1]], code_b, axis=1,
-                        out=index[k0:k1].reshape(-1, nb), mode="clip")
-                index[k1:] = cell[code_a[a1], code_b[:b1 + 1]]
-                return index
-        else:
-            ia, ib = np.divmod(rows, nb)
-
-            def read(code_a, code_b, cell):
-                return cell[code_a[ia], code_b[ib]]
-        return [(values, read(code_a, code_b, cell))
-                for code_a, code_b, values, cell in self.fields]
+        index into them. Each index is read for the whole cross product by table
+        rows; a block of any other rows gathers its rows from that read."""
+        shape = len(self.ids_a), len(self.ids_b)
+        rows = self.rows
+        # as many strictly increasing positions as the cross product holds are all of it
+        whole = len(rows) == shape[0] * shape[1] and (rows[1:] > rows[:-1]).all()
+        out = []
+        for code_a, code_b, values, cell in self.fields:
+            index = np.empty(shape, dtype=np.int32)
+            # mode="raise" would buffer the rows before writing them into index
+            np.take(cell[code_a], code_b, axis=1, out=index, mode="clip")
+            out.append((values, index.ravel() if whole else index.ravel()[rows]))
+            del index  # a subset's read goes before the next field's is made
+        return out
 
     def pair(self, row: int) -> tuple:
         i, k = divmod(int(self.rows[row]), len(self.ids_b))
@@ -175,9 +166,9 @@ def write_classified(path, block: PairBlock, kernel_row, cats, sigma, field_name
     distinct similarity of a field (by bit pattern, so -0.0 stays apart from
     0.0), the sigma and category cells per kernel row and each truth label.
     Adjacent columns share one text table while the product of their sizes is
-    at most CHUNK_ROWS (_merged). Each chunk of CHUNK_ROWS pairs, read through
-    PairBlock.columns(), is stacked from the tables, joined and written in one
-    call.
+    at most CHUNK_ROWS (_merged). The block's PairBlock.columns() is read once;
+    each chunk of CHUNK_ROWS pairs, sliced from it, is stacked from the tables,
+    joined and written in one call.
     """
     if len(kernel_row) != len(block):
         raise ValueError(f"kernel_row has {len(kernel_row)} entries for {len(block)} pairs")
@@ -198,13 +189,14 @@ def write_classified(path, block: PairBlock, kernel_row, cats, sigma, field_name
             + [f"sigma_b{h}" for h in range(1, nprof + 1)]
             + ["assigned", "truth"]
         )
+        columns = [index for _, index in block.columns()]
         for lo in range(0, len(block), CHUNK_ROWS):
-            chunk = block.take(slice(lo, lo + CHUNK_ROWS))
+            hi = lo + CHUNK_ROWS
             indexes = iter([
-                *np.divmod(chunk.rows, len(block.ids_b)),
-                *(index for _, index in chunk.columns()),
-                kernel_row[lo:lo + CHUNK_ROWS],
-                chunk.truth.astype(np.intp) - t0,
+                *np.divmod(block.rows[lo:hi], len(block.ids_b)),
+                *(index[lo:hi] for index in columns),
+                kernel_row[lo:hi],
+                block.truth[lo:hi].astype(np.intp) - t0,
             ])
             cells = []
             for texts, sizes in groups:

@@ -278,9 +278,11 @@ def ref_estimate_profiles(train, epsilon, pool=False):
                 lo, hi, val = hinge(lo_h, hi_h)
                 obj += val
                 intervals.append((lo, hi))
-            vals = _monotone_selection(intervals)
+            # a nondecreasing selection exists iff no lower end exceeds a later upper end
+            feasible = all(lo <= hi for (lo, _), (_, hi) in itertools.combinations(intervals, 2))
             improved = best_obj == math.inf or obj < best_obj - 1e-12 * max(1.0, abs(obj))
-            if vals is not None and improved:
+            if feasible and improved:
+                vals = _monotone_selection(intervals)
                 best_obj = obj
                 expanded = []
                 for (blo, bhi), t in zip(blocks, vals):

@@ -157,9 +157,10 @@ class TestPipeline:
         by_pair = {(r["id_a"], r["id_b"]): r["assigned"] for r in rows}
         assert by_pair[("u1", "u1")] == "C3"
 
-    def test_empty_b_gives_empty_output(self, tmp_path):
-        b = tmp_path / "empty_b.csv"
-        b.write_text("DS,IDENTIFIER,NAME,ADDRESS,AGE\n")
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_empty_side_gives_empty_output(self, tmp_path, side):
+        empty = tmp_path / f"empty_{side}.csv"
+        empty.write_text("DS,IDENTIFIER,NAME,ADDRESS,AGE\n")
         out = tmp_path / "out"
         model = {
             "criteria": [
@@ -173,8 +174,8 @@ class TestPipeline:
         model_path = tmp_path / "model.json"
         model_path.write_text(json.dumps(model))
         cfg = {
-            "dataset_a": str(DATA / "toy_a.csv"),
-            "dataset_b": str(b),
+            "dataset_a": str(empty if side == "a" else DATA / "toy_a.csv"),
+            "dataset_b": str(empty if side == "b" else DATA / "toy_b.csv"),
             "schema": {
                 "id_field": "IDENTIFIER",
                 "compared_fields": [
@@ -188,8 +189,8 @@ class TestPipeline:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert run(["classify", "--config", cfg_path, "--model", model_path]) == 0
-        with open(out / "classified.csv", newline="") as fh:
-            assert list(csv.DictReader(fh)) == []
+        assert (out / "classified.csv").read_bytes() == (
+            b"id_a,id_b,sim_NAME,sim_ADDRESS,sim_AGE,assigned,truth\r\n")
 
     def test_corrupt_model_file(self, small_dataset, tmp_path, capsys):
         a, b = small_dataset

@@ -655,9 +655,10 @@ def test_write_classified_matches_row_loop(tables, tmp_path, monkeypatch, chunk_
 
 
 @pytest.mark.parametrize("chunk_rows", [None, 1, 7])
-def test_write_classified_reads_each_chunk_through_columns(tables, tmp_path, monkeypatch,
-                                                           chunk_rows):
-    """The writer reads the pair layout through PairBlock.columns() alone, once per chunk."""
+def test_write_classified_reads_the_block_through_columns_once(tables, tmp_path, monkeypatch,
+                                                               chunk_rows):
+    """The writer reads the pair layout through one PairBlock.columns() call a file,
+    however many chunks it writes, and the file equals the row loop's."""
     if chunk_rows:
         monkeypatch.setattr(linkage, "CHUNK_ROWS", chunk_rows)
     schema, a, b = tables
@@ -668,14 +669,19 @@ def test_write_classified_reads_each_chunk_through_columns(tables, tmp_path, mon
     calls = []
     columns = PairBlock.columns
 
-    def counting(chunk):
-        calls.append(len(chunk))
-        return columns(chunk)
+    def counting(pairs):
+        calls.append(len(pairs))
+        return columns(pairs)
 
-    monkeypatch.setattr(PairBlock, "columns", counting)
-    write_classified(tmp_path / "c.csv", block, kernel_row, cats, sigma, schema.field_names)
-    size = linkage.CHUNK_ROWS
-    assert calls == [min(size, len(block) - lo) for lo in range(0, len(block), size)]
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    with monkeypatch.context() as patch:
+        patch.setattr(PairBlock, "columns", counting)
+        write_classified(new, block, kernel_row, cats, sigma, schema.field_names)
+    if chunk_rows:
+        assert len(block) > chunk_rows  # the file is written in several chunks
+    assert calls == [len(block)]
+    ref_write_classified(ref, block, cats[kernel_row], sigma[kernel_row], schema.field_names)
+    assert new.read_bytes() == ref.read_bytes()
 
 
 @pytest.mark.parametrize("na, nb", [(128, 128), (113, 145)])
@@ -755,7 +761,9 @@ def test_write_classified_refuses_kernel_rows_of_another_length(tmp_path):
 @pytest.mark.parametrize("chunk_rows", [6, 8])
 @pytest.mark.parametrize("lo, hi", [(3, 40), (10, 33), (2, 5)])
 def test_write_classified_of_a_run_starting_mid_row(tmp_path, monkeypatch, chunk_rows, lo, hi):
-    """Chunks one pair short of and one past an A-row (nb = 7) read runs that cross rows."""
+    """A block of a run starting and ending mid-A-row (nb = 7), written in chunks one
+    pair short of and one past an A-row: each chunk's slice of the block's one read
+    holds the pairs of the right rows."""
     monkeypatch.setattr(linkage, "CHUNK_ROWS", chunk_rows)
     block = table_block(np.random.default_rng(lo), 6, 7).take(slice(lo, hi))
     model = simple_model(3)
@@ -764,7 +772,7 @@ def test_write_classified_of_a_run_starting_mid_row(tmp_path, monkeypatch, chunk
     assert_same_file(tmp_path, block, kernel_row, cats, sigma, ["f1", "f2", "f3"])
 
 
-# --- runs of the cross product read by whole table rows, against per-pair gathers ---
+# --- the pair layout read by whole table rows, against per-pair gathers ---
 
 
 def assert_columns_per_pair(block):
@@ -785,6 +793,7 @@ def assert_columns_per_pair(block):
     slice(None),  # the whole block
     slice(13, 14),  # one pair
     slice(7, 7),  # empty
+    [],  # no rows taken
     slice(None, None, -1),  # reversed
     [0, 1, 3],  # gapped
     [5, 5, 6],  # repeated
@@ -794,6 +803,14 @@ def assert_columns_per_pair(block):
 def test_columns_of_rows_match_per_pair_gathers(rows):
     block = table_block(np.random.default_rng(11), 8, 6)
     assert_columns_per_pair(block.take(rows))
+
+
+@pytest.mark.parametrize("na, nb", [(0, 4), (5, 0), (0, 0)])
+def test_columns_of_an_empty_side(na, nb):
+    block = table_block(np.random.default_rng(na + nb), na, nb)
+    columns = block.columns()
+    assert [index.shape for _, index in columns] == [(0,)] * 3
+    assert_columns_per_pair(block)
 
 
 def test_columns_of_a_whole_block_gather_no_per_pair_codes():
@@ -809,6 +826,24 @@ def test_columns_of_a_whole_block_gather_no_per_pair_codes():
         tracemalloc.stop()
     assert len(columns) == m
     # the int32 indices and two more of them; divmod alone is 16 bytes a pair
+    assert peak <= 4 * n * (m + 2)
+
+
+def test_columns_of_a_subset_stay_within_the_whole_block_bound():
+    """A sorted half of the rows gathers from one whole read a field at a time:
+    no more than a whole block's columns cost."""
+    m = 3
+    block = table_block(np.random.default_rng(14), 400, 300, m)
+    n = len(block)
+    rows = np.sort(np.random.default_rng(15).choice(n, n // 2, replace=False))
+    half = block.take(rows)
+    tracemalloc.start()
+    try:
+        columns = half.columns()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(index) for _, index in columns] == [n // 2] * m
     assert peak <= 4 * n * (m + 2)
 
 
