@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Criterion, ElectreModel, ProfileSet, _distinct_cells, cut_counts
+from .core import Criterion, ElectreModel, ProfileSet, _check_finite, _distinct_cells, cut_counts
 
 __all__ = [
     "TrainingSet",
@@ -80,14 +80,7 @@ class TrainingSet:
         if bad.any():
             raise CalibrationError(f"category index {y[bad][0]} outside 1..{category_count}")
         self.columns, self.y, self.category_count = list(columns), y, category_count
-        bad = np.zeros(n, dtype=bool)
-        for values, index in columns:
-            if not np.isfinite(values).all():
-                bad |= ~np.isfinite(values)[index]
-        if bad.any():
-            row = int(np.argmax(bad))
-            raise CalibrationError(
-                f"training row {row} is not finite: {[v[i[row]] for v, i in columns]}")
+        _check_finite(columns, CalibrationError, "training row")
 
     @property
     def criterion_count(self) -> int:
@@ -150,21 +143,19 @@ def _monotone_selection(intervals):
 
     A selection exists because no interval's lower end exceeds the upper end of
     an interval after it: estimate_profiles appends a block only once no
-    earlier block's lower end exceeds the new block's upper end.
+    earlier block's lower end exceeds the new block's upper end. Each value is
+    its midpoint raised to its lower end (which an overflowing midpoint falls
+    below) and to the value before it, then capped by the least upper end from
+    it on: by that order it is at least every earlier lower end as well.
     """
-    mins, prev = [], -math.inf
-    for lo, hi in intervals:
-        prev = max(lo, prev)
-        mins.append(prev)
     maxs, nxt = [0.0] * len(intervals), math.inf
     for i in range(len(intervals) - 1, -1, -1):
         nxt = min(intervals[i][1], nxt)
         maxs[i] = nxt
     vals, prev = [], -math.inf
-    for (lo, hi), lo_f, hi_f in zip(intervals, mins, maxs):
-        t = min(hi_f, max((lo + hi) / 2.0, lo_f, prev))
-        vals.append(t)
-        prev = t
+    for (lo, hi), hi_f in zip(intervals, maxs):
+        prev = min(hi_f, max((lo + hi) / 2.0, lo, prev))
+        vals.append(prev)
     return vals
 
 

@@ -274,8 +274,8 @@ def criterion_codes(model: ElectreModel, j: int, values):
     Two values share a code exactly when their partial concordances and
     discordances against every profile, in both directions, are bitwise
     equal; every credibility computed from a row is then unchanged when a
-    value is swapped for another of its code. Returns (code of each value,
-    one representative value per code).
+    value is swapped for another of its code. Returns the code of each value,
+    numbered in value order from 0.
 
     Each of these indices is monotone in the value, and so is its rounded
     evaluation, so the values of one code lie next to each other in value
@@ -296,7 +296,7 @@ def criterion_codes(model: ElectreModel, j: int, values):
     first[1:] = (bits[1:] != bits[:-1]).any(axis=1)
     codes = np.empty(len(x), dtype=np.intp)
     codes[order] = np.cumsum(first) - 1
-    return codes, x[order[first]]
+    return codes
 
 
 def _distinct_cells(table):
@@ -313,18 +313,17 @@ def _distinct_cells(table):
     return distinct.view(np.float64), cell
 
 
-def distinct_rows(columns):
-    """(row, inverse): one row of each distinct combination of column states, and
-    each row's index into them.
+def distinct_rows(columns, states):
+    """(R, inverse): the values of one row of each distinct row, and each row's index into R.
 
-    columns holds one (state, index) per column: state[i] is the integer state of
-    the column's i-th distinct value, and index[r] the value of row r. The states
-    are combined into one mixed-radix int64 key per row, renumbered whenever the
-    next digit would overflow it; distinct rows are numbered in key order.
+    columns holds one (values, index) per column, as PairBlock.columns gives them, and
+    states the integer state of each value of each column; rows are alike when their
+    states agree. The states are combined into one mixed-radix int64 key per row,
+    renumbered whenever the next digit would overflow it; R is in key order.
     """
     n = len(columns[0][1])
     key, radix = np.zeros(n, dtype=np.int64), 1
-    for state, index in columns:
+    for state, (_, index) in zip(states, columns):
         size = int(state.max(initial=0)) + 1
         if radix * size > 1 << 63:  # the next digit would overflow: renumber
             distinct, key = np.unique(key, return_inverse=True)
@@ -339,31 +338,41 @@ def distinct_rows(columns):
         count = len(distinct)
     row = np.empty(count, dtype=np.intp)
     row[inverse] = np.arange(n)  # any row of each distinct row will do
-    return row, inverse
+    return np.column_stack([values[index[row]] for values, index in columns]), inverse
+
+
+def _check_finite(columns, error, what: str) -> None:
+    """Raise error naming the first row of the (values, index) columns that takes a
+    non-finite value; a value no row takes is not looked at."""
+    bad = [np.flatnonzero(~np.isfinite(v)[i]) for v, i in columns if not np.isfinite(v).all()]
+    row = min((int(rows[0]) for rows in bad if len(rows)), default=None)
+    if row is not None:
+        raise error(f"{what} {row} is not finite: {[float(v[i[row]]) for v, i in columns]}")
 
 
 def kernel_rows(model: ElectreModel, columns):
     """(R, kernel_row): the distinct kernel inputs of the rows and each row's index into R.
 
-    columns holds one (values, index) per criterion: the distinct raw values and
-    each row's index into them. Values are coded by criterion_codes, so
-    classify_batch(model, R) gathered by kernel_row equals classify_batch on the
-    rows themselves, bitwise.
+    columns holds one (values, index) per criterion; a row that takes a non-finite
+    value is refused. Rows are alike when their values share criterion_codes codes,
+    so classify_batch(model, R) gathered by kernel_row equals classify_batch on the
+    rows themselves, bitwise, whichever row R is read from.
     """
     if len(columns) != model.m:
         raise ModelError(f"the rows have {len(columns)} fields, model has {model.m} criteria")
+    _check_finite(columns, ModelError, "performance row")
     codes = [criterion_codes(model, j, values) for j, (values, _) in enumerate(columns)]
-    row, kernel_row = distinct_rows([(c, index) for (c, _), (_, index) in zip(codes, columns)])
-    R = np.column_stack([reps[c[index[row]]] for (c, reps), (_, index) in zip(codes, columns)])
-    return R, kernel_row
+    return distinct_rows(columns, codes)
 
 
-def label_cells(row_of, labels, n_rows: int):
-    """(rows, label, count) of each nonempty (distinct row, label) cell, by row then label."""
+def label_cells(R, row_of, labels):
+    """(X, label, count) of each nonempty (row of R, label) cell, by row then label: the
+    cell's row of R, its label and its rows. row_of is each row's index into R."""
+    labels = np.asarray(labels, dtype=np.intp)
     n_labels = int(labels.max(initial=0)) + 1
-    cells = np.bincount(row_of * n_labels + labels, minlength=n_rows * n_labels)
+    cells = np.bincount(row_of * n_labels + labels, minlength=len(R) * n_labels)
     rows, label = np.divmod(np.flatnonzero(cells), n_labels)
-    return rows, label, cells[cells > 0]
+    return R[rows], label, cells[cells > 0]
 
 
 def _checked_rows(model: ElectreModel, performances) -> np.ndarray:
@@ -425,11 +434,10 @@ def assign(sig_ab, sig_ba, lam: float, procedure: str = "pessimistic") -> np.nda
 def cut_counts(model: ElectreModel, columns, truth, grid, procedure: str = "pessimistic"):
     """Per lambda of the grid, the [truth, category] counts of the rows cut at it: a
     square int64 matrix indexed by the labels, up to the largest truth label or
-    category. columns are the rows as kernel_rows takes them; each (kernel row,
+    category. columns are the rows as kernel_rows takes and checks them; each (kernel row,
     truth) cell is cut once and counts its rows."""
-    R, kernel_row = kernel_rows(model, columns)
-    rows, label, count = label_cells(kernel_row, np.asarray(truth), len(R))
-    sig_ab, sig_ba = credibilities(model, R[rows])
+    X, label, count = label_cells(*kernel_rows(model, columns), truth)
+    sig_ab, sig_ba = credibilities(model, X)
     n = max(int(label.max(initial=0)), model.category_count) + 1
     return np.array([np.bincount(label * n + assign(sig_ab, sig_ba, lam, procedure), count,
                                  minlength=n * n).astype(np.int64).reshape(n, n)

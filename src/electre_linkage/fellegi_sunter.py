@@ -123,21 +123,20 @@ def fit_fs(X, y, weights=None) -> FsModel:
 
 def agreement_patterns(columns, thresholds=None):
     """(P, pattern): one row of similarities per agreement pattern of the rows, and each
-    row's index into P. columns holds per field (values, index) as for core.kernel_rows;
-    a field agrees where its value reaches its threshold, AGREEMENT_THRESHOLD by default."""
+    row's index into P (core.distinct_rows). columns holds per field (values, index) as
+    for core.kernel_rows; a field agrees where its value reaches its threshold,
+    AGREEMENT_THRESHOLD by default."""
     if thresholds is None:
         thresholds = (AGREEMENT_THRESHOLD,) * len(columns)
     if len(columns) != len(thresholds):
         raise FsError(f"{len(thresholds)} agreement thresholds for {len(columns)} fields")
-    row, pattern = distinct_rows([((values >= t).astype(np.intp), index)
-                                  for (values, index), t in zip(columns, thresholds)])
-    return np.column_stack([values[index[row]] for values, index in columns]), pattern
+    return distinct_rows(columns, [(values >= t).astype(np.intp)
+                                   for (values, _), t in zip(columns, thresholds)])
 
 
 def fit_patterns(P, pattern, y) -> FsModel:
     """fit_fs on the rows of agreement_patterns: one row per (pattern, label), counted."""
-    rows, label, count = label_cells(pattern, y, len(P))
-    return fit_fs(P[rows], label, count)
+    return fit_fs(*label_cells(P, pattern, y))
 
 
 def _best_cut(scores, is_link, counts) -> float:

@@ -166,9 +166,10 @@ def write_classified(path, block: PairBlock, kernel_row, cats, sigma, field_name
     distinct similarity of a field (by bit pattern, so -0.0 stays apart from
     0.0), the sigma and category cells per kernel row and each truth label.
     Adjacent columns share one text table while the product of their sizes is
-    at most CHUNK_ROWS (_merged). The block's PairBlock.columns() is read once;
-    each chunk of CHUNK_ROWS pairs, sliced from it, is stacked from the tables,
-    joined and written in one call.
+    at most CHUNK_ROWS (_merged). The block's PairBlock.columns() is read once,
+    for each field's similarities and each pair's index into them; each chunk
+    of CHUNK_ROWS pairs, sliced from it, is stacked from the tables, joined and
+    written in one call.
     """
     if len(kernel_row) != len(block):
         raise ValueError(f"kernel_row has {len(kernel_row)} entries for {len(block)} pairs")
@@ -178,8 +179,9 @@ def write_classified(path, block: PairBlock, kernel_row, cats, sigma, field_name
     outcome = np.array(list(map(",".join, zip(*sigma_texts, category_texts))), dtype=object)
     t0, t1 = int(block.truth.min(initial=0)), int(block.truth.max(initial=0))
     label_texts = np.array([f"C{t}\r\n" if t else "\r\n" for t in range(t0, t1 + 1)], dtype=object)
+    columns = block.columns()
     similarities = [np.array([repr(v) + "," for v in values.tolist()], dtype=object)
-                    for _, _, values, _ in block.fields]
+                    for values, _ in columns]
     groups = _merged([_quoted(block.ids_a), _quoted(block.ids_b), *similarities,
                       outcome, label_texts])
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -189,12 +191,11 @@ def write_classified(path, block: PairBlock, kernel_row, cats, sigma, field_name
             + [f"sigma_b{h}" for h in range(1, nprof + 1)]
             + ["assigned", "truth"]
         )
-        columns = [index for _, index in block.columns()]
         for lo in range(0, len(block), CHUNK_ROWS):
             hi = lo + CHUNK_ROWS
             indexes = iter([
                 *np.divmod(block.rows[lo:hi], len(block.ids_b)),
-                *(index[lo:hi] for index in columns),
+                *(index[lo:hi] for _, index in columns),
                 kernel_row[lo:hi],
                 block.truth[lo:hi].astype(np.intp) - t0,
             ])

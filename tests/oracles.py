@@ -441,6 +441,23 @@ def ref_distinct_cells(table):
     return bits.view(np.float64), cell.reshape(table.shape).astype(np.int32)
 
 
+def ref_distinct_rows(columns, states):
+    """Each row's tuple of states, one per column, and the distinct tuples in
+    ascending order: the numbering core.distinct_rows makes, by dict."""
+    n = len(columns[0][1])
+    rows = [tuple(int(state[index[r]]) for state, (_, index) in zip(states, columns))
+            for r in range(n)]
+    return rows, sorted(set(rows))
+
+
+def ref_label_cells(inverse, labels):
+    """{(distinct row, label): row count}, counted one row at a time."""
+    cells = {}
+    for row, label in zip(inverse.tolist(), labels.tolist()):
+        cells[row, label] = cells.get((row, label), 0) + 1
+    return cells
+
+
 def block_from_columns(ids_a, ids_b, ia, ib, X, truth):
     """A PairBlock whose row r pairs ids_a[ia[r]] with ids_b[ib[r]] and performs X[r].
 

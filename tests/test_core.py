@@ -20,13 +20,23 @@ from electre_linkage.core import (
     credibility,
     criterion_codes,
     cut_counts,
+    distinct_rows,
     global_concordance,
+    kernel_rows,
+    label_cells,
     outranks,
     partial_concordance,
     partial_discordance,
 )
 
-from oracles import random_model_params, ref_assign, ref_credibility, ref_distinct_cells
+from oracles import (
+    random_model_params,
+    ref_assign,
+    ref_credibility,
+    ref_distinct_cells,
+    ref_distinct_rows,
+    ref_label_cells,
+)
 
 
 def simple_model(q=0.05, p=0.2, v=None, lam=0.75, profiles=((0.7,),)):
@@ -491,6 +501,108 @@ class TestCutCounts:
         assert counts.shape[1:] == (top + 1, top + 1) and counts[0, 1, top] == 3
 
 
+def random_numbering(rng, n, sizes):
+    """Columns of n rows: column j over sizes[j][0] distinct values, each with a random
+    state below sizes[j][1], the top state always among them; a column may hold values
+    no row takes."""
+    columns, states = [], []
+    for count, top in sizes:
+        values = rng.permutation(count) + rng.random(count)
+        state = rng.integers(0, top, count)
+        state[rng.integers(count)] = top - 1
+        columns.append((values, rng.integers(0, count, n).astype(np.int32)))
+        states.append(state)
+    return columns, states
+
+
+class TestNumbering:
+    """distinct_rows and label_cells against the numbering by dict."""
+
+    CASES = [
+        # (rows, per column (distinct values, state bound)), by the branch they take
+        (300, [(5, 3), (4, 2), (7, 4)]),  # key space 24 <= 2n: one bincount
+        (1, [(3, 2), (2, 2)]),  # one row
+        (40, [(30, 1 << 20), (6, 1 << 18)]),  # key space past 2n: np.unique
+        (50, [(9, 1 << 31)] * 3),  # 2**93 keys: renumbered before the third column
+        (200, [(4, 256)] * 9),  # 2**72 keys: renumbered before the eighth column
+        (200, [(2, 2)] * 64),  # 2**64 keys: renumbered before the last, then a bincount
+        (0, [(3, 2), (5, 1 << 40)]),  # no rows
+    ]
+
+    @pytest.mark.parametrize("n, sizes", CASES)
+    def test_distinct_rows_number_the_state_tuples(self, n, sizes):
+        rng = np.random.default_rng(n + len(sizes))
+        for _ in range(5):
+            columns, states = random_numbering(rng, n, sizes)
+            R, inverse = distinct_rows(columns, states)
+            rows, distinct = ref_distinct_rows(columns, states)
+            assert R.shape == (len(distinct), len(columns)) and inverse.shape == (n,)
+            # shared exactly by equal state tuples, numbered in tuple order
+            assert inverse.tolist() == [distinct.index(row) for row in rows]
+            # each row of R is a row of its distinct row: the states of its values
+            state_of = [dict(zip(values.tolist(), state.tolist()))
+                        for (values, _), state in zip(columns, states)]
+            assert [tuple(s[x] for s, x in zip(state_of, r)) for r in R.tolist()] == distinct
+
+    @pytest.mark.parametrize("n, sizes", CASES)
+    def test_label_cells_count_each_row_and_label(self, n, sizes):
+        rng = np.random.default_rng(n + len(sizes) + 1)
+        for top in (1, 2, 6):
+            columns, states = random_numbering(rng, n, sizes)
+            R, inverse = distinct_rows(columns, states)
+            labels = rng.integers(0, top, n)
+            X, label, count = label_cells(R, inverse, labels.tolist())  # [] for no rows
+            cells = ref_label_cells(inverse, labels)
+            assert list(zip(label.tolist(), count.tolist())) == [
+                (lab, cells[row, lab]) for row, lab in sorted(cells)]
+            assert X.tobytes() == R[[row for row, _ in sorted(cells)]].tobytes()
+            assert X.shape == (len(cells), len(columns))
+
+
+def motivation_columns(values):
+    """One criterion whose rows take the given values in order."""
+    return columns_of(np.array(values, dtype=float)[:, None])
+
+
+class TestNonFiniteColumns:
+    """Every path that classifies the column form refuses a row that takes a non-finite
+    value and names that row; a value no row takes is not looked at."""
+
+    def model(self):
+        return simple_model(q=0.05, p=0.2, profiles=((0.8,),), lam=0.7)
+
+    def test_inf_sharing_a_code_with_a_finite_value_is_refused(self):
+        # inf shares its code with 5.0 and was classified C2 through 5.0's kernel row
+        model, columns = self.model(), motivation_columns([0.1, 5.0, np.inf])
+        with pytest.raises(ModelError, match=r"^performance row 2 is not finite: \[inf\]$"):
+            kernel_rows(model, columns)
+        with pytest.raises(ModelError, match=r"^performance row 2 is not finite: \[inf\]$"):
+            cut_counts(model, columns, [1, 2, 2], [0.5, 0.7])
+        with pytest.raises(ModelError, match=r"performance row 2 is not finite: \[inf\]"):
+            classify_batch(model, [[0.1], [5.0], [np.inf]])
+        assert criterion_codes(model, 0, columns[0][0]).tolist() == [0, 1, 1]
+
+    def test_nan_is_named_by_its_row_not_its_kernel_row(self):
+        # 0.1 and 0.3 share a code, so rows 0, 2 and 4 take kernel row 0 and the nan's row 3
+        # kernel row 1: classify_batch on R named that row
+        model = ElectreModel((Criterion("g1", 1.0, 0.05, 0.2), Criterion("g2", 1.0, 0.05, 0.2)),
+                             ProfileSet(((0.8, 0.8),)), 0.7)
+        X = np.array([[0.1, 0.1], [5.0, 5.0], [0.1, 0.1], [0.3, np.nan], [0.1, 0.1]])
+        with pytest.raises(ModelError, match=r"^performance row 3 is not finite: \[0.3, nan\]$"):
+            kernel_rows(model, columns_of(X))
+        with pytest.raises(ModelError, match=r"^performance row 3 is not finite: \[0.3, nan\]$"):
+            cut_counts(model, columns_of(X), [1] * 5, [0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_value_no_row_takes_is_accepted(self, bad):
+        model, finite = self.model(), motivation_columns([0.1, 5.0, 0.9, 5.0])
+        spare = [(np.append(values, bad), index) for values, index in finite]
+        R, kernel_row = kernel_rows(model, spare)  # R is read from the rows, not from bad
+        assert R[kernel_row].tobytes() == np.array([[0.1], [5.0], [0.9], [5.0]]).tobytes()
+        assert (cut_counts(model, spare, [1, 2, 2, 1], [0.7])
+                == cut_counts(model, finite, [1, 2, 2, 1], [0.7])).all()
+
+
 class TestCriterionCodes:
     def test_codes_follow_the_partial_indices(self):
         """Two values share a code exactly when c_j and d_j against every profile, both ways,
@@ -503,23 +615,21 @@ class TestCriterionCodes:
             for j in range(model.m):
                 edges = [b[j] + t for b in profiles for t in (0.0, -qs[j], -ps[j], 0.5)]
                 values = [round(rng.uniform(-0.2, 1.2), 1) for _ in range(20)] + edges + [-0.0]
-                codes, reps = criterion_codes(model, j, values)
-                assert len(codes) == len(values) and len(reps) == codes.max() + 1
+                codes = criterion_codes(model, j, values)
+                assert codes.shape == (len(values),)
+                assert sorted(set(codes.tolist())) == list(range(codes.max() + 1))
 
                 def indices(x):
                     alt = Alternative("a", tuple(x if k == j else 0.5 for k in range(model.m)))
-                    return [f(model, alt, h, j + 1, rev)
-                            for h in range(1, model.profiles.count + 1)
-                            for rev in (False, True)
-                            for f in (partial_concordance, partial_discordance)]
+                    return tuple(f(model, alt, h, j + 1, rev)
+                                 for h in range(1, model.profiles.count + 1)
+                                 for rev in (False, True)
+                                 for f in (partial_concordance, partial_discordance))
 
-                by_code = [indices(r) for r in reps]
-                seen = {}
-                for x, code in zip(values, codes.tolist()):
-                    got = indices(x)
-                    assert got == by_code[code]
-                    seen.setdefault(tuple(got), set()).add(code)
-                assert all(len(group) == 1 for group in seen.values())
+                got = [indices(x) for x in values]
+                for x, code_x, got_x in zip(values, codes.tolist(), got):
+                    for y, code_y, got_y in zip(values, codes.tolist(), got):
+                        assert (code_x == code_y) == (got_x == got_y), (x, y)
 
 
 class TestScalarInputChecks:

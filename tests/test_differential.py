@@ -538,7 +538,7 @@ def test_kernel_rows_key_past_int64():
     criteria = tuple(Criterion(f"g{j}", 1.0 + j, 0.0, 1.0) for j in range(9))
     model = ElectreModel(criteria, ProfileSet(((0.5,) * 9,)), 0.6)
     for j in range(9):
-        assert len(core.criterion_codes(model, j, values)[1]) == 256
+        assert core.criterion_codes(model, j, values).max() + 1 == 256
     R = assert_kernel_rows_classify(block, model)
     assert len(R) == 256
 

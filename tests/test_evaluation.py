@@ -260,6 +260,22 @@ class TestLambdaSweep:
         with pytest.raises(EvaluationError, match="nothing to evaluate"):
             lambda_sweep(synthetic_pairs(2, 2).take([]), self.model(), [0.5])
 
+    def test_non_finite_pairs_refused_by_their_row(self):
+        # the inf shares 5.0's kernel row, and was counted as C2 through it
+        model = ElectreModel((Criterion("g1", 1.0, 0.05, 0.2),), ProfileSet(((0.8,),)), 0.7)
+        pairs = block([(("a", "b"), (0.1,), 1), (("a", "c"), (5.0,), 3),
+                       (("a", "d"), (float("inf"),), 1), (("e", "b"), (0.9,), 3)])
+        with pytest.raises(ModelError, match=r"^performance row 2 is not finite: \[inf\]$"):
+            lambda_sweep(pairs, model, [0.5, 0.7])
+        # a subset is named by its own rows, and its columns keep the inf no row of it takes
+        with pytest.raises(ModelError, match=r"^performance row 1 is not finite: \[inf\]$"):
+            lambda_sweep(pairs.take([3, 2, 0]), model, [0.7])
+        finite = pairs.take([3, 1, 0])
+        assert float("inf") in finite.columns()[0][0]
+        kept = block([(("e", "b"), (0.9,), 3), (("a", "c"), (5.0,), 3), (("a", "b"), (0.1,), 1)])
+        assert ([r.contingency for r in lambda_sweep(finite, model, [0.5, 0.7])]
+                == [r.contingency for r in lambda_sweep(kept, model, [0.5, 0.7])])
+
     def test_empty_grid(self):
         with pytest.raises(EvaluationError):
             lambda_sweep(synthetic_pairs(2, 2), self.model(), [])
