@@ -17,10 +17,10 @@ from pathlib import Path
 
 from . import datagen, linkage
 from .calibration import calibrate
-from .core import ElectreModel, ModelError, kernel_rows
+from .core import ElectreModel, ModelError
 from .evaluation import EvalReport, EvaluationError, lambda_sweep, split
 from .fellegi_sunter import agreement_patterns, fit_patterns
-from .ingest import IngestError, LinkageSchema, census_schema, load_table, true_links
+from .ingest import IngestError, LinkageSchema, census_schema, csv_rows, load_table, true_links
 from .linkage import build_pairs, label_pairs, write_classified
 
 # every module's error type (IngestError, ModelError, ...) is a ValueError
@@ -198,11 +198,8 @@ def cmd_train(args, cfg, schema, out) -> int:
 def cmd_classify(args, cfg, schema, out) -> int:
     model = _model(args)
     labeled = _labeled_pairs(cfg, schema)
-    R, kernel_row = kernel_rows(model, labeled.columns())
-    # looked up in linkage, where perfbench's smoke test swaps in a faulty classifier
-    cats, sigma = linkage.classify_batch(model, R, cfg["calibration"]["procedure"])
     dest = out / "classified.csv"
-    write_classified(dest, labeled, kernel_row, cats, sigma, schema.field_names)
+    write_classified(dest, labeled, model, cfg["calibration"]["procedure"], schema.field_names)
     print(f"{len(labeled)} pairs classified -> {dest}")
     return 0
 
@@ -211,13 +208,14 @@ def cmd_evaluate(args, cfg, schema, out) -> int:
     cells = {}  # (truth, assigned) -> pair count, in the order first seen
     with open(args.classified, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
+        rows = csv_rows(reader, EvaluationError, "classified file line ")
+        header = next(rows, [])
         for name in ("assigned", "truth"):
             if header.count(name) != 1:
                 raise EvaluationError(f"classified file has "
                                       f"{'a repeated' if name in header else 'no'} {name!r} column")
         ia, it = header.index("assigned"), header.index("truth")
-        for row in reader:
+        for row in rows:
             if not row:
                 continue
             if len(row) <= it or not row[it]:

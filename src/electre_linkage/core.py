@@ -215,9 +215,10 @@ class ElectreModel:
                 )
                 for c in d["criteria"]
             )
-            # a bool stays a bool, for the model to reject
+            # a bool or a string stays as it is (float() would parse it), for the model to reject
             profiles = ProfileSet(tuple(
-                tuple(x if _is_bool(x) else float(x) for x in row) for row in d["profiles"]
+                tuple(x if _is_bool(x) or isinstance(x, str) else float(x) for x in row)
+                for row in d["profiles"]
             ))
             return cls(criteria, profiles, d["lambda"], d.get("epsilon", 0.01))
         except ModelError:
@@ -383,10 +384,7 @@ def _checked_rows(model: ElectreModel, performances) -> np.ndarray:
             f"performance matrix has {X.shape[1] if X.ndim == 2 else '?'} columns, "
             f"model has {model.m} criteria"
         )
-    finite = np.isfinite(X).all(axis=1)
-    if not finite.all():
-        row = int(np.argmin(finite))
-        raise ModelError(f"performance row {row} is not finite: {X[row].tolist()}")
+    _check_finite([(col, np.arange(len(X))) for col in X.T], ModelError, "performance row")
     return X
 
 

@@ -144,6 +144,15 @@ def toy_schema() -> LinkageSchema:
     return LinkageSchema(compared_fields=fields)
 
 
+def csv_rows(reader, error, where: str):
+    """The rows of a csv.reader; a csv.Error, not a ValueError (a field past csv's size
+    limit, a NUL byte before Python 3.11), is raised as error naming its line after where."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise error(f"{where}{reader.line_num}: {exc}") from exc
+
+
 def load_table(path, schema: LinkageSchema, source_label: str):
     """Read a delimited file into a RecordTable, dropping incomplete records.
 
@@ -158,7 +167,8 @@ def load_table(path, schema: LinkageSchema, source_label: str):
         raise IngestError(f"cannot open {path}: {exc}") from exc
     with fh:
         reader = csv.reader(fh, delimiter=schema.delimiter)
-        header = next(reader, [])
+        rows = csv_rows(reader, IngestError, f"{path}:")
+        header = next(rows, [])
         required = [schema.id_field, *schema.field_names]
         for col in required:
             if col not in header:
@@ -171,7 +181,7 @@ def load_table(path, schema: LinkageSchema, source_label: str):
         read = dropped = 0
         records = []
         seen = {}
-        for row in reader:
+        for row in rows:
             if not row:
                 continue
             if len(row) != width:

@@ -13,18 +13,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import CHUNK_ROWS, _distinct_cells
-from .core import classify_batch  # noqa: F401 - cli classifies through here
+from .core import CHUNK_ROWS, _distinct_cells, classify_batch, kernel_rows
 from .fellegi_sunter import agreement_patterns, fit_patterns, fs_decide
 from .ingest import LinkageSchema, RecordTable
 from .metrics import _factorize
 
-__all__ = [
-    "PairBlock",
-    "build_pairs",
-    "label_pairs",
-    "write_classified",
-]
+__all__ = ["PairBlock", "build_pairs", "label_pairs", "write_classified"]
 
 LABEL_POLICIES = ("two_class", "banded")
 
@@ -156,41 +150,38 @@ def _merged(tables) -> list:
     return groups
 
 
-def write_classified(path, block: PairBlock, kernel_row, cats, sigma, field_names) -> None:
+def write_classified(path, block: PairBlock, model, procedure: str, field_names) -> None:
     """Classified-pairs file: ids, performances, per-profile sigma, categories.
 
-    kernel_row maps each pair to its row of cats and sigma (core.kernel_rows).
-    The bytes are those of csv.writer writing one row per pair with
-    repr(float) cells. Each row is made of text made once and ending in its
-    own separator (CRLF after the truth label, else a comma): each id, each
-    distinct similarity of a field (by bit pattern, so -0.0 stays apart from
-    0.0), the sigma and category cells per kernel row and each truth label.
-    Adjacent columns share one text table while the product of their sizes is
-    at most CHUNK_ROWS (_merged). The block's PairBlock.columns() is read once,
-    for each field's similarities and each pair's index into them; each chunk
-    of CHUNK_ROWS pairs, sliced from it, is stacked from the tables, joined and
+    The block's PairBlock.columns() is read once: the pairs' kernel rows
+    (core.kernel_rows) are classified from it under the model and procedure
+    before the file is opened, and each chunk of CHUNK_ROWS pairs is sliced from
+    it. The bytes are those of csv.writer writing one row per pair with
+    repr(float) cells. Each row is made of text made once and ending in its own
+    separator (CRLF after the truth label, else a comma): each id, each distinct
+    similarity of a field (by bit pattern, so -0.0 stays apart from 0.0), the
+    sigma and category cells per kernel row and each truth label. Adjacent
+    columns share one text table while the product of their sizes is at most
+    CHUNK_ROWS (_merged). A chunk is stacked from the tables, joined and
     written in one call.
     """
-    if len(kernel_row) != len(block):
-        raise ValueError(f"kernel_row has {len(kernel_row)} entries for {len(block)} pairs")
+    columns = block.columns()
+    R, kernel_row = kernel_rows(model, columns)
+    # a linkage global: perfbench's smoke test swaps in a faulty classifier here
+    cats, sigma = classify_batch(model, R, procedure)
     nprof = sigma.shape[1] if len(block) else 0
-    sigma_texts = [map(repr, s) for s in np.asarray(sigma, dtype=np.float64).T.tolist()]
-    category_texts = [f"C{c}," for c in np.asarray(cats).tolist()]
-    outcome = np.array(list(map(",".join, zip(*sigma_texts, category_texts))), dtype=object)
+    outcome = np.array([",".join([*map(repr, s), f"C{c},"])
+                        for s, c in zip(sigma.tolist(), cats.tolist())], dtype=object)
     t0, t1 = int(block.truth.min(initial=0)), int(block.truth.max(initial=0))
     label_texts = np.array([f"C{t}\r\n" if t else "\r\n" for t in range(t0, t1 + 1)], dtype=object)
-    columns = block.columns()
     similarities = [np.array([repr(v) + "," for v in values.tolist()], dtype=object)
                     for values, _ in columns]
     groups = _merged([_quoted(block.ids_a), _quoted(block.ids_b), *similarities,
                       outcome, label_texts])
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(
-            ["id_a", "id_b"]
-            + [f"sim_{f}" for f in field_names]
-            + [f"sigma_b{h}" for h in range(1, nprof + 1)]
-            + ["assigned", "truth"]
-        )
+        csv.writer(fh).writerow(["id_a", "id_b", *(f"sim_{f}" for f in field_names),
+                                 *(f"sigma_b{h}" for h in range(1, nprof + 1)),
+                                 "assigned", "truth"])
         for lo in range(0, len(block), CHUNK_ROWS):
             hi = lo + CHUNK_ROWS
             indexes = iter([

@@ -208,6 +208,10 @@ class TestPipeline:
         # well formed, but one criterion for the census schema's five fields
         '{"criteria": [{"name": "g", "weight": 1.0, "q": 0.0, "p": 0.1}], '
         '"profiles": [[0.5]], "lambda": 0.7}',
+        # five criteria, with a profile value that float() would parse
+        '{"criteria": [' + ", ".join(
+            f'{{"name": "g{j}", "weight": 1.0, "q": 0.0, "p": 0.1}}' for j in range(5))
+        + '], "profiles": [[" 0.4 ", 0.4, 0.4, 0.4, 0.4]], "lambda": 0.7}',
     ])
     def test_malformed_model_is_usage_error(self, small_dataset, tmp_path, capsys, document):
         a, b = small_dataset
@@ -476,6 +480,36 @@ class TestPipeline:
         assert run(["classify", *base, "--model", tmp_path / policy / "electre_model.json"]) == 0
         assert len(calls) == gathers
 
+    @pytest.mark.parametrize("policy, reads", [("two_class", 1), ("banded", 2)])
+    def test_classify_reads_the_pair_layout_once_per_use(self, small_dataset, tmp_path,
+                                                          monkeypatch, policy, reads):
+        """The writer classifies the rows it writes from its one PairBlock.columns()
+        read; banded labeling makes the only other one."""
+        from electre_linkage.linkage import PairBlock
+
+        a, b = small_dataset
+        base = ["--dataset-a", a, "--dataset-b", b, "--output-dir", tmp_path / policy,
+                "--label-policy", policy, "--seed", "3"]
+        assert run(["train", *base]) == 0
+        calls = []
+        columns = PairBlock.columns
+        monkeypatch.setattr(PairBlock, "columns",
+                            lambda block: calls.append(len(block)) or columns(block))
+        assert run(["classify", *base, "--model", tmp_path / policy / "electre_model.json"]) == 0
+        assert len(calls) == reads and len(set(calls)) == 1  # each a whole-block read
+
+    def test_unknown_procedure_writes_no_file(self, small_dataset, tmp_path, capsys):
+        a, b = small_dataset
+        out = tmp_path / "out"
+        assert run(["train", "--dataset-a", a, "--dataset-b", b, "--output-dir", out]) == 0
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"calibration": {"procedure": "sideways"}}))
+        code = run(["classify", "--config", cfg_path, "--dataset-a", a, "--dataset-b", b,
+                    "--output-dir", out, "--model", out / "electre_model.json"])
+        assert code == 1
+        assert "unknown assignment procedure 'sideways'" in capsys.readouterr().err
+        assert not (out / "classified.csv").exists()
+
     @pytest.mark.parametrize("policy", ["two_class", "banded"])
     def test_train_gathers_no_performances(self, small_dataset, tmp_path, monkeypatch, policy):
         """train calibrates and fits the baseline from counts: no (n, m) matrix is gathered."""
@@ -579,6 +613,16 @@ class TestEvaluateFile:
         }
         assert (out / "eval_report.json").read_bytes() == json.dumps(expected, indent=2).encode()
         assert (out / "eval_report.txt").read_text() == "\n".join(ref.lines()) + "\n"
+
+    def test_field_past_the_csv_size_limit_is_usage_error(self, tmp_path, capsys):
+        # csv.Error is not a ValueError: this used to exit 2 as an internal error
+        classified = tmp_path / "classified.csv"
+        write_labels(classified, [("C1", "C1"), ("C3", "C" + "3" * 131_072), ("C1", "C2")])
+        assert run(["evaluate", "--output-dir", tmp_path / "out",
+                    "--classified", classified]) == 1
+        err = capsys.readouterr().err
+        assert "error: classified file line 3: field larger than field limit" in err
+        assert not (tmp_path / "out" / "eval_report.txt").exists()
 
     def test_peak_memory_flat_in_rows(self, tmp_path, capsys):
         """The rows stream into (truth, assigned) cells: 4x the rows, about the same peak."""

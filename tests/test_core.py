@@ -349,6 +349,22 @@ class TestSerialization:
             with pytest.raises(ModelError):
                 ElectreModel.from_json(json.dumps(bad))
 
+    @pytest.mark.parametrize("value", [" 0.4 ", "0.4", "1e-1"])
+    def test_profile_value_must_be_a_number(self, value):
+        # float() used to turn a string profile value into a number
+        doc = simple_model().to_dict()
+        doc["profiles"][0][0] = value
+        with pytest.raises(ModelError):
+            ElectreModel.from_json(json.dumps(doc))
+
+    def test_integer_profile_values_load_as_floats(self):
+        # so a model document written back keeps the bytes of one with 0.0
+        doc = simple_model().to_dict()
+        doc["profiles"] = [[0]]
+        model = ElectreModel.from_json(json.dumps(doc))
+        assert type(model.profiles.values[0][0]) is float
+        assert model.to_json() == simple_model(profiles=((0.0,),)).to_json()
+
 
 class TestBatchPath:
     def test_agrees_with_oracle(self):

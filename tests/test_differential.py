@@ -612,13 +612,17 @@ def test_estimate_profiles_reaches_enumeration_objective_on_ties(p, grid, epsilo
 
 # --- the classified-pairs file: column-wise chunks against the row loop ---
 
+PROCEDURES = ("pessimistic", "optimistic")
 
-def assert_same_file(tmp_path, block, kernel_row, cats, sigma, field_names):
-    """The file written from per-kernel-row outcomes equals the row loop's on per-pair ones."""
+
+def assert_same_file(tmp_path, block, model, field_names):
+    """Under either procedure, the writer's file equals the row loop's fed by
+    classify_batch on every pair."""
     new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
-    write_classified(new, block, kernel_row, cats, sigma, field_names)
-    ref_write_classified(ref, block, cats[kernel_row], sigma[kernel_row], field_names)
-    assert new.read_bytes() == ref.read_bytes()
+    for procedure in PROCEDURES:
+        write_classified(new, block, model, procedure, field_names)
+        ref_write_classified(ref, block, *classify_batch(model, block.X, procedure), field_names)
+        assert new.read_bytes() == ref.read_bytes()
 
 
 def simple_model(m):
@@ -647,41 +651,40 @@ def test_write_classified_matches_row_loop(tables, tmp_path, monkeypatch, chunk_
     # some rows unlabeled, so truth 0 writes as an empty field between labeled ones
     block = replace(block, truth=np.where(np.arange(len(block)) % 3 == 0, 0, block.truth))
     model = simple_model(len(schema.field_names))
-    R, kernel_row = core.kernel_rows(model, block.columns())
-    cats, sigma = classify_batch(model, R)
-    assert_same_file(tmp_path, block, kernel_row, cats, sigma, schema.field_names)
+    assert_same_file(tmp_path, block, model, schema.field_names)
     unlabeled = replace(block, truth=np.zeros(len(block)))
-    assert_same_file(tmp_path, unlabeled, kernel_row, cats, sigma, schema.field_names)
+    assert_same_file(tmp_path, unlabeled, model, schema.field_names)
 
 
 @pytest.mark.parametrize("chunk_rows", [None, 1, 7])
 def test_write_classified_reads_the_block_through_columns_once(tables, tmp_path, monkeypatch,
                                                                chunk_rows):
     """The writer reads the pair layout through one PairBlock.columns() call a file,
-    however many chunks it writes, and the file equals the row loop's."""
+    which both classifies the pairs and writes them, however many chunks it
+    writes, and the file equals the row loop's."""
     if chunk_rows:
         monkeypatch.setattr(linkage, "CHUNK_ROWS", chunk_rows)
     schema, a, b = tables
     block = label_pairs(build_pairs(a, b, schema), true_links(a, b), "two_class")
     model = simple_model(len(schema.field_names))
-    R, kernel_row = core.kernel_rows(model, block.columns())
-    cats, sigma = classify_batch(model, R)
-    calls = []
-    columns = PairBlock.columns
-
-    def counting(pairs):
-        calls.append(len(pairs))
-        return columns(pairs)
-
     new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
-    with monkeypatch.context() as patch:
-        patch.setattr(PairBlock, "columns", counting)
-        write_classified(new, block, kernel_row, cats, sigma, schema.field_names)
-    if chunk_rows:
-        assert len(block) > chunk_rows  # the file is written in several chunks
-    assert calls == [len(block)]
-    ref_write_classified(ref, block, cats[kernel_row], sigma[kernel_row], schema.field_names)
-    assert new.read_bytes() == ref.read_bytes()
+    columns = PairBlock.columns
+    for procedure in PROCEDURES:
+        calls = []
+
+        def counting(pairs):
+            calls.append(len(pairs))
+            return columns(pairs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(PairBlock, "columns", counting)
+            write_classified(new, block, model, procedure, schema.field_names)
+        if chunk_rows:
+            assert len(block) > chunk_rows  # the file is written in several chunks
+        assert calls == [len(block)]
+        ref_write_classified(ref, block, *classify_batch(model, block.X, procedure),
+                             schema.field_names)
+        assert new.read_bytes() == ref.read_bytes()
 
 
 @pytest.mark.parametrize("na, nb", [(128, 128), (113, 145)])
@@ -691,19 +694,19 @@ def test_write_classified_merges_tables_up_to_chunk_rows(tmp_path, monkeypatch, 
     assert na * nb - linkage.CHUNK_ROWS in (0, 1)
     groups = []
     merged = linkage._merged
-    monkeypatch.setattr(linkage, "_merged", lambda tables: groups.extend(merged(tables)) or groups)
+    monkeypatch.setattr(linkage, "_merged",
+                        lambda tables: groups.append(merged(tables)) or groups[-1])
     block = table_block(np.random.default_rng(na), na, nb)
-    model = simple_model(3)
-    R, kernel_row = core.kernel_rows(model, block.columns())
-    cats, sigma = classify_batch(model, R)
-    assert_same_file(tmp_path, block, kernel_row, cats, sigma, ["f1", "f2", "f3"])
-    sizes = [size for _, size in groups]
-    assert sizes[0] == ([na, nb] if na * nb == linkage.CHUNK_ROWS else [na])
-    assert all(len(texts) <= linkage.CHUNK_ROWS for texts, size in groups if len(size) > 1)
+    assert_same_file(tmp_path, block, simple_model(3), ["f1", "f2", "f3"])
+    for written in groups:  # one per procedure
+        sizes = [size for _, size in written]
+        assert sizes[0] == ([na, nb] if na * nb == linkage.CHUNK_ROWS else [na])
+        assert all(len(texts) <= linkage.CHUNK_ROWS for texts, size in written if len(size) > 1)
 
 
+# finite, since the writer classifies every row it writes
 SPECIAL_FLOATS = [0.0, -0.0, 0.1 + 0.2, 0.3, 1e-300, -1e-300, 5e-324, 1.0, 0.5,
-                  float("inf"), float("-inf"), float("nan"), 1 / 3, 123456789.125]
+                  1e300, -2.5, 1 / 3, 123456789.125]
 
 
 @pytest.mark.parametrize("chunk_rows", [None, 1, 5, 16])
@@ -717,14 +720,10 @@ def test_write_classified_special_values(tmp_path, monkeypatch, chunk_rows):
     ia, ib = rng.integers(0, len(ids_a), n), rng.integers(0, len(ids_b), n)
     X = rng.choice(SPECIAL_FLOATS, size=(n, 3))
     X[:2] = [[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]]
-    # the outcomes of 20 kernel rows, shared by the 60 pairs
-    sigma = rng.choice(SPECIAL_FLOATS, size=(20, 2))
-    cats = rng.integers(1, 4, 20)
-    kernel_row = rng.integers(0, 20, n)
     truth = rng.integers(0, 4, n)
     # one A entry per row: a repeated pair would have to repeat its performances
     block = block_from_columns([ids_a[i] for i in ia], ids_b, np.arange(n), ib, X, truth)
-    assert_same_file(tmp_path, block, kernel_row, cats, sigma, ["f,1", "f2", 'f"3'])
+    assert_same_file(tmp_path, block, simple_model(3), ["f,1", "f2", 'f"3'])
 
 
 @pytest.mark.parametrize("labels", [(-128, -3, 0, 2, 127), (5, 9), (0,)])
@@ -733,28 +732,36 @@ def test_write_classified_labels_far_apart(tmp_path, labels):
     rng = np.random.default_rng(6)
     n = 40
     X = rng.choice(SPECIAL_FLOATS, size=(n, 2))
-    sigma, cats = rng.random((8, 1)), rng.integers(1, 3, 8)
     block = block_from_columns(tuple(f"a{i}" for i in range(n)), ("b",), np.arange(n),
                                np.zeros(n, dtype=int), X, rng.choice(labels, n))
-    assert_same_file(tmp_path, block, rng.integers(0, 8, n), cats, sigma, ["f1", "f2"])
+    assert_same_file(tmp_path, block, simple_model(2), ["f1", "f2"])
 
 
 def test_write_classified_empty_block(tmp_path):
-    block = block_from_columns(("a",), (), [], [], np.empty((0, 3)), [])
-    R, kernel_row = core.kernel_rows(simple_model(3), block.columns())
-    cats, sigma = classify_batch(simple_model(3), R)
-    assert_same_file(tmp_path, block, kernel_row, cats, sigma, ["f1", "f2", "f3"])
     header = b"id_a,id_b,sim_f1,sim_f2,sim_f3,assigned,truth\r\n"
-    assert (tmp_path / "new.csv").read_bytes() == header
+    rng = np.random.default_rng(4)
+    empty_sides = [table_block(rng, 0, 5), table_block(rng, 4, 0), table_block(rng, 0, 0)]
+    no_rows = block_from_columns(("a",), (), [], [], np.empty((0, 3)), [])
+    for block in [no_rows, *empty_sides, table_block(rng, 6, 5).take(slice(0, 0))]:
+        assert len(block) == 0
+        assert_same_file(tmp_path, block, simple_model(3), ["f1", "f2", "f3"])
+        assert (tmp_path / "new.csv").read_bytes() == header
 
 
-def test_write_classified_refuses_kernel_rows_of_another_length(tmp_path):
+def test_write_classified_refuses_before_opening_the_file(tmp_path):
+    """An unknown procedure, a non-finite similarity or a model of another criterion
+    count is refused before the file is opened: no file is left behind."""
     block = table_block(np.random.default_rng(3), 9, 8)
-    R, kernel_row = core.kernel_rows(simple_model(3), block.columns())
-    cats, sigma = classify_batch(simple_model(3), R)
     dest = tmp_path / "c.csv"
-    with pytest.raises(ValueError, match="kernel_row has 10 entries for 72 pairs"):
-        write_classified(dest, block, kernel_row[:10], cats, sigma, ["f1", "f2", "f3"])
+    with pytest.raises(ModelError, match="unknown assignment procedure 'sideways'"):
+        write_classified(dest, block, simple_model(3), "sideways", ["f1", "f2", "f3"])
+    with pytest.raises(ModelError, match="3 fields, model has 2 criteria"):
+        write_classified(dest, block, simple_model(2), "pessimistic", ["f1", "f2"])
+    X = block.X
+    X[17, 1] = float("nan")
+    bad = block_from_columns(block.ids_a, block.ids_b, *np.divmod(block.rows, 8), X, block.truth)
+    with pytest.raises(ModelError, match=r"performance row 17 is not finite: \[.*nan"):
+        write_classified(dest, bad, simple_model(3), "optimistic", ["f1", "f2", "f3"])
     assert not dest.exists()
 
 
@@ -766,10 +773,7 @@ def test_write_classified_of_a_run_starting_mid_row(tmp_path, monkeypatch, chunk
     holds the pairs of the right rows."""
     monkeypatch.setattr(linkage, "CHUNK_ROWS", chunk_rows)
     block = table_block(np.random.default_rng(lo), 6, 7).take(slice(lo, hi))
-    model = simple_model(3)
-    R, kernel_row = core.kernel_rows(model, block.columns())
-    cats, sigma = classify_batch(model, R)
-    assert_same_file(tmp_path, block, kernel_row, cats, sigma, ["f1", "f2", "f3"])
+    assert_same_file(tmp_path, block, simple_model(3), ["f1", "f2", "f3"])
 
 
 # --- the pair layout read by whole table rows, against per-pair gathers ---

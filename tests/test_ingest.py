@@ -134,6 +134,15 @@ class TestLoadTable:
         with pytest.raises(IngestError, match=":3: row has more fields"):
             load_table(path, toy_schema(), "A")
 
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_field_past_the_csv_size_limit(self, tmp_path, line):
+        # csv.Error is not a ValueError: every command used to exit 2 on it
+        rows = ["IDENTIFIER,NAME,ADDRESS,AGE", "u1,John,16 Main,20", "u2,Jane,17 Oak,30"]
+        rows[line - 1] += "0" * 131_072  # its last field is one past csv's size limit
+        path = write(tmp_path, "t.csv", "\n".join(rows) + "\n")
+        with pytest.raises(IngestError, match=f"t\\.csv:{line}: field larger than field limit"):
+            load_table(path, toy_schema(), "A")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestError):
             load_table(tmp_path / "nope.csv", toy_schema(), "A")

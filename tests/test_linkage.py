@@ -211,15 +211,13 @@ class TestClassifiedFile:
         links = true_links(a, b)
         labeled = label_pairs(build_pairs(a, b, schema), links, "two_class")
         model = TestClassifyPairs().model()
-        R, kernel_row = kernel_rows(model, labeled.columns())
-        cats, sigma = classify_batch(model, R)
         X = labeled.X
-        dest = tmp_path / "classified.csv"
-        write_classified(dest, labeled, kernel_row, cats, sigma, schema.field_names)
-        ref = tmp_path / "ref.csv"
-        ref_write_classified(ref, labeled, cats[kernel_row], sigma[kernel_row],
-                             schema.field_names)
-        assert dest.read_bytes() == ref.read_bytes()
+        dest, ref = tmp_path / "classified.csv", tmp_path / "ref.csv"
+        for procedure in ("optimistic", "pessimistic"):
+            write_classified(dest, labeled, model, procedure, schema.field_names)
+            ref_write_classified(ref, labeled, *classify_batch(model, X, procedure),
+                                 schema.field_names)
+            assert dest.read_bytes() == ref.read_bytes()
         import csv
 
         with open(dest, newline="", encoding="utf-8") as fh:
