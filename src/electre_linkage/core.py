@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
@@ -32,7 +33,10 @@ __all__ = [
     "credibilities",
     "criterion_codes",
     "distinct_rows",
+    "cell_index",
+    "block_rows",
     "kernel_rows",
+    "block_kernel_rows",
     "label_cells",
     "assign",
     "cut_counts",
@@ -44,6 +48,8 @@ CATEGORY_LABELS_3 = {1: "nonmatch", 2: "potential match", 3: "match"}
 # (CHUNK_ROWS // W**2 where the longest value takes W 64-bit words), bounding
 # their memory
 CHUNK_ROWS = 1 << 14
+# the keys an int32 holds: a whole block's key space this large is numbered by distinct_rows
+INT32_KEYS = 1 << 31
 
 
 class ModelError(ValueError):
@@ -53,6 +59,50 @@ class ModelError(ValueError):
 def _is_bool(x) -> bool:
     """JSON true and false load as ints, but no model number may be one."""
     return isinstance(x, bool)
+
+
+@dataclass(frozen=True)
+class _DocumentReader:
+    """Reads the nodes of a JSON document, refusing with error a node of the wrong shape
+    and naming its path, as in criteria[1].weight."""
+
+    error: type
+    what: str  # the document, as messages name it
+
+    def refuse(self, path: str, problem: str) -> Exception:
+        return self.error(f"malformed {self.what}: {path + ': ' if path else ''}{problem}")
+
+    def keys(self, node, path: str, required, optional: dict) -> list:
+        """The values of an object's required keys, then of its optional ones (their
+        defaults where absent); a key the object may not hold is refused."""
+        if not isinstance(node, dict):
+            raise self.refuse(path, f"expected an object, got {reprlib.repr(node)}")
+        for key in node:
+            if key not in required and key not in optional:
+                raise self.refuse(path, f"unknown key {key!r}")
+        for key in required:
+            if key not in node:
+                raise self.error(f"{self.what} missing key {path + '.' if path else ''}{key}")
+        return [node[key] for key in required] + [node.get(key, v) for key, v in optional.items()]
+
+    def items(self, node, path: str) -> list:
+        """(path, item) of each item of a list."""
+        if not isinstance(node, list):
+            raise self.refuse(path, f"expected a list, got {reprlib.repr(node)}")
+        return [(f"{path}[{i}]", item) for i, item in enumerate(node)]
+
+    def number(self, value, path: str, infinite: bool = False):
+        """A number as the document holds it: not a bool, a string or null, not nan, and
+        finite unless infinite is set (an integer past a float's range is not finite)."""
+        ok = isinstance(value, (int, float)) and not _is_bool(value)
+        try:
+            ok = ok and (math.isfinite(value) or infinite and not math.isnan(value))
+        except OverflowError:
+            ok = False
+        if not ok:
+            raise self.refuse(path, f"expected a {'' if infinite else 'finite '}number, "
+                                    f"got {reprlib.repr(value)}")
+        return value
 
 
 @dataclass(frozen=True)
@@ -203,30 +253,28 @@ class ElectreModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ElectreModel":
-        try:
-            criteria = tuple(
-                Criterion(
-                    name=c["name"],
-                    direction=c.get("direction", "gain"),
-                    weight=c["weight"],
-                    indifference=c["q"],
-                    preference=c["p"],
-                    veto=c.get("v"),
-                )
-                for c in d["criteria"]
-            )
-            # a bool or a string stays as it is (float() would parse it), for the model to reject
-            profiles = ProfileSet(tuple(
-                tuple(x if _is_bool(x) or isinstance(x, str) else float(x) for x in row)
-                for row in d["profiles"]
-            ))
-            return cls(criteria, profiles, d["lambda"], d.get("epsilon", 0.01))
-        except ModelError:
-            raise
-        except KeyError as exc:
-            raise ModelError(f"model document missing key {exc}") from exc
-        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
-            raise ModelError(f"malformed model document: {exc}") from exc
+        """The model of a document with the keys to_dict writes ("direction", "v" and
+        "epsilon" may be left out). An unknown or missing key and a value of the wrong
+        type are a ModelError naming its path."""
+        doc = _DocumentReader(ModelError, "model document")
+        nodes, rows, lam, epsilon = doc.keys(d, "", ("criteria", "profiles", "lambda"),
+                                             {"epsilon": 0.01})
+        criteria = []
+        for path, node in doc.items(nodes, "criteria"):
+            name, weight, q, p, direction, v = doc.keys(
+                node, path, ("name", "weight", "q", "p"), {"direction": "gain", "v": None})
+            if not isinstance(name, str):
+                raise doc.refuse(f"{path}.name", f"expected a string, got {reprlib.repr(name)}")
+            criteria.append(Criterion(
+                name, doc.number(weight, f"{path}.weight"), doc.number(q, f"{path}.q"),
+                doc.number(p, f"{path}.p"),
+                None if v is None else doc.number(v, f"{path}.v", infinite=True), direction))
+        # floats, so a document written back keeps the bytes of one with 0.0 for 0
+        profiles = ProfileSet(tuple(tuple(float(doc.number(x, path))
+                                          for path, x in doc.items(row, row_path))
+                                    for row_path, row in doc.items(rows, "profiles")))
+        return cls(tuple(criteria), profiles, doc.number(lam, "lambda"),
+                   doc.number(epsilon, "epsilon"))
 
     @classmethod
     def from_json(cls, text: str) -> "ElectreModel":
@@ -342,6 +390,66 @@ def distinct_rows(columns, states):
     return np.column_stack([values[index[row]] for values, index in columns]), inverse
 
 
+def cell_index(code_a, code_b, cell, rows=None):
+    """A field's int32 index into its values for each pair of the row-major cross product
+    of code_a and code_b, read by table rows: cell[code_a][:, code_b] taken straight into
+    an array made first, so no per-pair code is gathered (an empty side reads as 0 x k or
+    k x 0). With rows, the index of those positions, gathered from that read."""
+    index = np.empty((len(code_a), len(code_b)), dtype=np.int32)
+    # mode="raise" would buffer the rows before writing them into index
+    np.take(cell[code_a], code_b, axis=1, out=index, mode="clip")
+    return index.ravel() if rows is None else index.ravel()[rows]
+
+
+def block_rows(fields, states):
+    """distinct_rows of the whole row-major cross product of fields, one (code_a, code_b,
+    values, cell) per column as PairBlock.fields holds them: (R, inverse), numbered as
+    distinct_rows numbers the columns of every pair, with an int32 inverse.
+
+    A pair's state in a column depends only on its (code_a, code_b) cell. So each column's
+    states are gathered into its cell table once, times the radix of the columns after it,
+    and the int32 key of each chunk of whole A-rows is the sum of those tables read as
+    cell_index reads the index. The keys that occur are marked and ranked by a cumulative
+    sum, which keeps key order, and each key is replaced by its rank. R takes per state one
+    value that a pair takes. A key space past an int32 or past twice the pairs is numbered
+    by distinct_rows over the whole read.
+    """
+    na, nb = len(fields[0][0]), len(fields[0][1])
+    sizes = [int(state.max(initial=0)) + 1 for state in states]
+    space = math.prod(sizes)
+    if space >= INT32_KEYS or space > 2 * na * nb:
+        return distinct_rows([(values, cell_index(code_a, code_b, cell))
+                              for code_a, code_b, values, cell in fields], states)
+    strides = [space // math.prod(sizes[:j + 1]) for j in range(len(sizes))]
+    tables = [(state.astype(np.int32) * stride)[cell]
+              for state, stride, (_, _, _, cell) in zip(states, strides, fields)]
+    key = np.empty((na, nb), dtype=np.int32)
+    taken = np.zeros(space, dtype=bool)
+    step = max(1, CHUNK_ROWS // nb)  # whole A-rows of at most CHUNK_ROWS pairs, or one A-row
+    chunks = [slice(a0, a0 + step) for a0 in range(0, na, step)]
+    for a in chunks:
+        chunk = key[a]
+        for j, ((code_a, code_b, _, _), table) in enumerate(zip(fields, tables)):
+            if j:
+                chunk += np.take(table[code_a[a]], code_b, axis=1)
+            else:
+                np.take(table[code_a[a]], code_b, axis=1, out=chunk, mode="clip")
+        taken[chunk] = True
+    rank = np.cumsum(taken, dtype=np.int32) - 1
+    for a in chunks:
+        key[a] = rank[key[a]]
+    keys = np.flatnonzero(taken)
+    R = []
+    for size, stride, state, (code_a, code_b, values, cell) in zip(sizes, strides, states, fields):
+        held = np.zeros(len(values), dtype=bool)  # the values that pairs take
+        held[cell[np.unique(code_a)][:, np.unique(code_b)]] = True
+        held = np.flatnonzero(held)
+        value_of = np.zeros(size, dtype=np.intp)
+        value_of[state[held]] = held
+        R.append(values[value_of[keys // stride % size]])
+    return np.column_stack(R), key.ravel()
+
+
 def _check_finite(columns, error, what: str) -> None:
     """Raise error naming the first row of the (values, index) columns that takes a
     non-finite value; a value no row takes is not looked at."""
@@ -349,6 +457,11 @@ def _check_finite(columns, error, what: str) -> None:
     row = min((int(rows[0]) for rows in bad if len(rows)), default=None)
     if row is not None:
         raise error(f"{what} {row} is not finite: {[float(v[i[row]]) for v, i in columns]}")
+
+
+def _check_criteria(model: ElectreModel, count: int) -> None:
+    if count != model.m:
+        raise ModelError(f"the rows have {count} fields, model has {model.m} criteria")
 
 
 def kernel_rows(model: ElectreModel, columns):
@@ -359,19 +472,38 @@ def kernel_rows(model: ElectreModel, columns):
     so classify_batch(model, R) gathered by kernel_row equals classify_batch on the
     rows themselves, bitwise, whichever row R is read from.
     """
-    if len(columns) != model.m:
-        raise ModelError(f"the rows have {len(columns)} fields, model has {model.m} criteria")
+    _check_criteria(model, len(columns))
     _check_finite(columns, ModelError, "performance row")
     codes = [criterion_codes(model, j, values) for j, (values, _) in enumerate(columns)]
     return distinct_rows(columns, codes)
 
 
+def block_kernel_rows(model: ElectreModel, fields):
+    """kernel_rows of the whole row-major cross product of fields (code_a, code_b, values,
+    cell), numbered from the cell tables (block_rows) with an int32 kernel_row. A field
+    holding a non-finite value is read pair by pair to name the first pair that takes it."""
+    _check_criteria(model, len(fields))
+    if not all(np.isfinite(values).all() for _, _, values, _ in fields):
+        _check_finite([(values, cell_index(code_a, code_b, cell))
+                       for code_a, code_b, values, cell in fields], ModelError, "performance row")
+    codes = [criterion_codes(model, j, values) for j, (_, _, values, _) in enumerate(fields)]
+    return block_rows(fields, codes)
+
+
 def label_cells(R, row_of, labels):
     """(X, label, count) of each nonempty (row of R, label) cell, by row then label: the
     cell's row of R, its label and its rows. row_of is each row's index into R."""
-    labels = np.asarray(labels, dtype=np.intp)
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu":  # as a list of no labels reads
+        labels = labels.astype(np.intp)
     n_labels = int(labels.max(initial=0)) + 1
-    cells = np.bincount(row_of * n_labels + labels, minlength=len(R) * n_labels)
+    cells = np.zeros(len(R) * n_labels, dtype=np.intp)
+    # counted by chunks no shorter than the counts, so no intp code is made per row
+    step = max(CHUNK_ROWS, len(cells))
+    for lo in range(0, len(labels), step):
+        code = np.multiply(row_of[lo:lo + step], n_labels, dtype=np.intp)
+        code += labels[lo:lo + step]
+        cells += np.bincount(code, minlength=len(cells))
     rows, label = np.divmod(np.flatnonzero(cells), n_labels)
     return R[rows], label, cells[cells > 0]
 

@@ -13,9 +13,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import distinct_rows, label_cells
+from .core import _DocumentReader, block_rows, distinct_rows, label_cells
 
-__all__ = ["FsModel", "FsError", "fit_fs", "agreement_patterns", "fit_patterns", "fs_decide"]
+__all__ = ["FsModel", "FsError", "fit_fs", "agreement_patterns", "block_patterns", "fit_patterns",
+           "fs_decide"]
 
 AGREEMENT_THRESHOLD = 0.88  # a field agrees when its similarity reaches this
 BAND_RATE = 0.01  # the share of training pairs inside the potential-match band
@@ -67,17 +68,18 @@ class FsModel:
 
     @classmethod
     def from_json(cls, text: str) -> "FsModel":
+        """The model of a document with the keys to_json writes. An unknown or missing key
+        and a value of the wrong type are an FsError naming its path, as in m_probs[1]."""
         try:
             d = json.loads(text)
-            return cls(
-                tuple(d["m_probs"]),
-                tuple(d["u_probs"]),
-                tuple(d["agreement_thresholds"]),
-                d["lower"],
-                d["upper"],
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, OverflowError) as exc:
+        except json.JSONDecodeError as exc:
             raise FsError(f"malformed baseline model document: {exc!r}") from exc
+        doc = _DocumentReader(FsError, "baseline model document")
+        lists = ("m_probs", "u_probs", "agreement_thresholds")
+        *nodes, lower, upper = doc.keys(d, "", (*lists, "lower", "upper"), {})
+        return cls(*(tuple(doc.number(x, path) for path, x in doc.items(node, name))
+                     for name, node in zip(lists, nodes)),
+                   doc.number(lower, "lower"), doc.number(upper, "upper"))
 
 
 def fit_fs(X, y, weights=None) -> FsModel:
@@ -121,17 +123,28 @@ def fit_fs(X, y, weights=None) -> FsModel:
     return FsModel(m_probs, u_probs, thresholds, lower, upper)
 
 
+def _agreements(values, thresholds):
+    """Per field, each value's agreement bit: it reaches its threshold, AGREEMENT_THRESHOLD
+    by default."""
+    if thresholds is None:
+        thresholds = (AGREEMENT_THRESHOLD,) * len(values)
+    if len(values) != len(thresholds):
+        raise FsError(f"{len(thresholds)} agreement thresholds for {len(values)} fields")
+    return [(v >= t).astype(np.intp) for v, t in zip(values, thresholds)]
+
+
 def agreement_patterns(columns, thresholds=None):
     """(P, pattern): one row of similarities per agreement pattern of the rows, and each
     row's index into P (core.distinct_rows). columns holds per field (values, index) as
     for core.kernel_rows; a field agrees where its value reaches its threshold,
     AGREEMENT_THRESHOLD by default."""
-    if thresholds is None:
-        thresholds = (AGREEMENT_THRESHOLD,) * len(columns)
-    if len(columns) != len(thresholds):
-        raise FsError(f"{len(thresholds)} agreement thresholds for {len(columns)} fields")
-    return distinct_rows(columns, [(values >= t).astype(np.intp)
-                                   for (values, _), t in zip(columns, thresholds)])
+    return distinct_rows(columns, _agreements([values for values, _ in columns], thresholds))
+
+
+def block_patterns(fields, thresholds=None):
+    """agreement_patterns of the whole row-major cross product of fields (code_a, code_b,
+    values, cell), numbered from the cell tables (core.block_rows)."""
+    return block_rows(fields, _agreements([values for _, _, values, _ in fields], thresholds))
 
 
 def fit_patterns(P, pattern, y) -> FsModel:

@@ -13,8 +13,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import CHUNK_ROWS, _distinct_cells, classify_batch, kernel_rows
-from .fellegi_sunter import agreement_patterns, fit_patterns, fs_decide
+from .core import (CHUNK_ROWS, _distinct_cells, block_kernel_rows, cell_index, classify_batch,
+                   kernel_rows)
+from .fellegi_sunter import agreement_patterns, block_patterns, fit_patterns, fs_decide
 from .ingest import LinkageSchema, RecordTable
 from .metrics import _factorize
 
@@ -48,22 +49,22 @@ class PairBlock:
         """The per-field similarities, one row per pair, gathered from the columns."""
         return np.column_stack([values[index] for values, index in self.columns()])
 
+    @property
+    def whole(self) -> bool:
+        """Whether the rows are all of the cross product, in order."""
+        rows = self.rows
+        # as many strictly increasing positions as the cross product holds are all of it
+        return (len(rows) == len(self.ids_a) * len(self.ids_b)
+                and bool((rows[1:] > rows[:-1]).all()))
+
     def columns(self) -> list:
         """Per field (values, index): its distinct similarities and each row's int32
         index into them. Each index is read for the whole cross product by table
-        rows; a block of any other rows gathers its rows from that read."""
-        shape = len(self.ids_a), len(self.ids_b)
-        rows = self.rows
-        # as many strictly increasing positions as the cross product holds are all of it
-        whole = len(rows) == shape[0] * shape[1] and (rows[1:] > rows[:-1]).all()
-        out = []
-        for code_a, code_b, values, cell in self.fields:
-            index = np.empty(shape, dtype=np.int32)
-            # mode="raise" would buffer the rows before writing them into index
-            np.take(cell[code_a], code_b, axis=1, out=index, mode="clip")
-            out.append((values, index.ravel() if whole else index.ravel()[rows]))
-            del index  # a subset's read goes before the next field's is made
-        return out
+        rows (core.cell_index); a block of any other rows gathers its rows from that
+        read, one field at a time."""
+        rows = None if self.whole else self.rows
+        return [(values, cell_index(code_a, code_b, cell, rows))
+                for code_a, code_b, values, cell in self.fields]
 
     def pair(self, row: int) -> tuple:
         i, k = divmod(int(self.rows[row]), len(self.ids_b))
@@ -110,7 +111,8 @@ def label_pairs(block: PairBlock, links, policy: str = "two_class", fs_model=Non
     truth = np.where(is_link, np.int8(3), np.int8(1))
     if policy == "banded":
         thresholds = fs_model.agreement_thresholds if fs_model is not None else None
-        P, pattern = agreement_patterns(block.columns(), thresholds)
+        P, pattern = (block_patterns(block.fields, thresholds) if block.whole
+                      else agreement_patterns(block.columns(), thresholds))
         if fs_model is None:
             fs_model = fit_patterns(P, pattern, truth)
         band = fs_decide(fs_model, P) == 2
@@ -150,23 +152,50 @@ def _merged(tables) -> list:
     return groups
 
 
+def _chunks(block: PairBlock, columns, kernel_row, t0: int):
+    """The pairs to write, by chunks of at most CHUNK_ROWS (or one A-row): per chunk its
+    shape and, per output column, each pair's index into its texts, broadcastable to
+    that shape. columns is None for a whole block, which is read by chunks of whole
+    A-rows from the cell tables, its ids from the A-row structure; any other block is
+    sliced from its columns, its ids from its positions."""
+    na, nb = len(block.ids_a), len(block.ids_b)
+    if columns is None:
+        step = max(1, CHUNK_ROWS // max(nb, 1))
+        for a0 in range(0, na if nb else 0, step):
+            a = slice(a0, a0 + step)
+            pairs, k = slice(a0 * nb, (a0 + step) * nb), min(step, na - a0)
+            yield (k, nb), [np.arange(a0, a0 + k)[:, None], np.arange(nb),
+                            *(cell_index(code_a[a], code_b, cell).reshape(k, nb)
+                              for code_a, code_b, _, cell in block.fields),
+                            kernel_row[pairs].reshape(k, nb),
+                            block.truth[pairs].reshape(k, nb).astype(np.intp) - t0]
+        return
+    for lo in range(0, len(block), CHUNK_ROWS):
+        pairs = slice(lo, lo + CHUNK_ROWS)
+        yield block.truth[pairs].shape, [*np.divmod(block.rows[pairs], nb),
+                                         *(index[pairs] for _, index in columns),
+                                         kernel_row[pairs],
+                                         block.truth[pairs].astype(np.intp) - t0]
+
+
 def write_classified(path, block: PairBlock, model, procedure: str, field_names) -> None:
     """Classified-pairs file: ids, performances, per-profile sigma, categories.
 
-    The block's PairBlock.columns() is read once: the pairs' kernel rows
-    (core.kernel_rows) are classified from it under the model and procedure
-    before the file is opened, and each chunk of CHUNK_ROWS pairs is sliced from
-    it. The bytes are those of csv.writer writing one row per pair with
+    The pairs' kernel rows are numbered and classified under the model and procedure
+    before the file is opened: a whole block's from its cell tables
+    (core.block_kernel_rows), any other block's from one PairBlock.columns() read
+    (core.kernel_rows). The bytes are those of csv.writer writing one row per pair with
     repr(float) cells. Each row is made of text made once and ending in its own
     separator (CRLF after the truth label, else a comma): each id, each distinct
-    similarity of a field (by bit pattern, so -0.0 stays apart from 0.0), the
-    sigma and category cells per kernel row and each truth label. Adjacent
-    columns share one text table while the product of their sizes is at most
-    CHUNK_ROWS (_merged). A chunk is stacked from the tables, joined and
-    written in one call.
+    similarity of a field (by bit pattern, so -0.0 stays apart from 0.0), the sigma
+    and category cells per kernel row and each truth label. Adjacent columns share one
+    text table while the product of their sizes is at most CHUNK_ROWS (_merged), and
+    the tables are concatenated into one. A chunk (_chunks) is gathered from it once,
+    joined and written in one call.
     """
-    columns = block.columns()
-    R, kernel_row = kernel_rows(model, columns)
+    columns = None if block.whole else block.columns()
+    R, kernel_row = (block_kernel_rows(model, block.fields) if columns is None
+                     else kernel_rows(model, columns))
     # a linkage global: perfbench's smoke test swaps in a faulty classifier here
     cats, sigma = classify_batch(model, R, procedure)
     nprof = sigma.shape[1] if len(block) else 0
@@ -175,25 +204,22 @@ def write_classified(path, block: PairBlock, model, procedure: str, field_names)
     t0, t1 = int(block.truth.min(initial=0)), int(block.truth.max(initial=0))
     label_texts = np.array([f"C{t}\r\n" if t else "\r\n" for t in range(t0, t1 + 1)], dtype=object)
     similarities = [np.array([repr(v) + "," for v in values.tolist()], dtype=object)
-                    for values, _ in columns]
+                    for _, _, values, _ in block.fields]
     groups = _merged([_quoted(block.ids_a), _quoted(block.ids_b), *similarities,
                       outcome, label_texts])
+    texts = np.concatenate([group for group, _ in groups])
+    offsets = np.cumsum([0] + [len(group) for group, _ in groups[:-1]])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(["id_a", "id_b", *(f"sim_{f}" for f in field_names),
                                  *(f"sigma_b{h}" for h in range(1, nprof + 1)),
                                  "assigned", "truth"])
-        for lo in range(0, len(block), CHUNK_ROWS):
-            hi = lo + CHUNK_ROWS
-            indexes = iter([
-                *np.divmod(block.rows[lo:hi], len(block.ids_b)),
-                *(index[lo:hi] for _, index in columns),
-                kernel_row[lo:hi],
-                block.truth[lo:hi].astype(np.intp) - t0,
-            ])
-            cells = []
-            for texts, sizes in groups:
-                index = next(indexes)
+        for shape, parts in _chunks(block, columns, kernel_row, t0):
+            parts = iter(parts)
+            cells = np.empty((len(groups), *shape), dtype=np.intp)
+            for g, (_, sizes) in enumerate(groups):
+                index = next(parts)
                 for size in sizes[1:]:
-                    index = index * size + next(indexes)
-                cells.append(texts[index])
-            fh.write("".join(np.column_stack(cells).ravel().tolist()))
+                    index = index * size + next(parts)
+                np.add(index, offsets[g], out=cells[g])
+            # take makes its result C-ordered, so ravel copies nothing
+            fh.write("".join(texts.take(np.moveaxis(cells, 0, -1)).ravel().tolist()))

@@ -483,20 +483,25 @@ class TestPipeline:
     @pytest.mark.parametrize("policy, reads", [("two_class", 1), ("banded", 2)])
     def test_classify_reads_the_pair_layout_once_per_use(self, small_dataset, tmp_path,
                                                           monkeypatch, policy, reads):
-        """The writer classifies the rows it writes from its one PairBlock.columns()
-        read; banded labeling makes the only other one."""
+        """The writer numbers the rows it writes from the block's cell tables, and banded
+        labeling does too: one core.block_rows call per use, and no PairBlock.columns()."""
+        from electre_linkage import core, fellegi_sunter
         from electre_linkage.linkage import PairBlock
 
         a, b = small_dataset
         base = ["--dataset-a", a, "--dataset-b", b, "--output-dir", tmp_path / policy,
                 "--label-policy", policy, "--seed", "3"]
         assert run(["train", *base]) == 0
-        calls = []
-        columns = PairBlock.columns
+        calls, numbered = [], []
+        columns, block_rows = PairBlock.columns, core.block_rows
         monkeypatch.setattr(PairBlock, "columns",
                             lambda block: calls.append(len(block)) or columns(block))
+        for module in (core, fellegi_sunter):
+            monkeypatch.setattr(module, "block_rows", lambda fields, states: numbered.append(
+                len(fields[0][0]) * len(fields[0][1])) or block_rows(fields, states))
         assert run(["classify", *base, "--model", tmp_path / policy / "electre_model.json"]) == 0
-        assert len(calls) == reads and len(set(calls)) == 1  # each a whole-block read
+        assert calls == []
+        assert len(numbered) == reads and len(set(numbered)) == 1  # each of the whole block
 
     def test_unknown_procedure_writes_no_file(self, small_dataset, tmp_path, capsys):
         a, b = small_dataset

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,8 @@ from electre_linkage.core import (
     _distinct_cells,
     assign_optimistic,
     assign_pessimistic,
+    block_kernel_rows,
+    block_rows,
     classify_batch,
     credibilities,
     credibility,
@@ -573,6 +576,134 @@ class TestNumbering:
                 (lab, cells[row, lab]) for row, lab in sorted(cells)]
             assert X.tobytes() == R[[row for row, _ in sorted(cells)]].tobytes()
             assert X.shape == (len(cells), len(columns))
+
+
+def random_fields(rng, na, nb, sizes):
+    """Fields of the whole na x nb cross product, as PairBlock.fields holds them: field j
+    over a table of sizes[j][0] x sizes[j][1] cells and sizes[j][2] distinct values, each
+    with a random state below sizes[j][3], the top state always among them. A side may
+    leave codes of its table unused, so values no pair takes."""
+    fields, states = [], []
+    for da, db, count, top in sizes:
+        values = rng.permutation(count) + rng.random(count)
+        state = rng.integers(0, top, count)
+        state[rng.integers(count)] = top - 1
+        cell = rng.integers(0, count, (da, db)).astype(np.int32)
+        fields.append((rng.integers(0, da, na), rng.integers(0, db, nb), values, cell))
+        states.append(state)
+    return fields, states
+
+
+def pairwise_columns(fields):
+    """Each field's (values, index) over every pair of the row-major cross product, one
+    pair at a time."""
+    return [(values, np.array([cell[i, k] for i in code_a.tolist() for k in code_b.tolist()],
+                              dtype=np.int32))
+            for code_a, code_b, values, cell in fields]
+
+
+class TestBlockNumbering:
+    """block_rows and block_kernel_rows against the numbering by dict of every pair."""
+
+    CASES = [
+        # (na, nb, per field (table rows, table columns, values, state bound), fallback)
+        (30, 20, [(4, 5, 6, 3), (3, 3, 5, 2), (5, 2, 7, 4)], False),  # key space 24
+        (7, 1, [(3, 1, 3, 2), (2, 1, 2, 2)], False),  # one B record
+        (1, 9, [(1, 4, 4, 3)], False),  # one A record
+        (12, 11, [(1, 1, 1, 1)] * 3, False),  # one-value fields: one key
+        (5, 4, [(3, 3, 8, 5), (2, 2, 4, 8)], False),  # 40 keys: twice the pairs
+        (5, 2, [(3, 3, 8, 7), (2, 2, 4, 4)], True),  # 28 keys: past twice the 10 pairs
+        (40, 30, [(6, 6, 10, 1 << 10), (5, 5, 8, 1 << 10)], True),  # 2**20 keys
+        (20, 20, [(4, 4, 9, 1 << 16), (4, 4, 9, 1 << 16)], True),  # 2**32 keys
+        (50, 40, [(3, 3, 5, 1 << 30), (3, 3, 5, 2)], True),  # 2**31 keys: past an int32
+        (0, 6, [(2, 3, 4, 2), (2, 2, 3, 3)], True),  # empty sides
+        (6, 0, [(2, 3, 4, 2)], True),
+        (0, 0, [(2, 3, 4, 2)], True),
+    ]
+
+    @pytest.mark.parametrize("na, nb, sizes, fallback", CASES)
+    def test_block_rows_number_the_pairs_as_distinct_rows(self, monkeypatch, na, nb, sizes,
+                                                          fallback):
+        from electre_linkage import core
+
+        calls = []
+        monkeypatch.setattr(core, "distinct_rows", lambda columns, states: calls.append(
+            len(columns[0][1])) or distinct_rows(columns, states))
+        rng = np.random.default_rng([na, nb, len(sizes)])
+        for _ in range(4):
+            fields, states = random_fields(rng, na, nb, sizes)
+            columns = pairwise_columns(fields)
+            R, inverse = block_rows(fields, states)
+            rows, distinct = ref_distinct_rows(columns, states)
+            assert R.shape == (len(distinct), len(fields)) and inverse.shape == (na * nb,)
+            assert inverse.tolist() == [distinct.index(row) for row in rows]
+            if not fallback:
+                assert inverse.dtype == np.int32
+            # each row of R holds, per field, a value that some pair takes, of its state
+            state_of = [dict(zip(values.tolist(), state.tolist()))
+                        for (_, _, values, _), state in zip(fields, states)]
+            taken = [set(values[index].tolist()) for values, index in columns]
+            assert [tuple(s[x] for s, x in zip(state_of, r)) for r in R.tolist()] == distinct
+            assert all(x in t for r in R.tolist() for x, t in zip(r, taken))
+        assert calls == ([na * nb] * 4 if fallback else [])
+
+    def model(self, m):
+        criteria = tuple(Criterion(f"g{j}", 1.0 + j, 0.05, 0.2, 0.6) for j in range(m))
+        return ElectreModel(criteria, ProfileSet(((0.3,) * m, (0.7,) * m)), 0.7)
+
+    @pytest.mark.parametrize("na, nb", [(9, 8), (1, 5), (40, 3), (0, 4)])
+    def test_block_kernel_rows_classify_as_kernel_rows(self, na, nb):
+        # values on a 0.05 grid share criterion codes beyond the thresholds' reach
+        rng = np.random.default_rng([na, nb])
+        for m in (1, 3):
+            model = self.model(m)
+            for _ in range(5):
+                fields = []
+                for _ in range(m):
+                    da, db = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+                    table = np.round(rng.random((da, db)) * 20) / 20
+                    fields.append((rng.integers(0, da, na), rng.integers(0, db, nb),
+                                   *_distinct_cells(table)))
+                columns = pairwise_columns(fields)
+                R, kernel_row = block_kernel_rows(model, fields)
+                ref_R, ref_row = kernel_rows(model, columns)
+                assert kernel_row.tolist() == ref_row.tolist()
+                for procedure in ("pessimistic", "optimistic"):
+                    cats, sigma = classify_batch(model, R, procedure)
+                    X = np.column_stack([values[index] for values, index in columns])
+                    want_cats, want_sigma = classify_batch(model, X.reshape(-1, m), procedure)
+                    assert cats[kernel_row].tolist() == want_cats.tolist()
+                    assert sigma[kernel_row].tobytes() == want_sigma.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_is_refused_by_its_first_pair(self, bad):
+        model = self.model(2)
+        rng = np.random.default_rng(5)
+        fields = []
+        for da, db in ((3, 4), (2, 5)):
+            table = np.round(rng.random((da, db)), 1)
+            fields.append((rng.integers(0, da, 6), rng.integers(0, db, 7), table))
+        code_a, code_b, table = fields[1]
+        table[code_a[2], code_b[4]] = bad  # pair 2 * 7 + 4 = 18 is the first to take it
+        fields = [(code_a, code_b, *_distinct_cells(table)) for code_a, code_b, table in fields]
+        with pytest.raises(ModelError) as want:
+            kernel_rows(model, pairwise_columns(fields))
+        assert str(want.value).startswith("performance row ")
+        with pytest.raises(ModelError, match=f"^{re.escape(str(want.value))}$"):
+            block_kernel_rows(model, fields)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_value_no_pair_takes_is_accepted(self, bad):
+        # row 3 of the second table holds the only non-finite value, and no A record takes it
+        model = self.model(2)
+        rng = np.random.default_rng(6)
+        tables = [np.round(rng.random((3, 4)), 1), np.round(rng.random((4, 5)), 1)]
+        tables[1][3, 2] = bad
+        fields = [(rng.integers(0, 3, 6), rng.integers(0, table.shape[1], 7),
+                   *_distinct_cells(table)) for table in tables]
+        R, kernel_row = block_kernel_rows(model, fields)
+        assert np.isfinite(R).all()
+        assert kernel_row.tolist() == kernel_rows(model, pairwise_columns(fields))[1].tolist()
 
 
 def motivation_columns(values):

@@ -659,9 +659,10 @@ def test_write_classified_matches_row_loop(tables, tmp_path, monkeypatch, chunk_
 @pytest.mark.parametrize("chunk_rows", [None, 1, 7])
 def test_write_classified_reads_the_block_through_columns_once(tables, tmp_path, monkeypatch,
                                                                chunk_rows):
-    """The writer reads the pair layout through one PairBlock.columns() call a file,
-    which both classifies the pairs and writes them, however many chunks it
-    writes, and the file equals the row loop's."""
+    """A whole block is numbered and written from its cell tables, with no
+    PairBlock.columns() call; any other block is read through one call a file, which
+    both classifies its pairs and writes them, however many chunks it writes. Each
+    file equals the row loop's."""
     if chunk_rows:
         monkeypatch.setattr(linkage, "CHUNK_ROWS", chunk_rows)
     schema, a, b = tables
@@ -669,22 +670,56 @@ def test_write_classified_reads_the_block_through_columns_once(tables, tmp_path,
     model = simple_model(len(schema.field_names))
     new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
     columns = PairBlock.columns
-    for procedure in PROCEDURES:
-        calls = []
+    subset = block.take(slice(1, None))
+    for pairs, reads in ((block, []), (subset, [len(subset)])):
+        for procedure in PROCEDURES:
+            calls = []
 
-        def counting(pairs):
-            calls.append(len(pairs))
-            return columns(pairs)
+            def counting(pairs):
+                calls.append(len(pairs))
+                return columns(pairs)
 
-        with monkeypatch.context() as patch:
-            patch.setattr(PairBlock, "columns", counting)
-            write_classified(new, block, model, procedure, schema.field_names)
-        if chunk_rows:
-            assert len(block) > chunk_rows  # the file is written in several chunks
-        assert calls == [len(block)]
-        ref_write_classified(ref, block, *classify_batch(model, block.X, procedure),
-                             schema.field_names)
-        assert new.read_bytes() == ref.read_bytes()
+            with monkeypatch.context() as patch:
+                patch.setattr(PairBlock, "columns", counting)
+                write_classified(new, pairs, model, procedure, schema.field_names)
+            if chunk_rows:
+                assert len(pairs) > chunk_rows  # the file is written in several chunks
+            assert calls == reads
+            ref_write_classified(ref, pairs, *classify_batch(model, pairs.X, procedure),
+                                 schema.field_names)
+            assert new.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 7])
+def test_write_classified_of_a_row_longer_than_a_chunk(tmp_path, monkeypatch, chunk_rows):
+    """With more B records than CHUNK_ROWS, a whole block is numbered and written one
+    A-row a chunk."""
+    monkeypatch.setattr(linkage, "CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(core, "CHUNK_ROWS", chunk_rows)
+    block = table_block(np.random.default_rng(chunk_rows), 4, 9)
+    assert block.whole and len(block.ids_b) > chunk_rows
+    assert_same_file(tmp_path, block, simple_model(3), ["f1", "f2", "f3"])
+
+
+def test_write_classified_of_a_key_space_past_twice_the_pairs(tmp_path, monkeypatch):
+    """Where the criterion codes of a whole block make more keys than twice its pairs,
+    its kernel rows are numbered by core.distinct_rows; the file is the same."""
+    calls = []
+    distinct_rows = core.distinct_rows
+    monkeypatch.setattr(core, "distinct_rows", lambda columns, states: calls.append(
+        len(columns[0][1])) or distinct_rows(columns, states))
+    rng = np.random.default_rng(8)
+    fields = []
+    for _ in range(3):  # every value distinct, each on the thresholds' ramps
+        table = 0.25 + 0.5 * rng.random((4, 5))
+        fields.append((rng.permutation(4), rng.permutation(5), *_distinct_cells(table)))
+    block = PairBlock(tuple(f"a{i}" for i in range(4)), tuple(f"b{k}" for k in range(5)),
+                      tuple(fields), np.arange(20), rng.integers(0, 4, 20).astype(np.int8))
+    model = simple_model(3)
+    codes = [core.criterion_codes(model, j, values) for j, (_, _, values, _) in enumerate(fields)]
+    assert np.prod([int(c.max()) + 1 for c in codes]) > 2 * len(block)
+    assert_same_file(tmp_path, block, model, ["f1", "f2", "f3"])
+    assert calls == [len(block)] * len(PROCEDURES)
 
 
 @pytest.mark.parametrize("na, nb", [(128, 128), (113, 145)])

@@ -9,6 +9,7 @@ value or removed, so the checks behind the first key lookup are reached.
 import csv
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -109,6 +110,94 @@ def test_fs_model_document(doc):
     except FsError:
         return
     fs_decide(model, np.full((1, model.field_count), 0.5))
+
+
+# each number node of MODEL and FS_MODEL, by its path in the messages
+MODEL_NUMBERS = {
+    **{f"criteria[{i}].{key}": ("criteria", i, key)
+       for i in range(2) for key in ("weight", "q", "p", "v")},
+    **{f"profiles[{i}][{j}]": ("profiles", i, j) for i in range(2) for j in range(2)},
+    "lambda": ("lambda",), "epsilon": ("epsilon",),
+}
+FS_NUMBERS = {
+    **{f"{key}[{i}]": (key, i) for key in ("m_probs", "u_probs", "agreement_thresholds")
+       for i in range(2)},
+    "lower": ("lower",), "upper": ("upper",),
+}
+not_numbers = (st.text(max_size=6) | st.booleans() | st.lists(st.integers(), max_size=2)
+               | st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)
+               | st.sampled_from([float("nan"), 10**400]))
+
+
+def replaced(doc, keys, value):
+    """A deep copy of doc with the node at keys set to value."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("parse, error, valid, numbers", [
+    (ElectreModel.from_json, ModelError, MODEL, MODEL_NUMBERS),
+    (FsModel.from_json, FsError, FS_MODEL, FS_NUMBERS),
+], ids=["model", "fs_model"])
+@SETTINGS
+@given(data=st.data())
+def test_a_value_of_another_type_is_named_by_its_path(parse, error, valid, numbers, data):
+    path = data.draw(st.sampled_from(sorted(numbers)))
+    value = data.draw(not_numbers | st.none() if not path.endswith(".v") else not_numbers)
+    with pytest.raises(error, match=rf"^malformed [a-z ]*document: {re.escape(path)}: "
+                                    r"expected a (finite )?number, got "):
+        parse(json.dumps(replaced(valid, numbers[path], value)))
+
+
+@pytest.mark.parametrize("parse, error, valid, objects", [
+    (ElectreModel.from_json, ModelError, MODEL, {"": (), "criteria[0]": ("criteria", 0),
+                                                 "criteria[1]": ("criteria", 1)}),
+    (FsModel.from_json, FsError, FS_MODEL, {"": ()}),
+], ids=["model", "fs_model"])
+@SETTINGS
+@given(data=st.data())
+def test_an_unknown_key_is_refused(parse, error, valid, objects, data):
+    """A key the document's writer does not write, at any level, is refused with the
+    key and the path of its object in the message."""
+    path = data.draw(st.sampled_from(sorted(objects)))
+    node = valid
+    for key in objects[path]:
+        node = node[key]
+    key = data.draw(st.text(max_size=6).filter(lambda k: k not in node))
+    doc = replaced(valid, (*objects[path], key), data.draw(json_values))
+    where = f"{re.escape(path)}: " if path else ""
+    with pytest.raises(error, match=rf"^malformed [a-z ]*document: {where}"
+                                    rf"unknown key {re.escape(repr(key))}$"):
+        parse(json.dumps(doc))
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({**MODEL, "lamda": 0.7}, "malformed model document: unknown key 'lamda'"),
+    ({**MODEL, "criteria": [{**MODEL["criteria"][0], "wieght": 2}]},
+     "malformed model document: criteria[0]: unknown key 'wieght'"),
+    ({**MODEL, "criteria": [MODEL["criteria"][0], {**MODEL["criteria"][1], "weight": "1"}]},
+     "malformed model document: criteria[1].weight: expected a finite number, got '1'"),
+    ({**MODEL, "profiles": [[None, 0.8], [0.8, 0.45]]},
+     "malformed model document: profiles[0][0]: expected a finite number, got None"),
+    ({**MODEL, "criteria": [MODEL["criteria"][0], 7]},
+     "malformed model document: criteria[1]: expected an object, got 7"),
+    ({**MODEL, "criteria": [{"name": "NAME", "weight": 1.0, "q": 0.05}]},
+     "model document missing key criteria[0].p"),
+])
+def test_model_document_messages(doc, message):
+    with pytest.raises(ModelError) as refused:
+        ElectreModel.from_json(json.dumps(doc))
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("doc", [MODEL, FS_MODEL])
+def test_a_model_document_reads_back_to_its_bytes(doc):
+    model = (ElectreModel if doc is MODEL else FsModel).from_json(json.dumps(doc, indent=2))
+    assert model.to_json() == json.dumps(doc, indent=2)
 
 
 @SETTINGS

@@ -137,7 +137,9 @@ class TestSerialization:
     def test_boolean_is_not_a_number(self, key, value):
         # these used to load as thresholds and band limits of 1 or 0
         good = json.loads(FsModel((0.9,), (0.1,), (0.88,), -1.0, 1.0).to_json())
-        with pytest.raises(FsError, match="finite numbers"):
+        path, got = (f"{key}\\[0\\]", value[0]) if isinstance(value, list) else (key, value)
+        with pytest.raises(FsError, match=rf"^malformed baseline model document: {path}: "
+                                          rf"expected a finite number, got {got!r}$"):
             FsModel.from_json(json.dumps({**good, key: value}))
 
 
