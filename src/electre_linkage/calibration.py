@@ -17,7 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Criterion, ElectreModel, ProfileSet, _check_finite, _distinct_cells, cut_counts
+from .core import (Criterion, ElectreModel, ProfileSet, _check_finite, _distinct_cells,
+                   column_fields, cut_counts)
 
 __all__ = [
     "TrainingSet",
@@ -287,7 +288,7 @@ def estimate_lambda(
 
     # the cut ignores the model's own lambda
     model = ElectreModel(criteria, profiles, 1.0, epsilon)
-    counts = cut_counts(model, train.columns, train.y, grid, procedure)
+    counts = cut_counts(model, column_fields(train.columns), train.y, grid, procedure)
     curve = [(lam, float(np.trace(c) / len(train.y))) for lam, c in zip(grid, counts)]
     return max(reversed(curve), key=lambda point: point[1])[0], curve
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import datagen, linkage
 from .calibration import calibrate
-from .core import ElectreModel, ModelError
+from .core import ElectreModel, ModelError, column_fields
 from .evaluation import EvalReport, EvaluationError, lambda_sweep, split
 from .fellegi_sunter import agreement_patterns, fit_patterns
 from .ingest import IngestError, LinkageSchema, census_schema, csv_rows, load_table, true_links
@@ -175,7 +175,7 @@ def cmd_train(args, cfg, schema, out) -> int:
     train, _ = _split_pairs(cfg, schema)
     model, solution, curve = calibrate(train, cfg["weights"], criterion_names=schema.field_names,
                                        **cfg["calibration"])
-    fs = fit_patterns(*agreement_patterns(train.columns), train.y)
+    fs = fit_patterns(*agreement_patterns(column_fields(train.columns)), train.y)
     (out / "electre_model.json").write_text(model.to_json(), encoding="utf-8")
     (out / "fs_model.json").write_text(fs.to_json(), encoding="utf-8")
     lines = [
@@ -242,7 +242,10 @@ def cmd_evaluate(args, cfg, schema, out) -> int:
 
 def cmd_sweep(args, cfg, schema, out) -> int:
     model = _model(args)
-    grid = [float(x) for x in args.grid.split(",")]
+    try:
+        grid = [float(x) for x in args.grid.split(",")]
+    except ValueError as exc:  # float names the item it cannot read
+        raise EvaluationError(f"--grid: {exc}") from None
     test = _split_pairs(cfg, schema)[1]
     reports = lambda_sweep(test, model, grid, cfg["calibration"]["procedure"])
     lines = ["lambda  accuracy  missed_links  false_links"]

@@ -33,10 +33,9 @@ __all__ = [
     "credibilities",
     "criterion_codes",
     "distinct_rows",
+    "column_fields",
     "cell_index",
-    "block_rows",
     "kernel_rows",
-    "block_kernel_rows",
     "label_cells",
     "assign",
     "cut_counts",
@@ -48,7 +47,7 @@ CATEGORY_LABELS_3 = {1: "nonmatch", 2: "potential match", 3: "match"}
 # (CHUNK_ROWS // W**2 where the longest value takes W 64-bit words), bounding
 # their memory
 CHUNK_ROWS = 1 << 14
-# the keys an int32 holds: a whole block's key space this large is numbered by distinct_rows
+# the keys an int32 holds: distinct_rows numbers a key space this large by np.unique
 INT32_KEYS = 1 << 31
 
 
@@ -362,32 +361,12 @@ def _distinct_cells(table):
     return distinct.view(np.float64), cell
 
 
-def distinct_rows(columns, states):
-    """(R, inverse): the values of one row of each distinct row, and each row's index into R.
-
-    columns holds one (values, index) per column, as PairBlock.columns gives them, and
-    states the integer state of each value of each column; rows are alike when their
-    states agree. The states are combined into one mixed-radix int64 key per row,
-    renumbered whenever the next digit would overflow it; R is in key order.
-    """
-    n = len(columns[0][1])
-    key, radix = np.zeros(n, dtype=np.int64), 1
-    for state, (_, index) in zip(states, columns):
-        size = int(state.max(initial=0)) + 1
-        if radix * size > 1 << 63:  # the next digit would overflow: renumber
-            distinct, key = np.unique(key, return_inverse=True)
-            radix = len(distinct)
-        key = key * size + state[index]
-        radix *= size
-    if radix <= 2 * n:  # a count per possible key is cheaper than sorting the keys
-        taken = np.bincount(key, minlength=radix) > 0
-        inverse, count = (np.cumsum(taken) - 1)[key], int(taken.sum())
-    else:
-        distinct, inverse = np.unique(key, return_inverse=True)
-        count = len(distinct)
-    row = np.empty(count, dtype=np.intp)
-    row[inverse] = np.arange(n)  # any row of each distinct row will do
-    return np.column_stack([values[index[row]] for values, index in columns]), inverse
+def column_fields(columns) -> list:
+    """The fields (code_a, code_b, values, cell) of a column form, one (values, index) per
+    column as PairBlock.columns gives them: each row is an A code on one B position and
+    each value its own cell, so the cross product of the fields is the rows, in order."""
+    return [(index, np.zeros(1, dtype=np.intp), values,
+             np.arange(len(values), dtype=np.int32)[:, None]) for values, index in columns]
 
 
 def cell_index(code_a, code_b, cell, rows=None):
@@ -401,53 +380,64 @@ def cell_index(code_a, code_b, cell, rows=None):
     return index.ravel() if rows is None else index.ravel()[rows]
 
 
-def block_rows(fields, states):
-    """distinct_rows of the whole row-major cross product of fields, one (code_a, code_b,
-    values, cell) per column as PairBlock.fields holds them: (R, inverse), numbered as
-    distinct_rows numbers the columns of every pair, with an int32 inverse.
+def distinct_rows(fields, states):
+    """(R, inverse): the values of one row of each distinct row of the row-major cross
+    product of fields, and each row's index into R.
 
-    A pair's state in a column depends only on its (code_a, code_b) cell. So each column's
-    states are gathered into its cell table once, times the radix of the columns after it,
-    and the int32 key of each chunk of whole A-rows is the sum of those tables read as
-    cell_index reads the index. The keys that occur are marked and ranked by a cumulative
-    sum, which keeps key order, and each key is replaced by its rank. R takes per state one
-    value that a pair takes. A key space past an int32 or past twice the pairs is numbered
-    by distinct_rows over the whole read.
+    fields holds one (code_a, code_b, values, cell) per column, as PairBlock.fields holds
+    them (column_fields makes them of a column form), and states the integer state of each
+    value of each column; rows are alike when their states agree. Rows are numbered by a
+    mixed-radix key of their states, and R is in key order.
+
+    A row's state in a column depends only on its (code_a, code_b) cell. While the key
+    space is below INT32_KEYS and at most twice the rows, each column's states are
+    gathered into its cell table once, times the radix of the columns after it (and by B
+    positions where that makes the table no larger), and the int32 key of each chunk of
+    whole A-rows (at most CHUNK_ROWS rows, or one A-row) is the sum of those tables' rows.
+    Each key that occurs is marked with the last row that takes it and ranked by a
+    cumulative sum, and each key is replaced by its rank: an int32 inverse. A larger key
+    space is numbered from an int64 key per row, renumbered by np.unique whenever the next
+    digit would overflow it: an intp inverse. R is read from one row of each distinct row.
     """
     na, nb = len(fields[0][0]), len(fields[0][1])
     sizes = [int(state.max(initial=0)) + 1 for state in states]
     space = math.prod(sizes)
-    if space >= INT32_KEYS or space > 2 * na * nb:
-        return distinct_rows([(values, cell_index(code_a, code_b, cell))
-                              for code_a, code_b, values, cell in fields], states)
-    strides = [space // math.prod(sizes[:j + 1]) for j in range(len(sizes))]
-    tables = [(state.astype(np.int32) * stride)[cell]
-              for state, stride, (_, _, _, cell) in zip(states, strides, fields)]
-    key = np.empty((na, nb), dtype=np.int32)
-    taken = np.zeros(space, dtype=bool)
-    step = max(1, CHUNK_ROWS // nb)  # whole A-rows of at most CHUNK_ROWS pairs, or one A-row
-    chunks = [slice(a0, a0 + step) for a0 in range(0, na, step)]
-    for a in chunks:
-        chunk = key[a]
-        for j, ((code_a, code_b, _, _), table) in enumerate(zip(fields, tables)):
-            if j:
-                chunk += np.take(table[code_a[a]], code_b, axis=1)
-            else:
-                np.take(table[code_a[a]], code_b, axis=1, out=chunk, mode="clip")
-        taken[chunk] = True
-    rank = np.cumsum(taken, dtype=np.int32) - 1
-    for a in chunks:
-        key[a] = rank[key[a]]
-    keys = np.flatnonzero(taken)
-    R = []
-    for size, stride, state, (code_a, code_b, values, cell) in zip(sizes, strides, states, fields):
-        held = np.zeros(len(values), dtype=bool)  # the values that pairs take
-        held[cell[np.unique(code_a)][:, np.unique(code_b)]] = True
-        held = np.flatnonzero(held)
-        value_of = np.zeros(size, dtype=np.intp)
-        value_of[state[held]] = held
-        R.append(values[value_of[keys // stride % size]])
-    return np.column_stack(R), key.ravel()
+    if space < INT32_KEYS and space <= 2 * na * nb:
+        stride, parts = space, []
+        for size, state, (_, code_b, _, cell) in zip(sizes, states, fields):
+            stride //= size
+            table = (state.astype(np.int32) * stride)[cell]
+            parts.append((table[:, code_b], None) if nb <= table.shape[1] else (table, code_b))
+        key = np.zeros((na, nb), dtype=np.int32)
+        # 1 + the last row that takes each key, 0 for a key no row takes
+        last = np.zeros(space, dtype=np.int32 if na * nb < INT32_KEYS else np.intp)
+        step = max(1, CHUNK_ROWS // nb)
+        chunks = [slice(a0, a0 + step) for a0 in range(0, na, step)]
+        for a in chunks:
+            chunk = key[a]
+            for (table, code_b), (code_a, _, _, _) in zip(parts, fields):
+                part = np.take(table, code_a[a], axis=0)
+                chunk += part if code_b is None else np.take(part, code_b, axis=1)
+            last[chunk.ravel()] = np.arange(a.start * nb, a.start * nb + chunk.size) + 1
+        taken = last > 0
+        rank = np.cumsum(taken, dtype=np.int32) - 1
+        for a in chunks:
+            key[a] = np.take(rank, key[a])
+        inverse, row = key.ravel(), last[taken] - 1
+    else:
+        key, radix = np.zeros(na * nb, dtype=np.int64), 1
+        for size, state, (code_a, code_b, _, cell) in zip(sizes, states, fields):
+            if radix * size > 1 << 63:  # the next digit would overflow: renumber
+                distinct, key = np.unique(key, return_inverse=True)
+                radix = len(distinct)
+            key = key * size + state[cell_index(code_a, code_b, cell)]
+            radix *= size
+        distinct, inverse = np.unique(key, return_inverse=True)
+        row = np.empty(len(distinct), dtype=np.intp)
+        row[inverse] = np.arange(na * nb)
+    a, b = np.divmod(row, max(nb, 1))
+    return np.column_stack([values[cell[code_a[a], code_b[b]]]
+                            for code_a, code_b, values, cell in fields]), inverse
 
 
 def _check_finite(columns, error, what: str) -> None:
@@ -459,35 +449,23 @@ def _check_finite(columns, error, what: str) -> None:
         raise error(f"{what} {row} is not finite: {[float(v[i[row]]) for v, i in columns]}")
 
 
-def _check_criteria(model: ElectreModel, count: int) -> None:
-    if count != model.m:
-        raise ModelError(f"the rows have {count} fields, model has {model.m} criteria")
+def kernel_rows(model: ElectreModel, fields):
+    """(R, kernel_row): the distinct kernel inputs of the rows of fields, one (code_a,
+    code_b, values, cell) per criterion as distinct_rows takes them, and each row's index
+    into R.
 
-
-def kernel_rows(model: ElectreModel, columns):
-    """(R, kernel_row): the distinct kernel inputs of the rows and each row's index into R.
-
-    columns holds one (values, index) per criterion; a row that takes a non-finite
-    value is refused. Rows are alike when their values share criterion_codes codes,
-    so classify_batch(model, R) gathered by kernel_row equals classify_batch on the
-    rows themselves, bitwise, whichever row R is read from.
+    Rows are alike when their values share criterion_codes codes, so classify_batch(model,
+    R) gathered by kernel_row equals classify_batch on the rows themselves, bitwise,
+    whichever row R is read from. A row that takes a non-finite value is refused: a field
+    holding one is read row by row to name the first row that takes it.
     """
-    _check_criteria(model, len(columns))
-    _check_finite(columns, ModelError, "performance row")
-    codes = [criterion_codes(model, j, values) for j, (values, _) in enumerate(columns)]
-    return distinct_rows(columns, codes)
-
-
-def block_kernel_rows(model: ElectreModel, fields):
-    """kernel_rows of the whole row-major cross product of fields (code_a, code_b, values,
-    cell), numbered from the cell tables (block_rows) with an int32 kernel_row. A field
-    holding a non-finite value is read pair by pair to name the first pair that takes it."""
-    _check_criteria(model, len(fields))
+    if len(fields) != model.m:
+        raise ModelError(f"the rows have {len(fields)} fields, model has {model.m} criteria")
     if not all(np.isfinite(values).all() for _, _, values, _ in fields):
         _check_finite([(values, cell_index(code_a, code_b, cell))
                        for code_a, code_b, values, cell in fields], ModelError, "performance row")
     codes = [criterion_codes(model, j, values) for j, (_, _, values, _) in enumerate(fields)]
-    return block_rows(fields, codes)
+    return distinct_rows(fields, codes)
 
 
 def label_cells(R, row_of, labels):
@@ -561,12 +539,12 @@ def assign(sig_ab, sig_ba, lam: float, procedure: str = "pessimistic") -> np.nda
     return cats.astype(int)
 
 
-def cut_counts(model: ElectreModel, columns, truth, grid, procedure: str = "pessimistic"):
+def cut_counts(model: ElectreModel, fields, truth, grid, procedure: str = "pessimistic"):
     """Per lambda of the grid, the [truth, category] counts of the rows cut at it: a
     square int64 matrix indexed by the labels, up to the largest truth label or
-    category. columns are the rows as kernel_rows takes and checks them; each (kernel row,
+    category. fields are the rows as kernel_rows takes and checks them; each (kernel row,
     truth) cell is cut once and counts its rows."""
-    X, label, count = label_cells(*kernel_rows(model, columns), truth)
+    X, label, count = label_cells(*kernel_rows(model, fields), truth)
     sig_ab, sig_ba = credibilities(model, X)
     n = max(int(label.max(initial=0)), model.category_count) + 1
     return np.array([np.bincount(label * n + assign(sig_ab, sig_ba, lam, procedure), count,

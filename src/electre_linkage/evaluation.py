@@ -258,6 +258,6 @@ def lambda_sweep(block, model: ElectreModel, grid, procedure: str = "pessimistic
     grid = list(grid)
     if not grid:
         raise EvaluationError("empty lambda grid")
-    counts = cut_counts(model, block.columns(), _labels(block), grid, procedure)
+    counts = cut_counts(model, block.row_fields(), _labels(block), grid, procedure)
     return [EvalReport.from_contingency({(t, c): int(m[t, c]) for t, c in np.argwhere(m).tolist()},
                                         lam, procedure) for lam, m in zip(grid, counts)]

@@ -13,10 +13,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import _DocumentReader, block_rows, distinct_rows, label_cells
+from .core import _DocumentReader, distinct_rows, label_cells
 
-__all__ = ["FsModel", "FsError", "fit_fs", "agreement_patterns", "block_patterns", "fit_patterns",
-           "fs_decide"]
+__all__ = ["FsModel", "FsError", "fit_fs", "agreement_patterns", "fit_patterns", "fs_decide"]
 
 AGREEMENT_THRESHOLD = 0.88  # a field agrees when its similarity reaches this
 BAND_RATE = 0.01  # the share of training pairs inside the potential-match band
@@ -123,28 +122,17 @@ def fit_fs(X, y, weights=None) -> FsModel:
     return FsModel(m_probs, u_probs, thresholds, lower, upper)
 
 
-def _agreements(values, thresholds):
-    """Per field, each value's agreement bit: it reaches its threshold, AGREEMENT_THRESHOLD
-    by default."""
-    if thresholds is None:
-        thresholds = (AGREEMENT_THRESHOLD,) * len(values)
-    if len(values) != len(thresholds):
-        raise FsError(f"{len(thresholds)} agreement thresholds for {len(values)} fields")
-    return [(v >= t).astype(np.intp) for v, t in zip(values, thresholds)]
-
-
-def agreement_patterns(columns, thresholds=None):
+def agreement_patterns(fields, thresholds=None):
     """(P, pattern): one row of similarities per agreement pattern of the rows, and each
-    row's index into P (core.distinct_rows). columns holds per field (values, index) as
-    for core.kernel_rows; a field agrees where its value reaches its threshold,
-    AGREEMENT_THRESHOLD by default."""
-    return distinct_rows(columns, _agreements([values for values, _ in columns], thresholds))
-
-
-def block_patterns(fields, thresholds=None):
-    """agreement_patterns of the whole row-major cross product of fields (code_a, code_b,
-    values, cell), numbered from the cell tables (core.block_rows)."""
-    return block_rows(fields, _agreements([values for _, _, values, _ in fields], thresholds))
+    row's index into P (core.distinct_rows). fields holds per field (code_a, code_b,
+    values, cell) as for core.kernel_rows; a field agrees where its value reaches its
+    threshold, AGREEMENT_THRESHOLD by default."""
+    if thresholds is None:
+        thresholds = (AGREEMENT_THRESHOLD,) * len(fields)
+    if len(fields) != len(thresholds):
+        raise FsError(f"{len(thresholds)} agreement thresholds for {len(fields)} fields")
+    return distinct_rows(fields, [(values >= t).astype(np.intp)
+                                  for (_, _, values, _), t in zip(fields, thresholds)])
 
 
 def fit_patterns(P, pattern, y) -> FsModel:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 
+from .core import _DocumentReader
 from .metrics import Comparator, make_comparator
 
 __all__ = [
@@ -76,18 +77,20 @@ class LinkageSchema:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LinkageSchema":
-        try:
-            fields = tuple(
-                (entry["field"], make_comparator(entry["comparator"]))
-                for entry in d["compared_fields"]
-            )
-            missing = d.get("missing_tokens", list(DEFAULT_MISSING_TOKENS))
-            options = {k: d[k] for k in ("id_field", "uppercase", "delimiter") if k in d}
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise IngestError(f"malformed schema document: {exc!r}") from exc
-        if not isinstance(missing, list):
-            raise IngestError(f"schema missing_tokens must be a list, got {missing!r}")
-        return cls(compared_fields=fields, missing_tokens=tuple(missing), **options)
+        """The schema of a document with the keys to_dict writes (all but compared_fields
+        may be left out, and a comparator may be its kind alone). An unknown or missing key
+        and a node of the wrong shape are an IngestError naming its path."""
+        doc = _DocumentReader(IngestError, "schema document")
+        optional = {"id_field": cls.id_field, "missing_tokens": list(cls.missing_tokens),
+                    "uppercase": cls.uppercase, "delimiter": cls.delimiter}
+        entries, id_field, missing, uppercase, delimiter = doc.keys(
+            d, "", ("compared_fields",), optional)
+        fields = []
+        for path, entry in doc.items(entries, "compared_fields"):
+            name, spec = doc.keys(entry, path, ("field", "comparator"), {})
+            fields.append((name, make_comparator(spec, doc, f"{path}.comparator")))
+        missing = tuple(token for _, token in doc.items(missing, "missing_tokens"))
+        return cls(tuple(fields), id_field, missing, uppercase, delimiter)
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (CHUNK_ROWS, _distinct_cells, block_kernel_rows, cell_index, classify_batch,
+from .core import (CHUNK_ROWS, _distinct_cells, cell_index, classify_batch, column_fields,
                    kernel_rows)
-from .fellegi_sunter import agreement_patterns, block_patterns, fit_patterns, fs_decide
+from .fellegi_sunter import agreement_patterns, fit_patterns, fs_decide
 from .ingest import LinkageSchema, RecordTable
 from .metrics import _factorize
 
@@ -66,6 +66,12 @@ class PairBlock:
         return [(values, cell_index(code_a, code_b, cell, rows))
                 for code_a, code_b, values, cell in self.fields]
 
+    def row_fields(self):
+        """The rows as the fields (code_a, code_b, values, cell) whose row-major cross
+        product they are, as core.distinct_rows numbers them: a whole block's own fields,
+        any other block's core.column_fields of one columns() read."""
+        return self.fields if self.whole else column_fields(self.columns())
+
     def pair(self, row: int) -> tuple:
         i, k = divmod(int(self.rows[row]), len(self.ids_b))
         return self.ids_a[i], self.ids_b[k]
@@ -111,8 +117,7 @@ def label_pairs(block: PairBlock, links, policy: str = "two_class", fs_model=Non
     truth = np.where(is_link, np.int8(3), np.int8(1))
     if policy == "banded":
         thresholds = fs_model.agreement_thresholds if fs_model is not None else None
-        P, pattern = (block_patterns(block.fields, thresholds) if block.whole
-                      else agreement_patterns(block.columns(), thresholds))
+        P, pattern = agreement_patterns(block.row_fields(), thresholds)
         if fs_model is None:
             fs_model = fit_patterns(P, pattern, truth)
         band = fs_decide(fs_model, P) == 2
@@ -152,50 +157,42 @@ def _merged(tables) -> list:
     return groups
 
 
-def _chunks(block: PairBlock, columns, kernel_row, t0: int):
-    """The pairs to write, by chunks of at most CHUNK_ROWS (or one A-row): per chunk its
-    shape and, per output column, each pair's index into its texts, broadcastable to
-    that shape. columns is None for a whole block, which is read by chunks of whole
-    A-rows from the cell tables, its ids from the A-row structure; any other block is
-    sliced from its columns, its ids from its positions."""
-    na, nb = len(block.ids_a), len(block.ids_b)
-    if columns is None:
-        step = max(1, CHUNK_ROWS // max(nb, 1))
-        for a0 in range(0, na if nb else 0, step):
-            a = slice(a0, a0 + step)
-            pairs, k = slice(a0 * nb, (a0 + step) * nb), min(step, na - a0)
-            yield (k, nb), [np.arange(a0, a0 + k)[:, None], np.arange(nb),
-                            *(cell_index(code_a[a], code_b, cell).reshape(k, nb)
-                              for code_a, code_b, _, cell in block.fields),
-                            kernel_row[pairs].reshape(k, nb),
-                            block.truth[pairs].reshape(k, nb).astype(np.intp) - t0]
-        return
-    for lo in range(0, len(block), CHUNK_ROWS):
-        pairs = slice(lo, lo + CHUNK_ROWS)
-        yield block.truth[pairs].shape, [*np.divmod(block.rows[pairs], nb),
-                                         *(index[pairs] for _, index in columns),
-                                         kernel_row[pairs],
-                                         block.truth[pairs].astype(np.intp) - t0]
+def _chunks(block: PairBlock, fields, kernel_row, t0: int):
+    """The pairs to write, by chunks of whole A-rows of fields (the block's row_fields) of
+    at most CHUNK_ROWS pairs, or one A-row: per chunk its shape and, per output column,
+    each pair's index into its texts, broadcastable to that shape. Each field's index is
+    read from its cell table; a whole block's ids come from its A-row structure, any other
+    block's from its positions."""
+    na, nb = len(fields[0][0]), len(fields[0][1])
+    whole = fields is block.fields
+    step = max(1, CHUNK_ROWS // max(nb, 1))
+    for a0 in range(0, na if nb else 0, step):
+        a = slice(a0, a0 + step)
+        pairs, k = slice(a0 * nb, (a0 + step) * nb), min(step, na - a0)
+        ids = ([np.arange(a0, a0 + k)[:, None], np.arange(nb)] if whole
+               else [i[:, None] for i in np.divmod(block.rows[pairs], len(block.ids_b))])
+        yield (k, nb), [*ids, *(cell_index(code_a[a], code_b, cell).reshape(k, nb)
+                                for code_a, code_b, _, cell in fields),
+                        kernel_row[pairs].reshape(k, nb),
+                        block.truth[pairs].reshape(k, nb).astype(np.intp) - t0]
 
 
 def write_classified(path, block: PairBlock, model, procedure: str, field_names) -> None:
     """Classified-pairs file: ids, performances, per-profile sigma, categories.
 
-    The pairs' kernel rows are numbered and classified under the model and procedure
-    before the file is opened: a whole block's from its cell tables
-    (core.block_kernel_rows), any other block's from one PairBlock.columns() read
-    (core.kernel_rows). The bytes are those of csv.writer writing one row per pair with
-    repr(float) cells. Each row is made of text made once and ending in its own
-    separator (CRLF after the truth label, else a comma): each id, each distinct
-    similarity of a field (by bit pattern, so -0.0 stays apart from 0.0), the sigma
-    and category cells per kernel row and each truth label. Adjacent columns share one
-    text table while the product of their sizes is at most CHUNK_ROWS (_merged), and
-    the tables are concatenated into one. A chunk (_chunks) is gathered from it once,
-    joined and written in one call.
+    The pairs' kernel rows are numbered (core.kernel_rows of the block's row_fields: a
+    whole block's own cell tables, any other block's one PairBlock.columns() read) and
+    classified under the model and procedure before the file is opened. The bytes are
+    those of csv.writer writing one row per pair with repr(float) cells. Each row is
+    made of text made once and ending in its own separator (CRLF after the truth label,
+    else a comma): each id, each distinct similarity of a field (by bit pattern, so -0.0
+    stays apart from 0.0), the sigma and category cells per kernel row and each truth
+    label. Adjacent columns share one text table while the product of their sizes is at
+    most CHUNK_ROWS (_merged), and the tables are concatenated into one. A chunk
+    (_chunks) is gathered from it once, joined and written in one call.
     """
-    columns = None if block.whole else block.columns()
-    R, kernel_row = (block_kernel_rows(model, block.fields) if columns is None
-                     else kernel_rows(model, columns))
+    fields = block.row_fields()
+    R, kernel_row = kernel_rows(model, fields)
     # a linkage global: perfbench's smoke test swaps in a faulty classifier here
     cats, sigma = classify_batch(model, R, procedure)
     nprof = sigma.shape[1] if len(block) else 0
@@ -213,7 +210,7 @@ def write_classified(path, block: PairBlock, model, procedure: str, field_names)
         csv.writer(fh).writerow(["id_a", "id_b", *(f"sim_{f}" for f in field_names),
                                  *(f"sigma_b{h}" for h in range(1, nprof + 1)),
                                  "assigned", "truth"])
-        for shape, parts in _chunks(block, columns, kernel_row, t0):
+        for shape, parts in _chunks(block, fields, kernel_row, t0):
             parts = iter(parts)
             cells = np.empty((len(groups), *shape), dtype=np.intp)
             for g, (_, sizes) in enumerate(groups):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CHUNK_ROWS
+from .core import CHUNK_ROWS, _DocumentReader
 
 __all__ = [
     "Comparator",
@@ -289,10 +289,15 @@ class Comparator:
                          for x in vals_a], dtype=np.float64).reshape(len(vals_a), len(vals_b))
 
 
-def make_comparator(spec) -> Comparator:
-    """Comparator from a config entry: either a kind string or a dict."""
+def make_comparator(spec, doc=_DocumentReader(ComparatorError, "comparator entry"),
+                    path: str = "") -> Comparator:
+    """Comparator from a config entry: either a kind string or an object of a "kind" and
+    any of "prefix_scale", "prefix_cap" and "cap". An unknown or missing key, a node of
+    the wrong shape and a refused value are doc's error, naming the entry's path."""
     if isinstance(spec, str):
-        return Comparator(kind=spec)
-    kind = spec.get("kind")
-    kwargs = {k: spec[k] for k in ("prefix_scale", "prefix_cap", "cap") if k in spec}
-    return Comparator(kind=kind, **kwargs)
+        spec = {"kind": spec}
+    doc.keys(spec, path, ("kind",), dict.fromkeys(("prefix_scale", "prefix_cap", "cap")))
+    try:
+        return Comparator(**spec)
+    except ComparatorError as exc:
+        raise doc.refuse(path, str(exc)) from None

@@ -440,6 +440,20 @@ class TestPipeline:
         assert code == 1
         assert "cutting level" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid, item", [("0.5,,0.7", "''"), ("0.5,0.7x", "'0.7x'"),
+                                             ("", "''")])
+    def test_sweep_grid_names_the_item_it_cannot_read(self, small_dataset, tmp_path, capsys,
+                                                      grid, item):
+        a, b = small_dataset
+        base = ["--dataset-a", a, "--dataset-b", b, "--output-dir", tmp_path / "out"]
+        assert run(["train", *base]) == 0
+        capsys.readouterr()
+        code = run(["sweep", *base, "--model", tmp_path / "out" / "electre_model.json",
+                    "--grid", grid])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --grid: ") and err.endswith(f" {item}\n")
+
     def test_banded_policy_builds_pairs_once(self, small_dataset, tmp_path, monkeypatch):
         from electre_linkage import cli
 
@@ -484,7 +498,7 @@ class TestPipeline:
     def test_classify_reads_the_pair_layout_once_per_use(self, small_dataset, tmp_path,
                                                           monkeypatch, policy, reads):
         """The writer numbers the rows it writes from the block's cell tables, and banded
-        labeling does too: one core.block_rows call per use, and no PairBlock.columns()."""
+        labeling does too: one core.distinct_rows call per use, and no PairBlock.columns()."""
         from electre_linkage import core, fellegi_sunter
         from electre_linkage.linkage import PairBlock
 
@@ -493,12 +507,12 @@ class TestPipeline:
                 "--label-policy", policy, "--seed", "3"]
         assert run(["train", *base]) == 0
         calls, numbered = [], []
-        columns, block_rows = PairBlock.columns, core.block_rows
+        columns, distinct_rows = PairBlock.columns, core.distinct_rows
         monkeypatch.setattr(PairBlock, "columns",
                             lambda block: calls.append(len(block)) or columns(block))
         for module in (core, fellegi_sunter):
-            monkeypatch.setattr(module, "block_rows", lambda fields, states: numbered.append(
-                len(fields[0][0]) * len(fields[0][1])) or block_rows(fields, states))
+            monkeypatch.setattr(module, "distinct_rows", lambda fields, states: numbered.append(
+                len(fields[0][0]) * len(fields[0][1])) or distinct_rows(fields, states))
         assert run(["classify", *base, "--model", tmp_path / policy / "electre_model.json"]) == 0
         assert calls == []
         assert len(numbered) == reads and len(set(numbered)) == 1  # each of the whole block

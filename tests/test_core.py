@@ -16,9 +16,8 @@ from electre_linkage.core import (
     _distinct_cells,
     assign_optimistic,
     assign_pessimistic,
-    block_kernel_rows,
-    block_rows,
     classify_batch,
+    column_fields,
     credibilities,
     credibility,
     criterion_codes,
@@ -481,8 +480,9 @@ class TestDistinctCells:
 
 
 def columns_of(X):
-    """The rows of X as kernel_rows takes them: per criterion (values, int32 index)."""
-    return [_distinct_cells(col) for col in np.asarray(X, dtype=float).T]
+    """The rows of X as kernel_rows takes them: the column_fields of per criterion
+    (values, int32 index)."""
+    return column_fields([_distinct_cells(col) for col in np.asarray(X, dtype=float).T])
 
 
 class TestCutCounts:
@@ -539,12 +539,12 @@ class TestNumbering:
 
     CASES = [
         # (rows, per column (distinct values, state bound)), by the branch they take
-        (300, [(5, 3), (4, 2), (7, 4)]),  # key space 24 <= 2n: one bincount
+        (300, [(5, 3), (4, 2), (7, 4)]),  # key space 24 <= 2n: marked
         (1, [(3, 2), (2, 2)]),  # one row
         (40, [(30, 1 << 20), (6, 1 << 18)]),  # key space past 2n: np.unique
         (50, [(9, 1 << 31)] * 3),  # 2**93 keys: renumbered before the third column
         (200, [(4, 256)] * 9),  # 2**72 keys: renumbered before the eighth column
-        (200, [(2, 2)] * 64),  # 2**64 keys: renumbered before the last, then a bincount
+        (200, [(2, 2)] * 64),  # 2**64 keys: renumbered before the last
         (0, [(3, 2), (5, 1 << 40)]),  # no rows
     ]
 
@@ -553,7 +553,7 @@ class TestNumbering:
         rng = np.random.default_rng(n + len(sizes))
         for _ in range(5):
             columns, states = random_numbering(rng, n, sizes)
-            R, inverse = distinct_rows(columns, states)
+            R, inverse = distinct_rows(column_fields(columns), states)
             rows, distinct = ref_distinct_rows(columns, states)
             assert R.shape == (len(distinct), len(columns)) and inverse.shape == (n,)
             # shared exactly by equal state tuples, numbered in tuple order
@@ -568,7 +568,7 @@ class TestNumbering:
         rng = np.random.default_rng(n + len(sizes) + 1)
         for top in (1, 2, 6):
             columns, states = random_numbering(rng, n, sizes)
-            R, inverse = distinct_rows(columns, states)
+            R, inverse = distinct_rows(column_fields(columns), states)
             labels = rng.integers(0, top, n)
             X, label, count = label_cells(R, inverse, labels.tolist())  # [] for no rows
             cells = ref_label_cells(inverse, labels)
@@ -603,7 +603,8 @@ def pairwise_columns(fields):
 
 
 class TestBlockNumbering:
-    """block_rows and block_kernel_rows against the numbering by dict of every pair."""
+    """distinct_rows and kernel_rows of whole blocks against the numbering by dict of every
+    pair and against the column form of the same pairs."""
 
     CASES = [
         # (na, nb, per field (table rows, table columns, values, state bound), fallback)
@@ -622,30 +623,23 @@ class TestBlockNumbering:
     ]
 
     @pytest.mark.parametrize("na, nb, sizes, fallback", CASES)
-    def test_block_rows_number_the_pairs_as_distinct_rows(self, monkeypatch, na, nb, sizes,
-                                                          fallback):
-        from electre_linkage import core
-
-        calls = []
-        monkeypatch.setattr(core, "distinct_rows", lambda columns, states: calls.append(
-            len(columns[0][1])) or distinct_rows(columns, states))
+    def test_block_rows_number_the_pairs_as_distinct_rows(self, na, nb, sizes, fallback):
         rng = np.random.default_rng([na, nb, len(sizes)])
         for _ in range(4):
             fields, states = random_fields(rng, na, nb, sizes)
             columns = pairwise_columns(fields)
-            R, inverse = block_rows(fields, states)
+            R, inverse = distinct_rows(fields, states)
             rows, distinct = ref_distinct_rows(columns, states)
             assert R.shape == (len(distinct), len(fields)) and inverse.shape == (na * nb,)
             assert inverse.tolist() == [distinct.index(row) for row in rows]
-            if not fallback:
-                assert inverse.dtype == np.int32
+            # the marked keys give an int32 inverse, np.unique an intp one
+            assert inverse.dtype == (np.intp if fallback else np.int32)
             # each row of R holds, per field, a value that some pair takes, of its state
             state_of = [dict(zip(values.tolist(), state.tolist()))
                         for (_, _, values, _), state in zip(fields, states)]
             taken = [set(values[index].tolist()) for values, index in columns]
             assert [tuple(s[x] for s, x in zip(state_of, r)) for r in R.tolist()] == distinct
             assert all(x in t for r in R.tolist() for x, t in zip(r, taken))
-        assert calls == ([na * nb] * 4 if fallback else [])
 
     def model(self, m):
         criteria = tuple(Criterion(f"g{j}", 1.0 + j, 0.05, 0.2, 0.6) for j in range(m))
@@ -665,8 +659,8 @@ class TestBlockNumbering:
                     fields.append((rng.integers(0, da, na), rng.integers(0, db, nb),
                                    *_distinct_cells(table)))
                 columns = pairwise_columns(fields)
-                R, kernel_row = block_kernel_rows(model, fields)
-                ref_R, ref_row = kernel_rows(model, columns)
+                R, kernel_row = kernel_rows(model, fields)
+                ref_R, ref_row = kernel_rows(model, column_fields(columns))
                 assert kernel_row.tolist() == ref_row.tolist()
                 for procedure in ("pessimistic", "optimistic"):
                     cats, sigma = classify_batch(model, R, procedure)
@@ -687,10 +681,10 @@ class TestBlockNumbering:
         table[code_a[2], code_b[4]] = bad  # pair 2 * 7 + 4 = 18 is the first to take it
         fields = [(code_a, code_b, *_distinct_cells(table)) for code_a, code_b, table in fields]
         with pytest.raises(ModelError) as want:
-            kernel_rows(model, pairwise_columns(fields))
+            kernel_rows(model, column_fields(pairwise_columns(fields)))
         assert str(want.value).startswith("performance row ")
         with pytest.raises(ModelError, match=f"^{re.escape(str(want.value))}$"):
-            block_kernel_rows(model, fields)
+            kernel_rows(model, fields)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_a_value_no_pair_takes_is_accepted(self, bad):
@@ -701,9 +695,57 @@ class TestBlockNumbering:
         tables[1][3, 2] = bad
         fields = [(rng.integers(0, 3, 6), rng.integers(0, table.shape[1], 7),
                    *_distinct_cells(table)) for table in tables]
-        R, kernel_row = block_kernel_rows(model, fields)
+        R, kernel_row = kernel_rows(model, fields)
         assert np.isfinite(R).all()
-        assert kernel_row.tolist() == kernel_rows(model, pairwise_columns(fields))[1].tolist()
+        assert (kernel_row.tolist()
+                == kernel_rows(model, column_fields(pairwise_columns(fields)))[1].tolist())
+
+
+class TestNumberingRegimes:
+    """The one distinct_rows at the bounds of its regimes, on whole blocks and on column
+    forms of one B position, against the numbering by dict: the keys are marked while the
+    key space is below INT32_KEYS and at most twice the rows (an int32 inverse), and
+    numbered by np.unique past either bound (an intp inverse), however many A-rows a chunk
+    holds."""
+
+    @pytest.mark.parametrize("chunk_rows", [1, 7, None])
+    @pytest.mark.parametrize("form", ["whole", "column"])
+    @pytest.mark.parametrize("past_twice, int32_keys, marked", [
+        (0, None, True),  # a key space of twice the rows
+        (1, None, False),  # one more
+        (0, 1, True),  # INT32_KEYS one past the key space
+        (0, 0, False),  # INT32_KEYS at the key space
+        (0, -1, False),  # and one below it
+    ])
+    def test_the_regimes_number_the_rows_alike(self, monkeypatch, form, chunk_rows,
+                                               past_twice, int32_keys, marked):
+        from electre_linkage import core
+
+        na, nb = (6, 5) if form == "whole" else (30, 1)
+        space = 2 * na * nb + past_twice
+        if chunk_rows:
+            monkeypatch.setattr(core, "CHUNK_ROWS", chunk_rows)
+        if int32_keys is not None:
+            monkeypatch.setattr(core, "INT32_KEYS", space + int32_keys)
+        rng = np.random.default_rng([space, nb, chunk_rows or 0])
+        for _ in range(4):
+            # the second field has one state, so the key space is the first field's
+            if form == "whole":
+                fields, states = random_fields(rng, na, nb, [(na, nb, space + 9, space),
+                                                             (3, 2, 4, 1)])
+                columns = pairwise_columns(fields)
+            else:
+                columns, states = random_numbering(rng, na, [(space + 9, space), (4, 1)])
+                fields = column_fields(columns)
+            R, inverse = distinct_rows(fields, states)
+            rows, distinct = ref_distinct_rows(columns, states)
+            assert inverse.tolist() == [distinct.index(row) for row in rows]
+            assert inverse.dtype == (np.int32 if marked else np.intp)
+            state_of = [dict(zip(values.tolist(), state.tolist()))
+                        for (_, _, values, _), state in zip(fields, states)]
+            taken = [set(values[index].tolist()) for values, index in columns]
+            assert [tuple(s[x] for s, x in zip(state_of, r)) for r in R.tolist()] == distinct
+            assert all(x in t for r in R.tolist() for x, t in zip(r, taken))
 
 
 def motivation_columns(values):
@@ -727,7 +769,7 @@ class TestNonFiniteColumns:
             cut_counts(model, columns, [1, 2, 2], [0.5, 0.7])
         with pytest.raises(ModelError, match=r"performance row 2 is not finite: \[inf\]"):
             classify_batch(model, [[0.1], [5.0], [np.inf]])
-        assert criterion_codes(model, 0, columns[0][0]).tolist() == [0, 1, 1]
+        assert criterion_codes(model, 0, columns[0][2]).tolist() == [0, 1, 1]
 
     def test_nan_is_named_by_its_row_not_its_kernel_row(self):
         # 0.1 and 0.3 share a code, so rows 0, 2 and 4 take kernel row 0 and the nan's row 3
@@ -743,7 +785,8 @@ class TestNonFiniteColumns:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_a_value_no_row_takes_is_accepted(self, bad):
         model, finite = self.model(), motivation_columns([0.1, 5.0, 0.9, 5.0])
-        spare = [(np.append(values, bad), index) for values, index in finite]
+        spare = [(code_a, code_b, np.append(values, bad), cell)
+                 for code_a, code_b, values, cell in finite]
         R, kernel_row = kernel_rows(model, spare)  # R is read from the rows, not from bad
         assert R[kernel_row].tobytes() == np.array([[0.1], [5.0], [0.9], [5.0]]).tobytes()
         assert (cut_counts(model, spare, [1, 2, 2, 1], [0.7])

@@ -346,7 +346,7 @@ def test_lambda_sweep_counts_shared_kernel_rows_per_pair(procedure):
         rows, truth = rng.integers(0, 12, size=300), rng.integers(1, 6, size=300)
         block = block_from_columns(("a",), tuple(range(300)), np.zeros(300), np.arange(300),
                                    X[rows], truth)
-        assert len(core.kernel_rows(model, block.columns())[0]) <= 12
+        assert len(core.kernel_rows(model, block.row_fields())[0]) <= 12
         assert_sorted_sweep(lambda_sweep(block, model, SWEEP_GRID, procedure),
                             per_lambda_sweep(block, model, SWEEP_GRID, procedure))
     assert two_categories
@@ -459,7 +459,7 @@ def random_model(rng, m):
 
 def assert_kernel_rows_classify(block, model):
     """classify_batch on the kernel rows, gathered per pair, against classify_batch on X."""
-    R, kernel_row = core.kernel_rows(model, block.columns())
+    R, kernel_row = core.kernel_rows(model, block.row_fields())
     assert len(kernel_row) == len(block)
     for procedure in ("pessimistic", "optimistic"):
         cats, sigma = classify_batch(model, R, procedure)
@@ -505,7 +505,7 @@ def test_kernel_rows_classify_built_blocks(tables):
 def test_kernel_rows_of_an_empty_block():
     model = simple_model(3)
     block = block_from_columns(("a",), ("b",), [], [], np.empty((0, 3)), [])
-    R, kernel_row = core.kernel_rows(model, block.columns())
+    R, kernel_row = core.kernel_rows(model, block.row_fields())
     assert R.shape == (0, 3) and kernel_row.shape == (0,)
     assert_kernel_rows_classify(block, model)
     empty_side = block_from_columns(("a",), (), [], [], np.empty((0, 3)), [])
@@ -703,11 +703,12 @@ def test_write_classified_of_a_row_longer_than_a_chunk(tmp_path, monkeypatch, ch
 
 def test_write_classified_of_a_key_space_past_twice_the_pairs(tmp_path, monkeypatch):
     """Where the criterion codes of a whole block make more keys than twice its pairs,
-    its kernel rows are numbered by core.distinct_rows; the file is the same."""
-    calls = []
+    its kernel rows are numbered by np.unique (core.distinct_rows gives an intp inverse
+    then); the file is the same."""
+    inverses = []
     distinct_rows = core.distinct_rows
-    monkeypatch.setattr(core, "distinct_rows", lambda columns, states: calls.append(
-        len(columns[0][1])) or distinct_rows(columns, states))
+    monkeypatch.setattr(core, "distinct_rows", lambda fields, states: inverses.append(
+        distinct_rows(fields, states)) or inverses[-1])
     rng = np.random.default_rng(8)
     fields = []
     for _ in range(3):  # every value distinct, each on the thresholds' ramps
@@ -719,7 +720,7 @@ def test_write_classified_of_a_key_space_past_twice_the_pairs(tmp_path, monkeypa
     codes = [core.criterion_codes(model, j, values) for j, (_, _, values, _) in enumerate(fields)]
     assert np.prod([int(c.max()) + 1 for c in codes]) > 2 * len(block)
     assert_same_file(tmp_path, block, model, ["f1", "f2", "f3"])
-    assert calls == [len(block)] * len(PROCEDURES)
+    assert [inverse.dtype for _, inverse in inverses] == [np.intp] * len(PROCEDURES)
 
 
 @pytest.mark.parametrize("na, nb", [(128, 128), (113, 145)])
@@ -929,7 +930,7 @@ def assert_calibrated_as_rows(train, epsilon, procedure):
     assert (model.cutting_level, curve) == per_lambda_curve(
         rows, model.criteria, model.profiles, grid, procedure, epsilon)
     if (y == 3).any() and (y != 3).any():
-        fs = fit_patterns(*agreement_patterns(train.columns), y)
+        fs = fit_patterns(*agreement_patterns(core.column_fields(train.columns)), y)
         assert fs == FsModel(*ref_fit_fs(X.tolist(), y.tolist()))
 
 

@@ -153,11 +153,19 @@ def test_a_value_of_another_type_is_named_by_its_path(parse, error, valid, numbe
         parse(json.dumps(replaced(valid, numbers[path], value)))
 
 
+def parse_schema(text):
+    return LinkageSchema.from_dict(json.loads(text))
+
+
 @pytest.mark.parametrize("parse, error, valid, objects", [
     (ElectreModel.from_json, ModelError, MODEL, {"": (), "criteria[0]": ("criteria", 0),
                                                  "criteria[1]": ("criteria", 1)}),
     (FsModel.from_json, FsError, FS_MODEL, {"": ()}),
-], ids=["model", "fs_model"])
+    (parse_schema, IngestError, TOY_SCHEMA, {
+        "": (), **{f"compared_fields[{i}]": ("compared_fields", i) for i in range(3)},
+        **{f"compared_fields[{i}].comparator": ("compared_fields", i, "comparator")
+           for i in (1, 2)}}),
+], ids=["model", "fs_model", "schema"])
 @SETTINGS
 @given(data=st.data())
 def test_an_unknown_key_is_refused(parse, error, valid, objects, data):
@@ -192,6 +200,53 @@ def test_model_document_messages(doc, message):
     with pytest.raises(ModelError) as refused:
         ElectreModel.from_json(json.dumps(doc))
     assert str(refused.value) == message
+
+
+def schema_field(i, **changes):
+    """TOY_SCHEMA with compared field i changed."""
+    fields = [dict(field) for field in TOY_SCHEMA["compared_fields"]]
+    fields[i].update(changes)
+    return {**TOY_SCHEMA, "compared_fields": fields}
+
+
+SCHEMA_MESSAGES = [
+    ({**TOY_SCHEMA, "uppercse": False}, "malformed schema document: unknown key 'uppercse'"),
+    (schema_field(1, comparator={"kind": "jaro_winkler", "prefx_scale": 0.2}),
+     "malformed schema document: compared_fields[1].comparator: unknown key 'prefx_scale'"),
+    (schema_field(0, wieght=2), "malformed schema document: compared_fields[0]: unknown key "
+                                "'wieght'"),
+    (schema_field(0, comparator=5),
+     "malformed schema document: compared_fields[0].comparator: expected an object, got 5"),
+    (schema_field(2, comparator={"kind": "exact", "cap": 0}),
+     "malformed schema document: compared_fields[2].comparator: comparator needs cap > 0, "
+     "integer prefix_cap >= 0 and prefix_scale >= 0 with prefix_scale * prefix_cap <= 1, "
+     "got 0.1, 0, 4"),
+    ({**TOY_SCHEMA, "missing_tokens": "NA"},
+     "malformed schema document: missing_tokens: expected a list, got 'NA'"),
+    (schema_field(1, comparator={"cap": 3}),
+     "schema document missing key compared_fields[1].comparator.kind"),
+]
+
+
+@pytest.mark.parametrize("doc, message", SCHEMA_MESSAGES)
+def test_schema_document_messages(doc, message):
+    with pytest.raises(IngestError) as refused:
+        LinkageSchema.from_dict(doc)
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("doc, message", SCHEMA_MESSAGES[:4])
+def test_a_refused_schema_document_exits_1(tmp_path, capsys, doc, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**config(tmp_path), "schema": doc}))
+    assert main(["ingest", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_comparator_entry_names_its_key():
+    with pytest.raises(ComparatorError) as refused:
+        make_comparator({"kind": "jaro_winkler", "prefx_scale": 0.2})
+    assert str(refused.value) == "malformed comparator entry: unknown key 'prefx_scale'"
 
 
 @pytest.mark.parametrize("doc", [MODEL, FS_MODEL])

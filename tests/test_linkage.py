@@ -190,7 +190,7 @@ class TestClassifyPairs:
         with pytest.raises(ModelError):
             classify_batch(self.model(), pairs.X)
         with pytest.raises(ModelError, match="2 fields, model has 3 criteria"):
-            kernel_rows(self.model(), pairs.columns())
+            kernel_rows(self.model(), pairs.row_fields())
 
     def test_raising_performance_never_lowers_category(self):
         import random
