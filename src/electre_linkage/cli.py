@@ -12,12 +12,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import reprlib
 import sys
 from pathlib import Path
 
 from . import datagen, linkage
 from .calibration import calibrate
-from .core import ElectreModel, ModelError, column_fields
+from .core import PROCEDURES, ElectreModel, ModelError, _DocumentReader, column_fields
 from .evaluation import EvalReport, EvaluationError, lambda_sweep, split
 from .fellegi_sunter import agreement_patterns, fit_patterns
 from .ingest import IngestError, LinkageSchema, census_schema, csv_rows, load_table, true_links
@@ -34,16 +35,13 @@ DEFAULT_CONFIG = {
     "schema": "census",
     "label_policy": "two_class",
     "weights": None,
-    "calibration": {
-        "epsilon": 0.01,
-        "q_fraction": 0.05,
-        "p_fraction": 0.15,
-        "grid_step": 0.05,
-        "procedure": "pessimistic",
-    },
+    "calibration": {"epsilon": 0.01, "q_fraction": 0.05, "p_fraction": 0.15, "grid_step": 0.05,
+                    "procedure": "pessimistic"},
     "split": {"train_fraction": 0.5, "seed": 0},
     "output_dir": "runs/out",
 }
+# the values a config key may take, where not every value of its type will do
+CHOICES = {"label_policy": linkage.LABEL_POLICIES, "procedure": PROCEDURES}
 
 
 class ConfigError(ValueError):
@@ -51,63 +49,42 @@ class ConfigError(ValueError):
 
 
 def load_config(args) -> dict:
-    cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
-    source = args.config or "defaults"
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            try:
-                user = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{source}: not valid JSON: {exc}") from exc
-        if not isinstance(user, dict):
-            raise ConfigError(f"{source}: a run config must be a JSON object")
-        for key, value in user.items():
-            if key not in cfg:
-                raise ConfigError(f"{source}: unknown key {key!r}")
-            if isinstance(cfg[key], dict):
-                if not isinstance(value, dict):
-                    raise ConfigError(f"{source}: section {key!r} must be a JSON object")
-                for name in value:
-                    if name not in cfg[key]:
-                        raise ConfigError(f"{source}: unknown key {name!r} in section {key!r}")
-                cfg[key].update(value)
-            else:
-                cfg[key] = value
+    """The --config document over DEFAULT_CONFIG, then the flags over both."""
+    doc = _DocumentReader(ConfigError, "config document")
+    user = doc.parse(Path(args.config).read_bytes(), args.config) if args.config else {}
+    cfg = _config_section(doc, user, "", DEFAULT_CONFIG)
     for key in ("dataset_a", "dataset_b", "output_dir", "label_policy"):
         if getattr(args, key):
             cfg[key] = getattr(args, key)
     for key in ("seed", "train_fraction"):
         if getattr(args, key) is not None:
             cfg["split"][key] = getattr(args, key)
-    _check_types(cfg, DEFAULT_CONFIG, source)
     return cfg
 
 
-def _is_number(value) -> bool:
-    """A float, or an int a float can hold: JSON allows integers of any size.
-    JSON true and false load as ints, and are not numbers here."""
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, float) or isinstance(value, int) and abs(value) <= sys.float_info.max
-
-
-def _check_types(section: dict, defaults: dict, source: str) -> None:
-    """Each value has its default's type, any number for a float; the schema
-    may also be an object and the weights a list of numbers."""
-    for key, default in defaults.items():
-        value = section[key]
+def _config_section(doc, node, path: str, defaults: dict) -> dict:
+    """The values of a config object, its defaults' where absent. A section is read as
+    this object is; a float is any finite number, and the weights null or a list of them;
+    any other value has its default's type (the schema may also be an object), and a
+    label policy or procedure is one of its CHOICES."""
+    section = {}
+    for (key, default), value in zip(defaults.items(), doc.keys(node, path, (), defaults)):
+        at = f"{path}.{key}" if path else key
         if isinstance(default, dict):
-            _check_types(value, default, source)
-            continue
-        if key == "weights":
-            ok = value is None or isinstance(value, list) and all(map(_is_number, value))
+            value = _config_section(doc, value, at, default)
+        elif key == "weights" and value is not None:
+            value = [doc.number(x, item) for item, x in doc.items(value, at)]
         elif isinstance(default, float):
-            ok = _is_number(value)
-        else:
-            ok = not isinstance(value, bool) and isinstance(
-                value, (str, dict) if key == "schema" else type(default))
-        if not ok:
-            raise ConfigError(f"{source}: {key} has the wrong type: {value!r}")
+            value = doc.number(value, at)
+        elif isinstance(value, bool) or not isinstance(
+                value, (str, dict) if key == "schema" else type(default)):
+            kind = {str: "a string", int: "an integer"}[type(default)]
+            raise doc.refuse(at, f"expected {kind}{' or an object' if key == 'schema' else ''}, "
+                                 f"got {reprlib.repr(value)}")
+        elif key in CHOICES and value not in CHOICES[key]:
+            raise doc.refuse(at, f"expected one of {', '.join(CHOICES[key])}, got {value!r}")
+        section[key] = value
+    return section
 
 
 def get_schema(cfg) -> LinkageSchema:
@@ -115,19 +92,14 @@ def get_schema(cfg) -> LinkageSchema:
     if spec == "census":
         return census_schema()
     if isinstance(spec, str):
-        with open(spec, encoding="utf-8") as fh:
-            try:
-                spec = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise IngestError(f"{spec}: schema file is not valid JSON: {exc}") from exc
+        spec = _DocumentReader(IngestError, "schema document").parse(Path(spec).read_bytes(), spec)
     return LinkageSchema.from_dict(spec)
 
 
 def outdir(cfg) -> Path:
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    snapshot = out / "run_config.json"
-    snapshot.write_text(json.dumps(cfg, indent=2), encoding="utf-8")
+    (out / "run_config.json").write_text(json.dumps(cfg, indent=2), encoding="utf-8")
     return out
 
 
@@ -157,7 +129,8 @@ def _split_pairs(cfg, schema):
 
 def _model(args) -> ElectreModel:
     """The --model document, with at most the categories a classified file holds."""
-    model = ElectreModel.from_json(Path(args.model).read_text(encoding="utf-8"))
+    doc = _DocumentReader(ModelError, "model document")
+    model = ElectreModel.from_dict(doc.parse(Path(args.model).read_bytes(), args.model))
     if model.category_count > len(CATEGORIES):
         raise ModelError(f"model has {model.category_count} categories; a classified file "
                          f"holds at most {len(CATEGORIES)}: {', '.join(CATEGORIES)}")
@@ -208,7 +181,7 @@ def cmd_evaluate(args, cfg, schema, out) -> int:
     cells = {}  # (truth, assigned) -> pair count, in the order first seen
     with open(args.classified, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        rows = csv_rows(reader, EvaluationError, "classified file line ")
+        rows = csv_rows(reader, EvaluationError, args.classified, "classified file line ")
         header = next(rows, [])
         for name in ("assigned", "truth"):
             if header.count(name) != 1:
@@ -265,15 +238,8 @@ def cmd_sweep(args, cfg, schema, out) -> int:
 
 
 def cmd_generate(args) -> int:
-    datagen.generate_pair_files(
-        args.out_a,
-        args.out_b,
-        n_a=args.n_a,
-        n_b=args.n_b,
-        n_links=args.links,
-        seed=args.seed,
-        typo_rate=args.typo_rate,
-    )
+    datagen.generate_pair_files(args.out_a, args.out_b, n_a=args.n_a, n_b=args.n_b,
+                                n_links=args.links, seed=args.seed, typo_rate=args.typo_rate)
     print(f"wrote {args.out_a} and {args.out_b}")
     return 0
 

@@ -49,6 +49,7 @@ CATEGORY_LABELS_3 = {1: "nonmatch", 2: "potential match", 3: "match"}
 CHUNK_ROWS = 1 << 14
 # the keys an int32 holds: distinct_rows numbers a key space this large by np.unique
 INT32_KEYS = 1 << 31
+PROCEDURES = ("pessimistic", "optimistic")  # the assignment procedures assign knows
 
 
 class ModelError(ValueError):
@@ -62,14 +63,33 @@ def _is_bool(x) -> bool:
 
 @dataclass(frozen=True)
 class _DocumentReader:
-    """Reads the nodes of a JSON document, refusing with error a node of the wrong shape
-    and naming its path, as in criteria[1].weight."""
+    """Parses a JSON document and reads its nodes, refusing with error a node of the wrong
+    shape and naming its path, as in criteria[1].weight."""
 
     error: type
     what: str  # the document, as messages name it
 
     def refuse(self, path: str, problem: str) -> Exception:
         return self.error(f"malformed {self.what}: {path + ': ' if path else ''}{problem}")
+
+    def parse(self, text, source: str = ""):
+        """The JSON value of text: a str, or the bytes of the file source. Bytes that are
+        not UTF-8, invalid JSON and a key that an object repeats are refused, naming source."""
+        def unique(pairs):
+            node = {}
+            for key, value in pairs:
+                if key in node:
+                    raise self.refuse(source, f"repeated key {key!r}")
+                node[key] = value
+            return node
+
+        try:
+            return json.loads(text.decode() if isinstance(text, bytes) else text,
+                              object_pairs_hook=unique)
+        except UnicodeDecodeError as exc:
+            raise self.refuse(source, f"not UTF-8: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise self.refuse(source, f"not valid JSON: {exc}") from None
 
     def keys(self, node, path: str, required, optional: dict) -> list:
         """The values of an object's required keys, then of its optional ones (their
@@ -277,11 +297,7 @@ class ElectreModel:
 
     @classmethod
     def from_json(cls, text: str) -> "ElectreModel":
-        try:
-            d = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ModelError(f"model file is not valid JSON: {exc}") from exc
-        return cls.from_dict(d)
+        return cls.from_dict(_DocumentReader(ModelError, "model document").parse(text))
 
 
 def _indices(diff: np.ndarray, q, p, v, w):
@@ -525,7 +541,7 @@ def assign(sig_ab, sig_ba, lam: float, procedure: str = "pessimistic") -> np.nda
     highest profile that a outranks; the optimistic one the lowest profile
     that is preferred to a.
     """
-    if procedure not in ("pessimistic", "optimistic"):
+    if procedure not in PROCEDURES:
         raise ModelError(f"unknown assignment procedure {procedure!r}")
     if not 0.5 <= lam <= 1.0:
         raise ModelError(f"cutting level must lie in [0.5, 1.0], got {lam}")

@@ -69,13 +69,9 @@ class FsModel:
     def from_json(cls, text: str) -> "FsModel":
         """The model of a document with the keys to_json writes. An unknown or missing key
         and a value of the wrong type are an FsError naming its path, as in m_probs[1]."""
-        try:
-            d = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FsError(f"malformed baseline model document: {exc!r}") from exc
         doc = _DocumentReader(FsError, "baseline model document")
         lists = ("m_probs", "u_probs", "agreement_thresholds")
-        *nodes, lower, upper = doc.keys(d, "", (*lists, "lower", "upper"), {})
+        *nodes, lower, upper = doc.keys(doc.parse(text), "", (*lists, "lower", "upper"), {})
         return cls(*(tuple(doc.number(x, path) for path, x in doc.items(node, name))
                      for name, node in zip(lists, nodes)),
                    doc.number(lower, "lower"), doc.number(upper, "upper"))

@@ -251,13 +251,13 @@ class TestPipeline:
         code = run(["train", "--config", cfg_path, "--dataset-a", a, "--dataset-b", b,
                     "--output-dir", tmp_path / "out"])
         assert code == 1
-        assert f"error: {schema_path}: schema file is not valid JSON: Expecting property" \
-            in capsys.readouterr().err
+        assert f"error: malformed schema document: {schema_path}: not valid JSON: Expecting " \
+            "property name" in capsys.readouterr().err
 
     @pytest.mark.parametrize("document, message", [
         ({"unknown_key": 3}, "unknown key 'unknown_key'"),
         ({"calibration": {"epsilon": 0.01, "typo": 3}},
-         "unknown key 'typo' in section 'calibration'"),
+         "error: malformed config document: calibration: unknown key 'typo'\n"),
     ], ids=["top", "section"])
     def test_unknown_config_key_is_named(self, small_dataset, tmp_path, capsys, document,
                                          message):
@@ -384,12 +384,14 @@ class TestPipeline:
         assert code == 1
         assert "number" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("document", [
-        {"weights": [True] * 5},
-        {"calibration": {"epsilon": True}},
-        {"split": {"seed": True}},
+    @pytest.mark.parametrize("document, message", [
+        ({"weights": [True] * 5}, "weights[0]: expected a finite number, got True"),
+        ({"calibration": {"epsilon": True}},
+         "calibration.epsilon: expected a finite number, got True"),
+        ({"split": {"seed": True}}, "split.seed: expected an integer, got True"),
     ], ids=["weights", "epsilon", "seed"])
-    def test_config_boolean_is_usage_error(self, small_dataset, tmp_path, capsys, document):
+    def test_config_boolean_is_usage_error(self, small_dataset, tmp_path, capsys, document,
+                                           message):
         # these used to train and exit 0, `weights` writing "weight": true into the model
         a, b = small_dataset
         cfg_path = tmp_path / "cfg.json"
@@ -397,7 +399,7 @@ class TestPipeline:
         code = run(["train", "--config", cfg_path, "--dataset-a", a, "--dataset-b", b,
                     "--output-dir", tmp_path / "out"])
         assert code == 1
-        assert "has the wrong type" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: malformed config document: {message}\n"
 
     @pytest.mark.parametrize("header, row, message", [
         ("id_a,id_b,sim_NAME,truth", "a1,b1,0.9,C2", "no 'assigned' column"),
@@ -526,7 +528,9 @@ class TestPipeline:
         code = run(["classify", "--config", cfg_path, "--dataset-a", a, "--dataset-b", b,
                     "--output-dir", out, "--model", out / "electre_model.json"])
         assert code == 1
-        assert "unknown assignment procedure 'sideways'" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("error: malformed config document: calibration."
+                                           "procedure: expected one of pessimistic, optimistic, "
+                                           "got 'sideways'\n")
         assert not (out / "classified.csv").exists()
 
     @pytest.mark.parametrize("policy", ["two_class", "banded"])

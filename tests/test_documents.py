@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from electre_linkage.cli import main
+from electre_linkage.cli import ConfigError, build_parser, load_config, main
 from electre_linkage.core import ElectreModel, ModelError, classify_batch
 from electre_linkage.fellegi_sunter import FsError, FsModel, fs_decide
 from electre_linkage.ingest import IngestError, LinkageSchema, load_table
@@ -91,6 +91,18 @@ FS_MODEL = {
     "upper": 2.0,
 }
 
+CONFIG = {
+    "dataset_a": str(DATA / "toy_a.csv"),
+    "dataset_b": str(DATA / "toy_b.csv"),
+    "schema": TOY_SCHEMA,
+    "label_policy": "two_class",
+    "weights": [1.0, 1.0, 1.0],
+    "calibration": {"epsilon": 0.01, "q_fraction": 0.05, "p_fraction": 0.15,
+                    "grid_step": 0.05, "procedure": "pessimistic"},
+    "split": {"train_fraction": 0.5, "seed": 0},
+    "output_dir": "out",
+}
+
 
 @SETTINGS
 @given(documents(MODEL))
@@ -124,6 +136,12 @@ FS_NUMBERS = {
        for i in range(2)},
     "lower": ("lower",), "upper": ("upper",),
 }
+CONFIG_NUMBERS = {
+    **{f"calibration.{key}": ("calibration", key)
+       for key in ("epsilon", "q_fraction", "p_fraction", "grid_step")},
+    "split.train_fraction": ("split", "train_fraction"),
+    **{f"weights[{i}]": ("weights", i) for i in range(3)},
+}
 not_numbers = (st.text(max_size=6) | st.booleans() | st.lists(st.integers(), max_size=2)
                | st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)
                | st.sampled_from([float("nan"), 10**400]))
@@ -139,10 +157,19 @@ def replaced(doc, keys, value):
     return doc
 
 
+def parse_config(text):
+    """The run config that `ingest --config` reads from a file of text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(text, encoding="utf-8")
+        return load_config(build_parser().parse_args(["ingest", "--config", str(path)]))
+
+
 @pytest.mark.parametrize("parse, error, valid, numbers", [
     (ElectreModel.from_json, ModelError, MODEL, MODEL_NUMBERS),
     (FsModel.from_json, FsError, FS_MODEL, FS_NUMBERS),
-], ids=["model", "fs_model"])
+    (parse_config, ConfigError, CONFIG, CONFIG_NUMBERS),
+], ids=["model", "fs_model", "config"])
 @SETTINGS
 @given(data=st.data())
 def test_a_value_of_another_type_is_named_by_its_path(parse, error, valid, numbers, data):
@@ -165,7 +192,9 @@ def parse_schema(text):
         "": (), **{f"compared_fields[{i}]": ("compared_fields", i) for i in range(3)},
         **{f"compared_fields[{i}].comparator": ("compared_fields", i, "comparator")
            for i in (1, 2)}}),
-], ids=["model", "fs_model", "schema"])
+    (parse_config, ConfigError, CONFIG, {"": (), "calibration": ("calibration",),
+                                         "split": ("split",)}),
+], ids=["model", "fs_model", "schema", "config"])
 @SETTINGS
 @given(data=st.data())
 def test_an_unknown_key_is_refused(parse, error, valid, objects, data):
@@ -307,17 +336,7 @@ def test_comparator_entry(spec):
 
 
 def config(tmp):
-    return {
-        "dataset_a": str(DATA / "toy_a.csv"),
-        "dataset_b": str(DATA / "toy_b.csv"),
-        "schema": TOY_SCHEMA,
-        "label_policy": "two_class",
-        "weights": [1.0, 1.0, 1.0],
-        "calibration": {"epsilon": 0.01, "q_fraction": 0.05, "p_fraction": 0.15,
-                        "grid_step": 0.05, "procedure": "pessimistic"},
-        "split": {"train_fraction": 0.5, "seed": 0},
-        "output_dir": str(Path(tmp) / "out"),
-    }
+    return {**CONFIG, "output_dir": str(Path(tmp) / "out")}
 
 
 @pytest.mark.filterwarnings("ignore:category C2 has no training examples")
@@ -342,3 +361,99 @@ def test_config_document(data):
             assert main(["train", "--config", "cfg.json"]) in (0, 1)
         finally:
             os.chdir(cwd)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                         ids=["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("path", sorted(CONFIG_NUMBERS))
+def test_a_config_nan_or_infinity_is_named_by_its_path(path, value):
+    # these used to load, to be refused later by calibration or Criterion with no path
+    with pytest.raises(ConfigError) as refused:
+        parse_config(json.dumps(replaced(CONFIG, CONFIG_NUMBERS[path], value)))
+    assert str(refused.value) == (f"malformed config document: {path}: "
+                                  f"expected a finite number, got {value!r}")
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (ElectreModel.from_json, '{"lambda": 0.6, "lambda": 0.9}',
+     "malformed model document: repeated key 'lambda'"),
+    (FsModel.from_json, '{"lower": -1.0, "upper": 2.0, "lower": 1.0}',
+     "malformed baseline model document: repeated key 'lower'"),
+], ids=["model", "fs_model"])
+def test_a_repeated_key_is_refused(parse, text, message):
+    # the last value used to win
+    with pytest.raises(ValueError) as refused:
+        parse(text)
+    assert str(refused.value) == message
+
+
+def inputs(tmp):
+    """A valid file of each input kind under tmp; the run config names the schema and
+    dataset A files, and the model has the toy schema's three criteria."""
+    paths = {kind: tmp / name for kind, name in [
+        ("config", "cfg.json"), ("schema", "schema.json"), ("model", "model.json"),
+        ("dataset", "a.csv"), ("classified", "classified.csv")]}
+    paths["config"].write_text(json.dumps({**config(tmp), "schema": str(paths["schema"]),
+                                           "dataset_a": str(paths["dataset"])}))
+    paths["schema"].write_text(json.dumps(TOY_SCHEMA))
+    criteria = [{"name": field["field"], "weight": 1.0, "q": 0.05, "p": 0.2}
+                for field in TOY_SCHEMA["compared_fields"]]
+    paths["model"].write_text(json.dumps({"criteria": criteria, "profiles": [[0.5] * 3],
+                                          "lambda": 0.7}))
+    # past the 8 KB a text file decodes at a time, so a bad byte lies past the first read
+    with open(paths["dataset"], "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["IDENTIFIER", "NAME", "ADDRESS", "AGE"])
+        writer.writerows([f"u{k}", f"NAME {k}", f"{k} MAIN STREET", k % 90] for k in range(900))
+    with open(paths["classified"], "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id_a", "id_b", "assigned", "truth"])
+        writer.writerows([f"a{k}", f"b{k}", "C1", "C1"] for k in range(900))
+    return paths
+
+
+def run_on(paths, kind) -> int:
+    """The exit code of the command that reads the input of the given kind."""
+    command = {"model": ["classify", "--model", paths["model"]],
+               "classified": ["evaluate", "--classified", paths["classified"]]}
+    return main([str(x) for x in (*command.get(kind, ["ingest"]), "--config", paths["config"])])
+
+
+@pytest.mark.parametrize("kind, text, message", [
+    ("config", '{"split": {"seed": 1, "seed": 2}}',
+     "malformed config document: {path}: repeated key 'seed'"),
+    ("schema", '{"compared_fields": [{"field": "NAME", "comparator": "exact", "field": "AGE"}]}',
+     "malformed schema document: {path}: repeated key 'field'"),
+    ("model", '{"criteria": [], "profiles": [], "lambda": 0.6, "lambda": 0.9}',
+     "malformed model document: {path}: repeated key 'lambda'"),
+], ids=["config", "schema", "model"])
+def test_a_repeated_key_in_a_file_is_refused(tmp_path, capsys, kind, text, message):
+    # the last value used to win: {"split": {"seed": 1, "seed": 2}} trained with seed 2
+    paths = inputs(tmp_path)
+    paths[kind].write_text(text)
+    assert run_on(paths, kind) == 1
+    assert capsys.readouterr().err == f"error: {message.format(path=paths[kind])}\n"
+
+
+def test_the_inputs_are_valid(tmp_path):
+    paths = inputs(tmp_path)
+    assert [run_on(paths, kind) for kind in ("dataset", "model", "classified")] == [0, 0, 0]
+
+
+@pytest.mark.parametrize("kind", ["config", "schema", "model", "dataset", "classified"])
+def test_a_byte_that_is_not_utf8_names_the_file(tmp_path, capsys, kind):
+    # each used to print only "'utf-8' codec can't decode byte 0xff in position N", where
+    # N counted from the start of an 8 KB buffer of a CSV file
+    paths = inputs(tmp_path)
+    data = paths[kind].read_bytes()
+    csv_file = kind in ("dataset", "classified")
+    # a CSV file's bad byte starts a line past the first 8 KB; a JSON file's, a string
+    at = data.index(b"\n", 12_000) + 1 if csv_file else data.index(b'"') + 1
+    paths[kind].write_bytes(data[:at] + b"\xff" + data[at:])
+    assert run_on(paths, kind) == 1
+    if csv_file:
+        message = f"{paths[kind]}: not UTF-8: invalid start byte b'\\xff'"
+    else:
+        message = (f"malformed {kind} document: {paths[kind]}: not UTF-8: 'utf-8' codec "
+                   f"can't decode byte 0xff in position {at}: invalid start byte")
+    assert capsys.readouterr().err == f"error: {message}\n"
