@@ -179,29 +179,28 @@ def cmd_classify(args, cfg, schema, out) -> int:
 
 def cmd_evaluate(args, cfg, schema, out) -> int:
     cells = {}  # (truth, assigned) -> pair count, in the order first seen
-    with open(args.classified, newline="", encoding="utf-8") as fh:
+    path = args.classified
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        rows = csv_rows(reader, EvaluationError, args.classified, "classified file line ")
+        rows = csv_rows(reader, EvaluationError, path)
         header = next(rows, [])
-        for name in ("assigned", "truth"):
-            if header.count(name) != 1:
-                raise EvaluationError(f"classified file has "
-                                      f"{'a repeated' if name in header else 'no'} {name!r} column")
+        for col in ("assigned", "truth"):
+            if header.count(col) != 1:
+                raise EvaluationError(f"{path}: needs one {col!r} column, has {header.count(col)}")
         ia, it = header.index("assigned"), header.index("truth")
         for row in rows:
             if not row:
                 continue
             if len(row) <= it or not row[it]:
-                raise EvaluationError("classified file has pairs without truth labels")
+                raise EvaluationError(f"{path}:{reader.line_num}: pair has no truth label")
             if len(row) <= ia:
-                raise EvaluationError(
-                    f"classified file line {reader.line_num} has no assigned category")
+                raise EvaluationError(f"{path}:{reader.line_num}: pair has no assigned category")
             try:
                 p, t = CATEGORIES[row[ia]], CATEGORIES[row[it]]
             except KeyError as exc:
                 raise EvaluationError(
-                    f"classified file line {reader.line_num} has category "
-                    f"{exc.args[0]!r}, not one of {', '.join(CATEGORIES)}") from None
+                    f"{path}:{reader.line_num}: pair has category {exc.args[0]!r}, "
+                    f"not one of {', '.join(CATEGORIES)}") from None
             cells[t, p] = cells.get((t, p), 0) + 1
     report = EvalReport.from_contingency(cells)
     text = "\n".join(report.lines()) + "\n"

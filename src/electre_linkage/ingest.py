@@ -147,15 +147,15 @@ def toy_schema() -> LinkageSchema:
     return LinkageSchema(compared_fields=fields)
 
 
-def csv_rows(reader, error, path, where: str):
+def csv_rows(reader, error, path):
     """The rows of a csv.reader of the file at path. A csv.Error, not a ValueError (a field
-    past csv's size limit, a NUL byte before Python 3.11), is raised as error naming its
-    line after where. A byte that is not UTF-8 is raised as error naming the file alone:
+    past csv's size limit, a NUL byte before Python 3.11), is raised as error naming the
+    file and its line. A byte that is not UTF-8 is raised as error naming the file alone:
     the decode runs on buffers ahead of the rows read."""
     try:
         yield from reader
     except csv.Error as exc:
-        raise error(f"{where}{reader.line_num}: {exc}") from exc
+        raise error(f"{path}:{reader.line_num}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8: {exc.reason} {exc.object[exc.start:exc.end]!r}") from None
 
@@ -174,7 +174,7 @@ def load_table(path, schema: LinkageSchema, source_label: str):
         raise IngestError(f"cannot open {path}: {exc}") from exc
     with fh:
         reader = csv.reader(fh, delimiter=schema.delimiter)
-        rows = csv_rows(reader, IngestError, path, f"{path}:")
+        rows = csv_rows(reader, IngestError, path)
         header = next(rows, [])
         required = [schema.id_field, *schema.field_names]
         for col in required:

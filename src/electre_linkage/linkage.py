@@ -2,8 +2,8 @@
 
 Builds the full cross product A x B as one columnar PairBlock: per field the
 distinct similarities and an int32 table indexing them over the distinct values
-of each side, the pairs as positions in the cross product and ground-truth
-categories in an int8 column.
+of each side, and ground-truth categories in an int8 column. The whole cross
+product holds no positions; a block of other rows holds them.
 """
 
 from __future__ import annotations
@@ -26,9 +26,10 @@ LABEL_POLICIES = ("two_class", "banded")
 
 @dataclass(frozen=True, eq=False)
 class PairBlock:
-    """Record pairs as positions in the row-major cross product A x B.
+    """Record pairs of the row-major cross product A x B.
 
-    Row r pairs ids_a[rows[r] // len(ids_b)] with ids_b[rows[r] % len(ids_b)].
+    Row r is position rows[r], or r where rows is None (a whole block: all of A x B, in
+    order); position p pairs ids_a[p // len(ids_b)] with ids_b[p % len(ids_b)].
     fields holds (code_a, code_b, values, cell) per compared field: each side's
     value codes, the distinct similarities of the field (by bit pattern) and the
     int32 table of each (code_a, code_b) cell's index into them. truth holds the
@@ -38,47 +39,47 @@ class PairBlock:
     ids_a: tuple
     ids_b: tuple
     fields: tuple
-    rows: np.ndarray
+    rows: np.ndarray | None
     truth: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.truth)
 
     @property
     def X(self) -> np.ndarray:
         """The per-field similarities, one row per pair, gathered from the columns."""
         return np.column_stack([values[index] for values, index in self.columns()])
 
-    @property
-    def whole(self) -> bool:
-        """Whether the rows are all of the cross product, in order."""
-        rows = self.rows
-        # as many strictly increasing positions as the cross product holds are all of it
-        return (len(rows) == len(self.ids_a) * len(self.ids_b)
-                and bool((rows[1:] > rows[:-1]).all()))
-
     def columns(self) -> list:
         """Per field (values, index): its distinct similarities and each row's int32
         index into them. Each index is read for the whole cross product by table
         rows (core.cell_index); a block of any other rows gathers its rows from that
         read, one field at a time."""
-        rows = None if self.whole else self.rows
-        return [(values, cell_index(code_a, code_b, cell, rows))
+        return [(values, cell_index(code_a, code_b, cell, self.rows))
                 for code_a, code_b, values, cell in self.fields]
 
     def row_fields(self):
         """The rows as the fields (code_a, code_b, values, cell) whose row-major cross
         product they are, as core.distinct_rows numbers them: a whole block's own fields,
         any other block's core.column_fields of one columns() read."""
-        return self.fields if self.whole else column_fields(self.columns())
+        return self.fields if self.rows is None else column_fields(self.columns())
 
     def pair(self, row: int) -> tuple:
-        i, k = divmod(int(self.rows[row]), len(self.ids_b))
+        positions = range(len(self)) if self.rows is None else self.rows
+        i, k = divmod(int(positions[row]), len(self.ids_b))
         return self.ids_a[i], self.ids_b[k]
 
     def take(self, rows) -> "PairBlock":
-        """The sub-block of the given rows, in the given order."""
-        return replace(self, rows=self.rows[rows], truth=self.truth[rows])
+        """The sub-block of the given rows (a slice, a mask or integer positions), in the given
+        order. A whole block's positions are np.arange(len(self))[rows], made without it; intp
+        positions none of which is negative are kept as given, not copied."""
+        # truth first: it refuses a row past the block before % wraps it
+        return replace(self, truth=self.truth[rows], rows=(
+            self.rows[rows] if self.rows is not None
+            else np.arange(*rows.indices(len(self))) if isinstance(rows, slice)
+            else np.flatnonzero(rows) if np.asarray(rows).dtype == bool
+            else given if (given := np.asarray(rows, dtype=np.intp)).min(initial=0) >= 0
+            else given % len(self)))
 
 
 def build_pairs(a: RecordTable, b: RecordTable, schema: LinkageSchema) -> PairBlock:
@@ -94,7 +95,7 @@ def build_pairs(a: RecordTable, b: RecordTable, schema: LinkageSchema) -> PairBl
         fields.append((code_a, code_b, *_distinct_cells(comparator.compare(vals_a, vals_b))))
     n = len(a.records) * len(b.records)
     return PairBlock(tuple(a.ids()), tuple(b.ids()), tuple(fields),
-                     rows=np.arange(n, dtype=np.intp), truth=np.zeros(n, dtype=np.int8))
+                     rows=None, truth=np.zeros(n, dtype=np.int8))
 
 
 def label_pairs(block: PairBlock, links, policy: str = "two_class", fs_model=None) -> PairBlock:
@@ -113,7 +114,7 @@ def label_pairs(block: PairBlock, links, policy: str = "two_class", fs_model=Non
     for id_a, id_b in links:
         if id_a in pos_a and id_b in pos_b:
             linked[pos_a[id_a], pos_b[id_b]] = True
-    is_link = linked.ravel()[block.rows]
+    is_link = linked.ravel() if block.rows is None else linked.ravel()[block.rows]
     truth = np.where(is_link, np.int8(3), np.int8(1))
     if policy == "banded":
         thresholds = fs_model.agreement_thresholds if fs_model is not None else None
@@ -164,12 +165,11 @@ def _chunks(block: PairBlock, fields, kernel_row, t0: int):
     read from its cell table; a whole block's ids come from its A-row structure, any other
     block's from its positions."""
     na, nb = len(fields[0][0]), len(fields[0][1])
-    whole = fields is block.fields
     step = max(1, CHUNK_ROWS // max(nb, 1))
     for a0 in range(0, na if nb else 0, step):
         a = slice(a0, a0 + step)
         pairs, k = slice(a0 * nb, (a0 + step) * nb), min(step, na - a0)
-        ids = ([np.arange(a0, a0 + k)[:, None], np.arange(nb)] if whole
+        ids = ([np.arange(a0, a0 + k)[:, None], np.arange(nb)] if block.rows is None
                else [i[:, None] for i in np.divmod(block.rows[pairs], len(block.ids_b))])
         yield (k, nb), [*ids, *(cell_index(code_a[a], code_b, cell).reshape(k, nb)
                                 for code_a, code_b, _, cell in fields),
@@ -189,7 +189,8 @@ def write_classified(path, block: PairBlock, model, procedure: str, field_names)
     stays apart from 0.0), the sigma and category cells per kernel row and each truth
     label. Adjacent columns share one text table while the product of their sizes is at
     most CHUNK_ROWS (_merged), and the tables are concatenated into one. A chunk
-    (_chunks) is gathered from it once, joined and written in one call.
+    (_chunks) is gathered from it once, then joined and written an A-row at a time: a
+    chunk's whole text and its UTF-8 copy, made and freed each chunk, were paged in anew.
     """
     fields = block.row_fields()
     R, kernel_row = kernel_rows(model, fields)
@@ -212,11 +213,10 @@ def write_classified(path, block: PairBlock, model, procedure: str, field_names)
                                  "assigned", "truth"])
         for shape, parts in _chunks(block, fields, kernel_row, t0):
             parts = iter(parts)
-            cells = np.empty((len(groups), *shape), dtype=np.intp)
+            cells = np.empty((*shape, len(groups)), dtype=np.intp)
             for g, (_, sizes) in enumerate(groups):
                 index = next(parts)
                 for size in sizes[1:]:
                     index = index * size + next(parts)
-                np.add(index, offsets[g], out=cells[g])
-            # take makes its result C-ordered, so ravel copies nothing
-            fh.write("".join(texts.take(np.moveaxis(cells, 0, -1)).ravel().tolist()))
+                np.add(index, offsets[g], out=cells[..., g])
+            fh.writelines(map("".join, texts.take(cells.reshape(shape[0], -1)).tolist()))

@@ -463,7 +463,8 @@ def block_from_columns(ids_a, ids_b, ia, ib, X, truth):
 
     Every column of X becomes one (len(ids_a), len(ids_b)) table over the
     record positions (codes arange), so a pair that repeats must repeat its
-    performances.
+    performances. Pairs that are all of the cross product in order make a whole
+    block (rows None); any others are held as positions.
     """
     ia, ib = np.asarray(ia, dtype=np.intp), np.asarray(ib, dtype=np.intp)
     na, nb = len(ids_a), len(ids_b)
@@ -474,8 +475,16 @@ def block_from_columns(ids_a, ids_b, ia, ib, X, truth):
         if table[ia, ib].tobytes() != col.tobytes():
             raise ValueError("a repeated pair has different performances")
         fields.append((np.arange(na), np.arange(nb), *_distinct_cells(table)))
-    return PairBlock(tuple(ids_a), tuple(ids_b), tuple(fields), ia * nb + ib,
+    rows = ia * nb + ib
+    return PairBlock(tuple(ids_a), tuple(ids_b), tuple(fields),
+                     None if np.array_equal(rows, np.arange(na * nb)) else rows,
                      np.asarray(truth, dtype=np.int8))
+
+
+def block_positions(block):
+    """Each row's position in the block's cross product: np.arange(len(block)) for a whole
+    block, which holds none."""
+    return np.arange(len(block)) if block.rows is None else block.rows
 
 
 def ref_build_pairs(a, b, schema):
@@ -613,9 +622,8 @@ def ref_write_classified(path, block, cats, sigma, field_names):
             + ["assigned", "truth"]
         )
         writer.writerow(header)
-        for i, r in enumerate(block.rows.tolist()):
-            ra, rb = divmod(r, len(block.ids_b))
-            row = [block.ids_a[ra], block.ids_b[rb]]
+        for i in range(len(block)):
+            row = list(block.pair(i))
             row += [repr(float(v)) for v in X[i]]
             row += [repr(float(v)) for v in sigma[i]]
             row.append(f"C{cats[i]}")

@@ -402,30 +402,38 @@ class TestPipeline:
         assert capsys.readouterr().err == f"error: malformed config document: {message}\n"
 
     @pytest.mark.parametrize("header, row, message", [
-        ("id_a,id_b,sim_NAME,truth", "a1,b1,0.9,C2", "no 'assigned' column"),
-        ("id_a,id_b,sim_NAME,assigned", "a1,b1,0.9,C2", "no 'truth' column"),
-        ("id_a,id_b,truth,assigned", "x,z,C1", "line 2 has no assigned category"),
-        ("id_a,id_b,truth,assigned", "x,z,C1,C9", "line 2 has category 'C9'"),
-        ("id_a,id_b,truth,assigned", "x,z,-4,C1", "line 2 has category '-4'"),
-        ("id_a,id_b,truth,assigned", "x,z,C2,3", "line 2 has category '3'"),
-        ("id_a,id_b,truth,assigned", "x,z,CC3,C3", "line 2 has category 'CC3'"),
-        ("id_a,id_b,assigned,truth,truth", "x,y,C1,C3,C1", "a repeated 'truth' column"),
-        ("id_a,assigned,id_b,assigned,truth", "x,C1,y,C2,C3", "a repeated 'assigned' column"),
-    ], ids=["assigned", "truth", "short_row", "assigned_C9", "truth_-4", "assigned_3",
-            "truth_CC3", "truth_twice", "assigned_twice"])
+        ("id_a,id_b,sim_NAME,truth", "a1,b1,0.9,C2", ": needs one 'assigned' column, has 0"),
+        ("id_a,id_b,sim_NAME,assigned", "a1,b1,0.9,C2", ": needs one 'truth' column, has 0"),
+        ("id_a,id_b,truth,assigned", "x,z,C1", ":2: pair has no assigned category"),
+        ("id_a,id_b,truth,assigned", "x,z,,C1", ":2: pair has no truth label"),
+        ("id_a,id_b,assigned,truth", "x,z,C1", ":2: pair has no truth label"),
+        ("id_a,id_b,truth,assigned", "x,z,C1,C9",
+         ":2: pair has category 'C9', not one of C1, C2, C3"),
+        ("id_a,id_b,truth,assigned", "x,z,-4,C1",
+         ":2: pair has category '-4', not one of C1, C2, C3"),
+        ("id_a,id_b,truth,assigned", "x,z,C2,3",
+         ":2: pair has category '3', not one of C1, C2, C3"),
+        ("id_a,id_b,truth,assigned", "x,z,CC3,C3",
+         ":2: pair has category 'CC3', not one of C1, C2, C3"),
+        ("id_a,id_b,assigned,truth,truth", "x,y,C1,C3,C1", ": needs one 'truth' column, has 2"),
+        ("id_a,assigned,id_b,assigned,truth", "x,C1,y,C2,C3",
+         ": needs one 'assigned' column, has 2"),
+    ], ids=["assigned", "truth", "short_row", "empty_truth", "short_truth", "assigned_C9",
+            "truth_-4", "assigned_3", "truth_CC3", "truth_twice", "assigned_twice"])
     def test_classified_file_without_column(self, small_dataset, tmp_path, capsys, header,
                                             row, message):
         # each used to exit 2: "internal error: 'assigned'" for the file without the
         # column, "internal error: list index out of range" for the short row; the
         # categories outside C1..C3 were parsed as integers and evaluated, exit 0, and
-        # a repeated column was read at its first place, exit 0
+        # a repeated column was read at its first place, exit 0. Each message names the
+        # file, and the line where there is one, as load_table's do.
         a, b = small_dataset
         classified = tmp_path / "classified.csv"
         classified.write_text(header + "\n" + row + "\n")
         code = run(["evaluate", "--dataset-a", a, "--dataset-b", b, "--output-dir",
                     tmp_path / "out", "--classified", classified])
         assert code == 1
-        assert message in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {classified}{message}\n"
 
     def test_sweep_lambda_outside_domain(self, small_dataset, tmp_path, capsys):
         a, b = small_dataset
@@ -644,7 +652,7 @@ class TestEvaluateFile:
         assert run(["evaluate", "--output-dir", tmp_path / "out",
                     "--classified", classified]) == 1
         err = capsys.readouterr().err
-        assert "error: classified file line 3: field larger than field limit" in err
+        assert err.startswith(f"error: {classified}:3: field larger than field limit")
         assert not (tmp_path / "out" / "eval_report.txt").exists()
 
     def test_peak_memory_flat_in_rows(self, tmp_path, capsys):

@@ -55,6 +55,7 @@ from electre_linkage.metrics import Comparator
 
 from oracles import (
     block_from_columns,
+    block_positions,
     random_model_params,
     ref_build_pairs,
     ref_estimate_profiles,
@@ -212,7 +213,7 @@ def test_split_matches_reference_at_census_scale(tmp_path, policy):
             ref_train, ref_test = ref_split(labels, fraction, seed)
             assert train.X.tobytes() == X[ref_train].tobytes()
             assert train.y.tolist() == block.truth[ref_train].tolist()
-            assert test.rows.tolist() == block.rows[ref_test].tolist()
+            assert test.rows.tolist() == block_positions(block)[ref_test].tolist()
             assert test.truth.tolist() == block.truth[ref_test].tolist()
     # 0.002 of the ~120 links rounds to none: the reference trains on no link
     ref_train, _ = ref_split(labels, 0.002, 0)
@@ -534,7 +535,7 @@ def test_kernel_rows_key_past_int64():
     rest = (np.zeros(256, dtype=np.intp), np.zeros(1, dtype=np.intp),
             *_distinct_cells(values[::-1, None]))
     block = PairBlock(tuple(range(256)), ("b",), (first,) + (rest,) * 8,
-                      np.arange(256), np.zeros(256, dtype=np.int8))
+                      None, np.zeros(256, dtype=np.int8))
     criteria = tuple(Criterion(f"g{j}", 1.0 + j, 0.0, 1.0) for j in range(9))
     model = ElectreModel(criteria, ProfileSet(((0.5,) * 9,)), 0.6)
     for j in range(9):
@@ -638,8 +639,8 @@ def table_block(rng, na, nb, m=3):
         table = np.round(rng.random((da, db)), 1)
         fields.append((rng.integers(0, da, na), rng.integers(0, db, nb), *_distinct_cells(table)))
     ids_a = tuple(f"a{i}" if i % 3 else f"a,{i}" for i in range(na))
-    return PairBlock(ids_a, tuple(f"b{k}" for k in range(nb)), tuple(fields),
-                     np.arange(na * nb, dtype=np.intp), rng.integers(0, 4, na * nb).astype(np.int8))
+    return PairBlock(ids_a, tuple(f"b{k}" for k in range(nb)), tuple(fields), None,
+                     rng.integers(0, 4, na * nb).astype(np.int8))
 
 
 @pytest.mark.parametrize("chunk_rows", [None, 1, 7, 256])
@@ -697,7 +698,7 @@ def test_write_classified_of_a_row_longer_than_a_chunk(tmp_path, monkeypatch, ch
     monkeypatch.setattr(linkage, "CHUNK_ROWS", chunk_rows)
     monkeypatch.setattr(core, "CHUNK_ROWS", chunk_rows)
     block = table_block(np.random.default_rng(chunk_rows), 4, 9)
-    assert block.whole and len(block.ids_b) > chunk_rows
+    assert block.rows is None and len(block.ids_b) > chunk_rows
     assert_same_file(tmp_path, block, simple_model(3), ["f1", "f2", "f3"])
 
 
@@ -715,7 +716,7 @@ def test_write_classified_of_a_key_space_past_twice_the_pairs(tmp_path, monkeypa
         table = 0.25 + 0.5 * rng.random((4, 5))
         fields.append((rng.permutation(4), rng.permutation(5), *_distinct_cells(table)))
     block = PairBlock(tuple(f"a{i}" for i in range(4)), tuple(f"b{k}" for k in range(5)),
-                      tuple(fields), np.arange(20), rng.integers(0, 4, 20).astype(np.int8))
+                      tuple(fields), None, rng.integers(0, 4, 20).astype(np.int8))
     model = simple_model(3)
     codes = [core.criterion_codes(model, j, values) for j, (_, _, values, _) in enumerate(fields)]
     assert np.prod([int(c.max()) + 1 for c in codes]) > 2 * len(block)
@@ -795,7 +796,8 @@ def test_write_classified_refuses_before_opening_the_file(tmp_path):
         write_classified(dest, block, simple_model(2), "pessimistic", ["f1", "f2"])
     X = block.X
     X[17, 1] = float("nan")
-    bad = block_from_columns(block.ids_a, block.ids_b, *np.divmod(block.rows, 8), X, block.truth)
+    bad = block_from_columns(block.ids_a, block.ids_b, *np.divmod(block_positions(block), 8), X,
+                             block.truth)
     with pytest.raises(ModelError, match=r"performance row 17 is not finite: \[.*nan"):
         write_classified(dest, bad, simple_model(3), "optimistic", ["f1", "f2", "f3"])
     assert not dest.exists()
@@ -820,7 +822,7 @@ def assert_columns_per_pair(block):
     for (values, index), (code_a, code_b, field_values, cell) in zip(block.columns(), block.fields):
         assert values is field_values
         assert index.dtype == np.int32
-        want = [cell[code_a[r // nb], code_b[r % nb]] for r in block.rows.tolist()]
+        want = [cell[code_a[r // nb], code_b[r % nb]] for r in block_positions(block).tolist()]
         assert index.tolist() == want
 
 
@@ -885,6 +887,98 @@ def test_columns_of_a_subset_stay_within_the_whole_block_bound():
         tracemalloc.stop()
     assert [len(index) for _, index in columns] == [n // 2] * m
     assert peak <= 4 * n * (m + 2)
+
+
+# --- a whole block (rows None) against the same pairs held as positions ---
+
+
+def assert_same_pairs(tmp_path, monkeypatch, block, held):
+    """block and held hold the same pairs, one of them maybe as a whole block: every read
+    of the pairs, the labels and the file written agree."""
+    assert block_positions(block).tolist() == block_positions(held).tolist()
+    for (values, index), (held_values, held_index) in zip(block.columns(), held.columns()):
+        assert values is held_values
+        assert index.dtype == held_index.dtype == np.int32
+        assert index.tolist() == held_index.tolist()
+    assert block.X.tobytes() == held.X.tobytes()
+    assert [block.pair(r) for r in range(len(block))] == [held.pair(r) for r in range(len(held))]
+    model = simple_model(3)
+    for number in (lambda fields: core.kernel_rows(model, fields), agreement_patterns):
+        (R, inverse), (held_R, held_inverse) = number(block.row_fields()), number(held.row_fields())
+        assert R.tobytes() == held_R.tobytes()
+        assert inverse.tolist() == held_inverse.tolist()
+    links = [(block.ids_a[i], block.ids_b[i % len(block.ids_b)])
+             for i in range(0, len(block.ids_a), 2)]
+    fs_model = FsModel((0.9, 0.8, 0.7), (0.2, 0.1, 0.3), (0.5, 0.4, 0.6), -1.0, 1.0)
+    for policy, baseline in (("two_class", None), ("banded", fs_model)):
+        assert (label_pairs(block, links, policy, baseline).truth.tolist()
+                == label_pairs(held, links, policy, baseline).truth.tolist())
+    for chunk_rows in (1, 7, linkage.CHUNK_ROWS):
+        with monkeypatch.context() as patch:
+            patch.setattr(linkage, "CHUNK_ROWS", chunk_rows)
+            patch.setattr(core, "CHUNK_ROWS", chunk_rows)
+            for name, pairs in (("block.csv", block), ("held.csv", held)):
+                write_classified(tmp_path / name, pairs, model, "pessimistic", ["f1", "f2", "f3"])
+        assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "held.csv").read_bytes()
+
+
+MASK = np.arange(48) % 5 < 2
+
+
+@pytest.mark.parametrize("selections", [
+    (),  # no take: the whole block against np.arange(n) as positions
+    (slice(None),),
+    (slice(3, 17),),  # starts and ends mid-A-row
+    (slice(None, None, -3),),
+    ([9, 0, 0, 47, -1, -48],),  # a list, repeated and negative rows
+    (np.array([5, 2, 30], dtype=np.int32),),
+    (np.array([44, 6, 6], dtype=np.intp),),
+    (MASK,),  # a boolean mask, not positions 0 and 1
+    (MASK.tolist(),),
+    ([],),
+    (np.zeros(48, dtype=bool),),
+    (slice(2, 40), [5, 1, 1, -2]),  # a take of a take
+    (MASK, slice(None, None, -1)),
+    (np.arange(47, -1, -1), MASK[::-1]),
+])
+def test_whole_block_matches_the_same_pairs_as_positions(tmp_path, monkeypatch, selections):
+    """A whole block holds no positions; its takes hold np.arange(n)[selection], made
+    without that arange. Taken in turn from the whole block and from the same pairs held
+    as np.arange(n) positions, every selection gives the same pairs by every read."""
+    block = table_block(np.random.default_rng(21), 8, 6)
+    n = len(block)
+    assert block.rows is None and n == len(MASK)
+    held = replace(block, rows=np.arange(n))
+    want = np.arange(n)
+    for selection in selections:
+        block, held, want = block.take(selection), held.take(selection), want[selection]
+        assert block.rows.tolist() == held.rows.tolist() == want.tolist()
+        assert block.rows.dtype == np.intp
+    assert block.truth.tolist() == held.truth.tolist()
+    assert_same_pairs(tmp_path, monkeypatch, block, held)
+
+
+def test_take_of_a_whole_block_keeps_intp_positions_uncopied():
+    """The split's sides are intp positions of a whole block: taken as given, with no
+    second 8 bytes a row. Positions with a negative one are wrapped into a new array,
+    and the given ones stay as they were."""
+    block = table_block(np.random.default_rng(23), 8, 6)
+    rows = np.array([3, 0, 47], dtype=np.intp)
+    assert block.take(rows).rows is rows
+    negative = np.array([3, -1], dtype=np.intp)
+    assert block.take(negative).rows.tolist() == [3, 47]
+    assert negative.tolist() == [3, -1]
+
+
+@pytest.mark.parametrize("rows", [[48], [-49], [0, 48], np.zeros(47, dtype=bool)])
+def test_take_of_a_whole_block_refuses_a_row_past_it(rows):
+    """A row past the whole block is refused as np.arange(n)[rows] refuses it, not
+    wrapped into it; so is a mask of another length."""
+    block = table_block(np.random.default_rng(22), 8, 6)
+    with pytest.raises(IndexError):
+        np.arange(len(block))[rows]
+    with pytest.raises(IndexError):
+        block.take(rows)
 
 
 # --- calibration from counts against the row-based references ---

@@ -14,7 +14,7 @@ from electre_linkage.evaluation import (
     split,
 )
 
-from oracles import block_from_columns
+from oracles import block_from_columns, block_positions
 
 
 def block(rows):
@@ -60,7 +60,7 @@ class TestSplit:
     def test_partition(self):
         pairs = synthetic_pairs(10, 90)
         # tag every row with a distinct performance so training rows can be identified
-        ia, ib = np.divmod(pairs.rows, len(pairs.ids_b))
+        ia, ib = np.divmod(block_positions(pairs), len(pairs.ids_b))
         pairs = block_from_columns(pairs.ids_a, pairs.ids_b, ia, ib,
                                    np.arange(len(pairs), dtype=float)[:, None], pairs.truth)
         train, test = split(pairs, 0.3, seed=1)

@@ -24,8 +24,8 @@ COMMANDS = ("train", "classify", "sweep")
 
 # the largest traced peak of the two policies, in bytes a pair, and about 10% more
 BOUNDS = {
-    (400, "train"): 45, (400, "classify"): 72, (400, "sweep"): 43,
-    (800, "train"): 41, (800, "classify"): 29, (800, "sweep"): 41,
+    (400, "train"): 39, (400, "classify"): 43, (400, "sweep"): 35,
+    (800, "train"): 34, (800, "classify"): 19, (800, "sweep"): 30,
 }
 
 
