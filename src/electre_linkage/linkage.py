@@ -22,6 +22,7 @@ from .metrics import _factorize
 __all__ = ["PairBlock", "build_pairs", "label_pairs", "write_classified"]
 
 LABEL_POLICIES = ("two_class", "banded")
+JOIN_PAIRS = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,16 +71,13 @@ class PairBlock:
         return self.ids_a[i], self.ids_b[k]
 
     def take(self, rows) -> "PairBlock":
-        """The sub-block of the given rows (a slice, a mask or integer positions), in the given
-        order. A whole block's positions are np.arange(len(self))[rows], made without it; intp
-        positions none of which is negative are kept as given, not copied."""
-        # truth first: it refuses a row past the block before % wraps it
+        """The sub-block of the given rows, in the given order. A whole block's positions are
+        np.arange(len(self))[rows]; intp rows none of which is negative (the split's sides)
+        are kept as given, not copied."""
+        kept = isinstance(rows, np.ndarray) and rows.dtype == np.intp and rows.min(initial=0) >= 0
         return replace(self, truth=self.truth[rows], rows=(
             self.rows[rows] if self.rows is not None
-            else np.arange(*rows.indices(len(self))) if isinstance(rows, slice)
-            else np.flatnonzero(rows) if np.asarray(rows).dtype == bool
-            else given if (given := np.asarray(rows, dtype=np.intp)).min(initial=0) >= 0
-            else given % len(self)))
+            else rows if kept else np.arange(len(self))[rows]))
 
 
 def build_pairs(a: RecordTable, b: RecordTable, schema: LinkageSchema) -> PairBlock:
@@ -189,8 +187,9 @@ def write_classified(path, block: PairBlock, model, procedure: str, field_names)
     stays apart from 0.0), the sigma and category cells per kernel row and each truth
     label. Adjacent columns share one text table while the product of their sizes is at
     most CHUNK_ROWS (_merged), and the tables are concatenated into one. A chunk
-    (_chunks) is gathered from it once, then joined and written an A-row at a time: a
-    chunk's whole text and its UTF-8 copy, made and freed each chunk, were paged in anew.
+    (_chunks) is gathered from it once, then joined and written JOIN_PAIRS pairs at a time:
+    a text and its UTF-8 copy that small are reused from the heap, where chunk-sized ones
+    are handed back to the OS and paged in again each chunk.
     """
     fields = block.row_fields()
     R, kernel_row = kernel_rows(model, fields)
@@ -219,4 +218,5 @@ def write_classified(path, block: PairBlock, model, procedure: str, field_names)
                 for size in sizes[1:]:
                     index = index * size + next(parts)
                 np.add(index, offsets[g], out=cells[..., g])
-            fh.writelines(map("".join, texts.take(cells.reshape(shape[0], -1)).tolist()))
+            line, step = texts.take(cells.ravel()), JOIN_PAIRS * len(groups)
+            fh.writelines("".join(line[i:i + step].tolist()) for i in range(0, len(line), step))

@@ -622,8 +622,9 @@ def ref_write_classified(path, block, cats, sigma, field_names):
             + ["assigned", "truth"]
         )
         writer.writerow(header)
-        for i in range(len(block)):
-            row = list(block.pair(i))
+        for i, r in enumerate(block_positions(block).tolist()):
+            ra, rb = divmod(r, len(block.ids_b))
+            row = [block.ids_a[ra], block.ids_b[rb]]
             row += [repr(float(v)) for v in X[i]]
             row += [repr(float(v)) for v in sigma[i]]
             row.append(f"C{cats[i]}")

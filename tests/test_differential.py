@@ -657,6 +657,20 @@ def test_write_classified_matches_row_loop(tables, tmp_path, monkeypatch, chunk_
     assert_same_file(tmp_path, unlabeled, model, schema.field_names)
 
 
+@pytest.mark.parametrize("join_pairs", [1, 7, 64])
+def test_write_classified_joins_pieces_across_a_rows(tables, tmp_path, monkeypatch, join_pairs):
+    """A chunk is joined and written JOIN_PAIRS pairs at a time, pieces that start and
+    end mid-A-row and mid-chunk; a whole block and a taken one each give the row loop's
+    file."""
+    monkeypatch.setattr(linkage, "JOIN_PAIRS", join_pairs)
+    monkeypatch.setattr(linkage, "CHUNK_ROWS", 100)
+    schema, a, b = tables
+    block = label_pairs(build_pairs(a, b, schema), true_links(a, b), "two_class")
+    model = simple_model(len(schema.field_names))
+    assert_same_file(tmp_path, block, model, schema.field_names)
+    assert_same_file(tmp_path, block.take(slice(None, None, -2)), model, schema.field_names)
+
+
 @pytest.mark.parametrize("chunk_rows", [None, 1, 7])
 def test_write_classified_reads_the_block_through_columns_once(tables, tmp_path, monkeypatch,
                                                                chunk_rows):
@@ -942,9 +956,9 @@ MASK = np.arange(48) % 5 < 2
     (np.arange(47, -1, -1), MASK[::-1]),
 ])
 def test_whole_block_matches_the_same_pairs_as_positions(tmp_path, monkeypatch, selections):
-    """A whole block holds no positions; its takes hold np.arange(n)[selection], made
-    without that arange. Taken in turn from the whole block and from the same pairs held
-    as np.arange(n) positions, every selection gives the same pairs by every read."""
+    """A whole block holds no positions; its takes hold np.arange(n)[selection]. Taken in
+    turn from the whole block and from the same pairs held as np.arange(n) positions, every
+    selection gives the same pairs by every read."""
     block = table_block(np.random.default_rng(21), 8, 6)
     n = len(block)
     assert block.rows is None and n == len(MASK)
@@ -960,8 +974,8 @@ def test_whole_block_matches_the_same_pairs_as_positions(tmp_path, monkeypatch, 
 
 def test_take_of_a_whole_block_keeps_intp_positions_uncopied():
     """The split's sides are intp positions of a whole block: taken as given, with no
-    second 8 bytes a row. Positions with a negative one are wrapped into a new array,
-    and the given ones stay as they were."""
+    second 8 bytes a row. Positions with a negative one are read through np.arange(n)
+    into a new array, and the given ones stay as they were."""
     block = table_block(np.random.default_rng(23), 8, 6)
     rows = np.array([3, 0, 47], dtype=np.intp)
     assert block.take(rows).rows is rows
