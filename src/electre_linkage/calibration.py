@@ -3,7 +3,7 @@
 Profiles come from a hinge-loss linear program that decomposes criterion by
 criterion, each criterion's profile chain resolved by one pool-adjacent-
 violators pass; thresholds from range fractions; the cutting level from a
-grid search on training accuracy. Every step reads the training rows through
+grid search on training accuracy. Every step reads the training pairs through
 per-(value, category) counts or their kernel rows, never as an (n, m) matrix.
 """
 
@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import (Criterion, ElectreModel, ProfileSet, _check_finite, _distinct_cells,
-                   column_fields, cut_counts)
+                   cell_index, column_fields, cut_counts, label_cells, pair_values, side_rows)
 
 __all__ = [
     "TrainingSet",
@@ -46,60 +46,53 @@ class EpsilonInfeasibleError(CalibrationError):
 
 
 class TrainingSet:
-    """Labeled performances, held as columns: per criterion the distinct values it
-    takes and each row's int32 index into them; y holds category indices in
-    1..category_count.
-
-    TrainingSet(X, y, category_count) takes an (n, m) matrix; from_columns takes
-    the columns as PairBlock.columns gives them. Calibration reads the rows
-    through per-(value, category) counts and kernel rows; X is gathered only
-    when asked for.
-    """
+    """Labeled performances as a side of a cross product: fields holds per criterion (code_a,
+    code_b, values, cell) as core.distinct_rows takes them, labels a category index in
+    1..category_count a pair (0 off the side). TrainingSet(X, y, category_count) takes an
+    (n, m) matrix as the n x 1 product of its columns; evaluation.split makes a side of a
+    block. Calibration reads the pairs as counts; X and y are gathered, in side order, when
+    asked for."""
 
     def __init__(self, X, y, category_count: int):
         X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[0] == 0:
+        if X.ndim != 2 or X.size == 0:
             raise CalibrationError("training set is empty")
-        # distinct by bit pattern, so X comes back bitwise
-        self._init([_distinct_cells(col) for col in X.T], y, category_count)
-
-    @classmethod
-    def from_columns(cls, columns, y, category_count: int) -> "TrainingSet":
-        train = cls.__new__(cls)
-        train._init(columns, y, category_count)
-        return train
-
-    def _init(self, columns, y, category_count):
-        """columns: per criterion (distinct values, each row's index into them)."""
         y = np.asarray(y, dtype=int)
-        n = len(columns[0][1]) if columns else 0
-        if n == 0:
-            raise CalibrationError("training set is empty")
-        if y.shape != (n,):
-            raise CalibrationError(f"{y.shape} labels for {n} performance rows")
+        if y.shape != (len(X),):
+            raise CalibrationError(f"{y.shape} labels for {len(X)} performance rows")
         bad = (y < 1) | (y > category_count)
         if bad.any():
             raise CalibrationError(f"category index {y[bad][0]} outside 1..{category_count}")
-        self.columns, self.y, self.category_count = list(columns), y, category_count
-        _check_finite(columns, CalibrationError, "training row")
+        # distinct by bit pattern, so X comes back bitwise; named in the rows' order
+        fields = column_fields([_distinct_cells(col) for col in X.T])
+        _check_finite(fields, CalibrationError, "training row")
+        self.fields, self.labels, self.category_count = fields, y, category_count
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.labels))
 
     @property
     def criterion_count(self) -> int:
-        return len(self.columns)
+        return len(self.fields)
 
     @property
     def X(self) -> np.ndarray:
-        """The (n, m) performance matrix, gathered from the columns."""
-        return np.column_stack([values[index] for values, index in self.columns])
+        return pair_values(self.fields, side_rows(self.labels))
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.labels[side_rows(self.labels)]
 
     @cached_property
     def histograms(self) -> list:
-        """Per criterion (values, counts): the values the rows take, ascending, and
-        counts[i, h - 1] the rows of category h at values[i]; one bincount each."""
+        """Per criterion (values, counts): the values the pairs take, ascending, and
+        counts[i, h - 1] the pairs of category h at values[i]; one count over the product."""
         p, out = self.category_count, []
-        for values, index in self.columns:
-            counts = np.bincount(index * p + (self.y - 1), minlength=len(values) * p)
-            counts = counts.reshape(len(values), p)
+        for code_a, code_b, values, cell in self.fields:
+            at, label, count = label_cells(np.arange(len(values)),
+                                           cell_index(code_a, code_b, cell), self.labels)
+            counts = np.zeros((len(values), p), dtype=np.intp)
+            counts[at, label - 1] = count
             taken = np.flatnonzero(counts.any(axis=1))
             order = taken[np.argsort(values[taken], kind="stable")]
             out.append((values[order], counts[order]))
@@ -178,7 +171,7 @@ def estimate_profiles(train: TrainingSet, epsilon: float = DEFAULT_EPSILON) -> L
         raise CalibrationError(f"epsilon must be positive and finite, got {epsilon}")
     p = train.category_count
     nprof = p - 1
-    for h, c in enumerate(np.bincount(train.y, minlength=p + 1)[1:], start=1):
+    for h, c in enumerate(train.histograms[0][1].sum(axis=0).tolist(), start=1):
         if c == 0:
             warnings.warn(
                 f"category C{h} has no training examples; adjacent profiles are "
@@ -288,8 +281,8 @@ def estimate_lambda(
 
     # the cut ignores the model's own lambda
     model = ElectreModel(criteria, profiles, 1.0, epsilon)
-    counts = cut_counts(model, column_fields(train.columns), train.y, grid, procedure)
-    curve = [(lam, float(np.trace(c) / len(train.y))) for lam, c in zip(grid, counts)]
+    counts = cut_counts(model, train.fields, train.labels, grid, procedure)
+    curve = [(lam, float(np.trace(c) / len(train))) for lam, c in zip(grid, counts)]
     return max(reversed(curve), key=lambda point: point[1])[0], curve
 
 

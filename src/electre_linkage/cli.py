@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import datagen, linkage
 from .calibration import calibrate
-from .core import PROCEDURES, ElectreModel, ModelError, _DocumentReader, column_fields
+from .core import PROCEDURES, ElectreModel, ModelError, _DocumentReader
 from .evaluation import EvalReport, EvaluationError, lambda_sweep, split
 from .fellegi_sunter import agreement_patterns, fit_patterns
 from .ingest import IngestError, LinkageSchema, census_schema, csv_rows, load_table, true_links
@@ -127,13 +127,18 @@ def _split_pairs(cfg, schema):
     return split(_labeled_pairs(cfg, schema), **cfg["split"])
 
 
-def _model(args) -> ElectreModel:
-    """The --model document, with at most the categories a classified file holds."""
+def _model(args, schema) -> ElectreModel:
+    """The --model document, refused unless it fits a classified file and the schema."""
     doc = _DocumentReader(ModelError, "model document")
     model = ElectreModel.from_dict(doc.parse(Path(args.model).read_bytes(), args.model))
     if model.category_count > len(CATEGORIES):
         raise ModelError(f"model has {model.category_count} categories; a classified file "
                          f"holds at most {len(CATEGORIES)}: {', '.join(CATEGORIES)}")
+    names, fields = [c.name for c in model.criteria], schema.field_names
+    if names != fields:
+        order = " (the same names in another order)" if sorted(names) == sorted(fields) else ""
+        raise ModelError(f"{args.model}: model criteria {names} are not the schema's compared "
+                         f"fields {fields}{order}")
     return model
 
 
@@ -148,11 +153,11 @@ def cmd_train(args, cfg, schema, out) -> int:
     train, _ = _split_pairs(cfg, schema)
     model, solution, curve = calibrate(train, cfg["weights"], criterion_names=schema.field_names,
                                        **cfg["calibration"])
-    fs = fit_patterns(*agreement_patterns(column_fields(train.columns)), train.y)
+    fs = fit_patterns(*agreement_patterns(train.fields), train.labels)
     (out / "electre_model.json").write_text(model.to_json(), encoding="utf-8")
     (out / "fs_model.json").write_text(fs.to_json(), encoding="utf-8")
     lines = [
-        f"training pairs: {len(train.y)}",
+        f"training pairs: {len(train)}",
         f"LP objective: {solution.objective!r}",
         "profiles (one row per boundary, columns follow the schema fields):",
     ]
@@ -169,7 +174,7 @@ def cmd_train(args, cfg, schema, out) -> int:
 
 
 def cmd_classify(args, cfg, schema, out) -> int:
-    model = _model(args)
+    model = _model(args, schema)
     labeled = _labeled_pairs(cfg, schema)
     dest = out / "classified.csv"
     write_classified(dest, labeled, model, cfg["calibration"]["procedure"], schema.field_names)
@@ -213,7 +218,7 @@ def cmd_evaluate(args, cfg, schema, out) -> int:
 
 
 def cmd_sweep(args, cfg, schema, out) -> int:
-    model = _model(args)
+    model = _model(args, schema)
     try:
         grid = [float(x) for x in args.grid.split(",")]
     except ValueError as exc:  # float names the item it cannot read

@@ -35,6 +35,8 @@ __all__ = [
     "distinct_rows",
     "column_fields",
     "cell_index",
+    "pair_values",
+    "side_rows",
     "kernel_rows",
     "label_cells",
     "assign",
@@ -379,21 +381,34 @@ def _distinct_cells(table):
 
 def column_fields(columns) -> list:
     """The fields (code_a, code_b, values, cell) of a column form, one (values, index) per
-    column as PairBlock.columns gives them: each row is an A code on one B position and
-    each value its own cell, so the cross product of the fields is the rows, in order."""
+    column, index each row's index into values: each row is an A code on one B position
+    and each value its own cell, so the cross product of the fields is the rows, in order."""
     return [(index, np.zeros(1, dtype=np.intp), values,
              np.arange(len(values), dtype=np.int32)[:, None]) for values, index in columns]
 
 
-def cell_index(code_a, code_b, cell, rows=None):
+def cell_index(code_a, code_b, cell):
     """A field's int32 index into its values for each pair of the row-major cross product
     of code_a and code_b, read by table rows: cell[code_a][:, code_b] taken straight into
     an array made first, so no per-pair code is gathered (an empty side reads as 0 x k or
-    k x 0). With rows, the index of those positions, gathered from that read."""
+    k x 0)."""
     index = np.empty((len(code_a), len(code_b)), dtype=np.int32)
     # mode="raise" would buffer the rows before writing them into index
     np.take(cell[code_a], code_b, axis=1, out=index, mode="clip")
-    return index.ravel() if rows is None else index.ravel()[rows]
+    return index.ravel()
+
+
+def pair_values(fields, rows) -> np.ndarray:
+    """The values of the pairs at positions rows of the cross product of fields, a row each."""
+    a, b = np.divmod(rows, max(len(fields[0][1]), 1))
+    return np.column_stack([values[cell[code_a[a], code_b[b]]]
+                            for code_a, code_b, values, cell in fields])
+
+
+def side_rows(labels) -> np.ndarray:
+    """The positions of a side's pairs (label, 0 or more, not 0), by label then in order."""
+    labels = np.asarray(labels)
+    return np.argsort(labels, kind="stable")[np.count_nonzero(labels == 0):]
 
 
 def distinct_rows(fields, states):
@@ -456,37 +471,43 @@ def distinct_rows(fields, states):
                             for code_a, code_b, values, cell in fields]), inverse
 
 
-def _check_finite(columns, error, what: str) -> None:
-    """Raise error naming the first row of the (values, index) columns that takes a
-    non-finite value; a value no row takes is not looked at."""
-    bad = [np.flatnonzero(~np.isfinite(v)[i]) for v, i in columns if not np.isfinite(v).all()]
-    row = min((int(rows[0]) for rows in bad if len(rows)), default=None)
-    if row is not None:
-        raise error(f"{what} {row} is not finite: {[float(v[i[row]]) for v, i in columns]}")
+def _check_finite(fields, error, what: str, labels=None) -> None:
+    """Raise error naming the first pair of fields' product that takes a non-finite value: of
+    every pair, or with labels of a side's pairs in side order; values no pair takes pass."""
+    flags = [(a, b, ~np.isfinite(values), cell) for a, b, values, cell in fields]
+    if any(flag.any() for _, _, flag, _ in flags):
+        n = len(fields[0][0]) * len(fields[0][1])
+        rows = np.arange(n) if labels is None else side_rows(labels)
+        bad = np.flatnonzero(pair_values(flags, rows).any(axis=1))[:1]
+        if bad.size:
+            values = pair_values(fields, rows[bad])[0].tolist()
+            raise error(f"{what} {bad[0]} is not finite: {values}")
 
 
-def kernel_rows(model: ElectreModel, fields):
+def kernel_rows(model: ElectreModel, fields, labels=None):
     """(R, kernel_row): the distinct kernel inputs of the rows of fields, one (code_a,
     code_b, values, cell) per criterion as distinct_rows takes them, and each row's index
     into R.
 
     Rows are alike when their values share criterion_codes codes, so classify_batch(model,
     R) gathered by kernel_row equals classify_batch on the rows themselves, bitwise,
-    whichever row R is read from. A row that takes a non-finite value is refused: a field
-    holding one is read row by row to name the first row that takes it.
+    whichever row R is read from. A row that takes a non-finite value is refused: any row,
+    or with labels any of the side they mark (_check_finite), and R is then read from it.
     """
     if len(fields) != model.m:
         raise ModelError(f"the rows have {len(fields)} fields, model has {model.m} criteria")
-    if not all(np.isfinite(values).all() for _, _, values, _ in fields):
-        _check_finite([(values, cell_index(code_a, code_b, cell))
-                       for code_a, code_b, values, cell in fields], ModelError, "performance row")
+    _check_finite(fields, ModelError, "performance row", labels)
     codes = [criterion_codes(model, j, values) for j, (_, _, values, _) in enumerate(fields)]
-    return distinct_rows(fields, codes)
+    R, kernel_row = distinct_rows(fields, codes)
+    if not np.isfinite(R).all():  # read from a row off the side: read again from the side
+        rows = side_rows(labels)
+        R[kernel_row[rows]] = pair_values(fields, rows)
+    return R, kernel_row
 
 
 def label_cells(R, row_of, labels):
-    """(X, label, count) of each nonempty (row of R, label) cell, by row then label: the
-    cell's row of R, its label and its rows. row_of is each row's index into R."""
+    """(X, label, count) of each nonempty (row of R, label 1 or more) cell, by row then label:
+    the cell's row of R, its label and its rows. row_of is each row's index into R."""
     labels = np.asarray(labels)
     if labels.dtype.kind not in "iu":  # as a list of no labels reads
         labels = labels.astype(np.intp)
@@ -498,6 +519,7 @@ def label_cells(R, row_of, labels):
         code = np.multiply(row_of[lo:lo + step], n_labels, dtype=np.intp)
         code += labels[lo:lo + step]
         cells += np.bincount(code, minlength=len(cells))
+    cells[::n_labels] = 0
     rows, label = np.divmod(np.flatnonzero(cells), n_labels)
     return R[rows], label, cells[cells > 0]
 
@@ -510,7 +532,8 @@ def _checked_rows(model: ElectreModel, performances) -> np.ndarray:
             f"performance matrix has {X.shape[1] if X.ndim == 2 else '?'} columns, "
             f"model has {model.m} criteria"
         )
-    _check_finite([(col, np.arange(len(X))) for col in X.T], ModelError, "performance row")
+    _check_finite(column_fields([(col, np.arange(len(X))) for col in X.T]), ModelError,
+                  "performance row")
     return X
 
 
@@ -558,9 +581,9 @@ def assign(sig_ab, sig_ba, lam: float, procedure: str = "pessimistic") -> np.nda
 def cut_counts(model: ElectreModel, fields, truth, grid, procedure: str = "pessimistic"):
     """Per lambda of the grid, the [truth, category] counts of the rows cut at it: a
     square int64 matrix indexed by the labels, up to the largest truth label or
-    category. fields are the rows as kernel_rows takes and checks them; each (kernel row,
-    truth) cell is cut once and counts its rows."""
-    X, label, count = label_cells(*kernel_rows(model, fields), truth)
+    category. fields are the rows as kernel_rows takes and checks them, but for those of
+    truth 0; each (kernel row, truth) cell is cut once and counts its rows."""
+    X, label, count = label_cells(*kernel_rows(model, fields, truth), truth)
     sig_ab, sig_ba = credibilities(model, X)
     n = max(int(label.max(initial=0)), model.category_count) + 1
     return np.array([np.bincount(label * n + assign(sig_ab, sig_ba, lam, procedure), count,

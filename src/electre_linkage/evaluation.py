@@ -7,10 +7,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .calibration import TrainingSet
-from .core import ElectreModel, cut_counts
+from .calibration import CalibrationError, TrainingSet
+from .core import ElectreModel, ModelError, _check_finite, cut_counts, side_rows
 
-__all__ = ["EvalReport", "EvaluationError", "split", "evaluate", "lambda_sweep"]
+__all__ = ["EvalReport", "EvaluationError", "PairSide", "split", "evaluate", "lambda_sweep"]
 
 
 class EvaluationError(ValueError):
@@ -156,7 +156,7 @@ def _permutation(rng: random.Random, n: int, start: int = 0) -> np.ndarray:
     if n >= _MAX_GROUP:
         raise EvaluationError(f"a label group of {n} pairs is too large to split "
                               f"(at most {_MAX_GROUP - 1})")
-    t = _targets(rng, n)[start:]  # the target of each step from start on
+    t = _targets(rng, n)[start:].copy()  # the steps from start on, not a view of all n
     n -= start
     if n < 2:  # no later step writes the last position: x = t
         return t
@@ -200,38 +200,47 @@ def _permutation(rng: random.Random, n: int, start: int = 0) -> np.ndarray:
     return x
 
 
+class PairSide(TrainingSet):
+    """A side of a block, as split makes it: its pairs of nonzero label, which pair() names."""
+
+    def __init__(self, block, labels, category_count: int = 3):
+        self.block, self.fields, self.labels = block, block.fields, labels
+        self.category_count = category_count
+
+    truth = TrainingSet.y
+
+    def pair(self, row: int) -> tuple:
+        return self.block.pair(side_rows(self.labels)[row])
+
+
 def split(block, train_fraction: float, seed: int):
     """Stratified deterministic split of a labeled pair block.
 
-    Returns (TrainingSet, test block). Stratification is by truth label,
-    so links and nonlinks keep their proportions in the training set; both
-    sides keep the block's row order within each label. Each label's
-    training rows are the first round(train_fraction * size) of the
-    permutation `random.Random(seed).shuffle` makes of the group's positions,
-    one generator across the labels in ascending order, computed in numpy:
-    only the rest of the permutation, the test rows, is resolved.
+    Returns (training, test) PairSides: the block with an int8 label a pair, its truth on
+    that side and 0 on the other. Stratification is by truth label (1..3), so links and
+    nonlinks keep their proportions in the training set. Each label's training pairs are
+    the first round(train_fraction * size) of the permutation `random.Random(seed).shuffle`
+    makes of the group's pairs, one generator across the labels in ascending order,
+    computed in numpy: only the rest of the permutation, the test pairs, is resolved.
     """
     if not 0 < train_fraction < 1:
         raise EvaluationError(f"train fraction must lie in (0, 1), got {train_fraction}")
     truth = _labels(block)
-    rng = random.Random(seed)
-    train, test = [], []
-    lo = int(truth.min(initial=0))
-    for label, size in enumerate(np.bincount(truth.astype(np.intp) - lo).tolist(), lo):
-        if size:
-            tested = np.zeros(size, dtype=bool)
-            tested[_permutation(rng, size, round(train_fraction * size))] = True
-            group = np.flatnonzero(truth == label)  # made after the permutation's peak
-            train.append(group[~tested])
-            test.append(group[tested])
-    train = np.concatenate(train) if train else np.empty(0, dtype=np.intp)
-    test = np.concatenate(test) if test else np.empty(0, dtype=np.intp)
-    if not (truth[train] == 3).any():
-        raise EvaluationError(
-            "training split contains no links; increase train_fraction"
-        )
-    training = TrainingSet.from_columns(block.take(train).columns(), truth[train], 3)
-    return training, block.take(test)
+    if truth.min(initial=1) < 1 or truth.max(initial=1) > 3:
+        raise CalibrationError(f"category index {truth[(truth < 1) | (truth > 3)][0]} "
+                               "outside 1..3")
+    rng, tested = random.Random(seed), np.zeros(len(truth), dtype=bool)
+    for label in (1, 2, 3):
+        size = int(np.count_nonzero(truth == label))
+        flags = np.zeros(size, dtype=bool)
+        flags[_permutation(rng, size, round(train_fraction * size))] = True
+        tested[truth == label] = flags  # the mask made after the permutation's peak
+    test = truth * tested
+    train = PairSide(block, truth - test)
+    if 3 not in train.labels:
+        raise EvaluationError("training split contains no links; increase train_fraction")
+    _check_finite(block.fields, CalibrationError, "training row", train.labels)
+    return train, PairSide(block, test)
 
 
 def evaluate(predicted, truth, cutting_level=None, procedure: str = "") -> EvalReport:
@@ -249,15 +258,18 @@ def evaluate(predicted, truth, cutting_level=None, procedure: str = "") -> EvalR
     return EvalReport.from_contingency(contingency, cutting_level, procedure)
 
 
-def lambda_sweep(block, model: ElectreModel, grid, procedure: str = "pessimistic"):
-    """Re-evaluate a fixed model over a grid of cutting levels on a labeled block.
-
-    The pairs are cut by core.cut_counts; a report lists its cells sorted by
-    (truth, category).
-    """
+def lambda_sweep(pairs, model: ElectreModel, grid, procedure: str = "pessimistic"):
+    """Re-evaluate a fixed model over a grid of cutting levels on a labeled block, or a
+    side of one (a TrainingSet, as split makes); a pair is named in the pairs' own order.
+    The pairs are cut by core.cut_counts; a report lists its cells sorted by (truth, category)."""
     grid = list(grid)
     if not grid:
         raise EvaluationError("empty lambda grid")
-    counts = cut_counts(model, block.row_fields(), _labels(block), grid, procedure)
+    if isinstance(pairs, TrainingSet):
+        labels = pairs.labels
+    else:  # every pair of a block is labeled, and named in block order
+        labels = _labels(pairs)
+        _check_finite(pairs.fields, ModelError, "performance row")
+    counts = cut_counts(model, pairs.fields, labels, grid, procedure)
     return [EvalReport.from_contingency({(t, c): int(m[t, c]) for t, c in np.argwhere(m).tolist()},
                                         lam, procedure) for lam, m in zip(grid, counts)]

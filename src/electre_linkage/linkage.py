@@ -2,8 +2,8 @@
 
 Builds the full cross product A x B as one columnar PairBlock: per field the
 distinct similarities and an int32 table indexing them over the distinct values
-of each side, and ground-truth categories in an int8 column. The whole cross
-product holds no positions; a block of other rows holds them.
+of each side, and ground-truth categories in an int8 column. A side of a block
+(evaluation.split) is the block with an int8 label a pair; no pair form holds positions.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (CHUNK_ROWS, _distinct_cells, cell_index, classify_batch, column_fields,
-                   kernel_rows)
+from .core import CHUNK_ROWS, _distinct_cells, cell_index, classify_batch, kernel_rows, pair_values
 from .fellegi_sunter import agreement_patterns, fit_patterns, fs_decide
 from .ingest import LinkageSchema, RecordTable
 from .metrics import _factorize
@@ -27,20 +26,16 @@ JOIN_PAIRS = 512
 
 @dataclass(frozen=True, eq=False)
 class PairBlock:
-    """Record pairs of the row-major cross product A x B.
-
-    Row r is position rows[r], or r where rows is None (a whole block: all of A x B, in
-    order); position p pairs ids_a[p // len(ids_b)] with ids_b[p % len(ids_b)].
-    fields holds (code_a, code_b, values, cell) per compared field: each side's
-    value codes, the distinct similarities of the field (by bit pattern) and the
-    int32 table of each (code_a, code_b) cell's index into them. truth holds the
-    ground-truth category index (0 while unlabeled).
-    """
+    """Record pairs: all of the row-major cross product A x B, pair p pairing
+    ids_a[p // len(ids_b)] with ids_b[p % len(ids_b)]. fields holds (code_a, code_b, values,
+    cell) per compared field, as core.distinct_rows numbers them: each side's value codes,
+    the distinct similarities of the field (by bit pattern) and the int32 table of each
+    (code_a, code_b) cell's index into them. truth holds the ground-truth category index
+    (0 while unlabeled)."""
 
     ids_a: tuple
     ids_b: tuple
     fields: tuple
-    rows: np.ndarray | None
     truth: np.ndarray
 
     def __len__(self) -> int:
@@ -48,36 +43,12 @@ class PairBlock:
 
     @property
     def X(self) -> np.ndarray:
-        """The per-field similarities, one row per pair, gathered from the columns."""
-        return np.column_stack([values[index] for values, index in self.columns()])
-
-    def columns(self) -> list:
-        """Per field (values, index): its distinct similarities and each row's int32
-        index into them. Each index is read for the whole cross product by table
-        rows (core.cell_index); a block of any other rows gathers its rows from that
-        read, one field at a time."""
-        return [(values, cell_index(code_a, code_b, cell, self.rows))
-                for code_a, code_b, values, cell in self.fields]
-
-    def row_fields(self):
-        """The rows as the fields (code_a, code_b, values, cell) whose row-major cross
-        product they are, as core.distinct_rows numbers them: a whole block's own fields,
-        any other block's core.column_fields of one columns() read."""
-        return self.fields if self.rows is None else column_fields(self.columns())
+        """The per-field similarities, one row per pair, gathered from the cell tables."""
+        return pair_values(self.fields, np.arange(len(self)))
 
     def pair(self, row: int) -> tuple:
-        positions = range(len(self)) if self.rows is None else self.rows
-        i, k = divmod(int(positions[row]), len(self.ids_b))
+        i, k = divmod(range(len(self))[row], len(self.ids_b))
         return self.ids_a[i], self.ids_b[k]
-
-    def take(self, rows) -> "PairBlock":
-        """The sub-block of the given rows, in the given order. A whole block's positions are
-        np.arange(len(self))[rows]; intp rows none of which is negative (the split's sides)
-        are kept as given, not copied."""
-        kept = isinstance(rows, np.ndarray) and rows.dtype == np.intp and rows.min(initial=0) >= 0
-        return replace(self, truth=self.truth[rows], rows=(
-            self.rows[rows] if self.rows is not None
-            else rows if kept else np.arange(len(self))[rows]))
 
 
 def build_pairs(a: RecordTable, b: RecordTable, schema: LinkageSchema) -> PairBlock:
@@ -92,8 +63,7 @@ def build_pairs(a: RecordTable, b: RecordTable, schema: LinkageSchema) -> PairBl
         vals_b, code_b = _factorize([rec[fname] for _, rec in b.records])
         fields.append((code_a, code_b, *_distinct_cells(comparator.compare(vals_a, vals_b))))
     n = len(a.records) * len(b.records)
-    return PairBlock(tuple(a.ids()), tuple(b.ids()), tuple(fields),
-                     rows=None, truth=np.zeros(n, dtype=np.int8))
+    return PairBlock(tuple(a.ids()), tuple(b.ids()), tuple(fields), np.zeros(n, dtype=np.int8))
 
 
 def label_pairs(block: PairBlock, links, policy: str = "two_class", fs_model=None) -> PairBlock:
@@ -112,11 +82,11 @@ def label_pairs(block: PairBlock, links, policy: str = "two_class", fs_model=Non
     for id_a, id_b in links:
         if id_a in pos_a and id_b in pos_b:
             linked[pos_a[id_a], pos_b[id_b]] = True
-    is_link = linked.ravel() if block.rows is None else linked.ravel()[block.rows]
+    is_link = linked.ravel()
     truth = np.where(is_link, np.int8(3), np.int8(1))
     if policy == "banded":
         thresholds = fs_model.agreement_thresholds if fs_model is not None else None
-        P, pattern = agreement_patterns(block.row_fields(), thresholds)
+        P, pattern = agreement_patterns(block.fields, thresholds)
         if fs_model is None:
             fs_model = fit_patterns(P, pattern, truth)
         band = fs_decide(fs_model, P) == 2
@@ -156,21 +126,18 @@ def _merged(tables) -> list:
     return groups
 
 
-def _chunks(block: PairBlock, fields, kernel_row, t0: int):
-    """The pairs to write, by chunks of whole A-rows of fields (the block's row_fields) of
-    at most CHUNK_ROWS pairs, or one A-row: per chunk its shape and, per output column,
-    each pair's index into its texts, broadcastable to that shape. Each field's index is
-    read from its cell table; a whole block's ids come from its A-row structure, any other
-    block's from its positions."""
-    na, nb = len(fields[0][0]), len(fields[0][1])
+def _chunks(block: PairBlock, kernel_row, t0: int):
+    """The pairs to write, by chunks of whole A-rows of at most CHUNK_ROWS pairs, or one
+    A-row: per chunk its shape and, per output column, each pair's index into its texts,
+    broadcastable to that shape. Each field's index is read from its cell table."""
+    na, nb = len(block.ids_a), len(block.ids_b)
     step = max(1, CHUNK_ROWS // max(nb, 1))
     for a0 in range(0, na if nb else 0, step):
         a = slice(a0, a0 + step)
         pairs, k = slice(a0 * nb, (a0 + step) * nb), min(step, na - a0)
-        ids = ([np.arange(a0, a0 + k)[:, None], np.arange(nb)] if block.rows is None
-               else [i[:, None] for i in np.divmod(block.rows[pairs], len(block.ids_b))])
-        yield (k, nb), [*ids, *(cell_index(code_a[a], code_b, cell).reshape(k, nb)
-                                for code_a, code_b, _, cell in fields),
+        yield (k, nb), [np.arange(a0, a0 + k)[:, None], np.arange(nb),
+                        *(cell_index(code_a[a], code_b, cell).reshape(k, nb)
+                          for code_a, code_b, _, cell in block.fields),
                         kernel_row[pairs].reshape(k, nb),
                         block.truth[pairs].reshape(k, nb).astype(np.intp) - t0]
 
@@ -178,9 +145,8 @@ def _chunks(block: PairBlock, fields, kernel_row, t0: int):
 def write_classified(path, block: PairBlock, model, procedure: str, field_names) -> None:
     """Classified-pairs file: ids, performances, per-profile sigma, categories.
 
-    The pairs' kernel rows are numbered (core.kernel_rows of the block's row_fields: a
-    whole block's own cell tables, any other block's one PairBlock.columns() read) and
-    classified under the model and procedure before the file is opened. The bytes are
+    The pairs' kernel rows are numbered (core.kernel_rows of the block's own cell tables)
+    and classified under the model and procedure before the file is opened. The bytes are
     those of csv.writer writing one row per pair with repr(float) cells. Each row is
     made of text made once and ending in its own separator (CRLF after the truth label,
     else a comma): each id, each distinct similarity of a field (by bit pattern, so -0.0
@@ -191,8 +157,7 @@ def write_classified(path, block: PairBlock, model, procedure: str, field_names)
     a text and its UTF-8 copy that small are reused from the heap, where chunk-sized ones
     are handed back to the OS and paged in again each chunk.
     """
-    fields = block.row_fields()
-    R, kernel_row = kernel_rows(model, fields)
+    R, kernel_row = kernel_rows(model, block.fields)
     # a linkage global: perfbench's smoke test swaps in a faulty classifier here
     cats, sigma = classify_batch(model, R, procedure)
     nprof = sigma.shape[1] if len(block) else 0
@@ -210,7 +175,7 @@ def write_classified(path, block: PairBlock, model, procedure: str, field_names)
         csv.writer(fh).writerow(["id_a", "id_b", *(f"sim_{f}" for f in field_names),
                                  *(f"sigma_b{h}" for h in range(1, nprof + 1)),
                                  "assigned", "truth"])
-        for shape, parts in _chunks(block, fields, kernel_row, t0):
+        for shape, parts in _chunks(block, kernel_row, t0):
             parts = iter(parts)
             cells = np.empty((*shape, len(groups)), dtype=np.intp)
             for g, (_, sizes) in enumerate(groups):

@@ -8,11 +8,14 @@ package did before it read columns by position; the pair-pipeline references
 classified-pairs writer, the confusion report) handle one pair at a time, as
 the package did before pairs became columns, and compare each value pair with
 the scalar comparators the package used before its whole-table grids. None
-shares code with the package paths they verify, except the profile-chain
-reference: it reuses the package's per-block hinge interval selection and
-replaces the pooling pass by trying every pooled-block composition; its hinge
+shares code with the package paths they verify, except two. The profile-chain
+reference reuses the package's per-block hinge interval selection and replaces
+the pooling pass by trying every pooled-block composition; its hinge
 minimization and slacks below are the package's own before calibration read
-the rows through counts.
+the rows through counts. The side reference (ref_side) reads a side as the
+package did before sides became labels over the whole block: its pairs'
+positions gathered into a column form, numbered by the package's kernel rows
+and agreement patterns of that form.
 """
 
 import csv
@@ -24,8 +27,10 @@ import numpy as np
 from scipy.optimize import linprog
 
 from electre_linkage.calibration import LpSolution, _monotone_selection
-from electre_linkage.core import ProfileSet, _distinct_cells
+from electre_linkage.core import (ProfileSet, _distinct_cells, column_fields, kernel_rows,
+                                  label_cells)
 from electre_linkage.evaluation import EvalReport, EvaluationError
+from electre_linkage.fellegi_sunter import agreement_patterns
 from electre_linkage.ingest import IngestError, LoadReport, RecordTable
 from electre_linkage.linkage import PairBlock
 from electre_linkage.metrics import ComparatorError
@@ -458,33 +463,48 @@ def ref_label_cells(inverse, labels):
     return cells
 
 
-def block_from_columns(ids_a, ids_b, ia, ib, X, truth):
-    """A PairBlock whose row r pairs ids_a[ia[r]] with ids_b[ib[r]] and performs X[r].
+def block_from_columns(ids_a, ids_b, X, truth):
+    """The PairBlock of ids_a x ids_b whose pair p performs X[p], in row-major order.
 
-    Every column of X becomes one (len(ids_a), len(ids_b)) table over the
-    record positions (codes arange), so a pair that repeats must repeat its
-    performances. Pairs that are all of the cross product in order make a whole
-    block (rows None); any others are held as positions.
+    Every column of X becomes one (len(ids_a), len(ids_b)) table over the record
+    positions (codes arange), so each pair has a cell of its own.
     """
-    ia, ib = np.asarray(ia, dtype=np.intp), np.asarray(ib, dtype=np.intp)
     na, nb = len(ids_a), len(ids_b)
-    fields = []
-    for col in np.array(X, dtype=float).T:
-        table = np.zeros((na, nb))
-        table[ia, ib] = col
-        if table[ia, ib].tobytes() != col.tobytes():
-            raise ValueError("a repeated pair has different performances")
-        fields.append((np.arange(na), np.arange(nb), *_distinct_cells(table)))
-    rows = ia * nb + ib
-    return PairBlock(tuple(ids_a), tuple(ids_b), tuple(fields),
-                     None if np.array_equal(rows, np.arange(na * nb)) else rows,
-                     np.asarray(truth, dtype=np.int8))
+    fields = [(np.arange(na), np.arange(nb), *_distinct_cells(col.reshape(na, nb)))
+              for col in np.array(X, dtype=float).T]
+    return PairBlock(tuple(ids_a), tuple(ids_b), tuple(fields), np.asarray(truth, dtype=np.int8))
 
 
-def block_positions(block):
-    """Each row's position in the block's cross product: np.arange(len(block)) for a whole
-    block, which holds none."""
-    return np.arange(len(block)) if block.rows is None else block.rows
+def block_of_rows(block, rows):
+    """The pairs of block at positions rows, in their order, as a whole block of their own:
+    one A record a pair, whose id is the pair, and one B record."""
+    rows = np.arange(len(block))[rows]
+    return block_from_columns(tuple(block.pair(r) for r in rows.tolist()), ("",),
+                              block.X[rows], block.truth[rows])
+
+
+def ref_side(block, positions, y, model, p=3):
+    """A side of block as it was read when it was held as positions: its pairs gathered
+    into a column form, one (values, int32 index) per field, in the given order, with
+    category indices y. Returns its X, the per-category counts, the per-criterion
+    (values, counts) histograms, and the (kernel row, label) and (pattern, label) cells
+    (core.label_cells) of the column form's kernel rows and agreement patterns."""
+    a, b = np.divmod(np.asarray(positions, dtype=np.intp), max(len(block.ids_b), 1))
+    columns = [(values, cell[code_a[a], code_b[b]].astype(np.int32))
+               for code_a, code_b, values, cell in block.fields]
+    y = np.asarray(y, dtype=int)
+    histograms = []
+    for values, index in columns:
+        counts = np.bincount(index * p + (y - 1), minlength=len(values) * p)
+        counts = counts.reshape(len(values), p)
+        taken = np.flatnonzero(counts.any(axis=1))
+        order = taken[np.argsort(values[taken], kind="stable")]
+        histograms.append((values[order], counts[order]))
+    fields = column_fields(columns)
+    return (np.column_stack([values[index] for values, index in columns]),
+            np.bincount(y, minlength=p + 1)[1:], histograms,
+            label_cells(*kernel_rows(model, fields), y),
+            label_cells(*agreement_patterns(fields), y))
 
 
 def ref_build_pairs(a, b, schema):
@@ -622,9 +642,8 @@ def ref_write_classified(path, block, cats, sigma, field_names):
             + ["assigned", "truth"]
         )
         writer.writerow(header)
-        for i, r in enumerate(block_positions(block).tolist()):
-            ra, rb = divmod(r, len(block.ids_b))
-            row = [block.ids_a[ra], block.ids_b[rb]]
+        for i in range(len(block)):
+            row = list(block.pair(i))
             row += [repr(float(v)) for v in X[i]]
             row += [repr(float(v)) for v in sigma[i]]
             row.append(f"C{cats[i]}")

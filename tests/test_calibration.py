@@ -20,8 +20,9 @@ from electre_linkage.core import (
     ProfileSet,
     classify_batch,
 )
+from electre_linkage.evaluation import split
 
-from oracles import joint_lp_objective, ref_slacks
+from oracles import block_from_columns, joint_lp_objective, ref_slacks, ref_split
 
 
 def make_training(points, p):
@@ -95,14 +96,19 @@ class TestEstimateProfiles:
         message = re.escape(f"training row 2 is not finite: [0.5, {bad!r}]")
         with pytest.raises(CalibrationError, match=f"^{message}$"):
             TrainingSet(X, [1, 2, 2, 1], 2)
-        # from columns, a non-finite value counts only where a row takes it
-        finite = TrainingSet(np.where(np.isfinite(X), X, 0.7), [1, 2, 2, 1], 2)
-        spare = [(np.append(values, bad), index) for values, index in finite.columns]
-        assert TrainingSet.from_columns(spare, finite.y, 2).X.tobytes() == finite.X.tobytes()
-        taken = [(np.where(values == 0.7, bad, values), index)
-                 for values, index in finite.columns]
-        with pytest.raises(CalibrationError, match="training row 2 is not finite"):
-            TrainingSet.from_columns(taken, finite.y, 2)
+        # a training side of a block: a non-finite value counts only where one of its
+        # pairs takes it, and names that pair's row in side order (by label, then in order)
+        finite, y = np.where(np.isfinite(X), X, 0.7), [1, 3, 3, 1]
+        ref_train, _ = ref_split(y, 0.5, 0)
+        for p in range(len(y)):
+            block = block_from_columns(("a",), ("b0", "b1", "b2", "b3"),
+                                       np.where(np.arange(4)[:, None] == p, bad, finite), y)
+            if p not in ref_train:
+                assert split(block, 0.5, 0)[0].X.tobytes() == finite[ref_train].tobytes()
+                continue
+            message = f"training row {ref_train.index(p)} is not finite: [{bad!r}, {bad!r}]"
+            with pytest.raises(CalibrationError, match=f"^{re.escape(message)}$"):
+                split(block, 0.5, 0)
 
     def test_empty_category_warns(self):
         train = make_training([((0.1,), 1), ((0.9,), 3)], p=3)

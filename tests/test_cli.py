@@ -7,10 +7,12 @@ from pathlib import Path
 import pytest
 
 from electre_linkage.cli import main
+from electre_linkage.ingest import census_schema
 
 from oracles import ref_evaluate
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+CENSUS = census_schema().field_names  # a model's criteria are named as the fields
 
 
 @pytest.fixture(scope="module")
@@ -208,7 +210,8 @@ class TestPipeline:
         # well formed, but one criterion for the census schema's five fields
         '{"criteria": [{"name": "g", "weight": 1.0, "q": 0.0, "p": 0.1}], '
         '"profiles": [[0.5]], "lambda": 0.7}',
-        # five criteria, with a profile value that float() would parse
+        # five criteria, with a profile value that float() would parse (refused before
+        # their names are read)
         '{"criteria": [' + ", ".join(
             f'{{"name": "g{j}", "weight": 1.0, "q": 0.0, "p": 0.1}}' for j in range(5))
         + '], "profiles": [[" 0.4 ", 0.4, 0.4, 0.4, 0.4]], "lambda": 0.7}',
@@ -286,8 +289,8 @@ class TestPipeline:
                                                         capsys, command):
         # classify used to write C4 rows that evaluate then refused
         a, b = small_dataset
-        model = {"criteria": [{"name": f"g{j}", "weight": 1.0, "q": 0.0, "p": 0.1}
-                              for j in range(5)],
+        model = {"criteria": [{"name": name, "weight": 1.0, "q": 0.0, "p": 0.1}
+                              for name in CENSUS],
                  "profiles": [[0.3] * 5, [0.6] * 5, [0.9] * 5], "lambda": 0.75}
         model_path = tmp_path / "model.json"
         model_path.write_text(json.dumps(model))
@@ -298,11 +301,32 @@ class TestPipeline:
         assert "model has 4 categories" in capsys.readouterr().err
         assert not (out / "classified.csv").exists()
 
+    @pytest.mark.parametrize("command", ["classify", "sweep"])
+    def test_model_not_fitting_the_schema_is_usage_error(self, small_dataset, tmp_path,
+                                                        capsys, command):
+        # criteria of other names, or of the fields' names in another order, used to be
+        # applied to the fields by position, with exit 0
+        a, b = small_dataset
+        for names, order in ((list("ABCDE"), ""),
+                             (CENSUS[::-1], " (the same names in another order)")):
+            model = {"criteria": [{"name": name, "weight": 1.0, "q": 0.0, "p": 0.1}
+                                  for name in names], "profiles": [[0.5] * 5], "lambda": 0.7}
+            model_path = tmp_path / "model.json"
+            model_path.write_text(json.dumps(model))
+            out = tmp_path / "out"
+            code = run([command, "--dataset-a", a, "--dataset-b", b, "--output-dir", out,
+                        "--model", model_path])
+            assert code == 1
+            assert capsys.readouterr().err == (
+                f"error: {model_path}: model criteria {names} are not the schema's compared "
+                f"fields {CENSUS}{order}\n")
+            assert not (out / "classified.csv").exists()
+
     def test_two_category_model_round_trip(self, small_dataset, tmp_path):
         # a model of C1 and C2 classifies, and evaluate reads what classify wrote
         a, b = small_dataset
-        model = {"criteria": [{"name": f"g{j}", "weight": 1.0, "q": 0.0, "p": 0.1}
-                              for j in range(5)],
+        model = {"criteria": [{"name": name, "weight": 1.0, "q": 0.0, "p": 0.1}
+                              for name in CENSUS],
                  "profiles": [[0.6] * 5], "lambda": 0.75}
         model_path = tmp_path / "model.json"
         model_path.write_text(json.dumps(model))
@@ -322,8 +346,8 @@ class TestPipeline:
         # JSON integers have no size limit; these used to exit 2 with an OverflowError
         a, b = small_dataset
         model = {
-            "criteria": [{"name": f"g{j}", "weight": 1.0, "q": 0.0, "p": 0.1, "v": None}
-                         for j in range(5)],
+            "criteria": [{"name": name, "weight": 1.0, "q": 0.0, "p": 0.1, "v": None}
+                         for name in CENSUS],
             "profiles": [[0.5] * 5],
             "lambda": 0.7,
             "epsilon": 0.01,
@@ -367,8 +391,8 @@ class TestPipeline:
         # JSON true and false load as 1 and 0; these used to classify and exit 0
         a, b = small_dataset
         model = {
-            "criteria": [{"name": f"g{j}", "weight": 1.0, "q": 0.0, "p": 0.1, "v": None}
-                         for j in range(5)],
+            "criteria": [{"name": name, "weight": 1.0, "q": 0.0, "p": 0.1, "v": None}
+                         for name in CENSUS],
             "profiles": [[0.5] * 5],
             "lambda": 0.7,
             "epsilon": 0.01,
@@ -438,8 +462,8 @@ class TestPipeline:
     def test_sweep_lambda_outside_domain(self, small_dataset, tmp_path, capsys):
         a, b = small_dataset
         model = {
-            "criteria": [{"name": f"g{j}", "weight": 1.0, "q": 0.0, "p": 0.1, "v": None}
-                         for j in range(5)],
+            "criteria": [{"name": name, "weight": 1.0, "q": 0.0, "p": 0.1, "v": None}
+                         for name in CENSUS],
             "profiles": [[0.5] * 5],
             "lambda": 0.7,
         }
@@ -508,18 +532,19 @@ class TestPipeline:
     def test_classify_reads_the_pair_layout_once_per_use(self, small_dataset, tmp_path,
                                                           monkeypatch, policy, reads):
         """The writer numbers the rows it writes from the block's cell tables, and banded
-        labeling does too: one core.distinct_rows call per use, and no PairBlock.columns()."""
-        from electre_linkage import core, fellegi_sunter
-        from electre_linkage.linkage import PairBlock
+        labeling does too: one core.distinct_rows call per use, and no pair is read by its
+        position (core.pair_values)."""
+        from electre_linkage import core, fellegi_sunter, linkage
 
         a, b = small_dataset
         base = ["--dataset-a", a, "--dataset-b", b, "--output-dir", tmp_path / policy,
                 "--label-policy", policy, "--seed", "3"]
         assert run(["train", *base]) == 0
         calls, numbered = [], []
-        columns, distinct_rows = PairBlock.columns, core.distinct_rows
-        monkeypatch.setattr(PairBlock, "columns",
-                            lambda block: calls.append(len(block)) or columns(block))
+        pair_values, distinct_rows = core.pair_values, core.distinct_rows
+        for module in (core, linkage):
+            monkeypatch.setattr(module, "pair_values", lambda fields, rows: calls.append(
+                len(rows)) or pair_values(fields, rows))
         for module in (core, fellegi_sunter):
             monkeypatch.setattr(module, "distinct_rows", lambda fields, states: numbered.append(
                 len(fields[0][0]) * len(fields[0][1])) or distinct_rows(fields, states))
@@ -563,8 +588,8 @@ class TestPipeline:
         # epsilon -1 used to load, with profiles reversed: the two procedures then
         # disagreed about which category a pair belongs to
         a, b = small_dataset
-        model = {"criteria": [{"name": f"g{j}", "weight": 1.0, "q": 0.0, "p": 0.1}
-                              for j in range(5)],
+        model = {"criteria": [{"name": name, "weight": 1.0, "q": 0.0, "p": 0.1}
+                              for name in CENSUS],
                  "profiles": [[0.8] * 5, [0.4] * 5], "lambda": 0.75, "epsilon": -1.0}
         model_path = tmp_path / "model.json"
         model_path.write_text(json.dumps(model))

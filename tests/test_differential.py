@@ -11,6 +11,7 @@ a seeded census-style pair.
 """
 
 import random
+import re
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -18,9 +19,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
 from electre_linkage import core, fellegi_sunter, linkage
 from electre_linkage.calibration import (
+    CalibrationError,
     TrainingSet,
     calibrate,
     estimate_lambda,
@@ -37,8 +41,9 @@ from electre_linkage.core import (
     credibilities,
 )
 from electre_linkage.datagen import generate_pair_files
-from electre_linkage.evaluation import EvaluationError, evaluate, lambda_sweep, split
+from electre_linkage.evaluation import EvaluationError, PairSide, evaluate, lambda_sweep, split
 from electre_linkage.fellegi_sunter import (
+    FsError,
     FsModel,
     agreement_patterns,
     fit_fs,
@@ -55,13 +60,14 @@ from electre_linkage.metrics import Comparator
 
 from oracles import (
     block_from_columns,
-    block_positions,
+    block_of_rows,
     random_model_params,
     ref_build_pairs,
     ref_estimate_profiles,
     ref_evaluate,
     ref_fit_fs,
     ref_log_ratio,
+    ref_side,
     ref_slacks,
     ref_split,
     ref_write_classified,
@@ -119,15 +125,17 @@ def test_build_pairs_matches_nested_loop(tables, reference, monkeypatch):
 
 
 def test_take_gathers_the_same_performances(tables):
+    """core.pair_values takes the performances of any positions, repeated, permuted or
+    none, as X does."""
     schema, a, b = tables
     block = build_pairs(a, b, schema)
     X = block.X
     rng = np.random.default_rng(3)
     for rows in (rng.integers(0, len(block), 50), rng.permutation(len(block)),
                  np.empty(0, dtype=np.intp)):
-        sub = block.take(rows)
-        assert sub.X.shape == (len(rows), X.shape[1])
-        assert sub.X.tobytes() == X[rows].tobytes()
+        sub = core.pair_values(block.fields, rows)
+        assert sub.shape == (len(rows), X.shape[1])
+        assert sub.tobytes() == X[rows].tobytes()
 
 
 def test_two_class_labels_follow_links(tables, reference):
@@ -203,7 +211,7 @@ def test_split_matches_reference_at_census_scale(tmp_path, policy):
     block = label_pairs(build_pairs(a, b, schema), true_links(a, b), policy)
     if policy == "banded":
         two_c2 = np.flatnonzero(block.truth == 2)[:2]
-        block = block.take(np.sort(np.r_[np.flatnonzero(block.truth != 2), two_c2]))
+        block = block_of_rows(block, np.sort(np.r_[np.flatnonzero(block.truth != 2), two_c2]))
         assert np.unique(block.truth).tolist() == [1, 2, 3]
     assert (block.truth == 1).sum() > 2**15
     X, labels = block.X, block.truth.tolist()
@@ -213,13 +221,140 @@ def test_split_matches_reference_at_census_scale(tmp_path, policy):
             ref_train, ref_test = ref_split(labels, fraction, seed)
             assert train.X.tobytes() == X[ref_train].tobytes()
             assert train.y.tolist() == block.truth[ref_train].tolist()
-            assert test.rows.tolist() == block_positions(block)[ref_test].tolist()
+            assert core.side_rows(test.labels).tolist() == ref_test
             assert test.truth.tolist() == block.truth[ref_test].tolist()
     # 0.002 of the ~120 links rounds to none: the reference trains on no link
     ref_train, _ = ref_split(labels, 0.002, 0)
     assert 3 not in block.truth[ref_train]
     with pytest.raises(EvaluationError, match="no links"):
         split(block, 0.002, 0)
+
+
+# --- a split's sides, labels over the whole block, against the positioned column form ---
+
+SIDE_VALUES = [0.0, -0.0, 0.25, 0.5, 0.88, 0.9, 1.0, 1 / 3]
+
+
+@st.composite
+def drawn_pairs(draw):
+    """An unlabeled block of 0-25 records a side over 1-3 fields of small value tables,
+    links among its pairs, and a pair to make non-finite with a value (inf shares its
+    kernel row with 1.0)."""
+    na, nb = draw(st.integers(0, 25)), draw(st.integers(0, 25))
+    fields = []
+    for _ in range(draw(st.integers(1, 3))):
+        da, db = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        table = draw(st.lists(st.sampled_from(SIDE_VALUES), min_size=da * db, max_size=da * db))
+        fields.append((np.array(draw(st.lists(st.integers(0, da - 1), min_size=na, max_size=na)),
+                                dtype=np.intp),
+                       np.array(draw(st.lists(st.integers(0, db - 1), min_size=nb, max_size=nb)),
+                                dtype=np.intp),
+                       *_distinct_cells(np.array(table).reshape(da, db))))
+    ids_a, ids_b = tuple(f"a{i}" for i in range(na)), tuple(f"b{k}" for k in range(nb))
+    links = {(ids_a[p // nb], ids_b[p % nb])
+             for p in draw(st.lists(st.integers(0, max(na * nb - 1, 0)), min_size=1,
+                                    max_size=12))
+             if na * nb}
+    block = PairBlock(ids_a, ids_b, tuple(fields), np.zeros(na * nb, dtype=np.int8))
+    return (block, links, draw(st.integers(0, max(na * nb - 1, 0))),
+            draw(st.sampled_from([np.nan, np.inf, -np.inf])))
+
+
+def assert_same_cells(model, got, want, thresholds=None):
+    """The (row, label, count) cells of two numberings: the same labels and counts, and rows
+    alike by the kernel (or, with thresholds, by agreement) though read from other pairs."""
+    (X, label, count), (want_X, want_label, want_count) = got, want
+    assert label.tolist() == want_label.tolist() and count.tolist() == want_count.tolist()
+    if thresholds is not None:
+        assert (X >= thresholds).tolist() == (want_X >= thresholds).tolist()
+        return
+    for procedure in PROCEDURES:
+        cats, sigma = classify_batch(model, X, procedure)
+        want_cats, want_sigma = classify_batch(model, want_X, procedure)
+        assert cats.tolist() == want_cats.tolist() and sigma.tobytes() == want_sigma.tobytes()
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 7, None])
+@pytest.mark.parametrize("policy", ["two_class", "banded"])
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(drawn=drawn_pairs(), fraction=st.sampled_from([0.3, 0.5, 0.8]), seed=st.integers(0, 99))
+def test_sides_count_as_the_positioned_column_form(chunk_rows, policy, drawn, fraction, seed):
+    """Each side of a split, an int8 label a pair of the whole block, gives the counts,
+    views and refusals of the same pairs gathered by position into a column form
+    (oracles.ref_side), in ref_split's order, at every chunk size of the counts."""
+    block, links, bad_pair, bad_value = drawn
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (core, linkage):
+            patch.setattr(module, "CHUNK_ROWS", chunk_rows or module.CHUNK_ROWS)
+        try:
+            block = label_pairs(block, links, policy)
+        except FsError:  # banded labels fit their baseline on links and nonlinks
+            assume(False)
+        sides = ref_split(block.truth.tolist(), fraction, seed)
+        if 3 not in block.truth[sides[0]]:
+            event("no link to train on")
+            with pytest.raises(EvaluationError, match="no links"):
+                split(block, fraction, seed)
+            return
+        model = simple_model(len(block.fields))
+        for side, rows in zip(split(block, fraction, seed), sides):
+            X, counts, histograms, kernel, patterns = ref_side(block, rows, block.truth[rows],
+                                                               model)
+            assert len(side) == len(rows)
+            assert side.X.tobytes() == X.tobytes()
+            assert side.y.tolist() == side.truth.tolist() == block.truth[rows].tolist()
+            assert [side.pair(i) for i in range(len(side))] == [block.pair(r) for r in rows]
+            assert side.histograms[0][1].sum(axis=0).tolist() == counts.tolist()
+            for (values, count), (want_values, want_count) in zip(side.histograms, histograms):
+                assert values.tobytes() == want_values.tobytes()
+                assert count.tolist() == want_count.tolist()
+            assert_same_cells(model, core.label_cells(
+                *core.kernel_rows(model, side.fields, side.labels), side.labels), kernel)
+            assert_same_cells(model, core.label_cells(
+                *agreement_patterns(side.fields), side.labels), patterns, 0.88)
+        # a value taken by a training pair is named by its training row; one taken only by a
+        # test pair lets the training side be counted, and is named by its test row in sweeps
+        X = block.X
+        X[bad_pair, 0] = bad_value
+        bad = block_from_columns(block.ids_a, block.ids_b, X, block.truth)
+        if bad_pair in sides[0]:
+            event("a training pair takes the non-finite value")
+            message = f"training row {sides[0].index(bad_pair)} is not finite: "
+            with pytest.raises(CalibrationError,
+                               match=re.escape(f"{message}{X[bad_pair].tolist()}")):
+                split(bad, fraction, seed)
+            return
+        train, test = split(bad, fraction, seed)
+        core.cut_counts(model, train.fields, train.labels, [0.7])
+        assert len(train.histograms) == len(block.fields)
+        event("only a test pair takes the non-finite value")
+        message = f"performance row {sides[1].index(bad_pair)} is not finite: "
+        with pytest.raises(ModelError, match=re.escape(f"{message}{X[bad_pair].tolist()}")):
+            lambda_sweep(test, model, [0.7])
+
+
+@pytest.mark.filterwarnings("ignore:category C2 has no training examples")
+def test_a_non_finite_test_pair_lets_train_through(tables):
+    """A non-finite value that only a test pair takes: train calibrates and fits its
+    baseline, and sweep names the pair by its test row; taken by a training pair, the split
+    names it by its training row."""
+    schema, a, b = tables
+    block = label_pairs(build_pairs(a, b, schema), true_links(a, b), "two_class")
+    ref_train, ref_test = ref_split(block.truth.tolist(), 0.5, 4)
+    for rows, k in ((ref_test, 0), (ref_test, -1), (ref_train, 1)):
+        X = block.X
+        X[rows[k], -1] = np.inf
+        bad = block_from_columns(block.ids_a, block.ids_b, X, block.truth)
+        message = f"row {k % len(rows)} is not finite: {X[rows[k]].tolist()}"
+        if rows is ref_train:
+            with pytest.raises(CalibrationError, match=re.escape(f"training {message}")):
+                split(bad, 0.5, 4)
+            continue
+        train, test = split(bad, 0.5, 4)
+        model, _, _ = calibrate(train, criterion_names=schema.field_names)
+        fit_patterns(*agreement_patterns(train.fields), train.labels)
+        with pytest.raises(ModelError, match=re.escape(f"performance {message}")):
+            lambda_sweep(test, model, [model.cutting_level])
 
 
 @pytest.mark.parametrize("band_rate", [0.01, 0.3])
@@ -329,8 +464,7 @@ def assert_sorted_sweep(got, ref):
 def test_lambda_sweep_matches_per_lambda_models(procedure):
     for seed in range(40):
         model, X, y = noisy_labeled_model(seed)
-        block = block_from_columns(("a",), tuple(range(len(y))), np.zeros(len(y)),
-                                   np.arange(len(y)), X, y)
+        block = block_from_columns(("a",), tuple(range(len(y))), X, y)
         assert_sorted_sweep(lambda_sweep(block, model, SWEEP_GRID, procedure),
                             per_lambda_sweep(block, model, SWEEP_GRID, procedure))
 
@@ -345,9 +479,8 @@ def test_lambda_sweep_counts_shared_kernel_rows_per_pair(procedure):
         two_categories |= model.category_count == 2
         rng = np.random.default_rng(seed)
         rows, truth = rng.integers(0, 12, size=300), rng.integers(1, 6, size=300)
-        block = block_from_columns(("a",), tuple(range(300)), np.zeros(300), np.arange(300),
-                                   X[rows], truth)
-        assert len(core.kernel_rows(model, block.row_fields())[0]) <= 12
+        block = block_from_columns(("a",), tuple(range(300)), X[rows], truth)
+        assert len(core.kernel_rows(model, block.fields)[0]) <= 12
         assert_sorted_sweep(lambda_sweep(block, model, SWEEP_GRID, procedure),
                             per_lambda_sweep(block, model, SWEEP_GRID, procedure))
     assert two_categories
@@ -460,7 +593,7 @@ def random_model(rng, m):
 
 def assert_kernel_rows_classify(block, model):
     """classify_batch on the kernel rows, gathered per pair, against classify_batch on X."""
-    R, kernel_row = core.kernel_rows(model, block.row_fields())
+    R, kernel_row = core.kernel_rows(model, block.fields)
     assert len(kernel_row) == len(block)
     for procedure in ("pessimistic", "optimistic"):
         cats, sigma = classify_batch(model, R, procedure)
@@ -485,12 +618,10 @@ def test_kernel_rows_classify_random_blocks():
                                    float(rng.choice(edges)[rng.randrange(len(B)), j])])
                        for j in range(m)] for _ in range(30)])
         X = X[[rng.randrange(30) for _ in range(120)]]
-        ia, ib = np.divmod(np.arange(120), 10)
-        block = block_from_columns(tuple(range(12)), tuple(range(10)), ia, ib, X,
-                                   np.zeros(120))
+        block = block_from_columns(tuple(range(12)), tuple(range(10)), X, np.zeros(120))
         R = assert_kernel_rows_classify(block, model)
         assert len(R) < len(block)
-        assert_kernel_rows_classify(block.take(np.arange(0, 120, 7)), model)
+        assert_kernel_rows_classify(block_of_rows(block, np.arange(0, 120, 7)), model)
 
 
 def test_kernel_rows_classify_built_blocks(tables):
@@ -500,16 +631,17 @@ def test_kernel_rows_classify_built_blocks(tables):
     for _ in range(20):
         model = random_model(rng, len(schema.field_names))
         assert_kernel_rows_classify(block, model)
-        assert_kernel_rows_classify(block.take(np.arange(len(block) - 1, -1, -3)), model)
+        assert_kernel_rows_classify(block_of_rows(block, np.arange(len(block) - 1, -1, -3)),
+                                    model)
 
 
 def test_kernel_rows_of_an_empty_block():
     model = simple_model(3)
-    block = block_from_columns(("a",), ("b",), [], [], np.empty((0, 3)), [])
-    R, kernel_row = core.kernel_rows(model, block.row_fields())
+    block = block_from_columns((), ("b",), np.empty((0, 3)), [])
+    R, kernel_row = core.kernel_rows(model, block.fields)
     assert R.shape == (0, 3) and kernel_row.shape == (0,)
     assert_kernel_rows_classify(block, model)
-    empty_side = block_from_columns(("a",), (), [], [], np.empty((0, 3)), [])
+    empty_side = block_from_columns(("a",), (), np.empty((0, 3)), [])
     assert_kernel_rows_classify(empty_side, model)
 
 
@@ -521,8 +653,7 @@ def test_kernel_rows_of_pairs_alike():
         model = random_model(rng, m)
         row = [rng.uniform(0, 1.2) for _ in range(m)]
         for n in (1, 6):
-            block = block_from_columns(tuple(range(n)), ("b",), np.arange(n), np.zeros(n),
-                                       [row] * n, np.zeros(n))
+            block = block_from_columns(tuple(range(n)), ("b",), [row] * n, np.zeros(n))
             R = assert_kernel_rows_classify(block, model)
             assert len(R) == 1
 
@@ -535,7 +666,7 @@ def test_kernel_rows_key_past_int64():
     rest = (np.zeros(256, dtype=np.intp), np.zeros(1, dtype=np.intp),
             *_distinct_cells(values[::-1, None]))
     block = PairBlock(tuple(range(256)), ("b",), (first,) + (rest,) * 8,
-                      None, np.zeros(256, dtype=np.int8))
+                      np.zeros(256, dtype=np.int8))
     criteria = tuple(Criterion(f"g{j}", 1.0 + j, 0.0, 1.0) for j in range(9))
     model = ElectreModel(criteria, ProfileSet(((0.5,) * 9,)), 0.6)
     for j in range(9):
@@ -639,7 +770,7 @@ def table_block(rng, na, nb, m=3):
         table = np.round(rng.random((da, db)), 1)
         fields.append((rng.integers(0, da, na), rng.integers(0, db, nb), *_distinct_cells(table)))
     ids_a = tuple(f"a{i}" if i % 3 else f"a,{i}" for i in range(na))
-    return PairBlock(ids_a, tuple(f"b{k}" for k in range(nb)), tuple(fields), None,
+    return PairBlock(ids_a, tuple(f"b{k}" for k in range(nb)), tuple(fields),
                      rng.integers(0, 4, na * nb).astype(np.int8))
 
 
@@ -660,46 +791,44 @@ def test_write_classified_matches_row_loop(tables, tmp_path, monkeypatch, chunk_
 @pytest.mark.parametrize("join_pairs", [1, 7, 64])
 def test_write_classified_joins_pieces_across_a_rows(tables, tmp_path, monkeypatch, join_pairs):
     """A chunk is joined and written JOIN_PAIRS pairs at a time, pieces that start and
-    end mid-A-row and mid-chunk; a whole block and a taken one each give the row loop's
-    file."""
+    end mid-A-row and mid-chunk; a block and one of every other of its pairs, reversed,
+    each give the row loop's file."""
     monkeypatch.setattr(linkage, "JOIN_PAIRS", join_pairs)
     monkeypatch.setattr(linkage, "CHUNK_ROWS", 100)
     schema, a, b = tables
     block = label_pairs(build_pairs(a, b, schema), true_links(a, b), "two_class")
     model = simple_model(len(schema.field_names))
     assert_same_file(tmp_path, block, model, schema.field_names)
-    assert_same_file(tmp_path, block.take(slice(None, None, -2)), model, schema.field_names)
+    assert_same_file(tmp_path, block_of_rows(block, slice(None, None, -2)), model,
+                     schema.field_names)
 
 
 @pytest.mark.parametrize("chunk_rows", [None, 1, 7])
 def test_write_classified_reads_the_block_through_columns_once(tables, tmp_path, monkeypatch,
                                                                chunk_rows):
-    """A whole block is numbered and written from its cell tables, with no
-    PairBlock.columns() call; any other block is read through one call a file, which
-    both classifies its pairs and writes them, however many chunks it writes. Each
-    file equals the row loop's."""
+    """A block is numbered and written from its cell tables: each field's index column is
+    read once a pair a file (core.cell_index by chunks of whole A-rows), and no pair by its
+    position (core.pair_values), however many chunks the file takes. Each file equals the
+    row loop's."""
     if chunk_rows:
         monkeypatch.setattr(linkage, "CHUNK_ROWS", chunk_rows)
     schema, a, b = tables
     block = label_pairs(build_pairs(a, b, schema), true_links(a, b), "two_class")
     model = simple_model(len(schema.field_names))
     new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
-    columns = PairBlock.columns
-    subset = block.take(slice(1, None))
-    for pairs, reads in ((block, []), (subset, [len(subset)])):
+    cell_index, pair_values = linkage.cell_index, core.pair_values
+    for pairs in (block, block_of_rows(block, slice(1, None))):
         for procedure in PROCEDURES:
-            calls = []
-
-            def counting(pairs):
-                calls.append(len(pairs))
-                return columns(pairs)
-
+            reads, gathers = [], []
             with monkeypatch.context() as patch:
-                patch.setattr(PairBlock, "columns", counting)
+                patch.setattr(linkage, "cell_index", lambda code_a, code_b, cell: reads.append(
+                    len(code_a) * len(code_b)) or cell_index(code_a, code_b, cell))
+                patch.setattr(core, "pair_values", lambda fields, rows: gathers.append(
+                    len(rows)) or pair_values(fields, rows))
                 write_classified(new, pairs, model, procedure, schema.field_names)
             if chunk_rows:
                 assert len(pairs) > chunk_rows  # the file is written in several chunks
-            assert calls == reads
+            assert sum(reads) == len(pairs) * len(pairs.fields) and gathers == []
             ref_write_classified(ref, pairs, *classify_batch(model, pairs.X, procedure),
                                  schema.field_names)
             assert new.read_bytes() == ref.read_bytes()
@@ -712,7 +841,7 @@ def test_write_classified_of_a_row_longer_than_a_chunk(tmp_path, monkeypatch, ch
     monkeypatch.setattr(linkage, "CHUNK_ROWS", chunk_rows)
     monkeypatch.setattr(core, "CHUNK_ROWS", chunk_rows)
     block = table_block(np.random.default_rng(chunk_rows), 4, 9)
-    assert block.rows is None and len(block.ids_b) > chunk_rows
+    assert len(block.ids_b) > chunk_rows
     assert_same_file(tmp_path, block, simple_model(3), ["f1", "f2", "f3"])
 
 
@@ -730,7 +859,7 @@ def test_write_classified_of_a_key_space_past_twice_the_pairs(tmp_path, monkeypa
         table = 0.25 + 0.5 * rng.random((4, 5))
         fields.append((rng.permutation(4), rng.permutation(5), *_distinct_cells(table)))
     block = PairBlock(tuple(f"a{i}" for i in range(4)), tuple(f"b{k}" for k in range(5)),
-                      tuple(fields), None, rng.integers(0, 4, 20).astype(np.int8))
+                      tuple(fields), rng.integers(0, 4, 20).astype(np.int8))
     model = simple_model(3)
     codes = [core.criterion_codes(model, j, values) for j, (_, _, values, _) in enumerate(fields)]
     assert np.prod([int(c.max()) + 1 for c in codes]) > 2 * len(block)
@@ -767,13 +896,10 @@ def test_write_classified_special_values(tmp_path, monkeypatch, chunk_rows):
     rng = np.random.default_rng(5)
     ids_a = ("a,1", 'say "hi"', " lead", "trail ", "plain", "two\nlines", "", "cr\r", '"')
     ids_b = ("b1", "x,y,z", "  ", 'q""q', "\u00e9t\u00e9")
-    n = 60
-    ia, ib = rng.integers(0, len(ids_a), n), rng.integers(0, len(ids_b), n)
+    n = len(ids_a) * len(ids_b)
     X = rng.choice(SPECIAL_FLOATS, size=(n, 3))
     X[:2] = [[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]]
-    truth = rng.integers(0, 4, n)
-    # one A entry per row: a repeated pair would have to repeat its performances
-    block = block_from_columns([ids_a[i] for i in ia], ids_b, np.arange(n), ib, X, truth)
+    block = block_from_columns(ids_a, ids_b, X, rng.integers(0, 4, n))
     assert_same_file(tmp_path, block, simple_model(3), ["f,1", "f2", 'f"3'])
 
 
@@ -783,8 +909,8 @@ def test_write_classified_labels_far_apart(tmp_path, labels):
     rng = np.random.default_rng(6)
     n = 40
     X = rng.choice(SPECIAL_FLOATS, size=(n, 2))
-    block = block_from_columns(tuple(f"a{i}" for i in range(n)), ("b",), np.arange(n),
-                               np.zeros(n, dtype=int), X, rng.choice(labels, n))
+    block = block_from_columns(tuple(f"a{i}" for i in range(n)), ("b",), X,
+                               rng.choice(labels, n))
     assert_same_file(tmp_path, block, simple_model(2), ["f1", "f2"])
 
 
@@ -792,8 +918,8 @@ def test_write_classified_empty_block(tmp_path):
     header = b"id_a,id_b,sim_f1,sim_f2,sim_f3,assigned,truth\r\n"
     rng = np.random.default_rng(4)
     empty_sides = [table_block(rng, 0, 5), table_block(rng, 4, 0), table_block(rng, 0, 0)]
-    no_rows = block_from_columns(("a",), (), [], [], np.empty((0, 3)), [])
-    for block in [no_rows, *empty_sides, table_block(rng, 6, 5).take(slice(0, 0))]:
+    no_rows = block_from_columns(("a",), (), np.empty((0, 3)), [])
+    for block in [no_rows, *empty_sides, block_of_rows(table_block(rng, 6, 5), slice(0, 0))]:
         assert len(block) == 0
         assert_same_file(tmp_path, block, simple_model(3), ["f1", "f2", "f3"])
         assert (tmp_path / "new.csv").read_bytes() == header
@@ -810,8 +936,7 @@ def test_write_classified_refuses_before_opening_the_file(tmp_path):
         write_classified(dest, block, simple_model(2), "pessimistic", ["f1", "f2"])
     X = block.X
     X[17, 1] = float("nan")
-    bad = block_from_columns(block.ids_a, block.ids_b, *np.divmod(block_positions(block), 8), X,
-                             block.truth)
+    bad = block_from_columns(block.ids_a, block.ids_b, X, block.truth)
     with pytest.raises(ModelError, match=r"performance row 17 is not finite: \[.*nan"):
         write_classified(dest, bad, simple_model(3), "optimistic", ["f1", "f2", "f3"])
     assert not dest.exists()
@@ -820,24 +945,35 @@ def test_write_classified_refuses_before_opening_the_file(tmp_path):
 @pytest.mark.parametrize("chunk_rows", [6, 8])
 @pytest.mark.parametrize("lo, hi", [(3, 40), (10, 33), (2, 5)])
 def test_write_classified_of_a_run_starting_mid_row(tmp_path, monkeypatch, chunk_rows, lo, hi):
-    """A block of a run starting and ending mid-A-row (nb = 7), written in chunks one
-    pair short of and one past an A-row: each chunk's slice of the block's one read
-    holds the pairs of the right rows."""
+    """A run of pairs starting and ending mid-A-row (nb = 7), read in chunks one pair short
+    of and one past an A-row: its side of the block sweeps as its pairs do one at a time,
+    and the block labeled on the run alone writes the row loop's file."""
     monkeypatch.setattr(linkage, "CHUNK_ROWS", chunk_rows)
-    block = table_block(np.random.default_rng(lo), 6, 7).take(slice(lo, hi))
-    assert_same_file(tmp_path, block, simple_model(3), ["f1", "f2", "f3"])
+    monkeypatch.setattr(core, "CHUNK_ROWS", chunk_rows)
+    block = table_block(np.random.default_rng(lo), 6, 7)
+    run = np.arange(len(block))
+    labels = np.where((run >= lo) & (run < hi), block.truth % 3 + 1, 0).astype(np.int8)
+    side, model = PairSide(block, labels), simple_model(3)
+    assert core.side_rows(labels).tolist() == sorted(range(lo, hi), key=labels.__getitem__)
+    for procedure in PROCEDURES:
+        assert_sorted_sweep(lambda_sweep(side, model, SWEEP_GRID, procedure),
+                            per_lambda_sweep(side, model, SWEEP_GRID, procedure))
+    assert_same_file(tmp_path, replace(block, truth=labels), model, ["f1", "f2", "f3"])
 
 
 # --- the pair layout read by whole table rows, against per-pair gathers ---
 
 
-def assert_columns_per_pair(block):
+def assert_columns_per_pair(block, rows):
+    """The values core.pair_values reads for the positions np.arange(n)[rows], against each
+    pair's cells looked up one at a time."""
     nb = len(block.ids_b)
-    for (values, index), (code_a, code_b, field_values, cell) in zip(block.columns(), block.fields):
-        assert values is field_values
-        assert index.dtype == np.int32
-        want = [cell[code_a[r // nb], code_b[r % nb]] for r in block_positions(block).tolist()]
-        assert index.tolist() == want
+    positions = np.arange(len(block))[rows]
+    X = core.pair_values(block.fields, positions)
+    assert X.shape == (len(positions), len(block.fields))
+    want = [[values[cell[code_a[r // nb], code_b[r % nb]]]
+             for code_a, code_b, values, cell in block.fields] for r in positions.tolist()]
+    assert X.tobytes() == np.array(want, dtype=float).reshape(X.shape).tobytes()
 
 
 @pytest.mark.parametrize("rows", [
@@ -858,15 +994,16 @@ def assert_columns_per_pair(block):
 ])
 def test_columns_of_rows_match_per_pair_gathers(rows):
     block = table_block(np.random.default_rng(11), 8, 6)
-    assert_columns_per_pair(block.take(rows))
+    assert_columns_per_pair(block, rows)
 
 
 @pytest.mark.parametrize("na, nb", [(0, 4), (5, 0), (0, 0)])
 def test_columns_of_an_empty_side(na, nb):
     block = table_block(np.random.default_rng(na + nb), na, nb)
-    columns = block.columns()
-    assert [index.shape for _, index in columns] == [(0,)] * 3
-    assert_columns_per_pair(block)
+    indices = [core.cell_index(code_a, code_b, cell) for code_a, code_b, _, cell in block.fields]
+    assert [index.shape for index in indices] == [(0,)] * 3
+    assert block.X.shape == (0, 3)
+    assert_columns_per_pair(block, slice(None))
 
 
 def test_columns_of_a_whole_block_gather_no_per_pair_codes():
@@ -876,71 +1013,43 @@ def test_columns_of_a_whole_block_gather_no_per_pair_codes():
     n = len(block)
     tracemalloc.start()
     try:
-        columns = block.columns()
+        columns = [core.cell_index(code_a, code_b, cell)
+                   for code_a, code_b, _, cell in block.fields]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(columns) == m
+    assert len(columns) == m and all(index.dtype == np.int32 for index in columns)
     # the int32 indices and two more of them; divmod alone is 16 bytes a pair
     assert peak <= 4 * n * (m + 2)
 
 
 def test_columns_of_a_subset_stay_within_the_whole_block_bound():
-    """A sorted half of the rows gathers from one whole read a field at a time:
-    no more than a whole block's columns cost."""
+    """A side of half the pairs is counted, per field, from one whole read of the field's
+    index at a time: its histograms cost no more than a whole block's columns."""
     m = 3
     block = table_block(np.random.default_rng(14), 400, 300, m)
     n = len(block)
-    rows = np.sort(np.random.default_rng(15).choice(n, n // 2, replace=False))
-    half = block.take(rows)
+    labels = np.zeros(n, dtype=np.int8)
+    labels[np.random.default_rng(15).choice(n, n // 2, replace=False)] = 1
+    half = PairSide(block, labels)
     tracemalloc.start()
     try:
-        columns = half.columns()
+        histograms = half.histograms
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert [len(index) for _, index in columns] == [n // 2] * m
+    assert [int(counts.sum()) for _, counts in histograms] == [n // 2] * m
     assert peak <= 4 * n * (m + 2)
 
 
-# --- a whole block (rows None) against the same pairs held as positions ---
-
-
-def assert_same_pairs(tmp_path, monkeypatch, block, held):
-    """block and held hold the same pairs, one of them maybe as a whole block: every read
-    of the pairs, the labels and the file written agree."""
-    assert block_positions(block).tolist() == block_positions(held).tolist()
-    for (values, index), (held_values, held_index) in zip(block.columns(), held.columns()):
-        assert values is held_values
-        assert index.dtype == held_index.dtype == np.int32
-        assert index.tolist() == held_index.tolist()
-    assert block.X.tobytes() == held.X.tobytes()
-    assert [block.pair(r) for r in range(len(block))] == [held.pair(r) for r in range(len(held))]
-    model = simple_model(3)
-    for number in (lambda fields: core.kernel_rows(model, fields), agreement_patterns):
-        (R, inverse), (held_R, held_inverse) = number(block.row_fields()), number(held.row_fields())
-        assert R.tobytes() == held_R.tobytes()
-        assert inverse.tolist() == held_inverse.tolist()
-    links = [(block.ids_a[i], block.ids_b[i % len(block.ids_b)])
-             for i in range(0, len(block.ids_a), 2)]
-    fs_model = FsModel((0.9, 0.8, 0.7), (0.2, 0.1, 0.3), (0.5, 0.4, 0.6), -1.0, 1.0)
-    for policy, baseline in (("two_class", None), ("banded", fs_model)):
-        assert (label_pairs(block, links, policy, baseline).truth.tolist()
-                == label_pairs(held, links, policy, baseline).truth.tolist())
-    for chunk_rows in (1, 7, linkage.CHUNK_ROWS):
-        with monkeypatch.context() as patch:
-            patch.setattr(linkage, "CHUNK_ROWS", chunk_rows)
-            patch.setattr(core, "CHUNK_ROWS", chunk_rows)
-            for name, pairs in (("block.csv", block), ("held.csv", held)):
-                write_classified(tmp_path / name, pairs, model, "pessimistic", ["f1", "f2", "f3"])
-        assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "held.csv").read_bytes()
+# --- pairs read by position against the same pairs built as a whole block ---
 
 
 MASK = np.arange(48) % 5 < 2
 
 
 @pytest.mark.parametrize("selections", [
-    (),  # no take: the whole block against np.arange(n) as positions
+    (),  # no selection: the whole block against np.arange(n) as positions
     (slice(None),),
     (slice(3, 17),),  # starts and ends mid-A-row
     (slice(None, None, -3),),
@@ -951,62 +1060,48 @@ MASK = np.arange(48) % 5 < 2
     (MASK.tolist(),),
     ([],),
     (np.zeros(48, dtype=bool),),
-    (slice(2, 40), [5, 1, 1, -2]),  # a take of a take
+    (slice(2, 40), [5, 1, 1, -2]),  # a selection of a selection
     (MASK, slice(None, None, -1)),
     (np.arange(47, -1, -1), MASK[::-1]),
 ])
 def test_whole_block_matches_the_same_pairs_as_positions(tmp_path, monkeypatch, selections):
-    """A whole block holds no positions; its takes hold np.arange(n)[selection]. Taken in
-    turn from the whole block and from the same pairs held as np.arange(n) positions, every
-    selection gives the same pairs by every read."""
+    """The positions np.arange(n)[selection], selected in turn, read from the whole block by
+    core.pair_values, and the same pairs built as a whole block of their own
+    (oracles.block_of_rows): every read of the pairs agrees, and the file written of the
+    pairs is the row loop's at every chunk size."""
     block = table_block(np.random.default_rng(21), 8, 6)
-    n = len(block)
-    assert block.rows is None and n == len(MASK)
-    held = replace(block, rows=np.arange(n))
-    want = np.arange(n)
+    want = np.arange(len(block))
     for selection in selections:
-        block, held, want = block.take(selection), held.take(selection), want[selection]
-        assert block.rows.tolist() == held.rows.tolist() == want.tolist()
-        assert block.rows.dtype == np.intp
-    assert block.truth.tolist() == held.truth.tolist()
-    assert_same_pairs(tmp_path, monkeypatch, block, held)
-
-
-def test_take_of_a_whole_block_keeps_intp_positions_uncopied():
-    """The split's sides are intp positions of a whole block: taken as given, with no
-    second 8 bytes a row. Positions with a negative one are read through np.arange(n)
-    into a new array, and the given ones stay as they were."""
-    block = table_block(np.random.default_rng(23), 8, 6)
-    rows = np.array([3, 0, 47], dtype=np.intp)
-    assert block.take(rows).rows is rows
-    negative = np.array([3, -1], dtype=np.intp)
-    assert block.take(negative).rows.tolist() == [3, 47]
-    assert negative.tolist() == [3, -1]
-
-
-@pytest.mark.parametrize("rows", [[48], [-49], [0, 48], np.zeros(47, dtype=bool)])
-def test_take_of_a_whole_block_refuses_a_row_past_it(rows):
-    """A row past the whole block is refused as np.arange(n)[rows] refuses it, not
-    wrapped into it; so is a mask of another length."""
-    block = table_block(np.random.default_rng(22), 8, 6)
-    with pytest.raises(IndexError):
-        np.arange(len(block))[rows]
-    with pytest.raises(IndexError):
-        block.take(rows)
+        want = want[selection]
+    held = block_of_rows(block, want)
+    X = core.pair_values(block.fields, want)
+    assert held.X.tobytes() == X.tobytes() == block.X[want].tobytes()
+    assert held.truth.tolist() == block.truth[want].tolist()
+    assert [held.pair(r) for r in range(len(held))] == [(block.pair(r), "") for r in want]
+    model = simple_model(3)
+    assert_kernel_rows_classify(held, model)
+    P, pattern = agreement_patterns(held.fields)
+    assert (P[pattern] >= 0.88).tolist() == (X >= 0.88).tolist()
+    for chunk_rows in (1, 7, linkage.CHUNK_ROWS):
+        with monkeypatch.context() as patch:
+            patch.setattr(linkage, "CHUNK_ROWS", chunk_rows)
+            patch.setattr(core, "CHUNK_ROWS", chunk_rows)
+            assert_same_file(tmp_path, held, model, ["f1", "f2", "f3"])
 
 
 # --- calibration from counts against the row-based references ---
 
 
 def counted_block(rng, p, m, grid, epsilon):
-    """A PairBlock of repeated pairs over small value tables, labeled 1..p.
+    """A side of a PairBlock over small value tables, labeled 1..p, about one pair in
+    p + 1 off the side.
 
     With grid set, values are multiples of it and epsilon a multiple too, so
     values shifted by whole epsilons land exactly on other values' breakpoints.
     One category in three blocks is left empty, so some profile has one side
     only; ties between repeated values are everywhere.
     """
-    na, nb, n = int(rng.integers(2, 6)), int(rng.integers(2, 6)), int(rng.integers(2 * p, 80))
+    na, nb = int(rng.integers(2, 10)), int(rng.integers(2, 10))
     fields = []
     for _ in range(m):
         table = rng.random((3, 4))
@@ -1014,12 +1109,13 @@ def counted_block(rng, p, m, grid, epsilon):
             table = np.round(table / grid) * grid
         table[rng.random(table.shape) < 0.2] = 0.9  # some agreement above 0.88
         fields.append((rng.integers(0, 3, na), rng.integers(0, 4, nb), *_distinct_cells(table)))
-    y = rng.integers(1, p + 1, n)
+    y = rng.integers(0, p + 1, na * nb)
     if rng.random() < 1 / 3:
         c = int(rng.integers(1, p + 1))
         y[y == c] = c + 1 if c < p else c - 1
-    return PairBlock(tuple(range(na)), tuple(range(nb)), tuple(fields),
-                     rng.integers(0, na * nb, n), y.astype(np.int8))
+    block = PairBlock(tuple(range(na)), tuple(range(nb)), tuple(fields),
+                      np.zeros(na * nb, dtype=np.int8))
+    return PairSide(block, y.astype(np.int8), p)
 
 
 def assert_calibrated_as_rows(train, epsilon, procedure):
@@ -1038,7 +1134,7 @@ def assert_calibrated_as_rows(train, epsilon, procedure):
     assert (model.cutting_level, curve) == per_lambda_curve(
         rows, model.criteria, model.profiles, grid, procedure, epsilon)
     if (y == 3).any() and (y != 3).any():
-        fs = fit_patterns(*agreement_patterns(core.column_fields(train.columns)), y)
+        fs = fit_patterns(*agreement_patterns(train.fields), train.labels)
         assert fs == FsModel(*ref_fit_fs(X.tolist(), y.tolist()))
 
 
@@ -1047,17 +1143,17 @@ def assert_calibrated_as_rows(train, epsilon, procedure):
 @pytest.mark.parametrize("grid, epsilon", [(None, 0.01), (0.125, 0.125), (1 / 64, 1 / 32)])
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_calibration_from_counts_matches_rows(p, grid, epsilon, procedure):
-    """Both constructors: from an (n, m) matrix and from a block's columns."""
+    """Both forms: an (n, m) matrix, and a side of a block's whole cross product."""
     rng = np.random.default_rng([p, int(epsilon * 1000), procedure == "optimistic"])
     checked = 0
     while checked < 12:
-        block = counted_block(rng, p, int(rng.integers(1, 4)), grid, epsilon)
-        if (epsilon * (p - 2) > np.ptp(block.X, axis=0)).any():
+        side = counted_block(rng, p, int(rng.integers(1, 4)), grid, epsilon)
+        X = side.X
+        if len(X) < 2 * p or (epsilon * (p - 2) > np.ptp(X, axis=0)).any():
             continue  # EpsilonInfeasibleError, checked elsewhere
-        from_columns = TrainingSet.from_columns(block.columns(), block.truth, p)
-        from_matrix = TrainingSet(block.X, block.truth, p)
-        assert from_columns.X.tobytes() == block.X.tobytes()
-        for train in (from_columns, from_matrix):
+        from_matrix = TrainingSet(X, side.y, p)
+        assert X.tobytes() == side.block.X[core.side_rows(side.labels)].tobytes()
+        for train in (side, from_matrix):
             assert_calibrated_as_rows(train, epsilon, procedure)
         checked += 1
 

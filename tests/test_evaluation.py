@@ -8,26 +8,24 @@ from electre_linkage.core import Criterion, ElectreModel, ModelError, ProfileSet
 from electre_linkage.evaluation import (
     _SCALAR_BELOW,
     EvaluationError,
+    PairSide,
     _permutation,
     evaluate,
     lambda_sweep,
     split,
 )
 
-from oracles import block_from_columns, block_positions
+from oracles import block_from_columns
 
 
 def block(rows):
-    """A pair block from (pair, performances, category) rows; category 0 is unlabeled."""
+    """A pair block from (pair, performances, category) rows, all of its cross product in
+    row-major order; category 0 is unlabeled."""
     ids_a = tuple(dict.fromkeys(pair[0] for pair, _, _ in rows))
     ids_b = tuple(dict.fromkeys(pair[1] for pair, _, _ in rows))
-    return block_from_columns(
-        ids_a, ids_b,
-        [ids_a.index(pair[0]) for pair, _, _ in rows],
-        [ids_b.index(pair[1]) for pair, _, _ in rows],
-        [perf for _, perf, _ in rows],
-        [cat for _, _, cat in rows],
-    )
+    assert [pair for pair, _, _ in rows] == [(a, b) for a in ids_a for b in ids_b]
+    return block_from_columns(ids_a, ids_b, [perf for _, perf, _ in rows],
+                              [cat for _, _, cat in rows])
 
 
 def pair_ids(pairs):
@@ -60,8 +58,7 @@ class TestSplit:
     def test_partition(self):
         pairs = synthetic_pairs(10, 90)
         # tag every row with a distinct performance so training rows can be identified
-        ia, ib = np.divmod(block_positions(pairs), len(pairs.ids_b))
-        pairs = block_from_columns(pairs.ids_a, pairs.ids_b, ia, ib,
+        pairs = block_from_columns(pairs.ids_a, pairs.ids_b,
                                    np.arange(len(pairs), dtype=float)[:, None], pairs.truth)
         train, test = split(pairs, 0.3, seed=1)
         train_ids = {pairs.pair(int(r)) for r in train.X[:, 0]}
@@ -257,22 +254,26 @@ class TestLambdaSweep:
             lambda_sweep(pairs, self.model(), [0.5, 0.7])
 
     def test_empty_block(self):
-        with pytest.raises(EvaluationError, match="nothing to evaluate"):
-            lambda_sweep(synthetic_pairs(2, 2).take([]), self.model(), [0.5])
+        empty = block_from_columns(("a",), (), np.empty((0, 1)), [])
+        for pairs in (empty, PairSide(synthetic_pairs(2, 2), np.zeros(4, dtype=np.int8))):
+            with pytest.raises(EvaluationError, match="nothing to evaluate"):
+                lambda_sweep(pairs, self.model(), [0.5])
 
     def test_non_finite_pairs_refused_by_their_row(self):
         # the inf shares 5.0's kernel row, and was counted as C2 through it
         model = ElectreModel((Criterion("g1", 1.0, 0.05, 0.2),), ProfileSet(((0.8,),)), 0.7)
         pairs = block([(("a", "b"), (0.1,), 1), (("a", "c"), (5.0,), 3),
-                       (("a", "d"), (float("inf"),), 1), (("e", "b"), (0.9,), 3)])
+                       (("e", "b"), (float("inf"),), 1), (("e", "c"), (0.9,), 3)])
         with pytest.raises(ModelError, match=r"^performance row 2 is not finite: \[inf\]$"):
             lambda_sweep(pairs, model, [0.5, 0.7])
-        # a subset is named by its own rows, and its columns keep the inf no row of it takes
+        # a side is named by its own rows, by label then in block order, and its fields
+        # keep the inf no pair of it takes
+        side = PairSide(pairs, np.array([1, 0, 1, 3], dtype=np.int8))
         with pytest.raises(ModelError, match=r"^performance row 1 is not finite: \[inf\]$"):
-            lambda_sweep(pairs.take([3, 2, 0]), model, [0.7])
-        finite = pairs.take([3, 1, 0])
-        assert float("inf") in finite.columns()[0][0]
-        kept = block([(("e", "b"), (0.9,), 3), (("a", "c"), (5.0,), 3), (("a", "b"), (0.1,), 1)])
+            lambda_sweep(side, model, [0.7])
+        finite = PairSide(pairs, np.array([1, 3, 0, 3], dtype=np.int8))
+        assert float("inf") in finite.fields[0][2]
+        kept = block([(("x", "1"), (0.9,), 3), (("x", "2"), (5.0,), 3), (("x", "3"), (0.1,), 1)])
         assert ([r.contingency for r in lambda_sweep(finite, model, [0.5, 0.7])]
                 == [r.contingency for r in lambda_sweep(kept, model, [0.5, 0.7])])
 

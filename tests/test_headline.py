@@ -36,7 +36,7 @@ def recalls(root, seed):
     b, _ = load_table(b_path, schema, "B")
     train, test = split(label_pairs(build_pairs(a, b, schema), true_links(a, b)), 0.5, 0)
     model, _, _ = calibrate(train, criterion_names=schema.field_names)
-    (counts,) = cut_counts(model, test.row_fields(), test.truth, [model.cutting_level])
+    (counts,) = cut_counts(model, test.fields, test.labels, [model.cutting_level])
     return counts[1, 1] / counts[1].sum(), counts[3, 3] / counts[3].sum()
 
 

@@ -14,6 +14,7 @@ from electre_linkage.core import (
 )
 from electre_linkage.fellegi_sunter import FsError, FsModel
 from electre_linkage.datagen import generate_pair_files
+from electre_linkage.evaluation import PairSide
 from electre_linkage.ingest import census_schema, load_table, toy_schema, true_links
 from electre_linkage.linkage import (
     build_pairs,
@@ -27,16 +28,12 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def make_block(pairs, rows):
-    """A block of explicit (id_a, id_b) pairs with the given performance rows."""
+    """A block of explicit (id_a, id_b) pairs, all of their cross product in row-major order,
+    with the given performance rows."""
     ids_a = tuple(dict.fromkeys(a for a, _ in pairs))
     ids_b = tuple(dict.fromkeys(b for _, b in pairs))
-    return block_from_columns(
-        ids_a, ids_b,
-        [ids_a.index(a) for a, _ in pairs],
-        [ids_b.index(b) for _, b in pairs],
-        rows,
-        np.zeros(len(pairs)),
-    )
+    assert list(pairs) == [(a, b) for a in ids_a for b in ids_b]
+    return block_from_columns(ids_a, ids_b, rows, np.zeros(len(pairs)))
 
 
 def pair_ids(block):
@@ -53,9 +50,11 @@ def toy_tables():
 
 class TestPairBlock:
     def test_take_keeps_rows_together(self, toy_tables):
+        """A side taken of a block, its pairs in label order: each keeps its ids and
+        performances together."""
         schema, a, b = toy_tables
         pairs = build_pairs(a, b, schema)
-        sub = pairs.take([4, 0])
+        sub = PairSide(pairs, np.array([2, 0, 0, 0, 1, 0, 0, 0, 0], dtype=np.int8))
         assert pair_ids(sub) == [pair_ids(pairs)[4], pair_ids(pairs)[0]]
         assert sub.X.tobytes() == pairs.X[[4, 0]].tobytes()
 
@@ -190,7 +189,7 @@ class TestClassifyPairs:
         with pytest.raises(ModelError):
             classify_batch(self.model(), pairs.X)
         with pytest.raises(ModelError, match="2 fields, model has 3 criteria"):
-            kernel_rows(self.model(), pairs.row_fields())
+            kernel_rows(self.model(), pairs.fields)
 
     def test_raising_performance_never_lowers_category(self):
         import random
