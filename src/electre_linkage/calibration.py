@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import (Criterion, ElectreModel, ProfileSet, _check_finite, _distinct_cells,
-                   cell_index, column_fields, cut_counts, label_cells, pair_values, side_rows)
+                   cell_index, column_fields, cut_counts, label_cells, pair_values)
 
 __all__ = [
     "TrainingSet",
@@ -50,7 +50,7 @@ class TrainingSet:
     code_b, values, cell) as core.distinct_rows takes them, labels a category index in
     1..category_count a pair (0 off the side). TrainingSet(X, y, category_count) takes an
     (n, m) matrix as the n x 1 product of its columns; evaluation.split makes a side of a
-    block. Calibration reads the pairs as counts; X and y are gathered, in side order, when
+    block. Calibration reads the pairs as counts; X and y are gathered, in order, when
     asked for."""
 
     def __init__(self, X, y, category_count: int):
@@ -75,13 +75,17 @@ class TrainingSet:
     def criterion_count(self) -> int:
         return len(self.fields)
 
+    @cached_property
+    def rows(self) -> np.ndarray:  # the positions of the pairs on the side, in order
+        return np.flatnonzero(self.labels)
+
     @property
     def X(self) -> np.ndarray:
-        return pair_values(self.fields, side_rows(self.labels))
+        return pair_values(self.fields, self.rows)
 
     @property
     def y(self) -> np.ndarray:
-        return self.labels[side_rows(self.labels)]
+        return self.labels[self.rows]
 
     @cached_property
     def histograms(self) -> list:

@@ -36,7 +36,6 @@ __all__ = [
     "column_fields",
     "cell_index",
     "pair_values",
-    "side_rows",
     "kernel_rows",
     "label_cells",
     "assign",
@@ -405,12 +404,6 @@ def pair_values(fields, rows) -> np.ndarray:
                             for code_a, code_b, values, cell in fields])
 
 
-def side_rows(labels) -> np.ndarray:
-    """The positions of a side's pairs (label, 0 or more, not 0), by label then in order."""
-    labels = np.asarray(labels)
-    return np.argsort(labels, kind="stable")[np.count_nonzero(labels == 0):]
-
-
 def distinct_rows(fields, states):
     """(R, inverse): the values of one row of each distinct row of the row-major cross
     product of fields, and each row's index into R.
@@ -471,38 +464,32 @@ def distinct_rows(fields, states):
                             for code_a, code_b, values, cell in fields]), inverse
 
 
-def _check_finite(fields, error, what: str, labels=None) -> None:
-    """Raise error naming the first pair of fields' product that takes a non-finite value: of
-    every pair, or with labels of a side's pairs in side order; values no pair takes pass."""
+def _check_finite(fields, error, what: str) -> None:
+    """Raise error naming the first pair of fields' product that takes a non-finite value;
+    values no pair takes pass."""
     flags = [(a, b, ~np.isfinite(values), cell) for a, b, values, cell in fields]
     if any(flag.any() for _, _, flag, _ in flags):
-        n = len(fields[0][0]) * len(fields[0][1])
-        rows = np.arange(n) if labels is None else side_rows(labels)
+        rows = np.arange(len(fields[0][0]) * len(fields[0][1]))
         bad = np.flatnonzero(pair_values(flags, rows).any(axis=1))[:1]
         if bad.size:
-            values = pair_values(fields, rows[bad])[0].tolist()
-            raise error(f"{what} {bad[0]} is not finite: {values}")
+            raise error(f"{what} {bad[0]} is not finite: {pair_values(fields, bad)[0].tolist()}")
 
 
-def kernel_rows(model: ElectreModel, fields, labels=None):
+def kernel_rows(model: ElectreModel, fields):
     """(R, kernel_row): the distinct kernel inputs of the rows of fields, one (code_a,
     code_b, values, cell) per criterion as distinct_rows takes them, and each row's index
     into R.
 
     Rows are alike when their values share criterion_codes codes, so classify_batch(model,
     R) gathered by kernel_row equals classify_batch on the rows themselves, bitwise,
-    whichever row R is read from. A row that takes a non-finite value is refused: any row,
-    or with labels any of the side they mark (_check_finite), and R is then read from it.
+    whichever row R is read from. A row that takes a non-finite value is refused
+    (_check_finite).
     """
     if len(fields) != model.m:
         raise ModelError(f"the rows have {len(fields)} fields, model has {model.m} criteria")
-    _check_finite(fields, ModelError, "performance row", labels)
+    _check_finite(fields, ModelError, "performance row")
     codes = [criterion_codes(model, j, values) for j, (_, _, values, _) in enumerate(fields)]
-    R, kernel_row = distinct_rows(fields, codes)
-    if not np.isfinite(R).all():  # read from a row off the side: read again from the side
-        rows = side_rows(labels)
-        R[kernel_row[rows]] = pair_values(fields, rows)
-    return R, kernel_row
+    return distinct_rows(fields, codes)
 
 
 def label_cells(R, row_of, labels):
@@ -581,9 +568,9 @@ def assign(sig_ab, sig_ba, lam: float, procedure: str = "pessimistic") -> np.nda
 def cut_counts(model: ElectreModel, fields, truth, grid, procedure: str = "pessimistic"):
     """Per lambda of the grid, the [truth, category] counts of the rows cut at it: a
     square int64 matrix indexed by the labels, up to the largest truth label or
-    category. fields are the rows as kernel_rows takes and checks them, but for those of
-    truth 0; each (kernel row, truth) cell is cut once and counts its rows."""
-    X, label, count = label_cells(*kernel_rows(model, fields, truth), truth)
+    category. fields are the rows as kernel_rows takes and checks them; each (kernel row,
+    truth) cell of truth 1 or more is cut once and counts its rows."""
+    X, label, count = label_cells(*kernel_rows(model, fields), truth)
     sig_ab, sig_ba = credibilities(model, X)
     n = max(int(label.max(initial=0)), model.category_count) + 1
     return np.array([np.bincount(label * n + assign(sig_ab, sig_ba, lam, procedure), count,

@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .calibration import CalibrationError, TrainingSet
-from .core import ElectreModel, ModelError, _check_finite, cut_counts, side_rows
+from .core import ElectreModel, cut_counts
 
 __all__ = ["EvalReport", "EvaluationError", "PairSide", "split", "evaluate", "lambda_sweep"]
 
@@ -210,7 +210,7 @@ class PairSide(TrainingSet):
     truth = TrainingSet.y
 
     def pair(self, row: int) -> tuple:
-        return self.block.pair(side_rows(self.labels)[row])
+        return self.block.pair(self.rows[row])
 
 
 def split(block, train_fraction: float, seed: int):
@@ -239,7 +239,6 @@ def split(block, train_fraction: float, seed: int):
     train = PairSide(block, truth - test)
     if 3 not in train.labels:
         raise EvaluationError("training split contains no links; increase train_fraction")
-    _check_finite(block.fields, CalibrationError, "training row", train.labels)
     return train, PairSide(block, test)
 
 
@@ -260,16 +259,12 @@ def evaluate(predicted, truth, cutting_level=None, procedure: str = "") -> EvalR
 
 def lambda_sweep(pairs, model: ElectreModel, grid, procedure: str = "pessimistic"):
     """Re-evaluate a fixed model over a grid of cutting levels on a labeled block, or a
-    side of one (a TrainingSet, as split makes); a pair is named in the pairs' own order.
-    The pairs are cut by core.cut_counts; a report lists its cells sorted by (truth, category)."""
+    side of one (a TrainingSet, as split makes). The pairs are cut by core.cut_counts; a
+    report lists its cells sorted by (truth, category)."""
     grid = list(grid)
     if not grid:
         raise EvaluationError("empty lambda grid")
-    if isinstance(pairs, TrainingSet):
-        labels = pairs.labels
-    else:  # every pair of a block is labeled, and named in block order
-        labels = _labels(pairs)
-        _check_finite(pairs.fields, ModelError, "performance row")
+    labels = pairs.labels if isinstance(pairs, TrainingSet) else _labels(pairs)
     counts = cut_counts(model, pairs.fields, labels, grid, procedure)
     return [EvalReport.from_contingency({(t, c): int(m[t, c]) for t, c in np.argwhere(m).tolist()},
                                         lam, procedure) for lam, m in zip(grid, counts)]

@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import CHUNK_ROWS, _distinct_cells, cell_index, classify_batch, kernel_rows, pair_values
+from .core import (CHUNK_ROWS, ModelError, _check_finite, _distinct_cells, cell_index,
+                   classify_batch, kernel_rows, pair_values)
 from .fellegi_sunter import agreement_patterns, fit_patterns, fs_decide
 from .ingest import LinkageSchema, RecordTable
 from .metrics import _factorize
@@ -31,12 +32,15 @@ class PairBlock:
     cell) per compared field, as core.distinct_rows numbers them: each side's value codes,
     the distinct similarities of the field (by bit pattern) and the int32 table of each
     (code_a, code_b) cell's index into them. truth holds the ground-truth category index
-    (0 while unlabeled)."""
+    (0 while unlabeled). A pair that takes a non-finite value is refused (a ModelError)."""
 
     ids_a: tuple
     ids_b: tuple
     fields: tuple
     truth: np.ndarray
+
+    def __post_init__(self):
+        _check_finite(self.fields, ModelError, "performance row")
 
     def __len__(self) -> int:
         return len(self.truth)

@@ -17,6 +17,7 @@ from electre_linkage.calibration import (
 )
 from electre_linkage.core import (
     Criterion,
+    ModelError,
     ProfileSet,
     classify_batch,
 )
@@ -96,19 +97,24 @@ class TestEstimateProfiles:
         message = re.escape(f"training row 2 is not finite: [0.5, {bad!r}]")
         with pytest.raises(CalibrationError, match=f"^{message}$"):
             TrainingSet(X, [1, 2, 2, 1], 2)
-        # a training side of a block: a non-finite value counts only where one of its
-        # pairs takes it, and names that pair's row in side order (by label, then in order)
+        # a block is refused when it is made, whichever side its pair would fall on, naming
+        # the pair by its row in block order
         finite, y = np.where(np.isfinite(X), X, 0.7), [1, 3, 3, 1]
-        ref_train, _ = ref_split(y, 0.5, 0)
         for p in range(len(y)):
-            block = block_from_columns(("a",), ("b0", "b1", "b2", "b3"),
-                                       np.where(np.arange(4)[:, None] == p, bad, finite), y)
-            if p not in ref_train:
-                assert split(block, 0.5, 0)[0].X.tobytes() == finite[ref_train].tobytes()
-                continue
-            message = f"training row {ref_train.index(p)} is not finite: [{bad!r}, {bad!r}]"
-            with pytest.raises(CalibrationError, match=f"^{re.escape(message)}$"):
-                split(block, 0.5, 0)
+            message = f"performance row {p} is not finite: [{bad!r}, {bad!r}]"
+            with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+                block_from_columns(("a",), ("b0", "b1", "b2", "b3"),
+                                   np.where(np.arange(4)[:, None] == p, bad, finite), y)
+        block = block_from_columns(("a",), ("b0", "b1", "b2", "b3"), finite, y)
+        for side, rows in zip(split(block, 0.5, 0), ref_split(y, 0.5, 0)):
+            assert side.X.tobytes() == finite[sorted(rows)].tobytes()
+
+    def test_rows_come_back_as_passed(self):
+        # X and y in the order given, not grouped by label
+        X, y = np.array([[0.3, -0.0], [0.1, 0.2], [0.3, 0.0], [0.9, 0.5]]), [3, 1, 2, 1]
+        train = TrainingSet(X, y, 3)
+        assert train.X.tobytes() == X.tobytes()
+        assert train.y.tolist() == y
 
     def test_empty_category_warns(self):
         train = make_training([((0.1,), 1), ((0.9,), 3)], p=3)

@@ -11,7 +11,6 @@ a seeded census-style pair.
 """
 
 import random
-import re
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -24,7 +23,6 @@ from hypothesis import strategies as st
 
 from electre_linkage import core, fellegi_sunter, linkage
 from electre_linkage.calibration import (
-    CalibrationError,
     TrainingSet,
     calibrate,
     estimate_lambda,
@@ -191,7 +189,7 @@ def test_split_matches_reference(tables):
     for seed in range(4):
         for fraction in (0.3, 0.5, 0.8):
             train, test = split(block, fraction, seed)
-            ref_train, ref_test = ref_split(block.truth.tolist(), fraction, seed)
+            ref_train, ref_test = map(sorted, ref_split(block.truth.tolist(), fraction, seed))
             assert train.X.tobytes() == block.X[ref_train].tobytes()
             assert train.y.tolist() == block.truth[ref_train].tolist()
             assert pair_ids(test) == [ids[k] for k in ref_test]
@@ -218,10 +216,10 @@ def test_split_matches_reference_at_census_scale(tmp_path, policy):
     for seed in (0, 5, 12):
         for fraction in (0.2, 0.5, 0.9):
             train, test = split(block, fraction, seed)
-            ref_train, ref_test = ref_split(labels, fraction, seed)
+            ref_train, ref_test = map(sorted, ref_split(labels, fraction, seed))
             assert train.X.tobytes() == X[ref_train].tobytes()
             assert train.y.tolist() == block.truth[ref_train].tolist()
-            assert core.side_rows(test.labels).tolist() == ref_test
+            assert test.rows.tolist() == ref_test
             assert test.truth.tolist() == block.truth[ref_test].tolist()
     # 0.002 of the ~120 links rounds to none: the reference trains on no link
     ref_train, _ = ref_split(labels, 0.002, 0)
@@ -279,9 +277,11 @@ def assert_same_cells(model, got, want, thresholds=None):
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(drawn=drawn_pairs(), fraction=st.sampled_from([0.3, 0.5, 0.8]), seed=st.integers(0, 99))
 def test_sides_count_as_the_positioned_column_form(chunk_rows, policy, drawn, fraction, seed):
-    """Each side of a split, an int8 label a pair of the whole block, gives the counts,
-    views and refusals of the same pairs gathered by position into a column form
-    (oracles.ref_side), in ref_split's order, at every chunk size of the counts."""
+    """Each side of a split, an int8 label a pair of the whole block, gives the counts and
+    views of the same pairs gathered by position into a column form (oracles.ref_side), in
+    block order (ref_split's sets, sorted), at every chunk size of the counts. A block in
+    which a pair takes a non-finite value is refused when it is made, as kernel_rows
+    refused its fields."""
     block, links, bad_pair, bad_value = drawn
     with pytest.MonkeyPatch.context() as patch:
         for module in (core, linkage):
@@ -297,7 +297,7 @@ def test_sides_count_as_the_positioned_column_form(chunk_rows, policy, drawn, fr
                 split(block, fraction, seed)
             return
         model = simple_model(len(block.fields))
-        for side, rows in zip(split(block, fraction, seed), sides):
+        for side, rows in zip(split(block, fraction, seed), map(sorted, sides)):
             X, counts, histograms, kernel, patterns = ref_side(block, rows, block.truth[rows],
                                                                model)
             assert len(side) == len(rows)
@@ -309,52 +309,37 @@ def test_sides_count_as_the_positioned_column_form(chunk_rows, policy, drawn, fr
                 assert values.tobytes() == want_values.tobytes()
                 assert count.tolist() == want_count.tolist()
             assert_same_cells(model, core.label_cells(
-                *core.kernel_rows(model, side.fields, side.labels), side.labels), kernel)
+                *core.kernel_rows(model, side.fields), side.labels), kernel)
             assert_same_cells(model, core.label_cells(
                 *agreement_patterns(side.fields), side.labels), patterns, 0.88)
-        # a value taken by a training pair is named by its training row; one taken only by a
-        # test pair lets the training side be counted, and is named by its test row in sweeps
+        # a value a pair takes is named by the pair's row in block order, on either side;
+        # one no pair takes is accepted and splits the same pairs
         X = block.X
         X[bad_pair, 0] = bad_value
-        bad = block_from_columns(block.ids_a, block.ids_b, X, block.truth)
-        if bad_pair in sides[0]:
-            event("a training pair takes the non-finite value")
-            message = f"training row {sides[0].index(bad_pair)} is not finite: "
-            with pytest.raises(CalibrationError,
-                               match=re.escape(f"{message}{X[bad_pair].tolist()}")):
-                split(bad, fraction, seed)
-            return
-        train, test = split(bad, fraction, seed)
-        core.cut_counts(model, train.fields, train.labels, [0.7])
-        assert len(train.histograms) == len(block.fields)
-        event("only a test pair takes the non-finite value")
-        message = f"performance row {sides[1].index(bad_pair)} is not finite: "
-        with pytest.raises(ModelError, match=re.escape(f"{message}{X[bad_pair].tolist()}")):
-            lambda_sweep(test, model, [0.7])
+        with pytest.raises(ModelError) as refused:
+            block_from_columns(block.ids_a, block.ids_b, X, block.truth)
+        assert str(refused.value) == (f"performance row {bad_pair} is not finite: "
+                                      f"{X[bad_pair].tolist()}")
+        code_a, code_b, values, cell = block.fields[0]
+        spare = replace(block, fields=((code_a, code_b, np.append(values, bad_value), cell),
+                                       *block.fields[1:]))
+        assert ([side.rows.tolist() for side in split(spare, fraction, seed)]
+                == [sorted(rows) for rows in sides])
 
 
-@pytest.mark.filterwarnings("ignore:category C2 has no training examples")
-def test_a_non_finite_test_pair_lets_train_through(tables):
-    """A non-finite value that only a test pair takes: train calibrates and fits its
-    baseline, and sweep names the pair by its test row; taken by a training pair, the split
-    names it by its training row."""
+def test_a_non_finite_pair_is_refused_on_either_side(tables):
+    """A non-finite value that a test pair or a training pair takes: the block is refused
+    when it is made, naming the pair by its row in block order, so neither train nor
+    sweep is reached."""
     schema, a, b = tables
     block = label_pairs(build_pairs(a, b, schema), true_links(a, b), "two_class")
     ref_train, ref_test = ref_split(block.truth.tolist(), 0.5, 4)
-    for rows, k in ((ref_test, 0), (ref_test, -1), (ref_train, 1)):
+    for pair in (ref_test[0], ref_test[-1], ref_train[1]):
         X = block.X
-        X[rows[k], -1] = np.inf
-        bad = block_from_columns(block.ids_a, block.ids_b, X, block.truth)
-        message = f"row {k % len(rows)} is not finite: {X[rows[k]].tolist()}"
-        if rows is ref_train:
-            with pytest.raises(CalibrationError, match=re.escape(f"training {message}")):
-                split(bad, 0.5, 4)
-            continue
-        train, test = split(bad, 0.5, 4)
-        model, _, _ = calibrate(train, criterion_names=schema.field_names)
-        fit_patterns(*agreement_patterns(train.fields), train.labels)
-        with pytest.raises(ModelError, match=re.escape(f"performance {message}")):
-            lambda_sweep(test, model, [model.cutting_level])
+        X[pair, -1] = np.inf
+        with pytest.raises(ModelError) as refused:
+            block_from_columns(block.ids_a, block.ids_b, X, block.truth)
+        assert str(refused.value) == f"performance row {pair} is not finite: {X[pair].tolist()}"
 
 
 @pytest.mark.parametrize("band_rate", [0.01, 0.3])
@@ -926,8 +911,9 @@ def test_write_classified_empty_block(tmp_path):
 
 
 def test_write_classified_refuses_before_opening_the_file(tmp_path):
-    """An unknown procedure, a non-finite similarity or a model of another criterion
-    count is refused before the file is opened: no file is left behind."""
+    """An unknown procedure or a model of another criterion count is refused before the
+    file is opened, and a block with a non-finite similarity is refused when it is made:
+    no file is left behind."""
     block = table_block(np.random.default_rng(3), 9, 8)
     dest = tmp_path / "c.csv"
     with pytest.raises(ModelError, match="unknown assignment procedure 'sideways'"):
@@ -936,9 +922,8 @@ def test_write_classified_refuses_before_opening_the_file(tmp_path):
         write_classified(dest, block, simple_model(2), "pessimistic", ["f1", "f2"])
     X = block.X
     X[17, 1] = float("nan")
-    bad = block_from_columns(block.ids_a, block.ids_b, X, block.truth)
     with pytest.raises(ModelError, match=r"performance row 17 is not finite: \[.*nan"):
-        write_classified(dest, bad, simple_model(3), "optimistic", ["f1", "f2", "f3"])
+        block_from_columns(block.ids_a, block.ids_b, X, block.truth)
     assert not dest.exists()
 
 
@@ -954,7 +939,7 @@ def test_write_classified_of_a_run_starting_mid_row(tmp_path, monkeypatch, chunk
     run = np.arange(len(block))
     labels = np.where((run >= lo) & (run < hi), block.truth % 3 + 1, 0).astype(np.int8)
     side, model = PairSide(block, labels), simple_model(3)
-    assert core.side_rows(labels).tolist() == sorted(range(lo, hi), key=labels.__getitem__)
+    assert side.rows.tolist() == list(range(lo, hi))
     for procedure in PROCEDURES:
         assert_sorted_sweep(lambda_sweep(side, model, SWEEP_GRID, procedure),
                             per_lambda_sweep(side, model, SWEEP_GRID, procedure))
@@ -1152,7 +1137,7 @@ def test_calibration_from_counts_matches_rows(p, grid, epsilon, procedure):
         if len(X) < 2 * p or (epsilon * (p - 2) > np.ptp(X, axis=0)).any():
             continue  # EpsilonInfeasibleError, checked elsewhere
         from_matrix = TrainingSet(X, side.y, p)
-        assert X.tobytes() == side.block.X[core.side_rows(side.labels)].tobytes()
+        assert X.tobytes() == side.block.X[np.flatnonzero(side.labels)].tobytes()
         for train in (side, from_matrix):
             assert_calibrated_as_rows(train, epsilon, procedure)
         checked += 1

@@ -14,6 +14,7 @@ from electre_linkage.evaluation import (
     lambda_sweep,
     split,
 )
+from electre_linkage.linkage import PairBlock
 
 from oracles import block_from_columns
 
@@ -260,20 +261,21 @@ class TestLambdaSweep:
                 lambda_sweep(pairs, self.model(), [0.5])
 
     def test_non_finite_pairs_refused_by_their_row(self):
-        # the inf shares 5.0's kernel row, and was counted as C2 through it
+        # the inf shares 5.0's kernel row, and was counted as C2 through it: the block is
+        # refused when it is made, naming the pair by its row in block order
         model = ElectreModel((Criterion("g1", 1.0, 0.05, 0.2),), ProfileSet(((0.8,),)), 0.7)
-        pairs = block([(("a", "b"), (0.1,), 1), (("a", "c"), (5.0,), 3),
-                       (("e", "b"), (float("inf"),), 1), (("e", "c"), (0.9,), 3)])
+        rows = [(("a", "b"), (0.1,), 1), (("a", "c"), (5.0,), 3),
+                (("e", "b"), (float("inf"),), 1), (("e", "c"), (0.9,), 3)]
         with pytest.raises(ModelError, match=r"^performance row 2 is not finite: \[inf\]$"):
-            lambda_sweep(pairs, model, [0.5, 0.7])
-        # a side is named by its own rows, by label then in block order, and its fields
-        # keep the inf no pair of it takes
-        side = PairSide(pairs, np.array([1, 0, 1, 3], dtype=np.int8))
-        with pytest.raises(ModelError, match=r"^performance row 1 is not finite: \[inf\]$"):
-            lambda_sweep(side, model, [0.7])
-        finite = PairSide(pairs, np.array([1, 3, 0, 3], dtype=np.int8))
+            block(rows)
+        # an inf no pair takes is kept in the fields, and a side counts as its own pairs
+        pairs = block(rows[:2] + [(("e", "b"), (0.3,), 1)] + rows[3:])
+        spare = PairBlock(pairs.ids_a, pairs.ids_b,
+                          tuple((code_a, code_b, np.append(values, np.inf), cell)
+                                for code_a, code_b, values, cell in pairs.fields), pairs.truth)
+        finite = PairSide(spare, np.array([1, 3, 0, 3], dtype=np.int8))
         assert float("inf") in finite.fields[0][2]
-        kept = block([(("x", "1"), (0.9,), 3), (("x", "2"), (5.0,), 3), (("x", "3"), (0.1,), 1)])
+        kept = block([(("x", "1"), (0.1,), 1), (("x", "2"), (5.0,), 3), (("x", "3"), (0.9,), 3)])
         assert ([r.contingency for r in lambda_sweep(finite, model, [0.5, 0.7])]
                 == [r.contingency for r in lambda_sweep(kept, model, [0.5, 0.7])])
 

@@ -50,13 +50,14 @@ def toy_tables():
 
 class TestPairBlock:
     def test_take_keeps_rows_together(self, toy_tables):
-        """A side taken of a block, its pairs in label order: each keeps its ids and
-        performances together."""
+        """A side taken of a block, its pairs in block order whatever their labels: each
+        keeps its ids, performances and label together."""
         schema, a, b = toy_tables
         pairs = build_pairs(a, b, schema)
         sub = PairSide(pairs, np.array([2, 0, 0, 0, 1, 0, 0, 0, 0], dtype=np.int8))
-        assert pair_ids(sub) == [pair_ids(pairs)[4], pair_ids(pairs)[0]]
-        assert sub.X.tobytes() == pairs.X[[4, 0]].tobytes()
+        assert pair_ids(sub) == [pair_ids(pairs)[0], pair_ids(pairs)[4]]
+        assert sub.X.tobytes() == pairs.X[[0, 4]].tobytes()
+        assert sub.truth.tolist() == [2, 1]
 
 
 class TestBuildPairs:

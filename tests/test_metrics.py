@@ -144,6 +144,24 @@ class TestComparators:
         # the largest bonus allowed reaches 1 and no further
         assert Comparator("jaro_winkler", prefix_scale=0.25).compare("MARTHA", "MARHTA") <= 1.0
 
+    @pytest.mark.parametrize("cap", [5e-324, 1.7976931348623157e308])
+    @pytest.mark.parametrize("kind", metrics.COMPARATOR_KINDS)
+    def test_tables_are_finite_within_the_unit_interval(self, kind, cap):
+        """Every kind's table lies in [0, 1] at the extremes of its parameters and values,
+        so build_pairs never makes a pair that a PairBlock refuses as non-finite."""
+        values = ["1.7976931348623157e308", "-1.7976931348623157e308", "5e-324", "-5e-324",
+                  "0", "-0.0"]
+        if kind != "absolute_difference_normalized":
+            values += ["", "\0", "A" * 200, "A" * 199 + "B", "\U0001f600" * 3,
+                       "A\U0001f600\0", "MARTHA", "MARHTA"]
+        # a Jaro-Winkler bonus whose prefix_scale * prefix_cap reaches 1
+        prefixes = [(0.1, 4), (1.0, 1), (0.25, 4), (0.125, 8)]
+        for prefix_scale, prefix_cap in prefixes if kind == "jaro_winkler" else prefixes[:1]:
+            table = Comparator(kind, prefix_scale, prefix_cap, cap).compare(values, values)
+            assert table.dtype == np.float64 and table.shape == (len(values), len(values))
+            assert ((table >= 0) & (table <= 1)).all(), table  # nan compares false
+            assert np.diagonal(table).tolist() == [1.0] * len(values)
+
     def test_make_comparator(self):
         assert make_comparator("jaro").kind == "jaro"
         c = make_comparator({"kind": "absolute_difference_normalized", "cap": 5})
