@@ -14,6 +14,7 @@ import csv
 import json
 import reprlib
 import sys
+import warnings
 from pathlib import Path
 
 from . import datagen, linkage
@@ -151,8 +152,11 @@ def cmd_ingest(args, cfg, schema, out) -> int:
 
 def cmd_train(args, cfg, schema, out) -> int:
     train, _ = _split_pairs(cfg, schema)
-    model, solution, curve = calibrate(train, cfg["weights"], criterion_names=schema.field_names,
-                                       **cfg["calibration"])
+    with warnings.catch_warnings():
+        if cfg["label_policy"] == "two_class":  # two-class labels never hold C2
+            warnings.filterwarnings("ignore", "category C2 has no training examples", UserWarning)
+        model, solution, curve = calibrate(train, cfg["weights"],
+                                           criterion_names=schema.field_names, **cfg["calibration"])
     fs = fit_patterns(*agreement_patterns(train.fields), train.labels)
     (out / "electre_model.json").write_text(model.to_json(), encoding="utf-8")
     (out / "fs_model.json").write_text(fs.to_json(), encoding="utf-8")

@@ -459,9 +459,7 @@ def distinct_rows(fields, states):
         distinct, inverse = np.unique(key, return_inverse=True)
         row = np.empty(len(distinct), dtype=np.intp)
         row[inverse] = np.arange(na * nb)
-    a, b = np.divmod(row, max(nb, 1))
-    return np.column_stack([values[cell[code_a[a], code_b[b]]]
-                            for code_a, code_b, values, cell in fields]), inverse
+    return pair_values(fields, row), inverse
 
 
 def _check_finite(fields, error, what: str) -> None:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import _DocumentReader
 from .metrics import Comparator, make_comparator
@@ -114,15 +114,13 @@ class LoadReport:
 
 @dataclass(frozen=True)
 class RecordTable:
-    source_label: str
-    field_names: tuple[str, ...]
-    records: tuple[tuple[str, dict], ...] = field(default_factory=tuple)
+    """Retained record i is ids[i], with value columns[f][i] in the schema's compared field f."""
+
+    ids: tuple[str, ...]
+    columns: tuple[tuple[str, ...], ...]
 
     def __len__(self) -> int:
-        return len(self.records)
-
-    def ids(self) -> list[str]:
-        return [rid for rid, _ in self.records]
+        return len(self.ids)
 
 
 def census_schema() -> LinkageSchema:
@@ -183,11 +181,11 @@ def load_table(path, schema: LinkageSchema, source_label: str):
             if header.count(col) > 1:
                 raise IngestError(f"{path}: column {col!r} appears more than once")
         id_at = header.index(schema.id_field)
-        fields = [(f, header.index(f)) for f in schema.field_names]
+        field_at = [header.index(f) for f in schema.field_names]
         width = len(header)
         read = dropped = 0
-        records = []
-        seen = {}
+        columns = [[] for _ in field_at]
+        seen = {}  # the line of each retained id, in table order
         for row in rows:
             if not row:
                 continue
@@ -196,19 +194,20 @@ def load_table(path, schema: LinkageSchema, source_label: str):
                 raise IngestError(f"{path}:{reader.line_num}: row has {side} fields than header")
             read += 1
             rid = row[id_at].strip()
-            if schema.is_missing(rid) or any(schema.is_missing(row[at]) for _, at in fields):
+            if schema.is_missing(rid) or any(schema.is_missing(row[at]) for at in field_at):
                 dropped += 1
                 continue
             if rid in seen:
                 raise IngestError(f"{path}: duplicate identifier {rid!r} on lines "
                                   f"{seen[rid]} and {reader.line_num}")
             seen[rid] = reader.line_num
-            records.append((rid, {f: schema.normalize(row[at]) for f, at in fields}))
-    table = RecordTable(source_label, tuple(schema.field_names), tuple(records))
+            for column, at in zip(columns, field_at):
+                column.append(schema.normalize(row[at]))
+    table = RecordTable(tuple(seen), tuple(map(tuple, columns)))
     return table, LoadReport(str(path), source_label, read, dropped)
 
 
 def true_links(a: RecordTable, b: RecordTable) -> set[tuple[str, str]]:
     """Cross pairs sharing an identifier; identifiers are unique per table."""
-    ids_b = set(b.ids())
-    return {(rid, rid) for rid in a.ids() if rid in ids_b}
+    ids_b = set(b.ids)
+    return {(rid, rid) for rid in a.ids if rid in ids_b}

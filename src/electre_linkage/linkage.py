@@ -62,12 +62,11 @@ def build_pairs(a: RecordTable, b: RecordTable, schema: LinkageSchema) -> PairBl
     A and B, kept as its distinct similarities and an int32 cell table.
     """
     fields = []
-    for fname, comparator in schema.compared_fields:
-        vals_a, code_a = _factorize([rec[fname] for _, rec in a.records])
-        vals_b, code_b = _factorize([rec[fname] for _, rec in b.records])
+    for (_, comparator), column_a, column_b in zip(schema.compared_fields, a.columns, b.columns):
+        vals_a, code_a = _factorize(column_a)
+        vals_b, code_b = _factorize(column_b)
         fields.append((code_a, code_b, *_distinct_cells(comparator.compare(vals_a, vals_b))))
-    n = len(a.records) * len(b.records)
-    return PairBlock(tuple(a.ids()), tuple(b.ids()), tuple(fields), np.zeros(n, dtype=np.int8))
+    return PairBlock(a.ids, b.ids, tuple(fields), np.zeros(len(a) * len(b), dtype=np.int8))
 
 
 def label_pairs(block: PairBlock, links, policy: str = "two_class", fs_model=None) -> PairBlock:
@@ -82,19 +81,17 @@ def label_pairs(block: PairBlock, links, policy: str = "two_class", fs_model=Non
         raise ValueError(f"unknown label policy {policy!r}")
     pos_a = {rid: i for i, rid in enumerate(block.ids_a)}
     pos_b = {rid: i for i, rid in enumerate(block.ids_b)}
-    linked = np.zeros((len(pos_a), len(pos_b)), dtype=bool)
+    truth = np.ones(len(block), dtype=np.int8)
     for id_a, id_b in links:
         if id_a in pos_a and id_b in pos_b:
-            linked[pos_a[id_a], pos_b[id_b]] = True
-    is_link = linked.ravel()
-    truth = np.where(is_link, np.int8(3), np.int8(1))
+            truth[pos_a[id_a] * len(pos_b) + pos_b[id_b]] = 3
     if policy == "banded":
         thresholds = fs_model.agreement_thresholds if fs_model is not None else None
         P, pattern = agreement_patterns(block.fields, thresholds)
         if fs_model is None:
             fs_model = fit_patterns(P, pattern, truth)
         band = fs_decide(fs_model, P) == 2
-        truth[~is_link & band[pattern]] = 2
+        truth[(truth == 1) & band[pattern]] = 2
     return replace(block, truth=truth)
 
 

@@ -395,7 +395,8 @@ def ref_compare(comparator, x, y):
 
 
 def ref_load_table(path, schema, source_label):
-    """load_table through csv.DictReader: one dict per row, its checks on the dict."""
+    """load_table through csv.DictReader: one dict per row, its checks on the dict, and
+    each retained row's values appended to the columns of its fields."""
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -410,7 +411,7 @@ def ref_load_table(path, schema, source_label):
             if header.count(col) > 1:
                 raise IngestError(f"{path}: column {col!r} appears more than once")
         read = dropped = 0
-        records = []
+        ids, columns = [], {f: [] for f in schema.field_names}
         seen = {}
         for row in reader:
             lineno = reader.line_num
@@ -430,9 +431,10 @@ def ref_load_table(path, schema, source_label):
                     f"{path}: duplicate identifier {rid!r} on lines {seen[rid]} and {lineno}"
                 )
             seen[rid] = lineno
-            values = {f: schema.normalize(row[f]) for f in schema.field_names}
-            records.append((rid, values))
-    table = RecordTable(source_label, tuple(schema.field_names), tuple(records))
+            ids.append(rid)
+            for f, column in columns.items():
+                column.append(schema.normalize(row[f]))
+    table = RecordTable(tuple(ids), tuple(tuple(column) for column in columns.values()))
     return table, LoadReport(str(path), source_label, read, dropped)
 
 
@@ -514,11 +516,11 @@ def ref_build_pairs(a, b, schema):
     """
     caches = [dict() for _ in schema.compared_fields]
     ids, rows, calls = [], [], 0
-    for id_a, rec_a in a.records:
-        for id_b, rec_b in b.records:
+    for id_a, *rec_a in zip(a.ids, *a.columns):
+        for id_b, *rec_b in zip(b.ids, *b.columns):
             perf = []
-            for (fname, comparator), cache in zip(schema.compared_fields, caches):
-                key = (rec_a[fname], rec_b[fname])
+            for (_, comparator), cache, key in zip(schema.compared_fields, caches,
+                                                   zip(rec_a, rec_b)):
                 if key not in cache:
                     cache[key] = ref_compare(comparator, *key)
                     calls += 1

@@ -2,6 +2,7 @@ import csv
 import json
 import random
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -532,25 +533,29 @@ class TestPipeline:
     def test_classify_reads_the_pair_layout_once_per_use(self, small_dataset, tmp_path,
                                                           monkeypatch, policy, reads):
         """The writer numbers the rows it writes from the block's cell tables, and banded
-        labeling does too: one core.distinct_rows call per use, and no pair is read by its
-        position (core.pair_values)."""
+        labeling does too: one core.distinct_rows call per use. The only pairs read by their
+        position (core.pair_values) are one of each distinct row: each gather is the R of
+        one numbering, a row per kernel row or agreement pattern."""
         from electre_linkage import core, fellegi_sunter, linkage
 
         a, b = small_dataset
         base = ["--dataset-a", a, "--dataset-b", b, "--output-dir", tmp_path / policy,
                 "--label-policy", policy, "--seed", "3"]
         assert run(["train", *base]) == 0
-        calls, numbered = [], []
+        gathers, numbered = [], []
         pair_values, distinct_rows = core.pair_values, core.distinct_rows
         for module in (core, linkage):
-            monkeypatch.setattr(module, "pair_values", lambda fields, rows: calls.append(
-                len(rows)) or pair_values(fields, rows))
+            monkeypatch.setattr(module, "pair_values", lambda fields, rows: gathers.append(
+                pair_values(fields, rows)) or gathers[-1])
         for module in (core, fellegi_sunter):
             monkeypatch.setattr(module, "distinct_rows", lambda fields, states: numbered.append(
-                len(fields[0][0]) * len(fields[0][1])) or distinct_rows(fields, states))
+                (len(fields[0][0]) * len(fields[0][1]), *distinct_rows(fields, states)))
+                or numbered[-1][1:])
         assert run(["classify", *base, "--model", tmp_path / policy / "electre_model.json"]) == 0
-        assert calls == []
-        assert len(numbered) == reads and len(set(numbered)) == 1  # each of the whole block
+        assert len(numbered) == reads and len({n for n, _, _ in numbered}) == 1  # the whole block
+        assert len(gathers) == reads
+        for gather, (_, R, inverse) in zip(gathers, numbered):
+            assert gather is R and len(R) == int(inverse.max()) + 1
 
     def test_unknown_procedure_writes_no_file(self, small_dataset, tmp_path, capsys):
         a, b = small_dataset
@@ -565,6 +570,17 @@ class TestPipeline:
                                            "procedure: expected one of pessimistic, optimistic, "
                                            "got 'sideways'\n")
         assert not (out / "classified.csv").exists()
+
+    def test_two_class_train_writes_nothing_to_stderr(self, small_dataset, tmp_path, capsys):
+        """Two-class labels never hold C2, so calibrate's warning that C2 has no training
+        examples is not shown by a two_class train."""
+        a, b = small_dataset
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["train", "--dataset-a", a, "--dataset-b", b,
+                        "--output-dir", tmp_path / "out"]) == 0
+        assert [w for w in caught if issubclass(w.category, UserWarning)] == []
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("policy", ["two_class", "banded"])
     def test_train_gathers_no_performances(self, small_dataset, tmp_path, monkeypatch, policy):

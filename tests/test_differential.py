@@ -113,11 +113,9 @@ def test_build_pairs_matches_nested_loop(tables, reference, monkeypatch):
     assert block.X.shape == (len(rows), len(schema.compared_fields))
     assert block.X.tobytes() == np.array(rows, dtype=float).tobytes()
     assert not block.truth.any()
-    distinct = {
-        f: len({rec[f] for _, rec in a.records}) * len({rec[f] for _, rec in b.records})
-        for f in schema.field_names
-    }
-    assert ref_calls == sum(distinct.values())
+    distinct = [len(set(column_a)) * len(set(column_b))
+                for column_a, column_b in zip(a.columns, b.columns)]
+    assert ref_calls == sum(distinct)
     # one table per field, from one compare call over the field's distinct values
     assert compares == [c for _, c in schema.compared_fields]
 
@@ -137,10 +135,33 @@ def test_take_gathers_the_same_performances(tables):
 
 
 def test_two_class_labels_follow_links(tables, reference):
+    """Under either policy a link labels its pair C3, whichever positions its records hold,
+    and however often it is given; a link naming an id outside the block labels nothing."""
     schema, a, b = tables
+    ids, rows, _ = reference
     links = true_links(a, b)
     block = label_pairs(build_pairs(a, b, schema), links, "two_class")
-    assert block.truth.tolist() == [3 if pair in links else 1 for pair in reference[0]]
+    assert block.truth.tolist() == [3 if pair in links else 1 for pair in ids]
+    assert a.ids[1] != b.ids[0] and "absent" not in a.ids
+    other = [(a.ids[1], b.ids[0]), ("absent", b.ids[0]), (a.ids[0], b.ids[-1]),
+             (a.ids[0], b.ids[-1])]
+    m = len(rows[0])
+    fs = FsModel((0.9, 0.8, 0.7, 0.95, 0.6)[:m], (0.1, 0.3, 0.2, 0.05, 0.4)[:m], (0.88,) * m,
+                 lower=-5.0, upper=2.0)
+    for policy in ("two_class", "banded"):
+        block = label_pairs(build_pairs(a, b, schema), other, policy, fs_model=fs)
+        expected = []
+        for pair, row in zip(ids, rows):
+            label = 1
+            if policy == "banded":
+                score = ref_log_ratio(row, fs.agreement_thresholds, fs.m_probs, fs.u_probs)
+                label = 2 if fs.lower <= score <= fs.upper else 1
+            for link in other:
+                if link == pair:
+                    label = 3
+            expected.append(label)
+        assert block.truth.tolist() == expected
+        assert expected.count(3) == 2
 
 
 def test_banded_labels_match_scalar_scores(tables, reference):
@@ -792,9 +813,9 @@ def test_write_classified_joins_pieces_across_a_rows(tables, tmp_path, monkeypat
 def test_write_classified_reads_the_block_through_columns_once(tables, tmp_path, monkeypatch,
                                                                chunk_rows):
     """A block is numbered and written from its cell tables: each field's index column is
-    read once a pair a file (core.cell_index by chunks of whole A-rows), and no pair by its
-    position (core.pair_values), however many chunks the file takes. Each file equals the
-    row loop's."""
+    read once a pair a file (core.cell_index by chunks of whole A-rows), and the only pairs
+    read by their position (core.pair_values) are the kernel rows' R, one of each distinct
+    row, however many chunks the file takes. Each file equals the row loop's."""
     if chunk_rows:
         monkeypatch.setattr(linkage, "CHUNK_ROWS", chunk_rows)
     schema, a, b = tables
@@ -802,18 +823,24 @@ def test_write_classified_reads_the_block_through_columns_once(tables, tmp_path,
     model = simple_model(len(schema.field_names))
     new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
     cell_index, pair_values = linkage.cell_index, core.pair_values
+    distinct_rows = core.distinct_rows
     for pairs in (block, block_of_rows(block, slice(1, None))):
         for procedure in PROCEDURES:
-            reads, gathers = [], []
+            reads, gathers, numbered = [], [], []
             with monkeypatch.context() as patch:
                 patch.setattr(linkage, "cell_index", lambda code_a, code_b, cell: reads.append(
                     len(code_a) * len(code_b)) or cell_index(code_a, code_b, cell))
-                patch.setattr(core, "pair_values", lambda fields, rows: gathers.append(
-                    len(rows)) or pair_values(fields, rows))
+                for module in (core, linkage):
+                    patch.setattr(module, "pair_values", lambda fields, rows: gathers.append(
+                        pair_values(fields, rows)) or gathers[-1])
+                patch.setattr(core, "distinct_rows", lambda fields, states: numbered.append(
+                    distinct_rows(fields, states)) or numbered[-1])
                 write_classified(new, pairs, model, procedure, schema.field_names)
             if chunk_rows:
                 assert len(pairs) > chunk_rows  # the file is written in several chunks
-            assert sum(reads) == len(pairs) * len(pairs.fields) and gathers == []
+            assert sum(reads) == len(pairs) * len(pairs.fields)
+            [(R, inverse)] = numbered
+            assert len(gathers) == 1 and gathers[0] is R and len(R) == int(inverse.max()) + 1
             ref_write_classified(ref, pairs, *classify_batch(model, pairs.X, procedure),
                                  schema.field_names)
             assert new.read_bytes() == ref.read_bytes()

@@ -65,7 +65,7 @@ class TestLoadTable:
         assert report.read == 3
         assert report.dropped == 0
         assert len(table) == 3
-        assert table.records[0][1]["NAME"] == "JOHN A SMITH"
+        assert table.columns[schema.field_names.index("NAME")][0] == "JOHN A SMITH"
 
     def test_missing_value_dropped(self, tmp_path):
         path = write(
@@ -78,7 +78,7 @@ class TestLoadTable:
         )
         table, report = load_table(path, toy_schema(), "A")
         assert (report.read, report.dropped, report.retained) == (3, 2, 1)
-        assert table.ids() == ["u1"]
+        assert table.ids == ("u1",)
 
     def test_empty_file_with_header(self, tmp_path):
         path = write(tmp_path, "t.csv", "IDENTIFIER,NAME,ADDRESS,AGE\n")
@@ -241,7 +241,7 @@ def test_byte_order_mark_is_not_part_of_the_header(tmp_path):
     assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
     table, report = load_table(marked, toy_schema(), "A")
     want_table, want_report = load_table(plain, toy_schema(), "A")
-    assert table == want_table and table.ids() == ["u1"]
+    assert table == want_table and table.ids == ("u1",)
     assert (report.read, report.dropped) == (want_report.read, want_report.dropped)
 
 

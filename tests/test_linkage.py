@@ -83,7 +83,7 @@ class TestBuildPairs:
 
     def test_empty_side(self, toy_tables):
         schema, a, b = toy_tables
-        empty = type(a)("B", a.field_names, ())
+        empty = type(a)((), tuple(() for _ in a.columns))
         assert len(build_pairs(a, empty, schema)) == 0
 
     def test_identical_records_all_ones(self, toy_tables):
