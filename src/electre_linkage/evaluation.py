@@ -136,68 +136,40 @@ def _targets(rng: random.Random, n: int) -> np.ndarray:
     return t
 
 
-def _permutation(rng: random.Random, n: int, start: int = 0) -> np.ndarray:
-    """Positions start..n-1 of the permutation of range(n) that
-    `rng.shuffle(list(range(n)))` makes (int32), leaving `rng` in the state
-    shuffle leaves it in.
+def _tested(rng: random.Random, n: int, start: int) -> np.ndarray:
+    """One flag a value of range(n): True for the values that
+    `rng.shuffle(list(range(n)))` leaves at positions start..n-1, leaving `rng`
+    in the state shuffle leaves it in.
 
-    Step i of the shuffle swaps positions i and t[i] <= i, and no later step
-    touches position i. With the steps sorted by (target, step):
-    - nxt(i) is the next step with i's target, the last to write there before i;
-    - prev(i) is the first step after i that targets i, the last to write i;
-    - v(i), the value at i just before step i, is v(prev(i)), or i.
-    So x[i] is v(nxt(i)), or t[i]; a step 0 with target 0 makes x[0] fit too.
-    nxt(i) and prev(i) both lie after i, so positions from start on read only
-    the steps from start on: those are sorted and resolved, numbered from 0,
-    and the v of a target below start is never read.
-    All arrays but the int64 sort key are int32: about 17 bytes an element
-    at the peak for start 0.
+    Step i of the shuffle swaps positions i and t[i] <= i. Steps below start
+    keep the positions from start on among themselves; applied in increasing
+    order to that set, step k puts t[k] in and takes k out, unless t[k] is in
+    already. So every value a step from start on takes is in, a value below
+    start only if one takes it, and the values from start on that are out
+    end hole chains: the first step to take a value below start opens a hole
+    at its own position, and the first later step to take the value at a
+    hole moves the hole there. Links only go up, so pointer jumping settles
+    them. All arrays are int32 or bool.
     """
     if n >= _MAX_GROUP:
         raise EvaluationError(f"a label group of {n} pairs is too large to split "
                               f"(at most {_MAX_GROUP - 1})")
-    t = _targets(rng, n)[start:].copy()  # the steps from start on, not a view of all n
-    n -= start
-    if n < 2:  # no later step writes the last position: x = t
-        return t
-    key = t.astype(np.int64)
-    key *= n
-    key += np.arange(n, dtype=np.int32)
-    key.sort()
-    key %= n
-    step = key.astype(np.int32)  # the steps in (target, step) order
-    del key
-    target = t[step]
-    head = np.empty(n, dtype=bool)  # a step first in its target's group
-    head[0] = True
-    np.not_equal(target[1:], target[:-1], out=head[1:])
-    del target
-    nxt = np.empty(n, dtype=np.int32)
-    nxt[step[:-1]] = step[1:]
-    nxt[step[:-1][head[1:]]] = -1
-    nxt[step[-1]] = -1
-    first = step[head]
-    del step, head
-    group = t[first] - start
-    below = int(np.searchsorted(group, 0))  # the groups are in target order
-    first, group = first[below:], group[below:]
-    prev = nxt[first]  # prev(g) where step g is the first of its own group
-    np.copyto(prev, first, where=first != group)
-    del first
-    np.copyto(prev, group, where=prev < 0)  # nothing writes g before step g
-    v = np.arange(n, dtype=np.int32)  # v(i), once prev(i) has been followed to its end
-    v[group] = prev
-    del group, prev
-    while True:
-        jumped = v[v]
-        if np.array_equal(jumped, v):
-            break
-        v = jumped
+    t = _targets(rng, n)[start:]  # the steps from start on
+    first = np.full(n, n, dtype=np.int32)  # the first of them to take each value
+    np.minimum.at(first, t, np.arange(start, n, dtype=np.int32))
+    del t
+    tested = first < n
+    tested[start:] = True
+    link = first[start:] - start  # from start on: the first step to take each position, or itself
+    np.copyto(link, np.arange(n - start, dtype=np.int32), where=link == n - start)
+    jumped = link[link]
+    while not np.array_equal(jumped, link):
+        link = jumped
+        jumped = link[link]
     del jumped
-    v += start
-    x = v[nxt]  # where nxt is -1 this reads v[-1], replaced by t[i]
-    np.copyto(x, t, where=nxt < 0)
-    return x
+    heads = first[:start]  # the first step from start on to take each value below it
+    tested[start:][link[heads[heads < n] - start]] = False  # the chains' ends
+    return tested
 
 
 class PairSide(TrainingSet):
@@ -221,7 +193,7 @@ def split(block, train_fraction: float, seed: int):
     nonlinks keep their proportions in the training set. Each label's training pairs are
     the first round(train_fraction * size) of the permutation `random.Random(seed).shuffle`
     makes of the group's pairs, one generator across the labels in ascending order,
-    computed in numpy: only the rest of the permutation, the test pairs, is resolved.
+    computed in numpy: which pairs fall past the cut is resolved, not their order.
     """
     if not 0 < train_fraction < 1:
         raise EvaluationError(f"train fraction must lie in (0, 1), got {train_fraction}")
@@ -232,9 +204,7 @@ def split(block, train_fraction: float, seed: int):
     rng, tested = random.Random(seed), np.zeros(len(truth), dtype=bool)
     for label in (1, 2, 3):
         size = int(np.count_nonzero(truth == label))
-        flags = np.zeros(size, dtype=bool)
-        flags[_permutation(rng, size, round(train_fraction * size))] = True
-        tested[truth == label] = flags  # the mask made after the permutation's peak
+        tested[truth == label] = _tested(rng, size, round(train_fraction * size))
     test = truth * tested
     train = PairSide(block, truth - test)
     if 3 not in train.labels:

@@ -9,7 +9,7 @@ from electre_linkage.evaluation import (
     _SCALAR_BELOW,
     EvaluationError,
     PairSide,
-    _permutation,
+    _tested,
     evaluate,
     lambda_sweep,
     split,
@@ -83,49 +83,45 @@ class TestSplit:
 
 
 class TestPermutation:
-    """_permutation against random.Random.shuffle: the same permutation and the
-    same generator state after it."""
+    """_tested against random.Random.shuffle: the values the permutation leaves
+    from the cut on, and the same generator state after it."""
 
     SIZES = sorted({*range(71), *(2**k + d for k in range(1, 18) for d in (-1, 0, 1)),
                     _SCALAR_BELOW - 1, _SCALAR_BELOW, _SCALAR_BELOW + 1, 200_003})
 
+    @staticmethod
+    def check(rng, ref, n, start):
+        """_tested flags the values `ref.shuffle` leaves at positions start..n-1, as bools,
+        and leaves its generator in the state ref is left in."""
+        order = list(range(n))
+        ref.shuffle(order)
+        shuffled = np.zeros(n, dtype=bool)
+        shuffled[order[start:]] = True
+        flags = _tested(rng, n, start)
+        assert flags.dtype == bool and np.array_equal(flags, shuffled), (n, start)
+        assert rng.getstate() == ref.getstate(), (n, start)
+
     @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
     def test_matches_shuffle(self, seed):
         for n in self.SIZES:
-            rng, ref = random.Random(seed), random.Random(seed)
-            order = list(range(n))
-            ref.shuffle(order)
-            x = _permutation(rng, n)
-            assert x.dtype == np.int32 and x.tolist() == order, n
-            assert rng.getstate() == ref.getstate(), n
+            self.check(random.Random(seed), random.Random(seed), n, 0)
 
     def test_one_generator_across_groups(self):
         # split draws every label group from one generator, in turn
         rng, ref = random.Random(12), random.Random(12)
         for n in (5000, 17, 3000, 1, 0):
-            order = list(range(n))
-            ref.shuffle(order)
-            assert _permutation(rng, n).tolist() == order, n
-        assert rng.getstate() == ref.getstate()
+            self.check(rng, ref, n, 0)
 
     def test_tail_matches_shuffle(self):
-        # split resolves only the positions from the train cut on
+        # split flags the values from the train cut on
         for n in self.SIZES:
             for start in sorted({0, 1, n // 2, n - 1, n} & set(range(n + 1))):
-                rng, ref = random.Random(n + start), random.Random(n + start)
-                order = list(range(n))
-                ref.shuffle(order)
-                x = _permutation(rng, n, start)
-                assert x.dtype == np.int32 and x.tolist() == order[start:], (n, start)
-                assert rng.getstate() == ref.getstate(), (n, start)
+                self.check(random.Random(n + start), random.Random(n + start), n, start)
 
     def test_one_generator_across_tails(self):
         rng, ref = random.Random(5), random.Random(5)
         for n, start in ((5000, 2500), (17, 0), (3000, 2999), (1, 1), (0, 0), (4096, 3)):
-            order = list(range(n))
-            ref.shuffle(order)
-            assert _permutation(rng, n, start).tolist() == order[start:], (n, start)
-        assert rng.getstate() == ref.getstate()
+            self.check(rng, ref, n, start)
 
     def test_draws_exactly_the_words_shuffle_draws(self):
         class Counting(random.Random):
@@ -139,7 +135,7 @@ class TestPermutation:
         for n, start in ((200_003, 0), (2**17 + 1, 2**16), (_SCALAR_BELOW + 1, 0), (3000, 1)):
             rng, ref = Counting(n), Counting(n)
             ref.shuffle(list(range(n)))
-            _permutation(rng, n, start)
+            _tested(rng, n, start)
             assert rng.words == ref.words, (n, start)
             assert rng.getstate() == ref.getstate(), (n, start)
 
@@ -148,7 +144,7 @@ class TestPermutation:
         tracemalloc.start()
         try:
             with pytest.raises(EvaluationError, match="label group of 2147483648 pairs"):
-                _permutation(random.Random(0), 2**31)
+                _tested(random.Random(0), 2**31, 2**30)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -158,7 +154,7 @@ class TestPermutation:
         n = 2**18
         tracemalloc.start()
         try:
-            _permutation(random.Random(3), n)
+            _tested(random.Random(3), n, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -168,7 +164,7 @@ class TestPermutation:
         n = 2**18
         tracemalloc.start()
         try:
-            _permutation(random.Random(3), n, n // 2)
+            _tested(random.Random(3), n, n // 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
